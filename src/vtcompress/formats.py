@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numeric import as_tensor
+from .numeric import as_tensor, matmul
 
 __all__ = [
     "MAGIC_FEATURE_MAP",
@@ -264,7 +264,7 @@ def gen_synthetic(cfg: SyntheticConfig, out_dir) -> dict:
     proj = rng.standard_normal((cfg.heads, cfg.channels, cfg.head_dim)) / np.sqrt(
         cfg.channels
     )
-    k = np.stack([tokens @ proj[h] for h in range(cfg.heads)])  # (h, N, d)
+    k = np.stack([matmul(tokens, proj[h]) for h in range(cfg.heads)])  # (h, N, d)
 
     # queries anchored to visual tokens so attention has somewhere to look
     if rects:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .textsampler import SelectionResult
-from .vision import RegionSelection, ScaleMenu
+from .vision import RegionSelection, ScaleMenu, routing_stats
 
 __all__ = [
     "effective_token_count",
@@ -39,25 +39,21 @@ def effective_token_count(m: int, n: int, i: int, total_layers: int = 32) -> flo
     return m - n + i * n / total_layers
 
 
-def scale_histogram(selections: Sequence[RegionSelection]) -> np.ndarray:
-    """Empirical selection frequency per scale: f_i = count(scale == i) / M."""
+def _stacked(selections: Sequence[RegionSelection]) -> tuple[np.ndarray, np.ndarray]:
+    """Chosen scales (M,) and probabilities (M, S) of a selection list."""
     if not selections:
         raise ValueError("no selections")
-    num_scales = len(selections[0].probs)
-    counts = np.zeros(num_scales)
-    for sel in selections:
-        counts[sel.scale] += 1.0
-    return counts / len(selections)
+    return np.array([sel.scale for sel in selections]), np.array([sel.probs for sel in selections])
+
+
+def scale_histogram(selections: Sequence[RegionSelection]) -> np.ndarray:
+    """Empirical selection frequency per scale: f_i = count(scale == i) / M."""
+    return routing_stats(*_stacked(selections))[0]
 
 
 def mean_selection_probs(selections: Sequence[RegionSelection]) -> np.ndarray:
     """Mean softmax probability per scale over all regions."""
-    if not selections:
-        raise ValueError("no selections")
-    acc = np.zeros(len(selections[0].probs))
-    for sel in selections:
-        acc += sel.probs
-    return acc / len(selections)
+    return routing_stats(*_stacked(selections))[1]
 
 
 def _float_list(arr) -> list[float]:
@@ -113,8 +109,9 @@ def build_report(
             for s, c in zip(menu.scales, counts)
         ]
         report["afterVision"] = after_vision
-        report["scaleFrequencies"] = _float_list(scale_histogram(selections))
-        report["meanProbs"] = _float_list(mean_selection_probs(selections))
+        f, p = routing_stats(*_stacked(selections))
+        report["scaleFrequencies"] = _float_list(f)
+        report["meanProbs"] = _float_list(p)
         report["selections"] = [
             {
                 "region": sel.region,

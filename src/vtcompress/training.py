@@ -13,19 +13,25 @@ end-to-end objective are a valid oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .numeric import as_tensor, finite_diff_grad, matmul, max_pool, softmax
+from .numeric import as_tensor, finite_diff_grad, matmul
 from .vision import (
     ScaleMenu,
     SelectorParams,
     default_menu,
+    emit_tokens,
+    flatten_grid,
     init_selector_params,
     params_from_array,
     params_to_array,
     partition,
-    selector_score,
+    region_scores,
+    route,
+    routing_stats,
+    scale_variants,
 )
 
 __all__ = [
@@ -64,7 +70,7 @@ def balance_loss(diagnostics: BatchDiagnostics, alpha: float) -> float:
     """Auxiliary routing loss alpha * sum_i f_i * P_i (uniform routing minimizes it)."""
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    return float(alpha * np.dot(diagnostics.f, diagnostics.p))
+    return float(alpha * matmul(diagnostics.f[None, :], diagnostics.p[:, None])[0, 0])
 
 
 def imbalance_loss(diagnostics: BatchDiagnostics, alpha: float, weights) -> float:
@@ -82,7 +88,7 @@ def imbalance_loss(diagnostics: BatchDiagnostics, alpha: float, weights) -> floa
         raise ValueError("imbalance weights must be positive")
     if abs(float(w.sum()) - w.size) > 1e-9:
         raise ValueError(f"imbalance weights must sum to {w.size}, got {float(w.sum())}")
-    return float(alpha * np.dot(w * diagnostics.f, diagnostics.p))
+    return float(alpha * matmul((w * diagnostics.f)[None, :], diagnostics.p[:, None])[0, 0])
 
 
 class NonFiniteLossError(ValueError):
@@ -119,19 +125,34 @@ def _weighted_mean_loss(target: np.ndarray, weighted_sum: np.ndarray, total: int
     return float(np.mean(diff * diff))
 
 
+class _LossTerms(NamedTuple):
+    probs: np.ndarray  # (M, S)
+    chosen: np.ndarray  # (M,)
+    top1: np.ndarray  # (M,) probability of the chosen scale
+    diag: BatchDiagnostics
+    down: float
+    bal: float
+    region_sums: np.ndarray | None  # (M, C) token sum at the chosen scale
+    weighted_sum: np.ndarray | None  # (C,)
+    total_tokens: int
+
+
 @dataclass
 class PreparedBatch:
     """Selector inputs precomputed from the data (everything not depending on params).
 
-    Holds the per-region score vectors plus, for every region and scale, the
-    raw max-pooled token group. Forward passes and gradients over the
+    Holds the (M, Ng) region scores plus, per scale, every region's raw
+    max-pooled tokens and their sum. Forward passes and gradients over the
     selector parameters then avoid touching the feature maps again.
     """
 
     menu: ScaleMenu
     scores: np.ndarray  # (M, Ng)
-    variants: list[list[np.ndarray]]  # [region][scale] -> (tokens, C)
-    channels: int
+    variants: tuple[np.ndarray, ...]  # per scale: (M, tokens, C)
+
+    def __post_init__(self):
+        self.sums = np.stack([v.sum(axis=1) for v in self.variants])  # (S, M, C)
+        self.counts = np.array(self.menu.token_counts)  # (S,)
 
     @property
     def num_regions(self) -> int:
@@ -141,45 +162,25 @@ class PreparedBatch:
     def num_global_tokens(self) -> int:
         return self.scores.shape[1]
 
-    def _check_params(self, params: SelectorParams) -> None:
-        if params.num_scales != len(self.menu):
-            raise ValueError(
-                f"params have {params.num_scales} scales, menu has {len(self.menu)}"
-            )
-        if params.num_global_tokens != self.num_global_tokens:
-            raise ValueError(
-                f"params expect {params.num_global_tokens} global tokens, batch has {self.num_global_tokens}"
-            )
-
-    def _forward(self, params: SelectorParams):
-        self._check_params(params)
-        logits = matmul(self.scores, params.weight.T) + params.bias  # (M, S)
-        probs = softmax(logits, axis=-1)
-        chosen = np.argmax(logits, axis=1)  # first max wins ties, as in choose_scale
-        return logits, probs, chosen
+    @property
+    def channels(self) -> int:
+        return self.sums.shape[2]
 
     def diagnostics(self, probs: np.ndarray, chosen: np.ndarray) -> BatchDiagnostics:
-        m, s = probs.shape
-        counts = np.zeros(s)
-        for j in chosen:
-            counts[j] += 1.0
-        return BatchDiagnostics(counts / m, probs.mean(axis=0), m)
+        f, p = routing_stats(chosen, probs)
+        return BatchDiagnostics(f, p, probs.shape[0])
 
     def argmax_margin(self, params: SelectorParams) -> float:
         """Smallest gap between the top two logits over all regions."""
-        logits, _, _ = self._forward(params)
+        logits, _, _ = route(self.scores, params, self.menu)
         ordered = np.sort(logits, axis=1)
         return float(np.min(ordered[:, -1] - ordered[:, -2]))
 
     def weighted_tokens(self, params: SelectorParams) -> np.ndarray:
         """Training-path emitted tokens; matches vision.compress_training bit for bit."""
-        _, probs, chosen = self._forward(params)
-        groups = [
-            probs[r, j] * self.variants[r][j] for r, j in enumerate(chosen)
-        ]
-        if not groups:
-            return np.zeros((0, self.channels))
-        return np.concatenate(groups, axis=0)
+        _, probs, chosen = route(self.scores, params, self.menu)
+        top1 = probs[np.arange(chosen.size), chosen]
+        return emit_tokens(self.variants, chosen) * np.repeat(top1, self.counts[chosen])[:, None]
 
     def _loss_terms(
         self,
@@ -187,24 +188,20 @@ class PreparedBatch:
         downstream: MeanTokenTarget | None,
         alpha: float,
         imbalance_weights,
-    ):
-        logits, probs, chosen = self._forward(params)
+    ) -> _LossTerms:
+        _, probs, chosen = route(self.scores, params, self.menu)
+        top1 = probs[np.arange(chosen.size), chosen]
         diag = self.diagnostics(probs, chosen)
 
         down = 0.0
-        weighted_sum = None
-        region_sums = None
+        region_sums = weighted_sum = None
         total_tokens = 0
         if downstream is not None:
-            region_sums = np.zeros((self.num_regions, self.channels))
-            weighted_sum = np.zeros(self.channels)
-            for r, j in enumerate(chosen):
-                group = self.variants[r][j]
-                region_sums[r] = group.sum(axis=0)
-                weighted_sum += probs[r, j] * region_sums[r]
-                total_tokens += group.shape[0]
+            region_sums = self.sums[chosen, np.arange(chosen.size)]  # (M, C)
+            total_tokens = int(self.counts[chosen].sum())
             if total_tokens == 0:
                 raise ValueError("no tokens emitted (every region discarded); downstream loss undefined")
+            weighted_sum = matmul(top1[None, :], region_sums)[0]
             down = _weighted_mean_loss(downstream.target, weighted_sum, total_tokens)
             if not np.isfinite(down):
                 raise NonFiniteLossError(f"downstream loss is {down}")
@@ -214,7 +211,9 @@ class PreparedBatch:
         else:
             bal = balance_loss(diag, alpha)
 
-        return logits, probs, chosen, diag, down, bal, region_sums, weighted_sum, total_tokens
+        return _LossTerms(
+            probs, chosen, top1, diag, down, bal, region_sums, weighted_sum, total_tokens
+        )
 
     def objective(
         self,
@@ -226,8 +225,7 @@ class PreparedBatch:
     ) -> float:
         """End-to-end scalar loss (downstream + balance), recomputed from scratch."""
         terms = self._loss_terms(params, downstream, alpha, imbalance_weights)
-        down, bal = terms[4], terms[5]
-        return down + bal
+        return terms.down + terms.bal
 
     def gradient(
         self,
@@ -238,47 +236,30 @@ class PreparedBatch:
         imbalance_weights=None,
     ) -> "SelectorGradients":
         """Analytic gradient of :meth:`objective` under the stop-gradient conventions."""
-        (
-            logits,
-            probs,
-            chosen,
-            diag,
-            down,
-            bal,
-            region_sums,
-            weighted_sum,
-            total_tokens,
-        ) = self._loss_terms(params, downstream, alpha, imbalance_weights)
-
-        m, s = probs.shape
+        t = self._loss_terms(params, downstream, alpha, imbalance_weights)
+        m, s = t.probs.shape
         d_logits = np.zeros((m, s))
 
         if downstream is not None:
-            u = weighted_sum / total_tokens
+            u = t.weighted_sum / t.total_tokens
             dl_du = 2.0 * (u - downstream.target) / self.channels  # d mean-sq / d u
-            for r in range(m):
-                j = chosen[r]
-                gp = float(np.dot(region_sums[r], dl_du)) / total_tokens
-                row = -probs[r] * probs[r, j]
-                row[j] += probs[r, j]
-                d_logits[r] += gp * row  # softmax jacobian row at the winner
+            gp = matmul(t.region_sums, dl_du[:, None]) / t.total_tokens  # (M, 1)
+            jacobian = -t.probs * t.top1[:, None]  # softmax jacobian rows at the winner
+            jacobian[np.arange(m), t.chosen] += t.top1
+            d_logits += gp * jacobian
 
         if alpha > 0:
             w = np.ones(s) if imbalance_weights is None else as_tensor(imbalance_weights)
-            coeff = (alpha / m) * (w * diag.f)  # f is a stop-gradient
-            for r in range(m):
-                d_logits[r] += probs[r] * (coeff - float(np.dot(coeff, probs[r])))
+            coeff = (alpha / m) * (w * t.diag.f)  # f is a stop-gradient
+            d_logits += t.probs * (coeff - matmul(t.probs, coeff[:, None]))
 
-        grad_weight = matmul(d_logits.T, self.scores)  # (S, Ng)
-        grad_bias = d_logits.sum(axis=0)
-        total = down + bal
         return SelectorGradients(
-            loss=total,
-            downstream=down,
-            balance=bal,
-            diagnostics=diag,
-            grad_weight=grad_weight,
-            grad_bias=grad_bias,
+            loss=t.down + t.bal,
+            downstream=t.down,
+            balance=t.bal,
+            diagnostics=t.diag,
+            grad_weight=matmul(d_logits.T, self.scores),  # (S, Ng)
+            grad_bias=d_logits.sum(axis=0),
         )
 
 
@@ -287,32 +268,23 @@ def prepare_batch(dataset, menu: ScaleMenu, pool: str = "mean") -> PreparedBatch
     if not dataset:
         raise ValueError("dataset is empty")
     scores = []
-    variants: list[list[np.ndarray]] = []
-    channels = None
-    num_global = None
+    variants = []
     for feature_map, global_tokens in dataset:
         g = as_tensor(global_tokens)
         if g.ndim == 3:
-            g = g.reshape(-1, g.shape[2])
-        if num_global is None:
-            num_global = g.shape[0]
-        elif g.shape[0] != num_global:
+            g = flatten_grid(g)
+        if scores and g.shape[0] != scores[0].shape[1]:
             raise ValueError("all dataset entries must share the global token count")
         blocks = partition(feature_map, menu.window)
-        for block in blocks:
-            if channels is None:
-                channels = block.shape[2]
-            elif block.shape[2] != channels:
-                raise ValueError("all dataset entries must share the channel count")
-            scores.append(selector_score(block, g, pool))
-            row = []
-            for spec in menu.scales:
-                if spec.discard:
-                    row.append(np.zeros((0, channels)))
-                else:
-                    row.append(max_pool(block, spec.kernel).reshape(-1, channels))
-            variants.append(row)
-    return PreparedBatch(menu=menu, scores=np.array(scores), variants=variants, channels=channels)
+        if variants and blocks.shape[3] != variants[0][0].shape[2]:
+            raise ValueError("all dataset entries must share the channel count")
+        scores.append(region_scores(blocks, g, pool))
+        variants.append(scale_variants(blocks, menu))
+    return PreparedBatch(
+        menu=menu,
+        scores=np.concatenate(scores),
+        variants=tuple(np.concatenate(per_scale) for per_scale in zip(*variants)),
+    )
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numeric import as_tensor, matmul, max_pool, softmax
+from .numeric import as_tensor, matmul, softmax
 
 __all__ = [
     "ScaleSpec",
@@ -31,11 +31,17 @@ __all__ = [
     "RegionSelection",
     "flatten_grid",
     "partition",
+    "region_scores",
+    "route",
+    "scale_variants",
+    "emit_tokens",
+    "routing_stats",
     "selector_score",
     "selector_logits",
     "choose_scale",
     "compress_inference",
     "compress_training",
+    "upsample_regions",
     "selection_heatmap",
 ]
 
@@ -100,22 +106,24 @@ class ScaleMenu:
         return len(self.scales)
 
 
+def _kernel_menu(window: int, kernels) -> ScaleMenu:
+    specs = tuple(ScaleSpec(k) for k in kernels if window % k[0] == 0 and window % k[1] == 0)
+    if len(specs) < 2:
+        raise ValueError(
+            f"window {window} is odd: only the 1x1 kernel divides it, "
+            "and a menu needs at least two scales"
+        )
+    return ScaleMenu(window, specs)
+
+
 def default_menu(window: int = 4) -> ScaleMenu:
     """Three-branch menu (4x4, 2x2, 1x1 kernels), dropping kernels that do not divide the window."""
-    kernels = [(4, 4), (2, 2), (1, 1)]
-    specs = tuple(
-        ScaleSpec(k) for k in kernels if window % k[0] == 0 and window % k[1] == 0
-    )
-    return ScaleMenu(window, specs)
+    return _kernel_menu(window, [(4, 4), (2, 2), (1, 1)])
 
 
 def seven_branch_menu(window: int = 4) -> ScaleMenu:
     """Default menu plus the four asymmetric kernels 4x2, 2x4, 2x1, 1x2."""
-    kernels = [(4, 4), (4, 2), (2, 4), (2, 2), (2, 1), (1, 2), (1, 1)]
-    specs = tuple(
-        ScaleSpec(k) for k in kernels if window % k[0] == 0 and window % k[1] == 0
-    )
-    return ScaleMenu(window, specs)
+    return _kernel_menu(window, [(4, 4), (4, 2), (2, 4), (2, 2), (2, 1), (1, 2), (1, 1)])
 
 
 def retain_discard_menu() -> ScaleMenu:
@@ -193,51 +201,98 @@ def flatten_grid(grid) -> np.ndarray:
     return g.reshape(-1, g.shape[2])
 
 
-def partition(feature_map, window: int) -> list[np.ndarray]:
-    """Split an (H, W, C) map into (H/w)*(W/w) blocks of shape (w, w, C), row-major.
+# The routing core. Every region is handled at once as struct-of-arrays:
+# partition -> region_scores -> route -> scale_variants -> emit_tokens.
+
+
+def partition(feature_map, window: int) -> np.ndarray:
+    """Split an (H, W, C) map into its (H/w)*(W/w) regions: an (M, w, w, C) array, row-major.
 
     Non-divisible dimensions are an error; inputs are never padded.
     """
     fm = as_tensor(feature_map)
     if fm.ndim != 3:
         raise ValueError(f"expected an (H, W, C) map, got shape {fm.shape}")
-    h, w, _ = fm.shape
+    h, w, c = fm.shape
     if window < 1 or h % window != 0 or w % window != 0:
         raise ValueError(f"window {window} does not divide map {h}x{w}")
-    blocks = []
-    for bi in range(h // window):
-        for bj in range(w // window):
-            blocks.append(
-                fm[bi * window : (bi + 1) * window, bj * window : (bj + 1) * window, :].copy()
-            )
-    return blocks
+    # contiguous, so each region reduces in the same order as a standalone block
+    grid = fm.reshape(h // window, window, w // window, window, c).swapaxes(1, 2)
+    return np.ascontiguousarray(grid).reshape(-1, window, window, c)
 
 
-def _pool_block(block: np.ndarray, pool: str) -> np.ndarray:
+def region_scores(blocks: np.ndarray, global_tokens: np.ndarray, pool: str = "mean") -> np.ndarray:
+    """(M, Ng) correlation of every region block with every global token.
+
+    Each (w, w, C) block is pooled to one C-vector (mean by default) and
+    scored by its inner product with each global token, as one k-ordered
+    product. Scores are not normalized; the selector weights absorb their scale.
+    """
+    if global_tokens.ndim != 2:
+        raise ValueError(f"global tokens must be (Ng, C), got shape {global_tokens.shape}")
+    if blocks.shape[3] != global_tokens.shape[1]:
+        raise ValueError(
+            f"channel mismatch: block C={blocks.shape[3]}, global C={global_tokens.shape[1]}"
+        )
     if pool == "mean":
-        return block.mean(axis=(0, 1))
-    if pool == "max":
-        return block.max(axis=(0, 1))
-    raise ValueError(f"unknown pool mode {pool!r} (use 'mean' or 'max')")
+        pooled = blocks.mean(axis=(1, 2))
+    elif pool == "max":
+        pooled = blocks.max(axis=(1, 2))
+    else:
+        raise ValueError(f"unknown pool mode {pool!r} (use 'mean' or 'max')")
+    return matmul(pooled, global_tokens.T)
+
+
+def route(
+    scores: np.ndarray, params: SelectorParams, menu: ScaleMenu
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Logits (M, S), their row softmax, and the first-max argmax for (M, Ng) scores.
+
+    Ties go to the lowest index (the coarsest scale), as in :func:`choose_scale`.
+    """
+    if len(menu) != params.num_scales:
+        raise ValueError(f"menu has {len(menu)} scales but params have {params.num_scales}")
+    if scores.shape[1] != params.num_global_tokens:
+        raise ValueError(
+            f"global token count {scores.shape[1]} does not match weight columns {params.num_global_tokens}"
+        )
+    logits = matmul(scores, params.weight.T) + params.bias
+    return logits, softmax(logits, axis=-1), np.argmax(logits, axis=1)
+
+
+def scale_variants(blocks: np.ndarray, menu: ScaleMenu) -> tuple[np.ndarray, ...]:
+    """Per scale, every region's max-pooled tokens: (M, tokens, C), row-major in the region."""
+    m, w, _, c = blocks.shape
+    variants = []
+    for spec in menu.scales:
+        if spec.discard:
+            variants.append(np.zeros((m, 0, c)))
+        else:
+            kh, kw = spec.kernel
+            pooled = blocks.reshape(m, w // kh, kh, w // kw, kw, c).max(axis=(2, 4))
+            variants.append(pooled.reshape(m, -1, c))
+    return tuple(variants)
+
+
+def emit_tokens(variants: Sequence[np.ndarray], chosen: np.ndarray) -> np.ndarray:
+    """Each region's tokens at its chosen scale, regions concatenated in order."""
+    slots = np.concatenate(variants, axis=1)
+    slot_scale = np.repeat(np.arange(len(variants)), [v.shape[1] for v in variants])
+    return slots[chosen[:, None] == slot_scale]
+
+
+def routing_stats(chosen: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-scale selection frequency f_i = count(chosen == i) / M and mean probability P_i."""
+    m, s = probs.shape
+    return np.bincount(chosen, minlength=s) / m, probs.mean(axis=0)
 
 
 def selector_score(block, global_tokens, pool: str = "mean") -> np.ndarray:
-    """Correlation of a region with every global token.
-
-    The block is pooled to a single C-vector (mean by default) and the score
-    for global token k is its inner product with that vector. Scores are not
-    normalized; the selector weights absorb their scale.
-    """
+    """Correlation of one (w, w, C) region with every global token; see :func:`region_scores`."""
     b = as_tensor(block)
-    g = as_tensor(global_tokens)
     if b.ndim != 3:
         raise ValueError(f"block must be (w, w, C), got shape {b.shape}")
-    if g.ndim != 2:
-        raise ValueError(f"global tokens must be (Ng, C), got shape {g.shape}")
-    if b.shape[2] != g.shape[1]:
-        raise ValueError(f"channel mismatch: block C={b.shape[2]}, global C={g.shape[1]}")
-    pooled = _pool_block(b, pool)
-    return matmul(g, pooled[:, None])[:, 0]
+    return region_scores(b[None], as_tensor(global_tokens), pool)[0]
 
 
 def selector_logits(score, params: SelectorParams) -> np.ndarray:
@@ -266,18 +321,30 @@ def choose_scale(logits) -> tuple[int, np.ndarray]:
     return int(np.argmax(z)), probs
 
 
-def _normalize_force(force_scales, num_regions: int, num_scales: int):
-    if force_scales is None:
-        return None
-    if isinstance(force_scales, (int, np.integer)):
-        forced = [int(force_scales)] * num_regions
-    else:
-        forced = [int(j) for j in force_scales]
-        if len(forced) != num_regions:
-            raise ValueError(f"force_scales needs {num_regions} entries, got {len(forced)}")
-    if any(j < 0 or j >= num_scales for j in forced):
-        raise ValueError("forced scale index out of range")
-    return forced
+def _compress(feature_map, global_tokens, params, menu, pool, force_scales):
+    """Route every region of a map; returns tokens, probs (M, S), chosen (M,), counts (M,)."""
+    g = as_tensor(global_tokens)
+    if g.ndim == 3:
+        g = flatten_grid(g)
+    blocks = partition(feature_map, menu.window)
+    _, probs, chosen = route(region_scores(blocks, g, pool), params, menu)
+    if force_scales is not None:
+        if isinstance(force_scales, (int, np.integer)):
+            force_scales = [force_scales] * len(blocks)
+        chosen = np.array([int(j) for j in force_scales], dtype=np.intp)
+        if chosen.size != len(blocks):
+            raise ValueError(f"force_scales needs {len(blocks)} entries, got {chosen.size}")
+        if np.any((chosen < 0) | (chosen >= len(menu))):
+            raise ValueError("forced scale index out of range")
+    tokens = emit_tokens(scale_variants(blocks, menu), chosen)
+    return tokens, probs, chosen, np.array(menu.token_counts)[chosen]
+
+
+def _selections(probs, chosen, counts) -> list[RegionSelection]:
+    return [
+        RegionSelection(r, j, probs[r], n)
+        for r, (j, n) in enumerate(zip(chosen.tolist(), counts.tolist()))
+    ]
 
 
 def compress_inference(
@@ -299,36 +366,10 @@ def compress_inference(
     regions, or one per region); probabilities are still reported. This is a
     diagnostic hook for lossless-path checks and fixed-split accounting.
     """
-    g = as_tensor(global_tokens)
-    if g.ndim == 3:
-        g = flatten_grid(g)
-    blocks = partition(feature_map, menu.window)
-    if len(menu) != params.num_scales:
-        raise ValueError(f"menu has {len(menu)} scales but params have {params.num_scales}")
-    if g.shape[0] != params.num_global_tokens:
-        raise ValueError(
-            f"global token count {g.shape[0]} does not match weight columns {params.num_global_tokens}"
-        )
-    forced = _normalize_force(force_scales, len(blocks), len(menu))
-
-    channels = blocks[0].shape[2]
-    groups: list[np.ndarray] = []
-    selections: list[RegionSelection] = []
-    for r, block in enumerate(blocks):
-        score = selector_score(block, g, pool)
-        z = selector_logits(score, params)
-        j, probs = choose_scale(z)
-        if forced is not None:
-            j = forced[r]
-        spec = menu.scales[j]
-        if spec.discard:
-            toks = np.zeros((0, channels))
-        else:
-            toks = max_pool(block, spec.kernel).reshape(-1, channels)
-        groups.append(toks)
-        selections.append(RegionSelection(r, j, probs, toks.shape[0]))
-    tokens = np.concatenate(groups, axis=0) if groups else np.zeros((0, channels))
-    return tokens, selections
+    tokens, probs, chosen, counts = _compress(
+        feature_map, global_tokens, params, menu, pool, force_scales
+    )
+    return tokens, _selections(probs, chosen, counts)
 
 
 def compress_training(
@@ -346,15 +387,16 @@ def compress_training(
     values differ, satisfying ``weighted[r] == top1_prob(r) * inference[r]``
     exactly.
     """
-    tokens, selections = compress_inference(
-        feature_map, global_tokens, params, menu, pool=pool, force_scales=force_scales
+    tokens, probs, chosen, counts = _compress(
+        feature_map, global_tokens, params, menu, pool, force_scales
     )
-    weighted = tokens.copy()
-    offset = 0
-    for sel in selections:
-        weighted[offset : offset + sel.token_count] *= sel.top1_prob
-        offset += sel.token_count
-    return weighted, selections
+    top1 = probs[np.arange(chosen.size), chosen]
+    return tokens * np.repeat(top1, counts)[:, None], _selections(probs, chosen, counts)
+
+
+def upsample_regions(values, window: int) -> np.ndarray:
+    """Fill each region's w x w pixel patch with its value: (rows, cols) -> (rows*w, cols*w)."""
+    return np.repeat(np.repeat(values, window, axis=0), window, axis=1)
 
 
 def selection_heatmap(
@@ -365,10 +407,7 @@ def selection_heatmap(
     rows, cols = region_grid
     if rows * cols != len(selections):
         raise ValueError(f"region grid {region_grid} does not hold {len(selections)} selections")
+    kept = np.zeros(rows * cols)
+    kept[[sel.region for sel in selections]] = [sel.token_count for sel in selections]
     w = menu.window
-    grid = np.zeros((rows * w, cols * w))
-    denom = float(w * w)
-    for sel in selections:
-        bi, bj = divmod(sel.region, cols)
-        grid[bi * w : (bi + 1) * w, bj * w : (bj + 1) * w] = sel.token_count / denom
-    return grid
+    return upsample_regions(kept.reshape(rows, cols) / float(w * w), w)

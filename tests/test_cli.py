@@ -181,8 +181,24 @@ class TestGradcheck:
         assert result["passed"] is True
         assert result["worstRelError"] <= 1e-4
 
-    def test_corrupt_flag_exercises_failure(self, capsys):
-        code, out, _ = run(capsys, "gradcheck", "--instances", "2", "--corrupt")
+    def test_corrupt_flag_exercises_failure(self, capsys, monkeypatch):
+        # perturb the analytic gradient the CLI sees to exercise its failure path
+        import dataclasses
+
+        import vtcompress.cli as cli
+
+        real = cli.gradient_check
+
+        def corrupted(*args, **kwargs):
+            chk = real(*args, **kwargs)
+            analytic = chk.analytic.copy()
+            analytic[0] += max(1.0, float(np.abs(analytic).max())) * 1e-2
+            denom = max(np.linalg.norm(analytic), np.linalg.norm(chk.numeric), 1e-12)
+            rel = float(np.linalg.norm(analytic - chk.numeric) / denom)
+            return dataclasses.replace(chk, rel_error=rel, analytic=analytic)
+
+        monkeypatch.setattr(cli, "gradient_check", corrupted)
+        code, out, _ = run(capsys, "gradcheck", "--instances", "2")
         assert code == 7
         assert json.loads(out)["passed"] is False
 
@@ -274,3 +290,64 @@ class TestConfigFile:
             "--map", fixtures["x"], "--global", fixtures["xg"],
         )
         assert code == 5
+
+
+class TestErrorContract:
+    """Every failure is one JSON line on stderr and a distinct exit code."""
+
+    def _text_report(self, fixtures, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        code, _, _ = run(capsys, "compress", "--strategy", "text", "--map", fixtures["x"],
+                         "--q", fixtures["q"], "--k", fixtures["k"], "--out", str(rep))
+        assert code == 0
+        return json.loads(rep.read_text())
+
+    @pytest.mark.parametrize("key", ["totalLayers", "afterVision", "inputTokens"])
+    def test_report_missing_field(self, key, fixtures, tmp_path, capsys):
+        report = self._text_report(fixtures, tmp_path, capsys)
+        del report[key]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(report))
+        code, _, err = run(capsys, "report", "--in", str(broken), "--layer", "16")
+        assert code == 5
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert key in payload["message"]
+
+    def test_report_not_an_object(self, tmp_path, capsys):
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        code, _, err = run(capsys, "report", "--in", str(listed))
+        assert code == 5
+        assert json.loads(err)["error"] == "invalid-input"
+
+    def test_directory_input(self, tmp_path, capsys):
+        code, _, err = run(capsys, "report", "--in", str(tmp_path))
+        assert code == 3
+        assert json.loads(err)["error"] == "file-error"
+
+    def test_directory_map(self, fixtures, tmp_path, capsys):
+        code, _, err = run(capsys, "compress", "--strategy", "heuristic",
+                           "--map", str(tmp_path), "--global", fixtures["xg"])
+        assert code == 3
+        assert json.loads(err)["error"] == "file-error"
+
+    def test_unwritable_output(self, fixtures, tmp_path, capsys):
+        code, _, err = run(capsys, "compress", "--strategy", "heuristic", "--map", fixtures["x"],
+                           "--global", fixtures["xg"], "--out", str(tmp_path))
+        assert code == 3
+        assert json.loads(err)["error"] == "file-error"
+
+    def test_both_rejects_keys(self, fixtures, capsys):
+        code, _, err = run(capsys, "compress", "--strategy", "both", "--map", fixtures["x"],
+                           "--global", fixtures["xg"], "--q", fixtures["q"],
+                           "--k", fixtures["k"])
+        assert code == 5
+        assert "--k" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("command", ["compress", "train"])
+    def test_odd_window_named(self, command, fixtures, capsys):
+        inputs = ("--map", fixtures["x"], "--global", fixtures["xg"])
+        code, _, err = run(capsys, command, *inputs, "--window", "5")
+        assert code == 5
+        assert "window 5" in json.loads(err)["message"]

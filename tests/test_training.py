@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vtcompress.numeric import max_pool
 from vtcompress.training import (
     SCALE_INDIFFERENT_LEARNING_RATE,
     BatchDiagnostics,
@@ -226,3 +227,48 @@ class TestScaleIndifferentTask:
         assert not balanced.collapsed
         assert balanced.final_f.min() >= 0.1
         assert np.abs(balanced.final_f - 1 / 3).max() <= 0.15
+
+
+def per_region_gradient(fm, g, params, menu, target, alpha, weights):
+    """The selector gradient computed one region at a time, products through BLAS."""
+    w = menu.window
+    blocks = [
+        fm[top : top + w, left : left + w].copy()
+        for top in range(0, fm.shape[0], w)
+        for left in range(0, fm.shape[1], w)
+    ]
+    scores = np.array([g @ block.mean(axis=(0, 1)) for block in blocks])
+    logits = scores @ params.weight.T + params.bias
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    chosen = logits.argmax(axis=1)
+    m, s = probs.shape
+    f = np.bincount(chosen, minlength=s) / m
+    sums = [max_pool(b, menu.scales[j].kernel).reshape(-1, b.shape[2]) for b, j in zip(blocks, chosen)]
+    total = sum(group.shape[0] for group in sums)
+    u = sum(probs[r, j] * sums[r].sum(axis=0) for r, j in enumerate(chosen)) / total
+    dl_du = 2.0 * (u - target) / fm.shape[2]
+    coeff = (alpha / m) * (np.asarray(weights) * f)
+    d_logits = np.zeros((m, s))
+    for r, j in enumerate(chosen):
+        row = -probs[r] * probs[r, j]
+        row[j] += probs[r, j]
+        d_logits[r] += np.dot(sums[r].sum(axis=0), dl_du) / total * row
+        d_logits[r] += probs[r] * (coeff - np.dot(coeff, probs[r]))
+    return d_logits.T @ scores, d_logits.sum(axis=0)
+
+
+class TestGradientMatchesPerRegionLoop:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_within_float64_rounding(self, seed):
+        menu = default_menu(4)
+        dataset, params, downstream = random_gradcheck_instance(seed)
+        weights = [0.9, 1.0, 1.1]
+        got = prepare_batch(dataset, menu).gradient(
+            params, downstream=downstream, alpha=0.1, imbalance_weights=weights
+        )
+        fm, g = dataset[0]
+        want_w, want_b = per_region_gradient(fm, g, params, menu, downstream.target, 0.1, weights)
+        scale = max(np.abs(want_w).max(), np.abs(want_b).max())
+        np.testing.assert_allclose(got.grad_weight, want_w, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(got.grad_bias, want_b, rtol=1e-12, atol=1e-12 * scale)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vtcompress.numeric import softmax
+from vtcompress.numeric import matmul, max_pool, softmax
 from vtcompress.vision import (
     RegionSelection,
     ScaleMenu,
@@ -331,3 +331,46 @@ class TestSelectionHeatmap:
         assert grid[0, 4] == 1.0
         assert grid[4, 0] == 4 / 16
         assert grid[4, 4] == 1 / 16
+
+
+def per_region_reference(fm, g, params, menu, pool):
+    """The routing computed one region at a time: tokens, scales, probabilities."""
+    w = menu.window
+    h, width, c = fm.shape
+    tokens, scales, probs = [], [], []
+    for top in range(0, h, w):
+        for left in range(0, width, w):
+            block = fm[top : top + w, left : left + w].copy()
+            pooled = block.mean(axis=(0, 1)) if pool == "mean" else block.max(axis=(0, 1))
+            score = matmul(g, pooled[:, None])[:, 0]
+            logits = matmul(params.weight, score[:, None])[:, 0] + params.bias
+            j = int(np.argmax(logits))
+            spec = menu.scales[j]
+            kept = np.zeros((0, c)) if spec.discard else max_pool(block, spec.kernel)
+            tokens.append(kept.reshape(-1, c))
+            scales.append(j)
+            probs.append(softmax(logits))
+    return np.concatenate(tokens), scales, np.array(probs)
+
+
+class TestBatchedCoreMatchesPerRegionLoop:
+    @pytest.mark.parametrize("menu_name", ["3branch", "7branch", "3branch-w8", "discard"])
+    @pytest.mark.parametrize("pool", ["mean", "max"])
+    @pytest.mark.parametrize("channels", [1, 5])
+    def test_bit_identical(self, menu_name, pool, channels):
+        menu = {
+            "3branch": default_menu(4),
+            "7branch": seven_branch_menu(4),
+            "3branch-w8": default_menu(8),
+            "discard": ScaleMenu(4, (ScaleSpec(None, discard=True), ScaleSpec((2, 2)))),
+        }[menu_name]
+        rng = np.random.default_rng(len(menu) * 10 + channels)
+        w = menu.window
+        fm = rng.standard_normal((3 * w, 2 * w, channels))
+        g = rng.standard_normal((7, channels))
+        params = SelectorParams(rng.standard_normal((len(menu), 7)), rng.standard_normal(len(menu)))
+        tokens, selections = compress_inference(fm, g, params, menu, pool=pool)
+        ref_tokens, ref_scales, ref_probs = per_region_reference(fm, g, params, menu, pool)
+        np.testing.assert_array_equal(tokens, ref_tokens)
+        assert [s.scale for s in selections] == ref_scales
+        np.testing.assert_array_equal(np.array([s.probs for s in selections]), ref_probs)
