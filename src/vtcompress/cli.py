@@ -371,6 +371,11 @@ def cmd_evolution(args) -> int:
     return 0
 
 
+def _require_report_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"report {name} must be an integer, got {value!r}")
+
+
 def cmd_report(args) -> int:
     report = json.loads(Path(args.infile).read_text())
     if not isinstance(report, dict):
@@ -381,11 +386,19 @@ def cmd_report(args) -> int:
     missing = [key for key in required if key not in report]
     if missing:
         raise ValueError(f"report lacks {', '.join(missing)}")
+    for key in ("inputTokens", "afterVision", "totalLayers"):
+        _require_report_int(key, report[key])
+    effective = report["effectiveTokens"]
+    if isinstance(effective, bool) or not isinstance(effective, (int, float)) \
+            or not math.isfinite(effective):
+        raise ValueError(f"report effectiveTokens must be a finite number, got {effective!r}")
     total_layers = args.total_layers if args.total_layers is not None else report["totalLayers"]
     text = report.get("textSelection")
     if text is not None:
         if not isinstance(text, dict) or not {"k", "layer"} <= text.keys():
             raise ValueError("report textSelection lacks k or layer")
+        _require_report_int("textSelection.k", text["k"])
+        _require_report_int("textSelection.layer", text["layer"])
         layer = args.layer if args.layer is not None else text["layer"]
         entering = report["afterVision"]
         removed = entering - text["k"]
@@ -510,14 +523,32 @@ def _apply_config_file(argv: list[str], parser, commands) -> None:
     target = commands.get(command)
     if target is None:
         return
-    valid = {action.dest for action in target._actions}
+    actions = {action.dest: action for action in target._actions}
     mapped = {}
     for key, value in overrides.items():
         dest = key.replace("-", "_")
-        if dest not in valid:
+        if dest not in actions:
             raise ValueError(f"config key {key!r} is not a flag of {command!r}")
-        mapped[dest] = value
+        mapped[dest] = _config_value(actions[dest], key, value)
     target.set_defaults(**mapped)
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """``value`` converted and checked as argparse treats the flag on the command line."""
+    repeated = isinstance(action, argparse._AppendAction)
+    items = value if repeated and isinstance(value, list) else [value]
+    converted = []
+    for item in items:
+        if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+            raise ValueError(f"config key {key!r} must be a string or a number, got {item!r}")
+        try:
+            item = action.type(str(item)) if action.type else str(item)
+        except ValueError:
+            raise ValueError(f"config key {key!r} has an invalid value {item!r}") from None
+        if action.choices is not None and item not in action.choices:
+            raise ValueError(f"config key {key!r} must be one of {sorted(action.choices)}")
+        converted.append(item)
+    return converted if repeated else converted[0]
 
 
 def main(argv=None) -> int:

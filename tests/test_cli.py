@@ -282,6 +282,14 @@ class TestConfigFile:
         assert report["textSelection"]["gamma"] == 0.7
         assert report["textSelection"]["layer"] == 12
 
+    def test_config_values_convert_like_flags(self, fixtures, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map": fixtures["x"], "global_map": fixtures["xg"],
+                                   "steps": "2", "lr": 1}))
+        summary = run_json(capsys, "--config", str(cfg), "train")
+        assert summary["steps"] == 2
+        assert summary["learningRate"] == 1.0
+
     def test_unknown_config_key_rejected(self, fixtures, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"not-a-flag": 1}))
@@ -351,3 +359,45 @@ class TestErrorContract:
         code, _, err = run(capsys, command, *inputs, "--window", "5")
         assert code == 5
         assert "window 5" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("path, value", [
+        (("inputTokens",), "576"),
+        (("afterVision",), "x"),
+        (("totalLayers",), 32.0),
+        (("totalLayers",), True),
+        (("effectiveTokens",), "501.75"),
+        (("effectiveTokens",), None),
+        (("textSelection", "k"), "477"),
+        (("textSelection", "layer"), 8.5),
+    ])
+    def test_report_field_of_wrong_type(self, path, value, fixtures, tmp_path, capsys):
+        report = self._text_report(fixtures, tmp_path, capsys)
+        holder = report
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(report))
+        code, _, err = run(capsys, "report", "--in", str(broken))
+        assert code == 5
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert path[-1] in payload["message"]
+
+    @pytest.mark.parametrize("overrides", [
+        {"steps": 2.5},
+        {"steps": [1]},
+        {"steps": True},
+        {"steps": None},
+        {"lr": "fast"},
+        {"menu": "9branch"},
+        {"map": {"path": "x.fmap"}},
+    ])
+    def test_config_value_of_wrong_type(self, overrides, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        code, _, err = run(capsys, "--config", str(cfg), "train", "--task", "scale-indifferent")
+        assert code == 5
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert next(iter(overrides)) in payload["message"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vtcompress.numeric import (
     as_tensor,
@@ -70,6 +71,69 @@ class TestMatmul:
             a = rng.standard_normal((10, 10))
             b = rng.standard_normal((10, 10))
             np.testing.assert_array_equal(matmul(a, b), matmul_oracle(a, b))
+
+
+# Output shapes on both sides of matmul's narrow-output threshold (M*N = 256),
+# the products the selector training runs, and empty outputs.
+_MATMUL_SHAPES = st.sampled_from(
+    [(16, 16), (257, 1), (1, 257), (17, 16), (36, 3), (3, 36), (1, 4), (1, 1),
+     (24, 24), (0, 5), (5, 0), (0, 0)]
+) | st.tuples(st.integers(0, 20), st.integers(0, 20))
+_MATMUL_K = st.sampled_from([0, 1, 2, 3, 36, 300]) | st.integers(0, 40)
+# Signed zeros and magnitudes whose sums cancel exactly, so a change of
+# accumulation order or of the sign of a zero shows in the bytes.
+_MATMUL_ELEMENTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e16, -1e16]) | st.floats(
+    -1e3, 1e3, allow_nan=False, allow_infinity=False
+)
+
+
+def _operand(draw, shape, layout):
+    """A float64 operand of ``shape`` laid out as callers pass them."""
+    rows, cols = shape
+    if layout == "transposed":  # like params.weight.T or d_logits.T
+        return draw(arrays(np.float64, (cols, rows), elements=_MATMUL_ELEMENTS)).T
+    if layout == "strided":  # every other column of a wider array
+        return draw(arrays(np.float64, (rows, 2 * cols), elements=_MATMUL_ELEMENTS))[:, ::2]
+    return draw(arrays(np.float64, shape, elements=_MATMUL_ELEMENTS))
+
+
+class TestMatmulAgainstOracle:
+    """Both layouts of ``matmul`` reproduce the scalar triple loop byte for byte."""
+
+    @staticmethod
+    def _check(a, b):
+        out = matmul(a, b)
+        want = matmul_oracle(a, b)
+        assert out.shape == want.shape and out.dtype == np.float64
+        assert out.tobytes() == want.tobytes()
+        assert out.flags.c_contiguous and out.flags.owndata
+        return out
+
+    @given(st.data(), _MATMUL_SHAPES, _MATMUL_K,
+           st.sampled_from(["c", "transposed", "strided"]),
+           st.sampled_from(["c", "transposed", "strided"]))
+    @settings(max_examples=150, deadline=None)
+    def test_random_operands(self, data, shape, kk, layout_a, layout_b):
+        m, n = shape
+        a = _operand(data.draw, (m, kk), layout_a)
+        b = _operand(data.draw, (kk, n), layout_b)
+        self._check(a, b)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (257, 1), (36, 3)])
+    def test_negative_zero_products_become_positive(self, shape):
+        m, n = shape
+        a = np.full((m, 5), -0.0)
+        b = np.ones((5, n))
+        assert not np.signbit(self._check(a, b)).any()
+
+    @pytest.mark.parametrize("shape", [(16, 16), (1, 257)])
+    def test_cancellation_follows_k_order(self, shape):
+        # ((1e16 + 1) - 1e16) + 1 == 1 in k-order; pairwise order,
+        # (1e16 + 1) + (-1e16 + 1), would give 0.
+        m, n = shape
+        a = np.tile([1e16, 1.0, -1e16, 1.0], (m, 1))
+        b = np.ones((4, n))
+        np.testing.assert_array_equal(self._check(a, b), np.ones((m, n)))
 
 
 class TestSoftmax:
