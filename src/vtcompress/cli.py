@@ -8,17 +8,29 @@ existing report under a different insertion layer).
 Every failure exits nonzero with one JSON line on stderr of the form
 {"error": <class>, "message": <text>}; exit codes are 2 usage, 3 missing
 file, 4 tensor-file format, 5 invalid input or inconsistent dimensions,
-6 training divergence, 7 gradient check failure. A file that cannot be
-read or written for any other reason (a directory, no permission) also
-exits 3.
+6 training divergence, 7 gradient check failure. A command line argparse
+rejects (a missing required flag, a value of the wrong type, an unknown
+flag) exits 2 with error "usage"; only ``-h``/``--help`` prints argparse
+text, and exits 0. A file that cannot be read or written for any other
+reason (a directory, no permission) also exits 3.
+
+The parser is built on the first ``main`` call and reused by every later
+call in the process, which matters to callers that run ``main`` many times.
+``--config`` sets the subcommand's defaults for its own call only: the
+shared parser's defaults are restored when the call has parsed its
+arguments or failed. Calls from several threads parse one at a time, so one
+call's ``--config`` values never reach another.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -413,8 +425,25 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A command line the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors for ``main`` to report instead of printing usage and exiting.
+
+    Subcommand parsers are of this class too: ``add_subparsers`` defaults
+    ``parser_class`` to the parent's class.
+    """
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+    """The top-level parser and the subcommand parsers by name, built once per process."""
+    parser = _Parser(
         prog="vtcompress",
         description="Coarse-to-fine visual token compression on encoded feature maps.",
     )
@@ -510,27 +539,63 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, commands
 
 
-def _apply_config_file(argv: list[str], parser, commands) -> None:
-    pre = argparse.ArgumentParser(add_help=False)
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    """Finds ``--config`` before the full parse, which needs the file's defaults."""
+    pre = _Parser(prog="vtcompress", add_help=False)
     pre.add_argument("--config")
-    known, rest = pre.parse_known_args(argv)
+    return pre
+
+
+def _config_overrides(argv: list[str], commands) -> dict[argparse.Action, object]:
+    """``--config`` values, checked and converted, keyed by the flag they set.
+
+    A key is a flag's long name without the leading ``--`` (``global``,
+    ``out-params``) or its argparse dest (``global_map``); ``-`` and ``_``
+    are interchangeable.
+    """
+    known, rest = _config_parser().parse_known_args(argv)
     if not known.config:
-        return
+        return {}
     overrides = json.loads(Path(known.config).read_text())
     if not isinstance(overrides, dict):
         raise ValueError("config file must hold a JSON object")
     command = next((tok for tok in rest if not tok.startswith("-")), None)
     target = commands.get(command)
     if target is None:
-        return
-    actions = {action.dest: action for action in target._actions}
+        return {}
+    names = {}
+    for action in target._actions:
+        names[action.dest] = action
+        for option in action.option_strings:
+            if option.startswith("--"):
+                names[option[2:].replace("-", "_")] = action
     mapped = {}
     for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if dest not in actions:
+        action = names.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"config key {key!r} is not a flag of {command!r}")
-        mapped[dest] = _config_value(actions[dest], key, value)
-    target.set_defaults(**mapped)
+        mapped[action] = _config_value(action, key, value)
+    return mapped
+
+
+@contextmanager
+def _config_defaults(argv: list[str], commands):
+    """Within the block, ``--config`` values are the subcommand's flag defaults.
+
+    The parsers are shared by every call in the process, so the defaults
+    this call replaced are put back on leaving the block, also when parsing
+    fails.
+    """
+    overrides = _config_overrides(argv, commands)
+    saved = {action: action.default for action in overrides}
+    try:
+        for action, value in overrides.items():
+            action.default = value
+        yield
+    finally:
+        for action, default in saved.items():
+            action.default = default
 
 
 def _config_value(action: argparse.Action, key: str, value):
@@ -551,13 +616,20 @@ def _config_value(action: argparse.Action, key: str, value):
     return converted if repeated else converted[0]
 
 
+# Held while a call's ``--config`` defaults are set on the shared parser, so
+# calls from other threads neither see them nor restore over them.
+_PARSE_LOCK = threading.Lock()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        _apply_config_file(argv, parser, commands)
-        args = parser.parse_args(argv)
+        with _PARSE_LOCK, _config_defaults(argv, commands):
+            args = parser.parse_args(argv)
         return args.func(args)
+    except _UsageError as exc:
+        return _fail(EXIT_USAGE, "usage", str(exc))
     except FileNotFoundError as exc:
         return _fail(EXIT_MISSING_FILE, "file-not-found", str(exc))
     except OSError as exc:

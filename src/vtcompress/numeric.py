@@ -60,10 +60,12 @@ def as_tensor(values, dims: Sequence[int] | None = None) -> np.ndarray:
 # 2-vCPU x86 host with numpy 2.4 it beat the per-k loop 2-16x for outputs of
 # at most 256 elements and K >= 16 (36x36 @ 36x3: 162 -> 39 us; 1x36 @ 36x4:
 # 126 -> 9 us), because the loop's cost there is interpreter overhead per k.
-# The loop won from about 400 elements at K = 16, and also at 16x16 with
-# K = 576, where the 1.2 MB slab leaves the cache; no caller has that shape.
-# Within the threshold the slab holds at most MN/(M+N) <= 8 times the input
-# elements per k, so it needs no chunking.
+# The loop won from about 400 elements at K = 16. The threshold depends on the
+# output shape alone: with large K the slab was as fast as the loop or faster
+# (16x16, K = 576: 2.4 vs 3.0 ms; K = 1024: 4.4 vs 4.4 ms; 1x4, K = 32768:
+# 0.7 vs 122 ms), so K needs no cap of its own. Within the threshold the slab
+# holds at most MN/(M+N) <= 8 times the input elements per k, so it needs no
+# chunking.
 _NARROW_OUTPUT = 256
 
 

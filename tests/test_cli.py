@@ -290,6 +290,15 @@ class TestConfigFile:
         assert summary["steps"] == 2
         assert summary["learningRate"] == 1.0
 
+    def test_flag_names_are_keys(self, fixtures, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"global": fixtures["xg"], "keep-fraction": 0.4,
+                                   "total-layers": 16}))
+        report = run_json(capsys, "--config", str(cfg), "compress", "--strategy", "heuristic",
+                          "--map", fixtures["x"])
+        assert report["heuristicSelection"]["kept"] == math.ceil(0.4 * 256)
+        assert report["totalLayers"] == 16
+
     def test_unknown_config_key_rejected(self, fixtures, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"not-a-flag": 1}))
@@ -298,6 +307,55 @@ class TestConfigFile:
             "--map", fixtures["x"], "--global", fixtures["xg"],
         )
         assert code == 5
+
+
+class TestCachedParser:
+    """The parser is shared by every call in a process; ``--config`` must not leak."""
+
+    def _text(self, fixtures, capsys, *config, flags=()):
+        return run(capsys, *config, "compress", "--strategy", "text", "--map", fixtures["x"],
+                   "--q", fixtures["q"], "--k", fixtures["k"], *flags)
+
+    def test_config_applies_to_its_own_call_only(self, fixtures, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 0.5}))
+        _, out, _ = self._text(fixtures, capsys, "--config", str(cfg))
+        assert json.loads(out)["textSelection"]["gamma"] == 0.5
+        _, out, _ = self._text(fixtures, capsys)
+        assert json.loads(out)["textSelection"]["gamma"] == 0.85
+
+    @pytest.mark.parametrize("overrides, extra, exit_code", [
+        ({"gamma": 0.5, "layer": "x"}, (), 5),  # the config is rejected
+        ({"gamma": 0.5, "layer": 12}, ("--layer", "x"), 2),  # the command line is rejected
+    ])
+    def test_failed_call_leaves_no_defaults(self, overrides, extra, exit_code, fixtures,
+                                            tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        code, _, _ = self._text(fixtures, capsys, "--config", str(cfg), flags=extra)
+        assert code == exit_code
+        _, out, _ = self._text(fixtures, capsys)
+        selection = json.loads(out)["textSelection"]
+        assert (selection["gamma"], selection["layer"]) == (0.85, 8)
+
+    def test_later_calls_build_no_parser(self, fixtures, tmp_path, capsys, monkeypatch):
+        import argparse
+
+        self._text(fixtures, capsys)
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 0.5}))
+        assert self._text(fixtures, capsys, "--config", str(cfg))[0] == 0
+        assert self._text(fixtures, capsys)[0] == 0
+        assert run(capsys, "train", "--steps", "x")[0] == 2
+        assert built == []
 
 
 class TestErrorContract:
@@ -401,3 +459,25 @@ class TestErrorContract:
         payload = json.loads(err)
         assert payload["error"] == "invalid-input"
         assert next(iter(overrides)) in payload["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ("compress", "--strategy", "vision"),  # no --map
+        ("train", "--steps", "x"),
+        ("--config",),
+        (),
+        ("nope",),
+        ("report", "--in", "r.json", "--bogus"),
+        ("compress", "--map", "x.fmap", "--strategy", "all"),
+    ])
+    def test_usage_error(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "usage"
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compress", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: vtcompress compress")

@@ -119,6 +119,16 @@ class TestMatmulAgainstOracle:
         b = _operand(data.draw, (kk, n), layout_b)
         self._check(a, b)
 
+    @pytest.mark.parametrize("m, n, kk", [
+        (16, 16, 511),
+        (16, 16, 576),  # a 1.2 MB slab
+        (1, 4, 32768),
+        (17, 16, 576),  # one output row past the accumulate layout: the loop
+    ])
+    def test_large_k(self, m, n, kk):
+        rng = np.random.default_rng(kk)
+        self._check(rng.standard_normal((m, kk)), rng.standard_normal((kk, n)))
+
     @pytest.mark.parametrize("shape", [(16, 16), (257, 1), (36, 3)])
     def test_negative_zero_products_become_positive(self, shape):
         m, n = shape
