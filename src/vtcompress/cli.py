@@ -292,20 +292,17 @@ def cmd_train(args) -> int:
         "alpha": config.alpha,
         "seed": config.seed,
         "finalLoss": float(run.losses[-1]),
-        "finalF": [float(v) for v in run.final_f],
-        "finalP": [float(v) for v in run.final_p],
+        "finalF": run.final_f.tolist(),
+        "finalP": run.final_p.tolist(),
         "collapsed": run.collapsed,
     }
     if args.log:
         log = dict(summary)
         log["history"] = [
-            {
-                "step": i,
-                "loss": float(run.losses[i]),
-                "f": [float(v) for v in run.f_history[i]],
-                "p": [float(v) for v in run.p_history[i]],
-            }
-            for i in range(config.steps)
+            {"step": i, "loss": loss, "f": f, "p": p}
+            for i, (loss, f, p) in enumerate(
+                zip(run.losses.tolist(), run.f_history.tolist(), run.p_history.tolist())
+            )
         ]
         Path(args.log).write_text(json.dumps(log, indent=2) + "\n")
     summary["paramsFile"] = args.out_params
@@ -446,6 +443,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     parser = _Parser(
         prog="vtcompress",
         description="Coarse-to-fine visual token compression on encoded feature maps.",
+        allow_abbrev=False,  # as in _config_parser, so an abbreviated --config is a usage error
     )
     parser.add_argument("--config", help="JSON file of default flag values (flags override)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -541,8 +539,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 @functools.cache
 def _config_parser() -> argparse.ArgumentParser:
-    """Finds ``--config`` before the full parse, which needs the file's defaults."""
-    pre = _Parser(prog="vtcompress", add_help=False)
+    """Finds ``--config`` before the full parse, which needs the file's defaults.
+
+    Abbreviations are off: otherwise a subcommand's abbreviated flag such as
+    ``gen --c 4`` (``--channels``) would be read here as ``--config 4``.
+    """
+    pre = _Parser(prog="vtcompress", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     return pre
 

@@ -12,7 +12,10 @@ same bits. A narrow output (``M*N <= 256``) forms all products in an
 ``np.add.accumulate`` along k. ``accumulate`` is defined as the running sum
 ``r[k] = r[k-1] + x[k]``, so it is sequential by construction, and the zero
 plane reproduces the loop's ``0.0 + p0`` (a ``-0.0`` product becomes
-``+0.0``). A wider output keeps one elementwise rank-1 update per k. Never use
+``+0.0``). A wider output keeps one elementwise rank-1 update per k.
+:class:`FixedProduct` is the same two layouts for a loop that multiplies
+operands of one shape many times: it keeps its slab and output buffers and
+skips the operand checks. Never use
 ``np.sum``, ``np.add.reduce``, ``np.einsum``, ``np.dot`` or ``@`` for a product
 that reaches an output: depending on layout and length they switch to pairwise
 summation or BLAS, whose order varies with the build and thread count.
@@ -27,6 +30,7 @@ import numpy as np
 __all__ = [
     "as_tensor",
     "matmul",
+    "FixedProduct",
     "softmax",
     "max_pool",
     "stable_sort_desc",
@@ -88,13 +92,49 @@ def matmul(a, b) -> np.ndarray:
         raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
     (m, kk), n = a.shape, b.shape[1]
     if m * n <= _NARROW_OUTPUT:
-        slab = np.zeros((m, n, kk + 1))
-        np.multiply(a[:, np.newaxis, :], b.T[np.newaxis, :, :], out=slab[:, :, 1:])
-        return np.add.accumulate(slab, axis=2)[:, :, -1].copy()
-    out = np.zeros((m, n))
-    for k in range(kk):
+        return _accumulate(a, b, np.zeros((m, n, kk + 1))).copy()
+    return _k_loop(a, b, np.empty((m, n)))
+
+
+def _accumulate(a: np.ndarray, b: np.ndarray, slab: np.ndarray, sums=None) -> np.ndarray:
+    """The narrow layout: products into k-planes 1..K of ``slab``, whose plane 0
+    must be zero, then the running sum along k (into ``sums`` if given).
+    Returns the last plane, a view."""
+    np.multiply(a[:, np.newaxis, :], b.T[np.newaxis, :, :], out=slab[:, :, 1:])
+    return np.add.accumulate(slab, axis=2, out=sums)[:, :, -1]
+
+
+def _k_loop(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The wide layout: one rank-1 update of ``out`` per k, from zero."""
+    out.fill(0.0)
+    for k in range(a.shape[1]):
         out += a[:, k, np.newaxis] * b[np.newaxis, k, :]
     return out
+
+
+class FixedProduct:
+    """:func:`matmul` for an (m, k) by (k, n) product computed many times.
+
+    The layout is chosen once from (m, n) as in :func:`matmul`, and the slab
+    and output buffers are allocated once, so a call does only the arithmetic
+    and gives the same bits as :func:`matmul`. Operands are not checked: they
+    must be float64 arrays of exactly these shapes. The result is a view of a
+    buffer that the next call overwrites, so copy what must outlive it. An
+    instance holds mutable buffers: do not call one from two threads at once.
+    """
+
+    def __init__(self, m: int, k: int, n: int):
+        if m * n <= _NARROW_OUTPUT:
+            self._slab = np.zeros((m, n, k + 1))  # plane 0 is never written
+            self._out = np.empty_like(self._slab)
+        else:
+            self._slab = None
+            self._out = np.empty((m, n))
+
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self._slab is None:
+            return _k_loop(a, b, self._out)
+        return _accumulate(a, b, self._slab, self._out)
 
 
 def softmax(x, axis: int = -1) -> np.ndarray:
@@ -104,9 +144,8 @@ def softmax(x, axis: int = -1) -> np.ndarray:
         raise ValueError("softmax of an empty input")
     if not np.isfinite(x).all():
         raise ValueError("softmax input contains non-finite values")
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def max_pool(block, kernel: tuple[int, int]) -> np.ndarray:

@@ -12,20 +12,21 @@ end-to-end objective are a valid oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .numeric import as_tensor, finite_diff_grad, matmul
+from .numeric import FixedProduct, as_tensor, finite_diff_grad, matmul, softmax
 from .vision import (
     ScaleMenu,
     SelectorParams,
+    check_selector,
     default_menu,
     emit_tokens,
     flatten_grid,
     init_selector_params,
-    params_from_array,
     params_to_array,
     partition,
     region_scores,
@@ -68,9 +69,8 @@ class BatchDiagnostics:
 
 def balance_loss(diagnostics: BatchDiagnostics, alpha: float) -> float:
     """Auxiliary routing loss alpha * sum_i f_i * P_i (uniform routing minimizes it)."""
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    return float(alpha * matmul(diagnostics.f[None, :], diagnostics.p[:, None])[0, 0])
+    _check_alpha(alpha)
+    return _balance_term(alpha, diagnostics.f, diagnostics.p, matmul)
 
 
 def imbalance_loss(diagnostics: BatchDiagnostics, alpha: float, weights) -> float:
@@ -79,16 +79,29 @@ def imbalance_loss(diagnostics: BatchDiagnostics, alpha: float, weights) -> floa
     The weights must be positive and sum to the number of scales (so the
     all-ones weights reproduce :func:`balance_loss` at the same magnitude).
     """
+    _check_alpha(alpha)
+    w = _imbalance_weights(weights, len(diagnostics.f))
+    return _balance_term(alpha, w * diagnostics.f, diagnostics.p, matmul)
+
+
+def _balance_term(alpha: float, weighted_f: np.ndarray, p: np.ndarray, product) -> float:
+    return float(alpha * product(weighted_f[None, :], p[:, None])[0, 0])
+
+
+def _check_alpha(alpha: float) -> None:
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
+
+
+def _imbalance_weights(weights, num_scales: int) -> np.ndarray:
     w = as_tensor(weights)
-    if w.shape != diagnostics.f.shape:
+    if w.shape != (num_scales,):
         raise ValueError(f"need one weight per scale, got shape {w.shape}")
     if np.any(w <= 0):
         raise ValueError("imbalance weights must be positive")
     if abs(float(w.sum()) - w.size) > 1e-9:
         raise ValueError(f"imbalance weights must sum to {w.size}, got {float(w.sum())}")
-    return float(alpha * matmul((w * diagnostics.f)[None, :], diagnostics.p[:, None])[0, 0])
+    return w
 
 
 class NonFiniteLossError(ValueError):
@@ -119,22 +132,14 @@ class MeanTokenTarget:
         return float(np.mean(diff * diff))
 
 
-def _weighted_mean_loss(target: np.ndarray, weighted_sum: np.ndarray, total: int) -> float:
-    u = weighted_sum / total
-    diff = u - target
-    return float(np.mean(diff * diff))
-
-
-class _LossTerms(NamedTuple):
-    probs: np.ndarray  # (M, S)
-    chosen: np.ndarray  # (M,)
-    top1: np.ndarray  # (M,) probability of the chosen scale
-    diag: BatchDiagnostics
+class _Step(NamedTuple):
+    loss: float
     down: float
     bal: float
-    region_sums: np.ndarray | None  # (M, C) token sum at the chosen scale
-    weighted_sum: np.ndarray | None  # (C,)
-    total_tokens: int
+    f: np.ndarray  # (S,)
+    p: np.ndarray  # (S,)
+    grad_weight: np.ndarray | None  # (S, Ng), a view of a reused buffer
+    grad_bias: np.ndarray | None  # (S,)
 
 
 @dataclass
@@ -144,6 +149,14 @@ class PreparedBatch:
     Holds the (M, Ng) region scores plus, per scale, every region's raw
     max-pooled tokens and their sum. Forward passes and gradients over the
     selector parameters then avoid touching the feature maps again.
+
+    Every loss and gradient, :func:`train_selector`'s steps included, runs
+    one step function that does only the arithmetic that changes with the
+    parameters. The region index and one :class:`~vtcompress.numeric.FixedProduct`
+    per product of the step are made here; the parameters, ``alpha`` and the
+    imbalance weights are checked once per public call or training run. The
+    product buffers are rewritten by every step, so a batch must not be used
+    by two threads at once.
     """
 
     menu: ScaleMenu
@@ -153,6 +166,14 @@ class PreparedBatch:
     def __post_init__(self):
         self.sums = np.stack([v.sum(axis=1) for v in self.variants])  # (S, M, C)
         self.counts = np.array(self.menu.token_counts)  # (S,)
+        (m, ng), (s, _, c) = self.scores.shape, self.sums.shape
+        self._rows = np.arange(m)
+        self._logits = FixedProduct(m, ng, s)  # scores @ weight.T
+        self._weighted_sum = FixedProduct(1, m, c)  # top1 @ region sums
+        self._sums_grad = FixedProduct(m, c, 1)  # region sums @ dL/du
+        self._probs_coeff = FixedProduct(m, s, 1)  # probs @ balance coefficients
+        self._balance = FixedProduct(1, s, 1)  # (w * f) @ P
+        self._grad_weight = FixedProduct(s, m, ng)  # d_logits.T @ scores
 
     @property
     def num_regions(self) -> int:
@@ -166,10 +187,6 @@ class PreparedBatch:
     def channels(self) -> int:
         return self.sums.shape[2]
 
-    def diagnostics(self, probs: np.ndarray, chosen: np.ndarray) -> BatchDiagnostics:
-        f, p = routing_stats(chosen, probs)
-        return BatchDiagnostics(f, p, probs.shape[0])
-
     def argmax_margin(self, params: SelectorParams) -> float:
         """Smallest gap between the top two logits over all regions."""
         logits, _, _ = route(self.scores, params, self.menu)
@@ -182,38 +199,62 @@ class PreparedBatch:
         top1 = probs[np.arange(chosen.size), chosen]
         return emit_tokens(self.variants, chosen) * np.repeat(top1, self.counts[chosen])[:, None]
 
-    def _loss_terms(
+    def _check(self, params: SelectorParams, alpha: float, imbalance_weights) -> np.ndarray | None:
+        """Check what :meth:`_step` takes on trust; returns the imbalance weights as an array."""
+        check_selector(params, self.menu, self.num_global_tokens)
+        _check_alpha(alpha)
+        if imbalance_weights is None:
+            return None
+        return _imbalance_weights(imbalance_weights, len(self.menu))
+
+    def _step(
         self,
-        params: SelectorParams,
+        weight: np.ndarray,
+        bias: np.ndarray,
         downstream: MeanTokenTarget | None,
         alpha: float,
-        imbalance_weights,
-    ) -> _LossTerms:
-        _, probs, chosen = route(self.scores, params, self.menu)
-        top1 = probs[np.arange(chosen.size), chosen]
-        diag = self.diagnostics(probs, chosen)
+        imbalance_weights: np.ndarray | None,
+        grad: bool,
+    ) -> _Step:
+        """The loss at (weight, bias), and with ``grad`` its gradient, for checked inputs."""
+        logits = self._logits(self.scores, weight.T) + bias
+        probs = softmax(logits, axis=-1)
+        chosen = logits.argmax(axis=1)  # ties to the coarsest scale, as in route
+        top1 = probs[self._rows, chosen]
+        f, p = routing_stats(chosen, probs)
 
         down = 0.0
-        region_sums = weighted_sum = None
-        total_tokens = 0
         if downstream is not None:
-            region_sums = self.sums[chosen, np.arange(chosen.size)]  # (M, C)
+            region_sums = self.sums[chosen, self._rows]  # (M, C)
             total_tokens = int(self.counts[chosen].sum())
             if total_tokens == 0:
                 raise ValueError("no tokens emitted (every region discarded); downstream loss undefined")
-            weighted_sum = matmul(top1[None, :], region_sums)[0]
-            down = _weighted_mean_loss(downstream.target, weighted_sum, total_tokens)
-            if not np.isfinite(down):
+            weighted_sum = self._weighted_sum(top1[None, :], region_sums)[0]
+            diff = weighted_sum / total_tokens - downstream.target
+            down = float((diff * diff).mean())
+            if not math.isfinite(down):
                 raise NonFiniteLossError(f"downstream loss is {down}")
 
-        if imbalance_weights is not None:
-            bal = imbalance_loss(diag, alpha, imbalance_weights)
-        else:
-            bal = balance_loss(diag, alpha)
+        weighted_f = f if imbalance_weights is None else imbalance_weights * f
+        bal = _balance_term(alpha, weighted_f, p, self._balance)
+        if not grad:
+            return _Step(down + bal, down, bal, f, p, None, None)
 
-        return _LossTerms(
-            probs, chosen, top1, diag, down, bal, region_sums, weighted_sum, total_tokens
-        )
+        m = probs.shape[0]
+        d_logits = np.zeros(probs.shape)
+        if downstream is not None:
+            dl_du = 2.0 * diff / self.channels  # d mean-sq / d u
+            gp = self._sums_grad(region_sums, dl_du[:, None]) / total_tokens  # (M, 1)
+            jacobian = -probs * top1[:, None]  # softmax jacobian rows at the winner
+            jacobian[self._rows, chosen] += top1
+            d_logits += gp * jacobian
+
+        if alpha > 0:
+            coeff = (alpha / m) * weighted_f  # f is a stop-gradient
+            d_logits += probs * (coeff - self._probs_coeff(probs, coeff[:, None]))
+
+        grad_weight = self._grad_weight(d_logits.T, self.scores)
+        return _Step(down + bal, down, bal, f, p, grad_weight, d_logits.sum(axis=0))
 
     def objective(
         self,
@@ -224,8 +265,8 @@ class PreparedBatch:
         imbalance_weights=None,
     ) -> float:
         """End-to-end scalar loss (downstream + balance), recomputed from scratch."""
-        terms = self._loss_terms(params, downstream, alpha, imbalance_weights)
-        return terms.down + terms.bal
+        weights = self._check(params, alpha, imbalance_weights)
+        return self._step(params.weight, params.bias, downstream, alpha, weights, False).loss
 
     def gradient(
         self,
@@ -236,30 +277,15 @@ class PreparedBatch:
         imbalance_weights=None,
     ) -> "SelectorGradients":
         """Analytic gradient of :meth:`objective` under the stop-gradient conventions."""
-        t = self._loss_terms(params, downstream, alpha, imbalance_weights)
-        m, s = t.probs.shape
-        d_logits = np.zeros((m, s))
-
-        if downstream is not None:
-            u = t.weighted_sum / t.total_tokens
-            dl_du = 2.0 * (u - downstream.target) / self.channels  # d mean-sq / d u
-            gp = matmul(t.region_sums, dl_du[:, None]) / t.total_tokens  # (M, 1)
-            jacobian = -t.probs * t.top1[:, None]  # softmax jacobian rows at the winner
-            jacobian[np.arange(m), t.chosen] += t.top1
-            d_logits += gp * jacobian
-
-        if alpha > 0:
-            w = np.ones(s) if imbalance_weights is None else as_tensor(imbalance_weights)
-            coeff = (alpha / m) * (w * t.diag.f)  # f is a stop-gradient
-            d_logits += t.probs * (coeff - matmul(t.probs, coeff[:, None]))
-
+        weights = self._check(params, alpha, imbalance_weights)
+        t = self._step(params.weight, params.bias, downstream, alpha, weights, True)
         return SelectorGradients(
-            loss=t.down + t.bal,
+            loss=t.loss,
             downstream=t.down,
             balance=t.bal,
-            diagnostics=t.diag,
-            grad_weight=matmul(d_logits.T, self.scores),  # (S, Ng)
-            grad_bias=d_logits.sum(axis=0),
+            diagnostics=BatchDiagnostics(t.f, t.p, self.num_regions),
+            grad_weight=t.grad_weight.copy(),
+            grad_bias=t.grad_bias,
         )
 
 
@@ -363,8 +389,8 @@ def gradient_check(
     a failure near a tie.
     """
     prepared = prepare_batch(dataset, menu, pool)
-    kwargs = dict(downstream=downstream, alpha=alpha, imbalance_weights=imbalance_weights)
-    result = prepared.gradient(params, **kwargs)
+    weights = prepared._check(params, alpha, imbalance_weights)
+    result = prepared._step(params.weight, params.bias, downstream, alpha, weights, True)
     analytic = np.concatenate(
         [result.grad_weight, result.grad_bias[:, None]], axis=1
     ).ravel()
@@ -372,7 +398,10 @@ def gradient_check(
     packed = params_to_array(params)
 
     def objective_of(vec: np.ndarray) -> float:
-        return prepared.objective(params_from_array(vec.reshape(packed.shape)), **kwargs)
+        packed_at = vec.reshape(packed.shape)
+        return prepared._step(
+            packed_at[:, :-1], packed_at[:, -1], downstream, alpha, weights, False
+        ).loss
 
     numeric = finite_diff_grad(objective_of, packed.ravel(), step=step)
     denom = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(numeric)), 1e-12)
@@ -459,41 +488,38 @@ def train_selector(
 
     Each step records the loss and the batch's f/P before applying the
     update, so a zero learning rate leaves the parameters untouched and the
-    history constant. Raises :class:`TrainingDiverged` on a non-finite loss.
+    history constant. Raises :class:`TrainingDiverged` on a non-finite loss,
+    and ``ValueError`` when an update makes a parameter non-finite.
     """
     menu = menu if menu is not None else default_menu()
     prepared = prepare_batch(dataset, menu, config.pool)
     if init_params is None:
-        params = init_selector_params(len(menu), prepared.num_global_tokens, seed=config.seed)
-    else:
-        params = SelectorParams(init_params.weight.copy(), init_params.bias.copy())
-
-    weights = None
-    if config.imbalance_weights is not None:
-        weights = as_tensor(config.imbalance_weights)
+        init_params = init_selector_params(len(menu), prepared.num_global_tokens, seed=config.seed)
+    weights = prepared._check(init_params, config.alpha, config.imbalance_weights)
+    weight, bias = init_params.weight, init_params.bias  # updates make new arrays
 
     losses = np.zeros(config.steps)
     f_hist = np.zeros((config.steps, len(menu)))
     p_hist = np.zeros((config.steps, len(menu)))
     for step in range(config.steps):
         try:
-            result = prepared.gradient(
-                params,
-                downstream=downstream,
-                alpha=config.alpha,
-                imbalance_weights=weights,
-            )
+            result = prepared._step(weight, bias, downstream, config.alpha, weights, True)
         except NonFiniteLossError as exc:
             raise TrainingDiverged(step, float("nan")) from exc
-        if not np.isfinite(result.loss):
+        except ValueError:
+            # A non-finite parameter makes its whole logits column non-finite,
+            # so the step after the update that made it fails; report it as
+            # the parameters' own check does.
+            SelectorParams(weight, bias)
+            raise
+        if not math.isfinite(result.loss):
             raise TrainingDiverged(step, result.loss)
         losses[step] = result.loss
-        f_hist[step] = result.diagnostics.f
-        p_hist[step] = result.diagnostics.p
-        params = SelectorParams(
-            params.weight - config.learning_rate * result.grad_weight,
-            params.bias - config.learning_rate * result.grad_bias,
-        )
+        f_hist[step] = result.f
+        p_hist[step] = result.p
+        weight = weight - config.learning_rate * result.grad_weight
+        bias = bias - config.learning_rate * result.grad_bias
+    params = SelectorParams(weight, bias)  # checks the last update
     return TrainRun(losses=losses, f_history=f_hist, p_history=p_hist, params=params)
 
 

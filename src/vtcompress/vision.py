@@ -32,6 +32,7 @@ __all__ = [
     "flatten_grid",
     "partition",
     "region_scores",
+    "check_selector",
     "route",
     "scale_variants",
     "emit_tokens",
@@ -243,6 +244,16 @@ def region_scores(blocks: np.ndarray, global_tokens: np.ndarray, pool: str = "me
     return matmul(pooled, global_tokens.T)
 
 
+def check_selector(params: SelectorParams, menu: ScaleMenu, num_global_tokens: int) -> None:
+    """Raise unless ``params`` has one row per scale of ``menu`` and one column per global token."""
+    if len(menu) != params.num_scales:
+        raise ValueError(f"menu has {len(menu)} scales but params have {params.num_scales}")
+    if num_global_tokens != params.num_global_tokens:
+        raise ValueError(
+            f"global token count {num_global_tokens} does not match weight columns {params.num_global_tokens}"
+        )
+
+
 def route(
     scores: np.ndarray, params: SelectorParams, menu: ScaleMenu
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,12 +261,7 @@ def route(
 
     Ties go to the lowest index (the coarsest scale), as in :func:`choose_scale`.
     """
-    if len(menu) != params.num_scales:
-        raise ValueError(f"menu has {len(menu)} scales but params have {params.num_scales}")
-    if scores.shape[1] != params.num_global_tokens:
-        raise ValueError(
-            f"global token count {scores.shape[1]} does not match weight columns {params.num_global_tokens}"
-        )
+    check_selector(params, menu, scores.shape[1])
     logits = matmul(scores, params.weight.T) + params.bias
     return logits, softmax(logits, axis=-1), np.argmax(logits, axis=1)
 
@@ -284,7 +290,7 @@ def emit_tokens(variants: Sequence[np.ndarray], chosen: np.ndarray) -> np.ndarra
 def routing_stats(chosen: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-scale selection frequency f_i = count(chosen == i) / M and mean probability P_i."""
     m, s = probs.shape
-    return np.bincount(chosen, minlength=s) / m, probs.mean(axis=0)
+    return np.bincount(chosen, minlength=s) / m, probs.sum(axis=0) / m  # the bits of mean(axis=0)
 
 
 def selector_score(block, global_tokens, pool: str = "mean") -> np.ndarray:

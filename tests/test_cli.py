@@ -468,6 +468,7 @@ class TestErrorContract:
         ("nope",),
         ("report", "--in", "r.json", "--bogus"),
         ("compress", "--map", "x.fmap", "--strategy", "all"),
+        ("--conf", "c.json", "gen", "--out", "g"),  # no abbreviated --config
     ])
     def test_usage_error(self, argv, capsys):
         code, out, err = run(capsys, *argv)
@@ -475,6 +476,13 @@ class TestErrorContract:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "usage"
+
+    def test_abbreviated_flag_after_subcommand_reaches_it(self, tmp_path, capsys):
+        # gen's --channels, not the top-level --config
+        run_json(capsys, "gen", "--out", str(tmp_path / "g"), "--c", "4")
+        tensor, magic = read_tensor(tmp_path / "g" / "x.fmap")
+        assert magic == MAGIC_FEATURE_MAP
+        assert tensor.shape[2] == 4
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vtcompress.numeric import max_pool
+from vtcompress.numeric import matmul, max_pool
 from vtcompress.training import (
     SCALE_INDIFFERENT_LEARNING_RATE,
     BatchDiagnostics,
@@ -17,7 +17,16 @@ from vtcompress.training import (
     selector_grad,
     train_selector,
 )
-from vtcompress.vision import compress_training, default_menu, init_selector_params
+from vtcompress.vision import (
+    SelectorParams,
+    compress_training,
+    default_menu,
+    init_selector_params,
+    retain_discard_menu,
+    route,
+    routing_stats,
+    seven_branch_menu,
+)
 
 
 def diag(f, p):
@@ -272,3 +281,153 @@ class TestGradientMatchesPerRegionLoop:
         scale = max(np.abs(want_w).max(), np.abs(want_b).max())
         np.testing.assert_allclose(got.grad_weight, want_w, rtol=1e-12, atol=1e-12 * scale)
         np.testing.assert_allclose(got.grad_bias, want_b, rtol=1e-12, atol=1e-12 * scale)
+
+
+def reference_train(dataset, config, menu, downstream, init_params):
+    """The trainer written one formula at a time, the reference for the fused step.
+
+    Every step calls ``route``, ``routing_stats`` and ``numeric.matmul`` and
+    every update builds new ``SelectorParams``. Returns the history and the
+    final parameters, or raises as the trainer must.
+    """
+    prepared = prepare_batch(dataset, menu, config.pool)
+    scores, sums, counts = prepared.scores, prepared.sums, np.array(menu.token_counts)
+    params = init_params
+    if params is None:
+        params = init_selector_params(len(menu), scores.shape[1], seed=config.seed)
+    weights = config.imbalance_weights
+    w = np.ones(len(menu)) if weights is None else np.array(weights, dtype=float)
+    losses, f_hist, p_hist = [], [], []
+    for step in range(config.steps):
+        _, probs, chosen = route(scores, params, menu)
+        m, s = probs.shape
+        rows = np.arange(m)
+        top1 = probs[rows, chosen]
+        f, p = routing_stats(chosen, probs)
+        down = 0.0
+        d_logits = np.zeros((m, s))
+        if downstream is not None:
+            region_sums = sums[chosen, rows]
+            total = int(counts[chosen].sum())
+            u = matmul(top1[None, :], region_sums)[0] / total
+            diff = u - downstream.target
+            down = float(np.mean(diff * diff))
+            if not np.isfinite(down):
+                raise TrainingDiverged(step, float("nan"))
+            dl_du = 2.0 * (u - downstream.target) / sums.shape[2]
+            gp = matmul(region_sums, dl_du[:, None]) / total
+            jacobian = -probs * top1[:, None]
+            jacobian[rows, chosen] += top1
+            d_logits += gp * jacobian
+        bal = float(config.alpha * matmul((w * f)[None, :], p[:, None])[0, 0])
+        if config.alpha > 0:
+            coeff = (config.alpha / m) * (w * f)
+            d_logits += probs * (coeff - matmul(probs, coeff[:, None]))
+        loss = down + bal
+        if not np.isfinite(loss):
+            raise TrainingDiverged(step, loss)
+        losses.append(loss)
+        f_hist.append(f)
+        p_hist.append(p)
+        params = SelectorParams(
+            params.weight - config.learning_rate * matmul(d_logits.T, scores),
+            params.bias - config.learning_rate * d_logits.sum(axis=0),
+        )
+    return np.array(losses), np.array(f_hist), np.array(p_hist), params
+
+
+def outcome(train, dataset, config, menu, downstream, init_params=None):
+    """The history and final parameters as bytes, or the error a run raised."""
+    try:
+        result = train(dataset, config, menu, downstream, init_params)
+    except TrainingDiverged as exc:
+        return "diverged", exc.step
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return tuple(arr.tobytes() for arr in result)
+
+
+def fused_train(dataset, config, menu, downstream, init_params):
+    run = train_selector(
+        dataset, config, menu=menu, downstream=downstream, init_params=init_params
+    )
+    return run.losses, run.f_history, run.p_history, run.params.weight, run.params.bias
+
+
+def reference(dataset, config, menu, downstream, init_params):
+    losses, f_hist, p_hist, params = reference_train(
+        dataset, config, menu, downstream, init_params
+    )
+    return losses, f_hist, p_hist, params.weight, params.bias
+
+
+def _retain_discard_task():
+    rng = np.random.default_rng(4)
+    dataset = [(rng.normal(size=(6, 6, 3)), rng.normal(size=(9, 3)))]
+    return dataset, MeanTokenTarget(rng.random(3)), retain_discard_menu()
+
+
+def _trainer_case(name):
+    dataset, downstream = make_scale_indifferent_task(2)
+    menu, init, extra = default_menu(4), None, {}
+    if name == "7branch-imbalance":
+        menu = seven_branch_menu(4)
+        extra = dict(imbalance_weights=(0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3))
+    elif name == "imbalance":
+        extra = dict(imbalance_weights=(0.9, 1.0, 1.1))
+    elif name == "alpha-0":
+        extra = dict(alpha=0.0)
+    elif name == "no-downstream":
+        downstream = None
+    elif name == "retain-discard":
+        dataset, downstream, menu = _retain_discard_task()
+    elif name == "init-params-max-pool":
+        init = init_selector_params(3, 36, seed=7)
+        init = SelectorParams(init.weight * 20.0, np.array([0.3, -0.1, 0.0]))
+        extra = dict(pool="max")
+    config = TrainConfig(steps=40, learning_rate=2.0, **{"alpha": 0.1, **extra})
+    return dataset, config, menu, downstream, init
+
+
+class TestTrainerMatchesReferenceLoop:
+    @pytest.mark.parametrize("name", [
+        "3branch", "7branch-imbalance", "imbalance", "alpha-0", "no-downstream",
+        "retain-discard", "init-params-max-pool",
+    ])
+    def test_history_and_params_bit_identical(self, name):
+        case = _trainer_case(name)
+        got = outcome(fused_train, *case)
+        assert isinstance(got[0], bytes), got
+        assert got == outcome(reference, *case)
+
+    def test_scale_choices_change_during_the_runs(self):
+        # the byte comparisons above cover steps where routing flips, not only a fixed choice
+        for name in ("3branch", "7branch-imbalance", "retain-discard"):
+            dataset, config, menu, downstream, _ = _trainer_case(name)
+            run = train_selector(dataset, config, menu=menu, downstream=downstream)
+            assert len(np.unique(run.f_history, axis=0)) > 1, name
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_divergence_at_a_later_step(self):
+        # one channel near sqrt(max float): the first update saturates the
+        # winner, whose larger mean token overflows the squared loss at step 1
+        rng = np.random.default_rng(0)
+        dataset = [(np.full((8, 8, 1), 1e153), rng.uniform(0.5, 1.0, (4, 1)) * 1e-153)]
+        init = SelectorParams(np.zeros((2, 4)), np.array([0.0, 0.1]))
+        config = TrainConfig(steps=4, learning_rate=1e-200, alpha=0.1)
+        case = (dataset, config, default_menu(2), MeanTokenTarget(np.array([-1.27e154])), init)
+        assert outcome(fused_train, *case) == outcome(reference, *case) == ("diverged", 1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_update_to_a_non_finite_parameter(self, steps):
+        # the step-0 update overflows: with one step the final parameters
+        # are non-finite, with three the next step would start from them
+        rng = np.random.default_rng(0)
+        dataset = [(np.full((8, 8, 1), 1e153), rng.uniform(0.5, 1.0, (4, 1)) * 1e-153)]
+        init = SelectorParams(np.zeros((2, 4)), np.array([0.0, 0.1]))
+        config = TrainConfig(steps=steps, learning_rate=1e10, alpha=0.1)
+        case = (dataset, config, default_menu(2), MeanTokenTarget(np.array([-1e100])), init)
+        got = outcome(fused_train, *case)
+        assert got == outcome(reference, *case)
+        assert got == (ValueError, "tensor contains non-finite values")
