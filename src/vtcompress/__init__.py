@@ -78,7 +78,6 @@ from .training import (
     prepare_batch,
     random_gradcheck_instance,
     selector_grad,
-    selector_objective,
     train_selector,
 )
 from .vision import (

@@ -136,6 +136,27 @@ def _region_importance_grid(
     return upsample_regions(means.reshape(region_grid), menu.window)
 
 
+def _train_log(summary: dict, run) -> str:
+    """``json.dumps(log, indent=2) + "\\n"`` for the summary plus a ``history``
+    entry ``{"step", "loss", "f", "p"}`` per step, byte for byte.
+
+    With ``indent`` the json module encodes in pure Python, which is slow for
+    a long history, so the entries are written from one template instead:
+    every history value is a finite float, which json writes as its repr.
+    """
+    head = json.dumps(summary, indent=2)
+    vector = "[\n        " + ",\n        ".join(["%r"] * run.f_history.shape[1]) + "\n      ]"
+    entry = ('    {\n      "step": %d,\n      "loss": %r,\n      "f": ' + vector
+             + ',\n      "p": ' + vector + "\n    }")
+    history = ",\n".join([
+        entry % (i, loss, *f, *p)
+        for i, (loss, f, p) in enumerate(
+            zip(run.losses.tolist(), run.f_history.tolist(), run.p_history.tolist())
+        )
+    ])
+    return f'{head[:-2]},\n  "history": [\n{history}\n  ]\n}}\n'
+
+
 def cmd_gen(args) -> int:
     cfg = SyntheticConfig(
         height=args.height,
@@ -297,20 +318,17 @@ def cmd_train(args) -> int:
         "collapsed": run.collapsed,
     }
     if args.log:
-        log = dict(summary)
-        log["history"] = [
-            {"step": i, "loss": loss, "f": f, "p": p}
-            for i, (loss, f, p) in enumerate(
-                zip(run.losses.tolist(), run.f_history.tolist(), run.p_history.tolist())
-            )
-        ]
-        Path(args.log).write_text(json.dumps(log, indent=2) + "\n")
+        Path(args.log).write_text(_train_log(summary, run))
     summary["paramsFile"] = args.out_params
     _emit(summary, "-")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
+    if args.instances < 1:
+        raise ValueError(f"--instances must be >= 1, got {args.instances}")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ValueError(f"--tolerance must be a finite number > 0, got {args.tolerance}")
     menu = _build_menu(args.menu, args.window)
     checked = []
     skipped = 0

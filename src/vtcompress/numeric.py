@@ -6,15 +6,19 @@ for reproducibility: every matrix product on an output path goes through
 ``matmul``, which adds the K products of each output element one after another
 in ascending k, exactly like the scalar loop ``acc = 0.0; acc += a[i,k]*b[k,j]``.
 
-``matmul`` picks one of two layouts from the output shape alone; both give the
-same bits. A narrow output (``M*N <= 256``) forms all products in an
+``matmul`` has two backends that write the same bits. The first product of a
+process loads a compiled C kernel (:mod:`vtcompress._kernel`), building it
+into the package's ``__pycache__`` if needed; it runs the scalar loop itself
+in the same order, with no fused multiply-add. When the kernel cannot be
+built or loaded, ``matmul`` silently uses two numpy layouts, picked from the
+output shape alone. A narrow output (``M*N <= 256``) forms all products in an
 ``(M, N, K+1)`` slab whose first k-plane is ``0.0`` and reduces it with
 ``np.add.accumulate`` along k. ``accumulate`` is defined as the running sum
 ``r[k] = r[k-1] + x[k]``, so it is sequential by construction, and the zero
 plane reproduces the loop's ``0.0 + p0`` (a ``-0.0`` product becomes
 ``+0.0``). A wider output keeps one elementwise rank-1 update per k.
-:class:`FixedProduct` is the same two layouts for a loop that multiplies
-operands of one shape many times: it keeps its slab and output buffers and
+:class:`FixedProduct` runs the same backend for a loop that multiplies
+operands of one shape many times: it keeps its output (and slab) buffers and
 skips the operand checks. Never use
 ``np.sum``, ``np.add.reduce``, ``np.einsum``, ``np.dot`` or ``@`` for a product
 that reaches an output: depending on layout and length they switch to pairwise
@@ -23,6 +27,8 @@ summation or BLAS, whose order varies with the build and thread count.
 
 from __future__ import annotations
 
+import functools
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -78,11 +84,11 @@ def matmul(a, b) -> np.ndarray:
 
     Bit-identical to the naive triple loop ``acc += a[i,k]*b[k,j]`` with k
     ascending, which keeps downstream reports reproducible and lets tests
-    compare against a brute-force oracle exactly. Narrow outputs
-    (``M*N <= 256``) reduce an ``(M, N, K+1)`` product slab with
-    ``np.add.accumulate`` along k, whose running sum keeps the k-order; wider
-    outputs add one rank-1 update per k. The result is always a fresh
-    C-contiguous array.
+    compare against a brute-force oracle exactly. The compiled kernel runs
+    it when it loads; otherwise narrow outputs (``M*N <= 256``) reduce an
+    ``(M, N, K+1)`` product slab with ``np.add.accumulate`` along k, whose
+    running sum keeps the k-order, and wider outputs add one rank-1 update
+    per k. The result is always a fresh C-contiguous array.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -91,9 +97,21 @@ def matmul(a, b) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
     (m, kk), n = a.shape, b.shape[1]
+    kernel = _product_kernel()
+    if kernel is not None:
+        return kernel(a, b, np.empty((m, n)))
     if m * n <= _NARROW_OUTPUT:
         return _accumulate(a, b, np.zeros((m, n, kk + 1))).copy()
     return _k_loop(a, b, np.empty((m, n)))
+
+
+@functools.cache
+def _product_kernel():
+    """The compiled product kernel, loaded on the first product; ``None`` when
+    it cannot be built or loaded, and the numpy layouts run instead."""
+    from . import _kernel
+
+    return _kernel.load(Path(__file__).parent / "__pycache__")
 
 
 def _accumulate(a: np.ndarray, b: np.ndarray, slab: np.ndarray, sums=None) -> np.ndarray:
@@ -115,23 +133,27 @@ def _k_loop(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 class FixedProduct:
     """:func:`matmul` for an (m, k) by (k, n) product computed many times.
 
-    The layout is chosen once from (m, n) as in :func:`matmul`, and the slab
-    and output buffers are allocated once, so a call does only the arithmetic
-    and gives the same bits as :func:`matmul`. Operands are not checked: they
-    must be float64 arrays of exactly these shapes. The result is a view of a
+    The backend, and without the kernel the layout, is chosen once as in
+    :func:`matmul`, and the output (and slab) buffers are allocated once, so
+    a call does only the arithmetic and gives the same bits as
+    :func:`matmul`. Operands are not checked: they must be float64 arrays of
+    exactly these shapes (the kernel still checks the shapes it is given). The result is a view of a
     buffer that the next call overwrites, so copy what must outlive it. An
     instance holds mutable buffers: do not call one from two threads at once.
     """
 
     def __init__(self, m: int, k: int, n: int):
-        if m * n <= _NARROW_OUTPUT:
+        self._kernel = _product_kernel()
+        self._slab = None
+        if self._kernel is None and m * n <= _NARROW_OUTPUT:
             self._slab = np.zeros((m, n, k + 1))  # plane 0 is never written
             self._out = np.empty_like(self._slab)
         else:
-            self._slab = None
             self._out = np.empty((m, n))
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self._kernel is not None:
+            return self._kernel(a, b, self._out)
         if self._slab is None:
             return _k_loop(a, b, self._out)
         return _accumulate(a, b, self._slab, self._out)

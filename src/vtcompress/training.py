@@ -45,7 +45,6 @@ __all__ = [
     "prepare_batch",
     "SelectorGradients",
     "selector_grad",
-    "selector_objective",
     "GradCheck",
     "gradient_check",
     "random_gradcheck_instance",
@@ -89,8 +88,8 @@ def _balance_term(alpha: float, weighted_f: np.ndarray, p: np.ndarray, product) 
 
 
 def _check_alpha(alpha: float) -> None:
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be a finite number >= 0, got {alpha}")
 
 
 def _imbalance_weights(weights, num_scales: int) -> np.ndarray:
@@ -199,9 +198,17 @@ class PreparedBatch:
         top1 = probs[np.arange(chosen.size), chosen]
         return emit_tokens(self.variants, chosen) * np.repeat(top1, self.counts[chosen])[:, None]
 
-    def _check(self, params: SelectorParams, alpha: float, imbalance_weights) -> np.ndarray | None:
+    def _check(
+        self, params: SelectorParams, downstream: MeanTokenTarget | None, alpha: float,
+        imbalance_weights,
+    ) -> np.ndarray | None:
         """Check what :meth:`_step` takes on trust; returns the imbalance weights as an array."""
         check_selector(params, self.menu, self.num_global_tokens)
+        if downstream is not None and downstream.target.shape != (self.channels,):
+            raise ValueError(
+                f"downstream target has {downstream.target.size} values "
+                f"but the feature maps have {self.channels} channels"
+            )
         _check_alpha(alpha)
         if imbalance_weights is None:
             return None
@@ -265,7 +272,7 @@ class PreparedBatch:
         imbalance_weights=None,
     ) -> float:
         """End-to-end scalar loss (downstream + balance), recomputed from scratch."""
-        weights = self._check(params, alpha, imbalance_weights)
+        weights = self._check(params, downstream, alpha, imbalance_weights)
         return self._step(params.weight, params.bias, downstream, alpha, weights, False).loss
 
     def gradient(
@@ -277,7 +284,7 @@ class PreparedBatch:
         imbalance_weights=None,
     ) -> "SelectorGradients":
         """Analytic gradient of :meth:`objective` under the stop-gradient conventions."""
-        weights = self._check(params, alpha, imbalance_weights)
+        weights = self._check(params, downstream, alpha, imbalance_weights)
         t = self._step(params.weight, params.bias, downstream, alpha, weights, True)
         return SelectorGradients(
             loss=t.loss,
@@ -341,22 +348,6 @@ def selector_grad(
     )
 
 
-def selector_objective(
-    dataset,
-    params: SelectorParams,
-    menu: ScaleMenu,
-    *,
-    downstream: MeanTokenTarget | None = None,
-    alpha: float = 0.1,
-    imbalance_weights=None,
-    pool: str = "mean",
-) -> float:
-    """End-to-end scalar loss for the same setup as :func:`selector_grad`."""
-    return prepare_batch(dataset, menu, pool).objective(
-        params, downstream=downstream, alpha=alpha, imbalance_weights=imbalance_weights
-    )
-
-
 @dataclass
 class GradCheck:
     """Analytic-vs-numeric comparison for one instance."""
@@ -389,7 +380,7 @@ def gradient_check(
     a failure near a tie.
     """
     prepared = prepare_batch(dataset, menu, pool)
-    weights = prepared._check(params, alpha, imbalance_weights)
+    weights = prepared._check(params, downstream, alpha, imbalance_weights)
     result = prepared._step(params.weight, params.bias, downstream, alpha, weights, True)
     analytic = np.concatenate(
         [result.grad_weight, result.grad_bias[:, None]], axis=1
@@ -448,10 +439,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(
+                f"learning_rate must be a finite number >= 0, got {self.learning_rate}"
+            )
+        _check_alpha(self.alpha)
 
 
 @dataclass
@@ -495,7 +487,7 @@ def train_selector(
     prepared = prepare_batch(dataset, menu, config.pool)
     if init_params is None:
         init_params = init_selector_params(len(menu), prepared.num_global_tokens, seed=config.seed)
-    weights = prepared._check(init_params, config.alpha, config.imbalance_weights)
+    weights = prepared._check(init_params, downstream, config.alpha, config.imbalance_weights)
     weight, bias = init_params.weight, init_params.bias  # updates make new arrays
 
     losses = np.zeros(config.steps)

@@ -4,10 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from vtcompress.cli import main
+from vtcompress.cli import _train_log, main
 from vtcompress.formats import MAGIC_FEATURE_MAP, MAGIC_SELECTOR, read_tensor, write_tensor
 from vtcompress.report import effective_token_count
-from vtcompress.vision import init_selector_params, params_to_array
+from vtcompress.training import TrainConfig, make_scale_indifferent_task, train_selector
+from vtcompress.vision import (
+    default_menu,
+    init_selector_params,
+    params_to_array,
+    seven_branch_menu,
+)
 
 
 def run(capsys, *argv):
@@ -173,6 +179,26 @@ class TestTrain:
         resumed, _ = read_tensor(p2)
         full, _ = read_tensor(pf)
         np.testing.assert_allclose(resumed, full, atol=1e-6)  # params pass through f32 disk
+
+
+class TestTrainLog:
+    @pytest.mark.parametrize("steps", [1, 500])
+    @pytest.mark.parametrize("menu", ["3branch", "7branch"])
+    def test_writer_matches_json_dumps_indent_2(self, steps, menu):
+        build = {"3branch": default_menu, "7branch": seven_branch_menu}[menu]
+        dataset, downstream = make_scale_indifferent_task(1)
+        run = train_selector(dataset, TrainConfig(steps=steps, learning_rate=0.02),
+                             menu=build(), downstream=downstream)
+        summary = {"steps": steps, "learningRate": 0.02, "finalLoss": float(run.losses[-1]),
+                   "finalF": run.final_f.tolist(), "collapsed": run.collapsed}
+        log = dict(summary)
+        log["history"] = [
+            {"step": i, "loss": loss, "f": f, "p": p}
+            for i, (loss, f, p) in enumerate(
+                zip(run.losses.tolist(), run.f_history.tolist(), run.p_history.tolist())
+            )
+        ]
+        assert _train_log(summary, run) == json.dumps(log, indent=2) + "\n"
 
 
 class TestGradcheck:
@@ -417,6 +443,41 @@ class TestErrorContract:
         code, _, err = run(capsys, command, *inputs, "--window", "5")
         assert code == 5
         assert "window 5" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("flags, name", [
+        (("--alpha", "nan"), "alpha"),
+        (("--lr", "nan"), "learning_rate"),
+        (("--lr", "inf"), "learning_rate"),
+    ])
+    def test_non_finite_training_setting_named(self, flags, name, capsys):
+        code, _, err = run(capsys, "train", "--task", "scale-indifferent", "--steps", "2", *flags)
+        assert code == 5
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert payload["message"].startswith(f"{name} must be a finite number")
+
+    def test_target_length_named(self, fixtures, capsys):
+        code, _, err = run(capsys, "train", "--map", fixtures["x"], "--global", fixtures["xg"],
+                           "--target", "1,2", "--steps", "2")
+        assert code == 5
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert "target has 2 values" in payload["message"]
+        assert "4 channels" in payload["message"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--instances", "0"),
+        ("--tolerance", "nan"),
+        ("--tolerance", "inf"),
+        ("--tolerance", "0"),
+    ])
+    def test_gradcheck_setting_named(self, flag, value, capsys):
+        code, out, err = run(capsys, "gradcheck", flag, value)
+        assert code == 5
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert payload["message"].startswith(f"{flag} must be")
 
     @pytest.mark.parametrize("path, value", [
         (("inputTokens",), "576"),

@@ -8,6 +8,10 @@ heatmaps, and ``report --layer 16``. Besides the seeded fallback parameters
 file that splits the 36 regions of each fixture 12/12/12 over the three
 scales, so the routing itself is pinned.
 
+The pipeline runs twice: with the default product backend (the compiled
+kernel, where it builds) and with the kernel forced off, so that the numpy
+layouts must write the same bytes.
+
 The expected hashes change only with a deliberate change of output bytes.
 After one, print the new table with ``python tests/test_golden.py`` and
 record which files changed, and why, in the change log.
@@ -27,6 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vtcompress import numeric
 from vtcompress.cli import main
 from vtcompress.formats import MAGIC_SELECTOR, read_tensor, write_tensor
 
@@ -152,6 +157,14 @@ def test_split_params_route_a_third_to_each_scale(pipeline):
 
 def test_outputs_match_golden_hashes(pipeline):
     _, got = pipeline
+    assert sorted(got) == sorted(GOLDEN)
+    changed = sorted(name for name in GOLDEN if got[name] != GOLDEN[name])
+    assert changed == []
+
+
+def test_numpy_layouts_match_golden_hashes(tmp_path, monkeypatch):
+    monkeypatch.setattr(numeric, "_product_kernel", lambda: None)
+    got = run_pipeline(tmp_path)
     assert sorted(got) == sorted(GOLDEN)
     changed = sorted(name for name in GOLDEN if got[name] != GOLDEN[name])
     assert changed == []

@@ -1,10 +1,18 @@
+import ast
+import importlib.util
+import shutil
+import sysconfig
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from vtcompress import _kernel, numeric
 from vtcompress.numeric import (
+    FixedProduct,
     as_tensor,
     finite_diff_grad,
     matmul,
@@ -12,6 +20,13 @@ from vtcompress.numeric import (
     softmax,
     stable_sort_desc,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CAN_BUILD = (
+    importlib.util.find_spec("cffi") is not None
+    and shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0]) is not None
+)
+needs_compiler = pytest.mark.skipif(not CAN_BUILD, reason="cffi or a C compiler is missing")
 
 
 def matmul_oracle(a, b):
@@ -87,6 +102,9 @@ _MATMUL_ELEMENTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e16, -1e16]
 )
 
 
+_LAYOUTS = st.sampled_from(["c", "transposed", "strided"])
+
+
 def _operand(draw, shape, layout):
     """A float64 operand of ``shape`` laid out as callers pass them."""
     rows, cols = shape
@@ -109,15 +127,17 @@ class TestMatmulAgainstOracle:
         assert out.flags.c_contiguous and out.flags.owndata
         return out
 
-    @given(st.data(), _MATMUL_SHAPES, _MATMUL_K,
-           st.sampled_from(["c", "transposed", "strided"]),
-           st.sampled_from(["c", "transposed", "strided"]))
-    @settings(max_examples=150, deadline=None)
-    def test_random_operands(self, data, shape, kk, layout_a, layout_b):
+    @staticmethod
+    def _random_case(data, shape, kk, layout_a, layout_b):
         m, n = shape
         a = _operand(data.draw, (m, kk), layout_a)
         b = _operand(data.draw, (kk, n), layout_b)
-        self._check(a, b)
+        TestMatmulAgainstOracle._check(a, b)
+
+    @given(st.data(), _MATMUL_SHAPES, _MATMUL_K, _LAYOUTS, _LAYOUTS)
+    @settings(max_examples=150, deadline=None)
+    def test_random_operands(self, data, shape, kk, layout_a, layout_b):
+        self._random_case(data, shape, kk, layout_a, layout_b)
 
     @pytest.mark.parametrize("m, n, kk", [
         (16, 16, 511),
@@ -144,6 +164,118 @@ class TestMatmulAgainstOracle:
         a = np.tile([1e16, 1.0, -1e16, 1.0], (m, 1))
         b = np.ones((4, n))
         np.testing.assert_array_equal(self._check(a, b), np.ones((m, n)))
+
+
+class TestNumpyLayoutsAgainstOracle(TestMatmulAgainstOracle):
+    """The same oracle tests with the compiled kernel forced off."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _numpy_layouts(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeric, "_product_kernel", lambda: None)
+            yield
+
+    # Hypothesis needs a test function of this class's own.
+    @given(st.data(), _MATMUL_SHAPES, _MATMUL_K, _LAYOUTS, _LAYOUTS)
+    @settings(max_examples=150, deadline=None)
+    def test_random_operands(self, data, shape, kk, layout_a, layout_b):
+        self._random_case(data, shape, kk, layout_a, layout_b)
+
+
+@pytest.mark.parametrize("backend", ["kernel", "numpy"])
+@pytest.mark.parametrize("m, kk, n", [
+    (36, 36, 3), (1, 36, 4), (36, 4, 1), (1, 3, 1), (3, 36, 36),  # the training step's
+    (17, 16, 20),  # past the accumulate layout: the loop
+    (0, 3, 2), (2, 0, 3),
+])
+def test_fixed_product_matches_oracle(backend, m, kk, n, monkeypatch):
+    if backend == "numpy":
+        monkeypatch.setattr(numeric, "_product_kernel", lambda: None)
+    elif numeric._product_kernel() is None:
+        pytest.skip("the product kernel is not available")
+    product = FixedProduct(m, kk, n)
+    rng = np.random.default_rng(m * 100 + kk)
+    for _ in range(2):  # the second call reuses the buffers
+        a = rng.standard_normal((kk, m)).T  # transposed, like d_logits.T
+        b = rng.standard_normal((kk, n))
+        b[:1] = -0.0
+        assert product(a, b).tobytes() == matmul_oracle(a, b).tobytes()
+
+
+class TestProductKernel:
+    # shapes on both sides of the accumulate threshold, long sums, empty shapes
+    SHAPES = [(36, 36, 3), (16, 16, 16), (17, 16, 576), (1, 1200, 4), (5, 3, 0), (0, 3, 2),
+              (2, 0, 3)]
+
+    @needs_compiler
+    def test_default_backend_is_the_kernel(self):
+        assert numeric._product_kernel() is not None
+
+    @needs_compiler
+    def test_cold_cache_build_is_silent_and_matches_numpy_layouts(self, tmp_path, capfd,
+                                                                  monkeypatch):
+        kernel = _kernel.load(tmp_path)
+        assert capfd.readouterr() == ("", "")
+        assert kernel is not None
+        (built,) = tmp_path.iterdir()  # the module only; the build directory is gone
+        assert built.name.startswith("_vtcompress_kernel_")
+        rng = np.random.default_rng(11)
+        for m, kk, n in self.SHAPES:
+            a = rng.standard_normal((m, kk))
+            a[:, ::3] = -0.0
+            b = np.asfortranarray(rng.standard_normal((kk, n)))
+            out = kernel(a, b, np.empty((m, n)))
+            slab = numeric._accumulate(a, b, np.zeros((m, n, kk + 1)))
+            assert out.tobytes() == slab.tobytes()
+            assert out.tobytes() == numeric._k_loop(a, b, np.empty((m, n))).tobytes()
+
+        def no_build(*args):
+            raise AssertionError("a warm cache must not build")
+
+        monkeypatch.setattr(_kernel, "_build", no_build)
+        assert _kernel.load(tmp_path) is not None
+
+    @needs_compiler
+    def test_failed_build_returns_none_silently_and_once(self, tmp_path, capfd, monkeypatch):
+        assert _kernel.load(tmp_path, source="this is not C") is None
+        assert capfd.readouterr() == ("", "")
+        (log,) = tmp_path.iterdir()  # the build's output; the build directory is gone
+        assert log.name.endswith(".failed.log") and "error" in log.read_text()
+
+        def no_build(*args):
+            raise AssertionError("a failed build must not be retried")
+
+        monkeypatch.setattr(_kernel, "_build", no_build)
+        assert _kernel.load(tmp_path, source="this is not C") is None
+
+    def test_unwritable_cache_returns_none(self, tmp_path, capfd):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert _kernel.load(blocker / "cache") is None
+        assert capfd.readouterr() == ("", "")
+
+    def test_operand_shapes_checked_before_the_call(self):
+        kernel = numeric._product_kernel()
+        if kernel is None:
+            pytest.skip("the product kernel is not available")
+        with pytest.raises(ValueError, match="cannot write"):
+            kernel(np.ones((2, 3)), np.ones((4, 2)), np.empty((2, 2)))
+        with pytest.raises(ValueError, match="cannot write"):
+            kernel(np.ones((2, 3)), np.ones((3, 2)), np.empty((2, 3)))
+
+
+def test_products_only_through_matmul():
+    """No module under src/ forms a product with ``@`` or a numpy product function,
+    whose summation order changes with the BLAS build and its thread count."""
+    banned = {"dot", "einsum", "matmul", "inner", "tensordot", "vdot"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno}: @")
+            elif isinstance(node, ast.Attribute) and node.attr in banned:
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert found == []
 
 
 class TestSoftmax:
