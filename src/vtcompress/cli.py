@@ -329,6 +329,8 @@ def cmd_gradcheck(args) -> int:
         raise ValueError(f"--instances must be >= 1, got {args.instances}")
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise ValueError(f"--tolerance must be a finite number > 0, got {args.tolerance}")
+    if not (math.isfinite(args.margin) and args.margin >= 0):
+        raise ValueError(f"--margin must be a finite number >= 0, got {args.margin}")
     menu = _build_menu(args.menu, args.window)
     checked = []
     skipped = 0

@@ -9,7 +9,9 @@ in ascending k, exactly like the scalar loop ``acc = 0.0; acc += a[i,k]*b[k,j]``
 ``matmul`` has two backends that write the same bits. The first product of a
 process loads a compiled C kernel (:mod:`vtcompress._kernel`), building it
 into the package's ``__pycache__`` if needed; it runs the scalar loop itself
-in the same order, with no fused multiply-add. When the kernel cannot be
+in the same order, with no fused multiply-add. The same compiled module holds
+the selector training step (:class:`vtcompress._kernel.Step`), reached
+through the same loader, :func:`_product_kernel`. When the kernel cannot be
 built or loaded, ``matmul`` silently uses two numpy layouts, picked from the
 output shape alone. A narrow output (``M*N <= 256``) forms all products in an
 ``(M, N, K+1)`` slab whose first k-plane is ``0.0`` and reduces it with
@@ -17,9 +19,8 @@ output shape alone. A narrow output (``M*N <= 256``) forms all products in an
 ``r[k] = r[k-1] + x[k]``, so it is sequential by construction, and the zero
 plane reproduces the loop's ``0.0 + p0`` (a ``-0.0`` product becomes
 ``+0.0``). A wider output keeps one elementwise rank-1 update per k.
-:class:`FixedProduct` runs the same backend for a loop that multiplies
-operands of one shape many times: it keeps its output (and slab) buffers and
-skips the operand checks. Never use
+:class:`FixedProduct` keeps these layouts' buffers for the numpy training
+step, which multiplies operands of one shape many times. Never use
 ``np.sum``, ``np.add.reduce``, ``np.einsum``, ``np.dot`` or ``@`` for a product
 that reaches an output: depending on layout and length they switch to pairwise
 summation or BLAS, whose order varies with the build and thread count.
@@ -107,8 +108,9 @@ def matmul(a, b) -> np.ndarray:
 
 @functools.cache
 def _product_kernel():
-    """The compiled product kernel, loaded on the first product; ``None`` when
-    it cannot be built or loaded, and the numpy layouts run instead."""
+    """The compiled kernel, loaded on the first product or prepared training
+    batch; ``None`` when it cannot be built or loaded, and the numpy layouts
+    and the numpy training step run instead."""
     from . import _kernel
 
     return _kernel.load(Path(__file__).parent / "__pycache__")
@@ -131,29 +133,27 @@ def _k_loop(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class FixedProduct:
-    """:func:`matmul` for an (m, k) by (k, n) product computed many times.
+    """:func:`matmul`'s numpy layouts for an (m, k) by (k, n) product computed many times.
 
-    The backend, and without the kernel the layout, is chosen once as in
-    :func:`matmul`, and the output (and slab) buffers are allocated once, so
-    a call does only the arithmetic and gives the same bits as
-    :func:`matmul`. Operands are not checked: they must be float64 arrays of
-    exactly these shapes (the kernel still checks the shapes it is given). The result is a view of a
-    buffer that the next call overwrites, so copy what must outlive it. An
-    instance holds mutable buffers: do not call one from two threads at once.
+    The layout is chosen once as in :func:`matmul`, and the output (and slab)
+    buffers are allocated once, so a call does only the arithmetic and gives
+    the same bits as :func:`matmul`. The numpy training step uses it when the
+    compiled kernel is not available; the compiled step needs none. Operands
+    are not checked: they must be float64 arrays of exactly these shapes. The
+    result is a view of a buffer that the next call overwrites, so copy what
+    must outlive it. An instance holds mutable buffers: do not call one from
+    two threads at once.
     """
 
     def __init__(self, m: int, k: int, n: int):
-        self._kernel = _product_kernel()
         self._slab = None
-        if self._kernel is None and m * n <= _NARROW_OUTPUT:
+        if m * n <= _NARROW_OUTPUT:
             self._slab = np.zeros((m, n, k + 1))  # plane 0 is never written
             self._out = np.empty_like(self._slab)
         else:
             self._out = np.empty((m, n))
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self._kernel is not None:
-            return self._kernel(a, b, self._out)
         if self._slab is None:
             return _k_loop(a, b, self._out)
         return _accumulate(a, b, self._slab, self._out)

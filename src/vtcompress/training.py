@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import numeric
 from .numeric import FixedProduct, as_tensor, finite_diff_grad, matmul, softmax
 from .vision import (
     ScaleMenu,
@@ -93,7 +94,9 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _imbalance_weights(weights, num_scales: int) -> np.ndarray:
-    w = as_tensor(weights)
+    w = np.ascontiguousarray(weights, dtype=np.float64)
+    if not np.isfinite(w).all():
+        raise ValueError(f"imbalance weights must be finite numbers, got {w.tolist()}")
     if w.shape != (num_scales,):
         raise ValueError(f"need one weight per scale, got shape {w.shape}")
     if np.any(w <= 0):
@@ -101,6 +104,9 @@ def _imbalance_weights(weights, num_scales: int) -> np.ndarray:
     if abs(float(w.sum()) - w.size) > 1e-9:
         raise ValueError(f"imbalance weights must sum to {w.size}, got {float(w.sum())}")
     return w
+
+
+_NO_TOKENS = "no tokens emitted (every region discarded); downstream loss undefined"
 
 
 class NonFiniteLossError(ValueError):
@@ -150,12 +156,13 @@ class PreparedBatch:
     selector parameters then avoid touching the feature maps again.
 
     Every loss and gradient, :func:`train_selector`'s steps included, runs
-    one step function that does only the arithmetic that changes with the
-    parameters. The region index and one :class:`~vtcompress.numeric.FixedProduct`
-    per product of the step are made here; the parameters, ``alpha`` and the
-    imbalance weights are checked once per public call or training run. The
-    product buffers are rewritten by every step, so a batch must not be used
-    by two threads at once.
+    one step that does only the arithmetic that changes with the parameters:
+    the compiled step (:class:`vtcompress._kernel.Step`) when the product
+    kernel loads, otherwise the numpy step, with one
+    :class:`~vtcompress.numeric.FixedProduct` per product. Both give the same
+    bits. The parameters, ``alpha`` and the imbalance weights are checked
+    once per public call or training run. Either step's buffers are rewritten
+    by every step, so a batch must not be used by two threads at once.
     """
 
     menu: ScaleMenu
@@ -165,6 +172,11 @@ class PreparedBatch:
     def __post_init__(self):
         self.sums = np.stack([v.sum(axis=1) for v in self.variants])  # (S, M, C)
         self.counts = np.array(self.menu.token_counts)  # (S,)
+        kernel = numeric._product_kernel()
+        if kernel is not None:
+            self._compiled = kernel.step(self.scores, self.sums, self.counts)
+            return
+        self._compiled = None
         (m, ng), (s, _, c) = self.scores.shape, self.sums.shape
         self._rows = np.arange(m)
         self._logits = FixedProduct(m, ng, s)  # scores @ weight.T
@@ -223,7 +235,16 @@ class PreparedBatch:
         imbalance_weights: np.ndarray | None,
         grad: bool,
     ) -> _Step:
-        """The loss at (weight, bias), and with ``grad`` its gradient, for checked inputs."""
+        """The loss at (weight, bias), and with ``grad`` its gradient, for checked
+        inputs: in the compiled step when the batch has one, else in numpy."""
+        if self._compiled is not None:
+            step = self._compiled_at(weight, bias, downstream, alpha, imbalance_weights)
+            self._raise_for(step.evaluate(grad))
+            f, p = step.f.copy(), step.p.copy()
+            if not grad:
+                return _Step(step.loss, step.down, step.bal, f, p, None, None)
+            return _Step(step.loss, step.down, step.bal, f, p, step.grad_weight,
+                          step.grad_bias.copy())
         logits = self._logits(self.scores, weight.T) + bias
         probs = softmax(logits, axis=-1)
         chosen = logits.argmax(axis=1)  # ties to the coarsest scale, as in route
@@ -235,7 +256,7 @@ class PreparedBatch:
             region_sums = self.sums[chosen, self._rows]  # (M, C)
             total_tokens = int(self.counts[chosen].sum())
             if total_tokens == 0:
-                raise ValueError("no tokens emitted (every region discarded); downstream loss undefined")
+                raise ValueError(_NO_TOKENS)
             weighted_sum = self._weighted_sum(top1[None, :], region_sums)[0]
             diff = weighted_sum / total_tokens - downstream.target
             down = float((diff * diff).mean())
@@ -262,6 +283,24 @@ class PreparedBatch:
 
         grad_weight = self._grad_weight(d_logits.T, self.scores)
         return _Step(down + bal, down, bal, f, p, grad_weight, d_logits.sum(axis=0))
+
+    def _compiled_at(self, weight, bias, downstream, alpha, imbalance_weights):
+        """The compiled step, holding these parameters and this loss."""
+        step = self._compiled
+        step.weight[...] = weight
+        step.bias[...] = bias
+        step.set_loss(None if downstream is None else downstream.target, alpha, imbalance_weights)
+        return step
+
+    def _raise_for(self, status: int) -> None:
+        """Raise what the numpy step raises where the compiled step returned ``status``."""
+        step = self._compiled
+        if status == step.NONFINITE_LOGITS:
+            raise ValueError("softmax input contains non-finite values")  # as numeric.softmax
+        if status == step.NO_TOKENS:
+            raise ValueError(_NO_TOKENS)
+        if status == step.NONFINITE_DOWN:
+            raise NonFiniteLossError(f"downstream loss is {step.down}")
 
     def objective(
         self,
@@ -488,11 +527,21 @@ def train_selector(
     if init_params is None:
         init_params = init_selector_params(len(menu), prepared.num_global_tokens, seed=config.seed)
     weights = prepared._check(init_params, downstream, config.alpha, config.imbalance_weights)
-    weight, bias = init_params.weight, init_params.bias  # updates make new arrays
-
     losses = np.zeros(config.steps)
     f_hist = np.zeros((config.steps, len(menu)))
     p_hist = np.zeros((config.steps, len(menu)))
+    train = _train_numpy if prepared._compiled is None else _train_compiled
+    weight, bias = train(
+        prepared, init_params, config, downstream, weights, (losses, f_hist, p_hist)
+    )
+    params = SelectorParams(weight, bias)  # checks the last update
+    return TrainRun(losses=losses, f_history=f_hist, p_history=p_hist, params=params)
+
+
+def _train_numpy(prepared, params, config, downstream, weights, history):
+    """:func:`train_selector`'s steps through the numpy step; returns the final weight and bias."""
+    losses, f_hist, p_hist = history
+    weight, bias = params.weight, params.bias  # updates make new arrays
     for step in range(config.steps):
         try:
             result = prepared._step(weight, bias, downstream, config.alpha, weights, True)
@@ -511,8 +560,25 @@ def train_selector(
         p_hist[step] = result.p
         weight = weight - config.learning_rate * result.grad_weight
         bias = bias - config.learning_rate * result.grad_bias
-    params = SelectorParams(weight, bias)  # checks the last update
-    return TrainRun(losses=losses, f_history=f_hist, p_history=p_hist, params=params)
+    return weight, bias
+
+
+def _train_compiled(prepared, params, config, downstream, weights, history):
+    """:func:`train_selector`'s steps in the compiled step, which writes the
+    history and updates its own copy of the parameters; raises as
+    :func:`_train_numpy` does and returns the final weight and bias."""
+    step = prepared._compiled_at(params.weight, params.bias, downstream, config.alpha, weights)
+    status, index = step.train(config.learning_rate, *history)
+    if status == step.NONFINITE_LOSS:
+        raise TrainingDiverged(index, step.loss)
+    try:
+        prepared._raise_for(status)
+    except NonFiniteLossError as exc:
+        raise TrainingDiverged(index, float("nan")) from exc
+    except ValueError:
+        SelectorParams(step.weight, step.bias)  # as in _train_numpy
+        raise
+    return step.weight.copy(), step.bias.copy()
 
 
 # Learning rate tuned so 500 plain-GD steps settle the balance dynamics on

@@ -456,6 +456,14 @@ class TestErrorContract:
         assert payload["error"] == "invalid-input"
         assert payload["message"].startswith(f"{name} must be a finite number")
 
+    def test_non_finite_imbalance_weights_named(self, capsys):
+        code, _, err = run(capsys, "train", "--task", "scale-indifferent", "--steps", "2",
+                           "--imbalance", "nan,1,2")
+        assert code == 5
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert payload["message"] == "imbalance weights must be finite numbers, got [nan, 1.0, 2.0]"
+
     def test_target_length_named(self, fixtures, capsys):
         code, _, err = run(capsys, "train", "--map", fixtures["x"], "--global", fixtures["xg"],
                            "--target", "1,2", "--steps", "2")
@@ -470,6 +478,9 @@ class TestErrorContract:
         ("--tolerance", "nan"),
         ("--tolerance", "inf"),
         ("--tolerance", "0"),
+        ("--margin", "nan"),
+        ("--margin", "inf"),
+        ("--margin", "-1"),
     ])
     def test_gradcheck_setting_named(self, flag, value, capsys):
         code, out, err = run(capsys, "gradcheck", flag, value)

@@ -10,7 +10,9 @@ scales, so the routing itself is pinned.
 
 The pipeline runs twice: with the default product backend (the compiled
 kernel, where it builds) and with the kernel forced off, so that the numpy
-layouts must write the same bytes.
+layouts must write the same bytes. It runs twice more in fresh processes,
+with BLAS and OpenMP set to one and to two threads, which must not change
+a byte either.
 
 The expected hashes change only with a deliberate change of output bytes.
 After one, print the new table with ``python tests/test_golden.py`` and
@@ -23,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -35,6 +38,7 @@ from vtcompress import numeric
 from vtcompress.cli import main
 from vtcompress.formats import MAGIC_SELECTOR, read_tensor, write_tensor
 
+ROOT = Path(__file__).resolve().parents[1]
 STRUCTURES = {"uni": "uniform-noise", "blk": "block-structured"}
 TARGET = "0.2,0.3,0.4,0.5,0.6,0.5,0.4,0.3"
 # input files each compress strategy reads
@@ -170,6 +174,27 @@ def test_numpy_layouts_match_golden_hashes(tmp_path, monkeypatch):
     assert changed == []
 
 
+def test_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # one fresh process per thread count: BLAS and OpenMP read it when they load
+    tables = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, __file__, str(out)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        tables.append(json.loads(proc.stdout))
+    assert tables[0] == tables[1] == GOLDEN
+
+
 GOLDEN: dict[str, str] = {
     "blk/k.attn": "952691beb1cea1aa34eb9767dba667a865fcafd2cf1379b73c668c28c508714b",
     "blk/q.attn": "0ef8391b847c2c83cf47620b8fcac4b437972df088de757e58a58fba0a1b9d61",
@@ -245,6 +270,9 @@ GOLDEN: dict[str, str] = {
 
 
 if __name__ == "__main__":
+    if len(sys.argv) > 1:  # run in this directory; print the table as JSON
+        json.dump(run_pipeline(Path(sys.argv[1])), sys.stdout)
+        sys.exit()
     with tempfile.TemporaryDirectory() as tmp:
         table = run_pipeline(Path(tmp))
     sys.stdout.write("GOLDEN: dict[str, str] = {\n")

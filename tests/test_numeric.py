@@ -264,6 +264,53 @@ class TestProductKernel:
             kernel(np.ones((2, 3)), np.ones((3, 2)), np.empty((2, 3)))
 
 
+class TestStepKernel:
+    """The pieces of the compiled training step that numpy does not check by itself;
+    tests/test_training.py compares the whole step with the numpy step."""
+
+    @pytest.fixture
+    def kernel(self):
+        kernel = numeric._product_kernel()
+        if kernel is None:
+            pytest.skip("the product kernel is not available")
+        return kernel
+
+    def test_sum_matches_ndarray_sum(self, kernel):
+        # pairwise below 8, from 8 to 128 and recursive above; signed zeros and cancellation
+        rng = np.random.default_rng(5)
+        for n in range(301):
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+            values[::11] = 1e16
+            values[5::13] = -1e16
+            for a in (values, np.full(n, -0.0), -np.abs(values)):
+                assert np.float64(kernel.sum(a)).tobytes() == a.sum().tobytes(), n
+
+    def test_statuses_match_the_c_enum(self, kernel):
+        for name in ("OK", "NONFINITE_LOGITS", "NO_TOKENS", "NONFINITE_DOWN", "NONFINITE_LOSS"):
+            assert getattr(_kernel.Step, name) == getattr(kernel.lib, "VTC_" + name)
+        for name in ("LOSS", "GRAD", "TRAIN"):
+            assert getattr(_kernel.Step, "_" + name) == getattr(kernel.lib, "VTC_" + name)
+
+    @needs_compiler
+    @pytest.mark.parametrize("mutation", [
+        ("if (n < 8) {", "if (n < 1000) {"),  # every sum sequential
+        ("x[k] = x[k] - lr * g[k];", "x[k] = fma(-lr, g[k], x[k]);"),  # a fused update
+    ], ids=["sequential-sum", "fused-update"])
+    def test_probe_rejects_a_build_with_other_bits(self, mutation, tmp_path, monkeypatch):
+        source = _kernel.SOURCE.replace(*mutation)
+        assert source != _kernel.SOURCE
+        verdicts = []
+
+        def exact(kernel):
+            verdicts.append(real_exact(kernel))
+            return verdicts[-1]
+
+        real_exact = _kernel._exact
+        monkeypatch.setattr(_kernel, "_exact", exact)
+        assert _kernel.load(tmp_path, source=source) is None
+        assert verdicts == [False]  # built and loaded, then rejected by the probe
+
+
 def test_products_only_through_matmul():
     """No module under src/ forms a product with ``@`` or a numpy product function,
     whose summation order changes with the BLAS build and its thread count."""

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vtcompress import numeric, training
 from vtcompress.numeric import matmul, max_pool
 from vtcompress.training import (
     SCALE_INDIFFERENT_LEARNING_RATE,
     BatchDiagnostics,
     MeanTokenTarget,
+    PreparedBatch,
     TrainConfig,
     TrainingDiverged,
     balance_loss,
@@ -18,6 +22,8 @@ from vtcompress.training import (
     train_selector,
 )
 from vtcompress.vision import (
+    ScaleMenu,
+    ScaleSpec,
     SelectorParams,
     compress_training,
     default_menu,
@@ -27,6 +33,21 @@ from vtcompress.vision import (
     routing_stats,
     seven_branch_menu,
 )
+
+
+needs_kernel = pytest.mark.skipif(
+    numeric._product_kernel() is None, reason="the compiled kernel is not available"
+)
+
+
+class NumpyStep:
+    """Mixed into a copy of a test class to run its tests with the compiled
+    kernel forced off, so that every loss, gradient and training step runs the
+    numpy step."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_step(self, monkeypatch):
+        monkeypatch.setattr(numeric, "_product_kernel", lambda: None)
 
 
 def diag(f, p):
@@ -163,6 +184,10 @@ class TestSelectorGrad:
             prepared.objective(forced, downstream=MeanTokenTarget(np.zeros(2)), alpha=0.0)
 
 
+class TestSelectorGradNumpyStep(NumpyStep, TestSelectorGrad):
+    pass
+
+
 class TestTrainer:
     def test_zero_learning_rate_is_a_no_op(self):
         dataset, downstream = make_scale_indifferent_task(0)
@@ -281,6 +306,10 @@ class TestGradientMatchesPerRegionLoop:
         scale = max(np.abs(want_w).max(), np.abs(want_b).max())
         np.testing.assert_allclose(got.grad_weight, want_w, rtol=1e-12, atol=1e-12 * scale)
         np.testing.assert_allclose(got.grad_bias, want_b, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestGradientMatchesPerRegionLoopNumpyStep(NumpyStep, TestGradientMatchesPerRegionLoop):
+    pass
 
 
 def reference_train(dataset, config, menu, downstream, init_params):
@@ -431,3 +460,92 @@ class TestTrainerMatchesReferenceLoop:
         got = outcome(fused_train, *case)
         assert got == outcome(reference, *case)
         assert got == (ValueError, "tensor contains non-finite values")
+
+
+class TestTrainerMatchesReferenceLoopNumpyStep(NumpyStep, TestTrainerMatchesReferenceLoop):
+    pass
+
+
+# Pooling kernels of a 4x4 window, coarsest first (1 to 16 tokens).
+_KERNELS = [(4, 4), (4, 2), (2, 4), (2, 2), (4, 1), (1, 4), (2, 1), (1, 2), (1, 1)]
+
+
+def _batch(menu, scores, variants, compiled):
+    with pytest.MonkeyPatch.context() as mp:
+        if not compiled:
+            mp.setattr(numeric, "_product_kernel", lambda: None)
+        batch = PreparedBatch(menu, scores, variants)
+    assert (batch._compiled is not None) == compiled
+    return batch
+
+
+def _step_outcome(batch, params, downstream, alpha, imbalance, grad):
+    """Every value the step returns as bytes, or the error it raised."""
+    try:
+        weights = batch._check(params, downstream, alpha, imbalance)
+        result = batch._step(params.weight, params.bias, downstream, alpha, weights, grad)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return tuple(np.float64(v).tobytes() if np.ndim(v) == 0 else v.tobytes()
+                 for v in result if v is not None)
+
+
+def _train_outcome(batch, train, params, config, downstream):
+    """The history and final parameters of a run as bytes, or the error it raised."""
+    steps, s = config.steps, params.num_scales
+    history = (np.zeros(steps), np.zeros((steps, s)), np.zeros((steps, s)))
+    try:
+        weights = batch._check(params, downstream, config.alpha, config.imbalance_weights)
+        weight, bias = train(batch, params, config, downstream, weights, history)
+    except (ValueError, TrainingDiverged) as exc:
+        return type(exc), str(exc)
+    return tuple(a.tobytes() for a in (*history, weight, bias))
+
+
+@needs_kernel
+class TestCompiledStepMatchesNumpyStep:
+    """The compiled step gives the numpy step's bits, and raises its errors."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_step_and_training_bit_identical(self, data):
+        m = data.draw(st.sampled_from([1, 36, 144, 576]), label="M")
+        s = data.draw(st.sampled_from([2, 3, 7, 9]), label="S")
+        c = data.draw(st.sampled_from([1, 4, 8, 9, 130]), label="C")
+        ng = data.draw(st.sampled_from([1, 5, 36]), label="Ng")
+        scales = [ScaleSpec(None, discard=True)] if data.draw(st.booleans(), label="discard") else []
+        scales += [ScaleSpec(kernel) for kernel in _KERNELS[: s - len(scales)]]
+        menu = ScaleMenu(4, tuple(scales))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # a weight scale of 1e308 overflows the logits, token values of 1e200 the loss
+        weight_scale = data.draw(st.sampled_from([0.1, 1.0, 30.0, 1e308]), label="weight scale")
+        token_scale = data.draw(st.sampled_from([1.0, 3.0, 1e200]), label="token scale")
+        scores = rng.standard_normal((m, ng)) * 4.0
+        variants = tuple(rng.standard_normal((m, n, c)) * token_scale for n in menu.token_counts)
+        weight = np.clip(rng.standard_normal((s, ng)), -1.0, 1.0) * weight_scale
+        bias = rng.standard_normal(s)
+        if data.draw(st.booleans(), label="tied scales"):  # argmax ties go to the first
+            weight[1], bias[1] = weight[0], bias[0]
+        params = SelectorParams(weight, bias)
+        downstream = None
+        if data.draw(st.booleans(), label="downstream"):
+            downstream = MeanTokenTarget(rng.standard_normal(c))
+        alpha = data.draw(st.sampled_from([0.0, 0.1, 1.7]), label="alpha")
+        imbalance = None
+        if data.draw(st.booleans(), label="imbalance"):
+            w = rng.uniform(0.5, 1.5, s)
+            imbalance = tuple((w * s / w.sum()).tolist())
+
+        compiled = _batch(menu, scores, variants, True)
+        reference = _batch(menu, scores, variants, False)
+        for grad in (False, True):
+            got = _step_outcome(compiled, params, downstream, alpha, imbalance, grad)
+            assert got == _step_outcome(reference, params, downstream, alpha, imbalance, grad)
+
+        learning_rate = data.draw(st.sampled_from([0.0, 0.5, 1e300]), label="learning rate")
+        config = TrainConfig(steps=3, learning_rate=learning_rate, alpha=alpha,
+                             imbalance_weights=imbalance)
+        got = _train_outcome(compiled, training._train_compiled, params, config, downstream)
+        want = _train_outcome(reference, training._train_numpy, params, config, downstream)
+        assert got == want
