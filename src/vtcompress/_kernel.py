@@ -13,8 +13,7 @@ used, so the binary runs on any CPU of the platform it was built for.
 
 The same source holds the selector training step (:class:`Step`): all of
 ``PreparedBatch``'s numpy step but the exponential, under the same rules.
-Its products keep the scalar loop's order (outputs may be computed several
-at a time, never a single sum reordered); its sums over regions run
+Its two products call ``vtc_matmul``; its sums over regions run
 sequentially, as numpy reduces along a non-contiguous axis; and its sums
 along a contiguous row (the softmax denominators, the downstream mean)
 reproduce numpy's pairwise summation, which ``ndarray.sum`` runs there.
@@ -53,7 +52,7 @@ import numpy as np
 # the training history are pointed again, once per call.
 CDEF = r"""
 enum { VTC_LOSS, VTC_GRAD, VTC_TRAIN };
-enum { VTC_OK, VTC_NONFINITE_LOGITS, VTC_NO_TOKENS, VTC_NONFINITE_DOWN, VTC_NONFINITE_LOSS };
+enum { VTC_OK, VTC_EMPTY, VTC_NONFINITE_LOGITS, VTC_NO_TOKENS, VTC_NONFINITE_DOWN, VTC_NONFINITE_LOSS };
 
 typedef struct {
     size_t m, ng, s, c;                      /* regions, global tokens, scales, channels */
@@ -64,7 +63,8 @@ typedef struct {
     double *weight, *bias;                   /* (s, ng), (s,); VTC_TRAIN updates them */
     double *logits_t, *shifted, *e;          /* (s, m) logits; (m, s) minus the row max; exp */
     int64_t *chosen;                         /* (m,) first maximum of each row */
-    double *probs, *top1, *f, *p, *wf, *coeff, *diff, *work, *d_logits;
+    double *probs, *top1, *f, *p, *wf, *coeff, *diff, *work;
+    double *d_logits_t;                      /* (s, m) gradient of the loss by the logits */
     double *grad_weight, *grad_bias;
     double loss, down, bal;
     double *losses, *f_hist, *p_hist;        /* VTC_TRAIN's history, (steps,), (steps, s) */
@@ -137,46 +137,20 @@ void vtc_descend(double *restrict x, const double *restrict g, double lr, size_t
         x[k] = x[k] - lr * g[k];
 }
 
-/* out[x] = 0.0 + b[x] * v[0] + b[ld + x] * v[vs] + ... for x < n: for each
-   output a k-ordered sum over the len rows of b, as vtc_matmul forms it.
-   Eight outputs at a time stay in registers, as independent chains. */
-static void kdot(double *restrict out, const double *restrict b, size_t ld,
-                 const double *restrict v, size_t vs, size_t len, size_t n)
-{
-    size_t x = 0;
-    for (; x + 8 <= n; x += 8) {
-        double acc[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-        for (size_t y = 0; y < len; y++) {
-            const double vy = v[y * vs];
-            const double *restrict row = b + y * ld + x;
-            for (size_t u = 0; u < 8; u++)
-                acc[u] += row[u] * vy;
-        }
-        for (size_t u = 0; u < 8; u++)
-            out[x + u] = acc[u];
-    }
-    for (; x < n; x++) {
-        double acc = 0.0;
-        for (size_t y = 0; y < len; y++)
-            acc += b[y * ld + x] * v[y * vs];
-        out[x] = acc;
-    }
-}
-
-/* Logits scores @ weight.T + bias (ascending k from 0.0, as vtc_matmul, over
-   the transposed scores so that the inner loop runs along the regions), the
-   softmax's finite check, and each row minus its first maximum into shifted,
-   whose index is chosen. Numpy computes e = exp(shifted) before the post call. */
+/* The softmax's checks; the logits weight @ scores.T (the products of
+   scores @ weight.T, in the same order) plus the bias, transposed into
+   shifted; and each row of shifted minus its first maximum, whose index is
+   chosen. Numpy computes e = exp(shifted) before the post call. */
 int vtc_step_pre(vtc_step *t)
 {
     const size_t m = t->m, ng = t->ng, s = t->s;
     double *restrict x = t->shifted;
-    for (size_t j = 0; j < s; j++) {
-        double *restrict lj = t->logits_t + j * m;
-        kdot(lj, t->scores_t, m, t->weight + j * ng, 1, ng, m);
+    if (m * s == 0)
+        return VTC_EMPTY;
+    vtc_matmul(t->weight, t->scores_t, t->logits_t, s, ng, m);
+    for (size_t j = 0; j < s; j++)
         for (size_t i = 0; i < m; i++)
-            x[i * s + j] = lj[i] + t->bias[j];
-    }
+            x[i * s + j] = t->logits_t[j * m + i] + t->bias[j];
     for (size_t i = 0; i < m; i++) {
         double *restrict xi = x + i * s;
         size_t best = 0;
@@ -203,7 +177,7 @@ int vtc_step_post(vtc_step *t, int mode, size_t step)
 {
     const size_t m = t->m, ng = t->ng, s = t->s, c = t->c;
     const double *probs = t->probs;
-    double *f = t->f, *p = t->p, *d = t->d_logits;
+    double *f = t->f, *p = t->p, *d = t->d_logits_t;
 
     for (size_t j = 0; j < s; j++)
         f[j] = p[j] = 0.0;
@@ -274,7 +248,7 @@ int vtc_step_post(vtc_step *t, int mode, size_t step)
                 double jacobian = -probs[i * s + j] * top1;
                 if (j == chosen)
                     jacobian += top1;
-                d[i * s + j] += gp * jacobian;
+                d[j * m + i] += gp * jacobian;
             }
         }
     }
@@ -288,15 +262,15 @@ int vtc_step_post(vtc_step *t, int mode, size_t step)
             for (size_t j = 0; j < s; j++)
                 pc += pi[j] * t->coeff[j];
             for (size_t j = 0; j < s; j++)
-                d[i * s + j] += pi[j] * (t->coeff[j] - pc);
+                d[j * m + i] += pi[j] * (t->coeff[j] - pc);
         }
     }
     double *gw = t->grad_weight, *gb = t->grad_bias;
+    vtc_matmul(d, t->scores, gw, s, m, ng);
     for (size_t j = 0; j < s; j++) {
-        kdot(gw + j * ng, t->scores, ng, d + j, s, m, ng);
         gb[j] = 0.0;
         for (size_t i = 0; i < m; i++)
-            gb[j] += d[i * s + j];
+            gb[j] += d[j * m + i];
     }
     if (mode != VTC_TRAIN)
         return VTC_OK;
@@ -339,7 +313,6 @@ class Kernel:
     ``a`` and ``b`` are 2-d operands in any layout (copied to C-contiguous
     float64 when they are not); ``out`` must be a C-contiguous float64
     ``(m, n)`` array that shares no memory with them. Returns ``out``.
-    :meth:`step` binds the selector training step to one batch.
     """
 
     def __init__(self, module):
@@ -358,18 +331,6 @@ class Kernel:
                       buffer("double[]", out, require_writable=True), m, kk, n)
         return out
 
-    def sum(self, a) -> float:
-        """``ndarray.sum`` of a 1-d array, computed by the step's pairwise sum."""
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        if a.ndim != 1:
-            raise ValueError(f"sum expects a 1-d array, got shape {a.shape}")
-        return self.lib.vtc_sum(self._buffer("double[]", a), a.size)
-
-    def step(self, scores: np.ndarray, sums: np.ndarray, counts: np.ndarray) -> "Step":
-        """The training step of the batch with these (M, Ng) region scores,
-        (S, M, C) per-scale token sums and (S,) per-scale token counts."""
-        return Step(self, scores, sums, counts)
-
 
 class Step:
     """The selector training step of one batch in C, on buffers allocated once.
@@ -380,13 +341,12 @@ class Step:
     call for the rest: the exponential stays in numpy because numpy's ``exp``
     (SIMD on some CPUs) need not give the bits of the C library's. Results
     are read from :attr:`f`, :attr:`p`, :attr:`grad_weight`,
-    :attr:`grad_bias` and the :attr:`loss`, :attr:`down` and :attr:`bal`
-    properties, which the next call overwrites. A step holds mutable
-    buffers: do not use one from two threads at once.
+    :attr:`grad_bias` and :meth:`terms`, which the next call overwrites. A
+    step holds mutable buffers: do not use one from two threads at once.
     """
 
     # The statuses of a run, as CDEF's enum numbers them.
-    OK, NONFINITE_LOGITS, NO_TOKENS, NONFINITE_DOWN, NONFINITE_LOSS = range(5)
+    OK, EMPTY, NONFINITE_LOGITS, NO_TOKENS, NONFINITE_DOWN, NONFINITE_LOSS = range(6)
     _LOSS, _GRAD, _TRAIN = range(3)
 
     def __init__(self, kernel: Kernel, scores: np.ndarray, sums: np.ndarray, counts: np.ndarray):
@@ -405,7 +365,7 @@ class Step:
         self._bind("chosen", np.zeros(m, dtype=np.int64))
         for name, size in (("target", c), ("imbalance", s), ("logits_t", s * m),
                            ("probs", m * s), ("top1", m), ("wf", s), ("coeff", s),
-                           ("diff", c), ("work", c), ("d_logits", m * s)):
+                           ("diff", c), ("work", c), ("d_logits_t", s * m)):
             self._bind(name, np.zeros(size))
         self.weight = self._bind("weight", np.zeros((s, ng)))
         self.bias = self._bind("bias", np.zeros(s))
@@ -435,17 +395,10 @@ class Step:
                 array[...] = values
             setattr(self._t, field, self._ffi.NULL if values is None else pointer)
 
-    @property
-    def loss(self) -> float:
-        return self._t.loss
-
-    @property
-    def down(self) -> float:
-        return self._t.down
-
-    @property
-    def bal(self) -> float:
-        return self._t.bal
+    def terms(self) -> tuple[float, float, float]:
+        """The loss and its downstream and balance terms, as the last run left them."""
+        t = self._t
+        return t.loss, t.down, t.bal
 
     def evaluate(self, grad: bool) -> int:
         """One step at :attr:`weight` and :attr:`bias`, with its gradient if
@@ -566,12 +519,12 @@ def _exact(kernel: Kernel) -> bool:
     scale = np.array([1.0, 1e4, 1e8])[np.arange(300) % 3]
     terms = ((np.arange(300) * 0.618034) % 2.0 - 1.0) * scale
     terms[::37] = 3e15
-    if np.float64(kernel.sum(terms)).tobytes() != terms.sum().tobytes():
+    lib, buffer = kernel.lib, kernel.ffi.from_buffer
+    if np.float64(lib.vtc_sum(buffer("double[]", terms), 300)).tobytes() != terms.sum().tobytes():
         return False
     x, g = np.ones(3), np.full(3, 1.0 + 2.0**-30)
     g[1:] = [0.3, -7.1]
     lr = 1.0 + 2.0**-30
     want = x - lr * g  # the first element differs by 2**-60 when fused
-    kernel.lib.vtc_descend(kernel.ffi.from_buffer("double[]", x, require_writable=True),
-                           kernel.ffi.from_buffer("double[]", g), lr, 3)
+    lib.vtc_descend(buffer("double[]", x, require_writable=True), buffer("double[]", g), lr, 3)
     return x.tobytes() == want.tobytes()

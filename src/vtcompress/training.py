@@ -174,7 +174,9 @@ class PreparedBatch:
         self.counts = np.array(self.menu.token_counts)  # (S,)
         kernel = numeric._product_kernel()
         if kernel is not None:
-            self._compiled = kernel.step(self.scores, self.sums, self.counts)
+            from . import _kernel  # already imported by the loader
+
+            self._compiled = _kernel.Step(kernel, self.scores, self.sums, self.counts)
             return
         self._compiled = None
         (m, ng), (s, _, c) = self.scores.shape, self.sums.shape
@@ -240,11 +242,10 @@ class PreparedBatch:
         if self._compiled is not None:
             step = self._compiled_at(weight, bias, downstream, alpha, imbalance_weights)
             self._raise_for(step.evaluate(grad))
-            f, p = step.f.copy(), step.p.copy()
+            terms, f, p = step.terms(), step.f.copy(), step.p.copy()
             if not grad:
-                return _Step(step.loss, step.down, step.bal, f, p, None, None)
-            return _Step(step.loss, step.down, step.bal, f, p, step.grad_weight,
-                          step.grad_bias.copy())
+                return _Step(*terms, f, p, None, None)
+            return _Step(*terms, f, p, step.grad_weight, step.grad_bias.copy())
         logits = self._logits(self.scores, weight.T) + bias
         probs = softmax(logits, axis=-1)
         chosen = logits.argmax(axis=1)  # ties to the coarsest scale, as in route
@@ -295,12 +296,14 @@ class PreparedBatch:
     def _raise_for(self, status: int) -> None:
         """Raise what the numpy step raises where the compiled step returned ``status``."""
         step = self._compiled
+        if status == step.EMPTY:
+            raise ValueError("softmax of an empty input")  # as numeric.softmax
         if status == step.NONFINITE_LOGITS:
             raise ValueError("softmax input contains non-finite values")  # as numeric.softmax
         if status == step.NO_TOKENS:
             raise ValueError(_NO_TOKENS)
         if status == step.NONFINITE_DOWN:
-            raise NonFiniteLossError(f"downstream loss is {step.down}")
+            raise NonFiniteLossError(f"downstream loss is {step.terms()[1]}")
 
     def objective(
         self,
@@ -570,7 +573,7 @@ def _train_compiled(prepared, params, config, downstream, weights, history):
     step = prepared._compiled_at(params.weight, params.bias, downstream, config.alpha, weights)
     status, index = step.train(config.learning_rate, *history)
     if status == step.NONFINITE_LOSS:
-        raise TrainingDiverged(index, step.loss)
+        raise TrainingDiverged(index, step.terms()[0])
     try:
         prepared._raise_for(status)
     except NonFiniteLossError as exc:

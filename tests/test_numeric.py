@@ -189,9 +189,13 @@ class TestNumpyLayoutsAgainstOracle(TestMatmulAgainstOracle):
     (0, 3, 2), (2, 0, 3),
 ])
 def test_fixed_product_matches_oracle(backend, m, kk, n, monkeypatch):
+    """The numpy step's products and, under ``kernel``, the compiled kernel's
+    product of the same operands."""
+    kernel = numeric._product_kernel()
     if backend == "numpy":
         monkeypatch.setattr(numeric, "_product_kernel", lambda: None)
-    elif numeric._product_kernel() is None:
+        kernel = None
+    elif kernel is None:
         pytest.skip("the product kernel is not available")
     product = FixedProduct(m, kk, n)
     rng = np.random.default_rng(m * 100 + kk)
@@ -200,6 +204,8 @@ def test_fixed_product_matches_oracle(backend, m, kk, n, monkeypatch):
         b = rng.standard_normal((kk, n))
         b[:1] = -0.0
         assert product(a, b).tobytes() == matmul_oracle(a, b).tobytes()
+        if kernel is not None:
+            assert kernel(a, b, np.empty((m, n))).tobytes() == matmul_oracle(a, b).tobytes()
 
 
 class TestProductKernel:
@@ -283,10 +289,12 @@ class TestStepKernel:
             values[::11] = 1e16
             values[5::13] = -1e16
             for a in (values, np.full(n, -0.0), -np.abs(values)):
-                assert np.float64(kernel.sum(a)).tobytes() == a.sum().tobytes(), n
+                got = kernel.lib.vtc_sum(kernel.ffi.from_buffer("double[]", a), n)
+                assert np.float64(got).tobytes() == a.sum().tobytes(), n
 
     def test_statuses_match_the_c_enum(self, kernel):
-        for name in ("OK", "NONFINITE_LOGITS", "NO_TOKENS", "NONFINITE_DOWN", "NONFINITE_LOSS"):
+        for name in ("OK", "EMPTY", "NONFINITE_LOGITS", "NO_TOKENS", "NONFINITE_DOWN",
+                     "NONFINITE_LOSS"):
             assert getattr(_kernel.Step, name) == getattr(kernel.lib, "VTC_" + name)
         for name in ("LOSS", "GRAD", "TRAIN"):
             assert getattr(_kernel.Step, "_" + name) == getattr(kernel.lib, "VTC_" + name)

@@ -183,6 +183,17 @@ class TestSelectorGrad:
         with pytest.raises(ValueError, match="discarded"):
             prepared.objective(forced, downstream=MeanTokenTarget(np.zeros(2)), alpha=0.0)
 
+    def test_empty_batch_rejected(self):
+        # prepare_batch cannot make a batch without regions, but PreparedBatch can
+        menu = default_menu(4)
+        variants = tuple(np.zeros((0, n, 2)) for n in menu.token_counts)
+        prepared = PreparedBatch(menu, np.zeros((0, 3)), variants)
+        params = init_selector_params(3, 3, seed=0)
+        for downstream in (None, MeanTokenTarget(np.zeros(2))):
+            for call in (prepared.objective, prepared.gradient):
+                with pytest.raises(ValueError, match="^softmax of an empty input$"):
+                    call(params, downstream=downstream)
+
 
 class TestSelectorGradNumpyStep(NumpyStep, TestSelectorGrad):
     pass
@@ -510,7 +521,7 @@ class TestCompiledStepMatchesNumpyStep:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_step_and_training_bit_identical(self, data):
-        m = data.draw(st.sampled_from([1, 36, 144, 576]), label="M")
+        m = data.draw(st.sampled_from([0, 1, 36, 144, 576]), label="M")
         s = data.draw(st.sampled_from([2, 3, 7, 9]), label="S")
         c = data.draw(st.sampled_from([1, 4, 8, 9, 130]), label="C")
         ng = data.draw(st.sampled_from([1, 5, 36]), label="Ng")
