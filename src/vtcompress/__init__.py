@@ -14,91 +14,69 @@ imbalance auxiliary losses, analytic gradients, a small gradient-descent
 trainer), a similarity-based heuristic baseline, token-budget accounting,
 a bit-exact tensor file format with synthetic fixture generation, and a CLI
 (``vtcompress gen|compress|train|gradcheck|evolution|report``).
+
+The top level exports the names that the demos and the README use; every
+other name is imported from its submodule (``vtcompress.vision``,
+``vtcompress.training``, ...), each of which lists its own ``__all__``.
 """
 
 from __future__ import annotations
 
-from .formats import (
-    MAGIC_ATTENTION,
-    MAGIC_FEATURE_MAP,
-    MAGIC_SELECTOR,
-    BadMagicError,
-    DimsMismatchError,
-    NonFiniteDataError,
-    SyntheticConfig,
-    TensorFileError,
-    TruncatedPayloadError,
-    UnsupportedVersionError,
-    export_heatmap,
-    gen_synthetic,
-    read_tensor,
-    write_tensor,
-)
+from .formats import SyntheticConfig, export_heatmap, gen_synthetic, read_tensor
 from .heuristic import heuristic_importance, heuristic_topk
-from .numeric import (
-    as_tensor,
-    finite_diff_grad,
-    matmul,
-    max_pool,
-    softmax,
-    stable_sort_desc,
-)
-from .report import (
-    build_report,
-    effective_token_count,
-    mean_selection_probs,
-    report_to_json,
-    scale_histogram,
-)
+from .report import build_report, effective_token_count, report_to_json, scale_histogram
 from .textsampler import (
-    SelectionResult,
     StochasticConfig,
     StochasticDraws,
     attention_scores,
     cumulative_topk,
-    draw_stochastic_config,
     importance,
     per_layer_importance,
 )
 from .training import (
     SCALE_INDIFFERENT_LEARNING_RATE,
-    BatchDiagnostics,
-    GradCheck,
-    MeanTokenTarget,
-    NonFiniteLossError,
-    PreparedBatch,
-    SelectorGradients,
     TrainConfig,
-    TrainingDiverged,
-    TrainRun,
-    balance_loss,
-    gradient_check,
-    imbalance_loss,
     make_scale_indifferent_task,
-    prepare_batch,
-    random_gradcheck_instance,
-    selector_grad,
     train_selector,
 )
 from .vision import (
-    RegionSelection,
-    ScaleMenu,
-    ScaleSpec,
-    SelectorParams,
-    choose_scale,
     compress_inference,
-    compress_training,
     default_menu,
     flatten_grid,
     init_selector_params,
-    params_from_array,
-    params_to_array,
     partition,
-    retain_discard_menu,
     selection_heatmap,
-    selector_logits,
-    selector_score,
     seven_branch_menu,
 )
+
+__all__ = [
+    "SyntheticConfig",
+    "export_heatmap",
+    "gen_synthetic",
+    "read_tensor",
+    "heuristic_importance",
+    "heuristic_topk",
+    "build_report",
+    "effective_token_count",
+    "report_to_json",
+    "scale_histogram",
+    "StochasticConfig",
+    "StochasticDraws",
+    "attention_scores",
+    "cumulative_topk",
+    "importance",
+    "per_layer_importance",
+    "SCALE_INDIFFERENT_LEARNING_RATE",
+    "TrainConfig",
+    "make_scale_indifferent_task",
+    "train_selector",
+    "compress_inference",
+    "default_menu",
+    "flatten_grid",
+    "init_selector_params",
+    "partition",
+    "selection_heatmap",
+    "seven_branch_menu",
+]
 
 __version__ = "0.1.0"

@@ -401,8 +401,11 @@ def cmd_evolution(args) -> int:
 
 
 def _require_report_int(name: str, value) -> None:
+    """Raise unless ``value`` is an integer that a float can hold: the accounting divides."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"report {name} must be an integer, got {value!r}")
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"report {name} is too large for a float")
 
 
 def cmd_report(args) -> int:
@@ -419,7 +422,7 @@ def cmd_report(args) -> int:
         _require_report_int(key, report[key])
     effective = report["effectiveTokens"]
     if isinstance(effective, bool) or not isinstance(effective, (int, float)) \
-            or not math.isfinite(effective):
+            or not abs(effective) <= sys.float_info.max:  # also rejects nan and over-large ints
         raise ValueError(f"report effectiveTokens must be a finite number, got {effective!r}")
     total_layers = args.total_layers if args.total_layers is not None else report["totalLayers"]
     text = report.get("textSelection")

@@ -140,10 +140,9 @@ def read_tensor(path) -> tuple[np.ndarray, str]:
     if len(raw) > expected:
         raise TensorFileError(f"{len(raw) - expected} trailing bytes after payload")
     values = np.frombuffer(raw, dtype="<f4", count=count, offset=dims_end)
-    arr = values.astype(np.float64).reshape(dims)
-    if not np.isfinite(arr).all():
+    if not np.isfinite(values).all():  # before the cast, which warns on a signaling NaN
         raise NonFiniteDataError("payload contains non-finite values")
-    return arr, magic
+    return values.astype(np.float64).reshape(dims), magic
 
 
 def export_heatmap(values, fmt: str, path) -> None:

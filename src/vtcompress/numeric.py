@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -45,23 +45,9 @@ __all__ = [
 ]
 
 
-def as_tensor(values, dims: Sequence[int] | None = None) -> np.ndarray:
-    """Return ``values`` as a C-contiguous float64 array, rejecting non-finite data.
-
-    If ``dims`` is given the data is reshaped to it; the element count must
-    match exactly.
-    """
+def as_tensor(values) -> np.ndarray:
+    """Return ``values`` as a C-contiguous float64 array, rejecting non-finite data."""
     arr = np.ascontiguousarray(values, dtype=np.float64)
-    if dims is not None:
-        dims = tuple(int(d) for d in dims)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"dims must be positive, got {dims}")
-        expected = 1
-        for d in dims:
-            expected *= d
-        if arr.size != expected:
-            raise ValueError(f"data length {arr.size} does not match dims {dims}")
-        arr = arr.reshape(dims)
     if arr.size and not np.isfinite(arr).all():
         raise ValueError("tensor contains non-finite values")
     return arr

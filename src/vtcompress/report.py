@@ -19,7 +19,6 @@ from .vision import RegionSelection, ScaleMenu, routing_stats
 __all__ = [
     "effective_token_count",
     "scale_histogram",
-    "mean_selection_probs",
     "build_report",
     "report_to_json",
 ]
@@ -49,11 +48,6 @@ def _stacked(selections: Sequence[RegionSelection]) -> tuple[np.ndarray, np.ndar
 def scale_histogram(selections: Sequence[RegionSelection]) -> np.ndarray:
     """Empirical selection frequency per scale: f_i = count(scale == i) / M."""
     return routing_stats(*_stacked(selections))[0]
-
-
-def mean_selection_probs(selections: Sequence[RegionSelection]) -> np.ndarray:
-    """Mean softmax probability per scale over all regions."""
-    return routing_stats(*_stacked(selections))[1]
 
 
 def _float_list(arr) -> list[float]:

@@ -24,7 +24,6 @@ __all__ = [
     "cumulative_topk",
     "StochasticConfig",
     "StochasticDraws",
-    "draw_stochastic_config",
 ]
 
 
@@ -140,8 +139,3 @@ class StochasticDraws:
         layer = int(self._rng.integers(lo, hi + 1))
         gamma = glo if glo == ghi else float(self._rng.uniform(glo, ghi))
         return layer, gamma
-
-
-def draw_stochastic_config(config: StochasticConfig) -> tuple[int, float]:
-    """First draw of a fresh seeded stream (use :class:`StochasticDraws` for sequences)."""
-    return StochasticDraws(config).draw()

@@ -25,7 +25,6 @@ from .vision import (
     SelectorParams,
     check_selector,
     default_menu,
-    emit_tokens,
     flatten_grid,
     init_selector_params,
     params_to_array,
@@ -45,7 +44,6 @@ __all__ = [
     "PreparedBatch",
     "prepare_batch",
     "SelectorGradients",
-    "selector_grad",
     "GradCheck",
     "gradient_check",
     "random_gradcheck_instance",
@@ -205,12 +203,6 @@ class PreparedBatch:
         logits, _, _ = route(self.scores, params, self.menu)
         ordered = np.sort(logits, axis=1)
         return float(np.min(ordered[:, -1] - ordered[:, -2]))
-
-    def weighted_tokens(self, params: SelectorParams) -> np.ndarray:
-        """Training-path emitted tokens; matches vision.compress_training bit for bit."""
-        _, probs, chosen = route(self.scores, params, self.menu)
-        top1 = probs[np.arange(chosen.size), chosen]
-        return emit_tokens(self.variants, chosen) * np.repeat(top1, self.counts[chosen])[:, None]
 
     def _check(
         self, params: SelectorParams, downstream: MeanTokenTarget | None, alpha: float,
@@ -374,22 +366,6 @@ class SelectorGradients:
     grad_bias: np.ndarray
 
 
-def selector_grad(
-    dataset,
-    params: SelectorParams,
-    menu: ScaleMenu,
-    *,
-    downstream: MeanTokenTarget | None = None,
-    alpha: float = 0.1,
-    imbalance_weights=None,
-    pool: str = "mean",
-) -> SelectorGradients:
-    """Analytic selector gradient over a dataset of (feature map, global tokens) pairs."""
-    return prepare_batch(dataset, menu, pool).gradient(
-        params, downstream=downstream, alpha=alpha, imbalance_weights=imbalance_weights
-    )
-
-
 @dataclass
 class GradCheck:
     """Analytic-vs-numeric comparison for one instance."""
@@ -398,9 +374,6 @@ class GradCheck:
     margin: float
     analytic: np.ndarray
     numeric: np.ndarray
-
-    def passed(self, tolerance: float = 1e-4) -> bool:
-        return self.rel_error <= tolerance
 
 
 def gradient_check(

@@ -11,7 +11,7 @@ probability so the selector parameters stay on the gradient path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,16 +37,12 @@ __all__ = [
     "scale_variants",
     "emit_tokens",
     "routing_stats",
-    "selector_score",
-    "selector_logits",
     "choose_scale",
     "compress_inference",
     "compress_training",
     "upsample_regions",
     "selection_heatmap",
 ]
-
-POOL_MODES = ("mean", "max")
 
 
 @dataclass(frozen=True)
@@ -209,11 +205,11 @@ def flatten_grid(grid) -> np.ndarray:
 def partition(feature_map, window: int) -> np.ndarray:
     """Split an (H, W, C) map into its (H/w)*(W/w) regions: an (M, w, w, C) array, row-major.
 
-    Non-divisible dimensions are an error; inputs are never padded.
+    Empty or non-divisible dimensions are an error; inputs are never padded.
     """
     fm = as_tensor(feature_map)
-    if fm.ndim != 3:
-        raise ValueError(f"expected an (H, W, C) map, got shape {fm.shape}")
+    if fm.ndim != 3 or 0 in fm.shape:
+        raise ValueError(f"expected a non-empty (H, W, C) map, got shape {fm.shape}")
     h, w, c = fm.shape
     if window < 1 or h % window != 0 or w % window != 0:
         raise ValueError(f"window {window} does not divide map {h}x{w}")
@@ -291,26 +287,6 @@ def routing_stats(chosen: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np
     """Per-scale selection frequency f_i = count(chosen == i) / M and mean probability P_i."""
     m, s = probs.shape
     return np.bincount(chosen, minlength=s) / m, probs.sum(axis=0) / m  # the bits of mean(axis=0)
-
-
-def selector_score(block, global_tokens, pool: str = "mean") -> np.ndarray:
-    """Correlation of one (w, w, C) region with every global token; see :func:`region_scores`."""
-    b = as_tensor(block)
-    if b.ndim != 3:
-        raise ValueError(f"block must be (w, w, C), got shape {b.shape}")
-    return region_scores(b[None], as_tensor(global_tokens), pool)[0]
-
-
-def selector_logits(score, params: SelectorParams) -> np.ndarray:
-    """Affine map from score vector to per-scale logits: weight @ score + bias."""
-    s = as_tensor(score)
-    if s.ndim != 1:
-        raise ValueError("score must be a vector")
-    if s.shape[0] != params.num_global_tokens:
-        raise ValueError(
-            f"score length {s.shape[0]} does not match weight columns {params.num_global_tokens}"
-        )
-    return matmul(params.weight, s[:, None])[:, 0] + params.bias
 
 
 def choose_scale(logits) -> tuple[int, np.ndarray]:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vtcompress.cli import _train_log, main
 from vtcompress.formats import MAGIC_FEATURE_MAP, MAGIC_SELECTOR, read_tensor, write_tensor
@@ -514,6 +516,21 @@ class TestErrorContract:
         assert payload["error"] == "invalid-input"
         assert path[-1] in payload["message"]
 
+    @pytest.mark.parametrize("key", ["inputTokens", "afterVision", "effectiveTokens"])
+    def test_report_integer_too_large_for_a_float(self, key, fixtures, tmp_path, capsys):
+        report = self._text_report(fixtures, tmp_path, capsys)
+        assert report["textSelection"] is not None  # afterVision reaches the accounting
+        report[key] = 10**400
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(report))
+        code, out, err = run(capsys, "report", "--in", str(broken))
+        assert code == 5
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert key in payload["message"]
+
     @pytest.mark.parametrize("overrides", [
         {"steps": 2.5},
         {"steps": [1]},
@@ -561,3 +578,80 @@ class TestErrorContract:
             main(["compress", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: vtcompress compress")
+
+
+# Integers that no float holds; the token accounting must refuse them.
+HUGE = st.sampled_from([2**1024, -(2**1024), 10**400])
+# Strings hold no "/", so a fuzzed output path stays in the working directory.
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | HUGE | st.floats()
+                | st.text(st.characters(blacklist_characters="/"), max_size=8))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+# Integers half the time, so that whole reports often reach the token accounting.
+COUNTS = st.integers(-2, 600) | st.integers(0, 10**6) | HUGE | JSON_SCALARS
+REPORTS = st.fixed_dictionaries(
+    {
+        "reportVersion": st.just(1),
+        "inputTokens": COUNTS,
+        "afterVision": COUNTS,
+        "totalLayers": COUNTS,
+        "effectiveTokens": COUNTS,
+    },
+    optional={
+        "textSelection": st.none() | JSON_VALUES
+        | st.fixed_dictionaries({"k": COUNTS, "layer": COUNTS}),
+    },
+)
+COMPRESS_KEYS = st.sampled_from([
+    "strategy", "window", "menu", "pool", "gamma", "layer", "total-layers", "keep_fraction",
+    "seed", "out", "heatmap-prefix", "params", "q", "k", "global", "map",
+])
+CONFIGS = st.dictionaries(
+    COMPRESS_KEYS | st.text(max_size=8),
+    JSON_VALUES | st.integers(-2, 40) | st.floats(0.0, 1.0)
+    | st.sampled_from(["vision", "text", "both", "heuristic", "7branch", "max", "-"]),
+    max_size=4,
+) | JSON_VALUES
+LAYER_FLAGS = st.none() | st.integers(-2, 40) | HUGE
+
+
+def assert_contract(code, out, err):
+    """Success writes nothing to stderr; a failure exits 2-7 with one JSON line there."""
+    if code == 0:
+        assert err == ""
+    else:
+        assert 2 <= code <= 7, (code, err)
+        assert len(err.splitlines()) == 1, err
+        assert set(json.loads(err)) == {"error", "message"}
+
+
+class TestFuzzedInputs:
+    """Random JSON reports and config files end in the error contract, never a traceback."""
+
+    @given(report=REPORTS | JSON_VALUES, layer=LAYER_FLAGS, total_layers=LAYER_FLAGS)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_report_in(self, report, layer, total_layers, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        flags = []
+        for flag, value in (("--layer", layer), ("--total-layers", total_layers)):
+            if value is not None:
+                flags += [flag, str(value)]
+        assert_contract(*run(capsys, "report", "--in", str(path), *flags))
+
+    @given(config=CONFIGS)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_config(self, config, fixtures, tmp_path, capsys, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir(exist_ok=True)
+        monkeypatch.chdir(work)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert_contract(*run(capsys, "--config", str(path), "compress", "--map", fixtures["x"],
+                             "--global", fixtures["xg"], "--q", fixtures["q"]))

@@ -1,8 +1,9 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vtcompress.formats import (
@@ -87,7 +88,39 @@ class TestRoundTrip:
             np.testing.assert_array_equal(back, t)
 
 
+@st.composite
+def tensor_file_bytes(draw):
+    """A valid magic and version, then a dim list and a payload that are mostly
+    well formed: a dim count the magic allows, dims >= 1 and a payload of the
+    right length, either random bytes or f32 values (non-finite ones too)."""
+    magic, allowed = draw(st.sampled_from([(b"FMAP", 3), (b"ATTN", 3), (b"ATTN", 4), (b"SELW", 2)]))
+    ndims = draw(st.sampled_from([allowed] * 3 + [0, 1, 5, 2**32 - 1]))
+    dims = draw(st.lists(st.sampled_from([1, 2, 3] * 3 + [0]),
+                         min_size=min(ndims, 5), max_size=min(ndims, 5)))
+    n = 4 * int(np.prod(dims))
+    size = max(draw(st.sampled_from([n] * 3 + [n - 1, n + 4, 0])), 0)
+    payload = draw(
+        st.binary(min_size=size, max_size=size)
+        | st.lists(st.floats(width=32), min_size=size // 4, max_size=size // 4).map(
+            lambda values: struct.pack(f"<{len(values)}f", *values))
+    )
+    return struct.pack("<4sII", magic, 1, ndims) + struct.pack(f"<{len(dims)}I", *dims) + payload
+
+
 class TestMalformedFiles:
+    @given(raw=st.binary(max_size=64) | tensor_file_bytes())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_bytes_raise_only_tensor_file_errors(self, raw, tmp_path):
+        path = tmp_path / "fuzz.bin"
+        path.write_bytes(raw)
+        try:
+            tensor, magic = read_tensor(path)
+        except TensorFileError:
+            return
+        assert magic in (MAGIC_FEATURE_MAP, MAGIC_ATTENTION, MAGIC_SELECTOR)
+        assert np.isfinite(tensor).all()
+
     def _valid_bytes(self):
         import io
 
@@ -155,6 +188,19 @@ class TestMalformedFiles:
         path.write_bytes(raw)
         with pytest.raises(NonFiniteDataError):
             read_tensor(path)
+
+    def test_signaling_nan_payload_rejected_without_a_warning(self, tmp_path):
+        raw = (
+            struct.pack("<4sII", b"SELW", 1, 2)
+            + struct.pack("<2I", 1, 2)
+            + struct.pack("<2I", 0x7F800001, 0)  # a signaling NaN, then 0.0
+        )
+        path = tmp_path / "snan"
+        path.write_bytes(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would add a line to the CLI's stderr
+            with pytest.raises(NonFiniteDataError):
+                read_tensor(path)
 
     def test_write_rejects_wrong_dim_count(self, tmp_path):
         with pytest.raises(DimsMismatchError):

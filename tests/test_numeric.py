@@ -44,19 +44,6 @@ def matmul_oracle(a, b):
 
 
 class TestAsTensor:
-    def test_reshapes_and_validates_length(self):
-        t = as_tensor([1.0, 2.0, 3.0, 4.0], dims=(2, 2))
-        assert t.shape == (2, 2)
-        assert t.dtype == np.float64
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            as_tensor([1.0, 2.0, 3.0], dims=(2, 2))
-
-    def test_nonpositive_dims_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            as_tensor([], dims=(0, 2))
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):

@@ -7,7 +7,6 @@ from vtcompress.numeric import softmax
 from vtcompress.report import (
     build_report,
     effective_token_count,
-    mean_selection_probs,
     report_to_json,
     scale_histogram,
 )

@@ -7,7 +7,6 @@ from vtcompress.textsampler import (
     StochasticDraws,
     attention_scores,
     cumulative_topk,
-    draw_stochastic_config,
     importance,
     per_layer_importance,
 )
@@ -213,7 +212,7 @@ class TestPerLayerImportance:
 class TestStochasticDraws:
     def test_degenerate_ranges(self):
         cfg = StochasticConfig(layer_range=(8, 8), gamma_range=(0.85, 0.85))
-        assert draw_stochastic_config(cfg) == (8, 0.85)
+        assert StochasticDraws(cfg).draw() == (8, 0.85)
 
     def test_draws_cover_range_and_stay_inside(self):
         cfg = StochasticConfig(layer_range=(8, 24), gamma_range=(0.7, 1.0), seed=3)

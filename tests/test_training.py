@@ -18,7 +18,6 @@ from vtcompress.training import (
     make_scale_indifferent_task,
     prepare_batch,
     random_gradcheck_instance,
-    selector_grad,
     train_selector,
 )
 from vtcompress.vision import (
@@ -114,7 +113,7 @@ class TestSelectorGrad:
     def test_no_loss_terms_give_zero_gradient(self):
         dataset, params, _ = random_gradcheck_instance(3)
         menu = default_menu(4)
-        result = selector_grad(dataset, params, menu, downstream=None, alpha=0.0)
+        result = prepare_batch(dataset, menu).gradient(params, downstream=None, alpha=0.0)
         np.testing.assert_array_equal(result.grad_weight, 0.0)
         np.testing.assert_array_equal(result.grad_bias, 0.0)
         assert result.loss == 0.0
@@ -148,16 +147,6 @@ class TestSelectorGrad:
         assert chk.margin > 1e-3
         assert chk.rel_error <= 1e-4
 
-    def test_forward_matches_compress_training_bit_exactly(self):
-        rng = np.random.default_rng(5)
-        fm = rng.random((8, 8, 3))
-        g = rng.random((6, 3))
-        menu = default_menu(4)
-        params = init_selector_params(3, 6, seed=9)
-        prepared = prepare_batch([(fm, g)], menu)
-        expected, _ = compress_training(fm, g, params, menu)
-        np.testing.assert_array_equal(prepared.weighted_tokens(params), expected)
-
     def test_objective_downstream_equals_public_loss_statement(self):
         rng = np.random.default_rng(13)
         fm = rng.random((8, 8, 3))
@@ -167,7 +156,7 @@ class TestSelectorGrad:
         target = MeanTokenTarget(rng.random(3))
         prepared = prepare_batch([(fm, g)], menu)
         internal = prepared.objective(params, downstream=target, alpha=0.0)
-        public = target.loss(prepared.weighted_tokens(params))
+        public = target.loss(compress_training(fm, g, params, menu)[0])
         assert internal == pytest.approx(public, abs=1e-12)
 
     def test_all_discarded_downstream_rejected(self):

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from vtcompress.numeric import matmul, max_pool, softmax
+from vtcompress.training import prepare_batch
 from vtcompress.vision import (
     RegionSelection,
     ScaleMenu,
@@ -16,12 +19,22 @@ from vtcompress.vision import (
     params_from_array,
     params_to_array,
     partition,
+    region_scores,
     retain_discard_menu,
     selection_heatmap,
-    selector_logits,
-    selector_score,
     seven_branch_menu,
 )
+
+
+def selector_score(block, global_tokens, pool="mean"):
+    """Correlation of one (w, w, C) region with every global token, through the routing core."""
+    block = np.asarray(block, dtype=np.float64)
+    return region_scores(block[None], np.asarray(global_tokens, dtype=np.float64), pool)[0]
+
+
+def selector_logits(score, params):
+    """One region's per-scale logits, weight @ score + bias, as one k-ordered product."""
+    return matmul(params.weight, np.asarray(score, dtype=np.float64)[:, None])[:, 0] + params.bias
 
 
 def forcing_params(menu, index, num_global_tokens):
@@ -115,6 +128,16 @@ class TestPartition:
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError, match="does not divide"):
             partition(np.zeros((9, 8, 1)), 4)
+
+    @pytest.mark.parametrize("shape", [(0, 0, 2), (0, 4, 2), (4, 0, 2), (4, 4, 0)])
+    @pytest.mark.parametrize("entry", ["compress_inference", "prepare_batch"])
+    def test_empty_map_rejected_with_its_shape(self, entry, shape):
+        fm, g, menu = np.zeros(shape), np.ones((3, shape[2])), default_menu(4)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            if entry == "compress_inference":
+                compress_inference(fm, g, init_selector_params(len(menu), 3), menu)
+            else:
+                prepare_batch([(fm, g)], menu)
 
 
 class TestSelectorScore:
