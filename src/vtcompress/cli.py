@@ -425,6 +425,8 @@ def cmd_report(args) -> int:
             or not abs(effective) <= sys.float_info.max:  # also rejects nan and over-large ints
         raise ValueError(f"report effectiveTokens must be a finite number, got {effective!r}")
     total_layers = args.total_layers if args.total_layers is not None else report["totalLayers"]
+    if total_layers < 1:
+        raise ValueError(f"totalLayers must be >= 1, got {total_layers}")
     text = report.get("textSelection")
     if text is not None:
         if not isinstance(text, dict) or not {"k", "layer"} <= text.keys():
@@ -438,9 +440,13 @@ def cmd_report(args) -> int:
         text["layer"] = layer
     elif args.layer is not None:
         raise ValueError("report has no text selection; --layer does not apply")
+    if report["effectiveTokens"] > report["inputTokens"]:
+        raise ValueError("effective token count exceeds the input token count")  # as build_report
     report["totalLayers"] = total_layers
     if report["inputTokens"]:
         report["effectivePercent"] = 100.0 * report["effectiveTokens"] / report["inputTokens"]
+        if not math.isfinite(report["effectivePercent"]):
+            raise ValueError("effectivePercent overflows a float: the token counts are too large")
     _emit(report, args.out)
     return 0
 

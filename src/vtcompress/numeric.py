@@ -2,9 +2,10 @@
 
 All functions are pure and use deterministic accumulation orders, so repeated
 runs on the same inputs are bit-identical. Performance is deliberately traded
-for reproducibility: every matrix product on an output path goes through
-``matmul``, which adds the K products of each output element one after another
-in ascending k, exactly like the scalar loop ``acc = 0.0; acc += a[i,k]*b[k,j]``.
+for reproducibility: every matrix product on an output path, the numpy
+training step's included, goes through ``matmul``, which adds the K products
+of each output element one after another in ascending k, exactly like the
+scalar loop ``acc = 0.0; acc += a[i,k]*b[k,j]``.
 
 ``matmul`` has two backends that write the same bits. The first product of a
 process loads a compiled C kernel (:mod:`vtcompress._kernel`), building it
@@ -13,17 +14,10 @@ in the same order, with no fused multiply-add. The same compiled module holds
 the selector training step (:class:`vtcompress._kernel.Step`), reached
 through the same loader, :func:`_product_kernel`. When the kernel cannot be
 built or loaded, ``matmul`` silently uses two numpy layouts, picked from the
-output shape alone. A narrow output (``M*N <= 256``) forms all products in an
-``(M, N, K+1)`` slab whose first k-plane is ``0.0`` and reduces it with
-``np.add.accumulate`` along k. ``accumulate`` is defined as the running sum
-``r[k] = r[k-1] + x[k]``, so it is sequential by construction, and the zero
-plane reproduces the loop's ``0.0 + p0`` (a ``-0.0`` product becomes
-``+0.0``). A wider output keeps one elementwise rank-1 update per k.
-:class:`FixedProduct` keeps these layouts' buffers for the numpy training
-step, which multiplies operands of one shape many times. Never use
-``np.sum``, ``np.add.reduce``, ``np.einsum``, ``np.dot`` or ``@`` for a product
-that reaches an output: depending on layout and length they switch to pairwise
-summation or BLAS, whose order varies with the build and thread count.
+output shape alone. Never use ``np.sum``, ``np.add.reduce``, ``np.einsum``,
+``np.dot`` or ``@`` for a product that reaches an output: depending on layout
+and length they switch to pairwise summation or BLAS, whose order varies with
+the build and thread count.
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ import numpy as np
 __all__ = [
     "as_tensor",
     "matmul",
-    "FixedProduct",
     "softmax",
     "max_pool",
     "stable_sort_desc",
@@ -102,12 +95,15 @@ def _product_kernel():
     return _kernel.load(Path(__file__).parent / "__pycache__")
 
 
-def _accumulate(a: np.ndarray, b: np.ndarray, slab: np.ndarray, sums=None) -> np.ndarray:
+def _accumulate(a: np.ndarray, b: np.ndarray, slab: np.ndarray) -> np.ndarray:
     """The narrow layout: products into k-planes 1..K of ``slab``, whose plane 0
-    must be zero, then the running sum along k (into ``sums`` if given).
-    Returns the last plane, a view."""
+    must be zero, then ``np.add.accumulate`` along k. Returns the last plane, a view.
+
+    ``accumulate`` is defined as the running sum ``r[k] = r[k-1] + x[k]``, so
+    it is sequential by construction, and the zero plane reproduces the loop's
+    ``0.0 + p0`` (a ``-0.0`` product becomes ``+0.0``)."""
     np.multiply(a[:, np.newaxis, :], b.T[np.newaxis, :, :], out=slab[:, :, 1:])
-    return np.add.accumulate(slab, axis=2, out=sums)[:, :, -1]
+    return np.add.accumulate(slab, axis=2)[:, :, -1]
 
 
 def _k_loop(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -116,33 +112,6 @@ def _k_loop(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     for k in range(a.shape[1]):
         out += a[:, k, np.newaxis] * b[np.newaxis, k, :]
     return out
-
-
-class FixedProduct:
-    """:func:`matmul`'s numpy layouts for an (m, k) by (k, n) product computed many times.
-
-    The layout is chosen once as in :func:`matmul`, and the output (and slab)
-    buffers are allocated once, so a call does only the arithmetic and gives
-    the same bits as :func:`matmul`. The numpy training step uses it when the
-    compiled kernel is not available; the compiled step needs none. Operands
-    are not checked: they must be float64 arrays of exactly these shapes. The
-    result is a view of a buffer that the next call overwrites, so copy what
-    must outlive it. An instance holds mutable buffers: do not call one from
-    two threads at once.
-    """
-
-    def __init__(self, m: int, k: int, n: int):
-        self._slab = None
-        if m * n <= _NARROW_OUTPUT:
-            self._slab = np.zeros((m, n, k + 1))  # plane 0 is never written
-            self._out = np.empty_like(self._slab)
-        else:
-            self._out = np.empty((m, n))
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self._slab is None:
-            return _k_loop(a, b, self._out)
-        return _accumulate(a, b, self._slab, self._out)
 
 
 def softmax(x, axis: int = -1) -> np.ndarray:

@@ -78,6 +78,8 @@ def build_report(
         raise ValueError(f"unknown strategy {strategy!r}")
     if input_tokens < 0:
         raise ValueError("input_tokens must be >= 0")
+    if total_layers < 1:
+        raise ValueError("total_layers must be >= 1")
 
     report: dict = {
         "reportVersion": REPORT_VERSION,

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numeric
-from .numeric import FixedProduct, as_tensor, finite_diff_grad, matmul, softmax
+from .numeric import as_tensor, finite_diff_grad, matmul, softmax
 from .vision import (
     ScaleMenu,
     SelectorParams,
@@ -68,7 +68,7 @@ class BatchDiagnostics:
 def balance_loss(diagnostics: BatchDiagnostics, alpha: float) -> float:
     """Auxiliary routing loss alpha * sum_i f_i * P_i (uniform routing minimizes it)."""
     _check_alpha(alpha)
-    return _balance_term(alpha, diagnostics.f, diagnostics.p, matmul)
+    return _balance_term(alpha, diagnostics.f, diagnostics.p)
 
 
 def imbalance_loss(diagnostics: BatchDiagnostics, alpha: float, weights) -> float:
@@ -79,11 +79,11 @@ def imbalance_loss(diagnostics: BatchDiagnostics, alpha: float, weights) -> floa
     """
     _check_alpha(alpha)
     w = _imbalance_weights(weights, len(diagnostics.f))
-    return _balance_term(alpha, w * diagnostics.f, diagnostics.p, matmul)
+    return _balance_term(alpha, w * diagnostics.f, diagnostics.p)
 
 
-def _balance_term(alpha: float, weighted_f: np.ndarray, p: np.ndarray, product) -> float:
-    return float(alpha * product(weighted_f[None, :], p[:, None])[0, 0])
+def _balance_term(alpha: float, weighted_f: np.ndarray, p: np.ndarray) -> float:
+    return float(alpha * matmul(weighted_f[None, :], p[:, None])[0, 0])
 
 
 def _check_alpha(alpha: float) -> None:
@@ -141,7 +141,7 @@ class _Step(NamedTuple):
     bal: float
     f: np.ndarray  # (S,)
     p: np.ndarray  # (S,)
-    grad_weight: np.ndarray | None  # (S, Ng), a view of a reused buffer
+    grad_weight: np.ndarray | None  # (S, Ng), a view of a reused buffer in the compiled step
     grad_bias: np.ndarray | None  # (S,)
 
 
@@ -156,10 +156,10 @@ class PreparedBatch:
     Every loss and gradient, :func:`train_selector`'s steps included, runs
     one step that does only the arithmetic that changes with the parameters:
     the compiled step (:class:`vtcompress._kernel.Step`) when the product
-    kernel loads, otherwise the numpy step, with one
-    :class:`~vtcompress.numeric.FixedProduct` per product. Both give the same
-    bits. The parameters, ``alpha`` and the imbalance weights are checked
-    once per public call or training run. Either step's buffers are rewritten
+    kernel loads, otherwise the numpy step, whose products go through
+    :func:`~vtcompress.numeric.matmul`. Both give the same bits. The
+    parameters, ``alpha`` and the imbalance weights are checked once per
+    public call or training run. The compiled step's buffers are rewritten
     by every step, so a batch must not be used by two threads at once.
     """
 
@@ -170,21 +170,12 @@ class PreparedBatch:
     def __post_init__(self):
         self.sums = np.stack([v.sum(axis=1) for v in self.variants])  # (S, M, C)
         self.counts = np.array(self.menu.token_counts)  # (S,)
+        self._compiled = None  # the numpy step, which keeps no state of its own
         kernel = numeric._product_kernel()
         if kernel is not None:
             from . import _kernel  # already imported by the loader
 
             self._compiled = _kernel.Step(kernel, self.scores, self.sums, self.counts)
-            return
-        self._compiled = None
-        (m, ng), (s, _, c) = self.scores.shape, self.sums.shape
-        self._rows = np.arange(m)
-        self._logits = FixedProduct(m, ng, s)  # scores @ weight.T
-        self._weighted_sum = FixedProduct(1, m, c)  # top1 @ region sums
-        self._sums_grad = FixedProduct(m, c, 1)  # region sums @ dL/du
-        self._probs_coeff = FixedProduct(m, s, 1)  # probs @ balance coefficients
-        self._balance = FixedProduct(1, s, 1)  # (w * f) @ P
-        self._grad_weight = FixedProduct(s, m, ng)  # d_logits.T @ scores
 
     @property
     def num_regions(self) -> int:
@@ -238,26 +229,27 @@ class PreparedBatch:
             if not grad:
                 return _Step(*terms, f, p, None, None)
             return _Step(*terms, f, p, step.grad_weight, step.grad_bias.copy())
-        logits = self._logits(self.scores, weight.T) + bias
+        logits = matmul(self.scores, weight.T) + bias
         probs = softmax(logits, axis=-1)
         chosen = logits.argmax(axis=1)  # ties to the coarsest scale, as in route
-        top1 = probs[self._rows, chosen]
+        rows = np.arange(chosen.size)
+        top1 = probs[rows, chosen]
         f, p = routing_stats(chosen, probs)
 
         down = 0.0
         if downstream is not None:
-            region_sums = self.sums[chosen, self._rows]  # (M, C)
+            region_sums = self.sums[chosen, rows]  # (M, C)
             total_tokens = int(self.counts[chosen].sum())
             if total_tokens == 0:
                 raise ValueError(_NO_TOKENS)
-            weighted_sum = self._weighted_sum(top1[None, :], region_sums)[0]
+            weighted_sum = matmul(top1[None, :], region_sums)[0]
             diff = weighted_sum / total_tokens - downstream.target
             down = float((diff * diff).mean())
             if not math.isfinite(down):
                 raise NonFiniteLossError(f"downstream loss is {down}")
 
         weighted_f = f if imbalance_weights is None else imbalance_weights * f
-        bal = _balance_term(alpha, weighted_f, p, self._balance)
+        bal = _balance_term(alpha, weighted_f, p)
         if not grad:
             return _Step(down + bal, down, bal, f, p, None, None)
 
@@ -265,16 +257,16 @@ class PreparedBatch:
         d_logits = np.zeros(probs.shape)
         if downstream is not None:
             dl_du = 2.0 * diff / self.channels  # d mean-sq / d u
-            gp = self._sums_grad(region_sums, dl_du[:, None]) / total_tokens  # (M, 1)
+            gp = matmul(region_sums, dl_du[:, None]) / total_tokens  # (M, 1)
             jacobian = -probs * top1[:, None]  # softmax jacobian rows at the winner
-            jacobian[self._rows, chosen] += top1
+            jacobian[rows, chosen] += top1
             d_logits += gp * jacobian
 
         if alpha > 0:
             coeff = (alpha / m) * weighted_f  # f is a stop-gradient
-            d_logits += probs * (coeff - self._probs_coeff(probs, coeff[:, None]))
+            d_logits += probs * (coeff - matmul(probs, coeff[:, None]))
 
-        grad_weight = self._grad_weight(d_logits.T, self.scores)
+        grad_weight = matmul(d_logits.T, self.scores)
         return _Step(down + bal, down, bal, f, p, grad_weight, d_logits.sum(axis=0))
 
     def _compiled_at(self, weight, bias, downstream, alpha, imbalance_weights):

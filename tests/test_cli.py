@@ -531,6 +531,57 @@ class TestErrorContract:
         assert payload["error"] == "invalid-input"
         assert key in payload["message"]
 
+    @pytest.mark.parametrize("strategy", ["vision", "heuristic"])
+    def test_compress_total_layers_below_one(self, strategy, fixtures, capsys):
+        code, out, err = run(capsys, "compress", "--strategy", strategy, "--map", fixtures["x"],
+                             "--global", fixtures["xg"], "--total-layers", "-3")
+        assert code == 5
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert payload["message"] == "total_layers must be >= 1"
+
+    @pytest.mark.parametrize("flags", [("--total-layers", "-3"), ("--total-layers", "0"), ()],
+                             ids=["flag-negative", "flag-zero", "file-negative"])
+    def test_report_total_layers_below_one(self, flags, fixtures, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        code, _, _ = run(capsys, "compress", "--strategy", "vision", "--map", fixtures["x"],
+                         "--global", fixtures["xg"], "--out", str(rep))
+        assert code == 0
+        if not flags:  # the file's own totalLayers
+            rep.write_text(json.dumps({**json.loads(rep.read_text()), "totalLayers": -3}))
+        code, out, err = run(capsys, "report", "--in", str(rep), *flags)
+        assert code == 5
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert payload["message"].startswith("totalLayers must be >= 1")
+
+    @pytest.mark.parametrize("counts, message", [
+        ({"inputTokens": 576, "effectiveTokens": 1e307},
+         "effective token count exceeds the input token count"),
+        ({"inputTokens": 576, "effectiveTokens": 577},
+         "effective token count exceeds the input token count"),
+        ({"inputTokens": 10**307, "effectiveTokens": 1e307},  # 100 * 1e307 overflows
+         "effectivePercent overflows a float: the token counts are too large"),
+        ({"inputTokens": 576, "effectiveTokens": -1e307},
+         "effectivePercent overflows a float: the token counts are too large"),
+    ], ids=["float-over-input", "int-over-input", "percent-overflows",
+            "negative-percent-overflows"])
+    def test_report_effective_tokens_checked(self, counts, message, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps({"reportVersion": 1, "afterVision": 576, "totalLayers": 32,
+                                   "textSelection": None, **counts}))
+        code, out, err = run(capsys, "report", "--in", str(rep))
+        assert code == 5
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert payload["message"] == message
+
     @pytest.mark.parametrize("overrides", [
         {"steps": 2.5},
         {"steps": [1]},

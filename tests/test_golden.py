@@ -12,7 +12,8 @@ The pipeline runs twice: with the default product backend (the compiled
 kernel, where it builds) and with the kernel forced off, so that the numpy
 layouts must write the same bytes. It runs twice more in fresh processes,
 with BLAS and OpenMP set to one and to two threads, which must not change
-a byte either.
+a byte either, and once in a fresh process that cannot import cffi, so
+that the kernel's loader gives up as on an install without it.
 
 The expected hashes change only with a deliberate change of output bytes.
 After one, print the new table with ``python tests/test_golden.py`` and
@@ -174,14 +175,20 @@ def test_numpy_layouts_match_golden_hashes(tmp_path, monkeypatch):
     assert changed == []
 
 
+def _env_with_src() -> dict[str, str]:
+    """This environment, with the checkout's ``src`` first on the import path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
 def test_bytes_do_not_depend_on_blas_threads(tmp_path):
     # one fresh process per thread count: BLAS and OpenMP read it when they load
     tables = []
     for threads in ("1", "2"):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
+        env = _env_with_src()
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = threads
         out = tmp_path / f"threads{threads}"
@@ -193,6 +200,28 @@ def test_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         tables.append(json.loads(proc.stdout))
     assert tables[0] == tables[1] == GOLDEN
+
+
+# Runs this module's __main__ in a process where cffi and its backend cannot be
+# imported, as on an install without cffi, after checking that the kernel's
+# loader then gives up.
+_WITHOUT_CFFI = """\
+import runpy, sys
+sys.modules["cffi"] = sys.modules["_cffi_backend"] = None
+from vtcompress import numeric
+assert numeric._product_kernel() is None, "the kernel loaded without cffi"
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def test_install_without_cffi_matches_golden_hashes(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_CFFI, __file__, str(tmp_path)], cwd=tmp_path,
+        env=_env_with_src(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == GOLDEN
 
 
 GOLDEN: dict[str, str] = {

@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 
 from vtcompress import _kernel, numeric
 from vtcompress.numeric import (
-    FixedProduct,
     as_tensor,
     finite_diff_grad,
     matmul,
@@ -76,9 +75,11 @@ class TestMatmul:
 
 
 # Output shapes on both sides of matmul's narrow-output threshold (M*N = 256),
-# the products the selector training runs, and empty outputs.
+# the six products of the selector training step on the 36-region task (the
+# logits, the weight gradient, the weighted token sum, the two gradient
+# projections and the balance term), and empty outputs.
 _MATMUL_SHAPES = st.sampled_from(
-    [(16, 16), (257, 1), (1, 257), (17, 16), (36, 3), (3, 36), (1, 4), (1, 1),
+    [(16, 16), (257, 1), (1, 257), (17, 16), (36, 3), (3, 36), (1, 4), (36, 1), (1, 1),
      (24, 24), (0, 5), (5, 0), (0, 0)]
 ) | st.tuples(st.integers(0, 20), st.integers(0, 20))
 _MATMUL_K = st.sampled_from([0, 1, 2, 3, 36, 300]) | st.integers(0, 40)
@@ -167,32 +168,6 @@ class TestNumpyLayoutsAgainstOracle(TestMatmulAgainstOracle):
     @settings(max_examples=150, deadline=None)
     def test_random_operands(self, data, shape, kk, layout_a, layout_b):
         self._random_case(data, shape, kk, layout_a, layout_b)
-
-
-@pytest.mark.parametrize("backend", ["kernel", "numpy"])
-@pytest.mark.parametrize("m, kk, n", [
-    (36, 36, 3), (1, 36, 4), (36, 4, 1), (1, 3, 1), (3, 36, 36),  # the training step's
-    (17, 16, 20),  # past the accumulate layout: the loop
-    (0, 3, 2), (2, 0, 3),
-])
-def test_fixed_product_matches_oracle(backend, m, kk, n, monkeypatch):
-    """The numpy step's products and, under ``kernel``, the compiled kernel's
-    product of the same operands."""
-    kernel = numeric._product_kernel()
-    if backend == "numpy":
-        monkeypatch.setattr(numeric, "_product_kernel", lambda: None)
-        kernel = None
-    elif kernel is None:
-        pytest.skip("the product kernel is not available")
-    product = FixedProduct(m, kk, n)
-    rng = np.random.default_rng(m * 100 + kk)
-    for _ in range(2):  # the second call reuses the buffers
-        a = rng.standard_normal((kk, m)).T  # transposed, like d_logits.T
-        b = rng.standard_normal((kk, n))
-        b[:1] = -0.0
-        assert product(a, b).tobytes() == matmul_oracle(a, b).tobytes()
-        if kernel is not None:
-            assert kernel(a, b, np.empty((m, n))).tobytes() == matmul_oracle(a, b).tobytes()
 
 
 class TestProductKernel:

@@ -159,6 +159,20 @@ class TestBuildReport:
         with pytest.raises(ValueError, match="disagree"):
             build_report(strategy="vision", input_tokens=16, menu=menu, selections=bad)
 
+    @pytest.mark.parametrize("strategy", ["vision", "text", "both", "heuristic"])
+    @pytest.mark.parametrize("total_layers", [0, -3])
+    def test_total_layers_below_one_rejected(self, strategy, total_layers):
+        menu = default_menu(4)
+        inputs = {
+            "vision": dict(menu=menu, selections=make_selections([2] * 4, menu)),
+            "text": dict(text_selection=SelectionResult(np.arange(40), 40, 0.85), text_layer=8),
+            "heuristic": dict(heuristic_kept=40),
+        }
+        inputs["both"] = {**inputs["vision"], **inputs["text"]}
+        with pytest.raises(ValueError, match="total_layers must be >= 1"):
+            build_report(strategy=strategy, input_tokens=64, total_layers=total_layers,
+                         **inputs[strategy])
+
     def test_text_kept_more_than_entering_rejected(self):
         text = SelectionResult(np.arange(200), 200, 0.9)
         with pytest.raises(ValueError, match="kept 200"):

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -470,10 +472,16 @@ class TestTrainerMatchesReferenceLoopNumpyStep(NumpyStep, TestTrainerMatchesRefe
 _KERNELS = [(4, 4), (4, 2), (2, 4), (2, 2), (4, 1), (1, 4), (2, 1), (1, 2), (1, 1)]
 
 
-def _batch(menu, scores, variants, compiled):
+@contextlib.contextmanager
+def _kernel_off():
+    """Force the numpy step and matmul's numpy layouts, which look the kernel up on every call."""
     with pytest.MonkeyPatch.context() as mp:
-        if not compiled:
-            mp.setattr(numeric, "_product_kernel", lambda: None)
+        mp.setattr(numeric, "_product_kernel", lambda: None)
+        yield
+
+
+def _batch(menu, scores, variants, compiled):
+    with contextlib.nullcontext() if compiled else _kernel_off():
         batch = PreparedBatch(menu, scores, variants)
     assert (batch._compiled is not None) == compiled
     return batch
@@ -541,11 +549,13 @@ class TestCompiledStepMatchesNumpyStep:
         reference = _batch(menu, scores, variants, False)
         for grad in (False, True):
             got = _step_outcome(compiled, params, downstream, alpha, imbalance, grad)
-            assert got == _step_outcome(reference, params, downstream, alpha, imbalance, grad)
+            with _kernel_off():  # the reference's products stay in numpy
+                assert got == _step_outcome(reference, params, downstream, alpha, imbalance, grad)
 
         learning_rate = data.draw(st.sampled_from([0.0, 0.5, 1e300]), label="learning rate")
         config = TrainConfig(steps=3, learning_rate=learning_rate, alpha=alpha,
                              imbalance_weights=imbalance)
         got = _train_outcome(compiled, training._train_compiled, params, config, downstream)
-        want = _train_outcome(reference, training._train_numpy, params, config, downstream)
+        with _kernel_off():
+            want = _train_outcome(reference, training._train_numpy, params, config, downstream)
         assert got == want
