@@ -3,7 +3,9 @@
 Subcommands: gen (synthetic fixtures), compress (run the samplers and emit a
 report), train (fit the scale selector), gradcheck (analytic vs numeric
 gradients), evolution (per-layer importance heatmaps), report (re-profile an
-existing report under a different insertion layer).
+existing report under a different insertion layer, through
+``report.reprofile``). The commands only read, write and convert; the token
+accounting and its checks belong to ``vtcompress.report``.
 
 Every failure exits nonzero with one JSON line on stderr of the form
 {"error": <class>, "message": <text>}; exit codes are 2 usage, 3 missing
@@ -48,7 +50,7 @@ from .formats import (
 )
 from .heuristic import heuristic_importance, heuristic_topk
 from .numeric import matmul
-from .report import build_report, effective_token_count, report_to_json
+from .report import build_report, report_to_json, reprofile
 from .textsampler import attention_scores, cumulative_topk, importance, per_layer_importance
 from .training import (
     SCALE_INDIFFERENT_LEARNING_RATE,
@@ -103,11 +105,7 @@ def _read_checked(path: str, expected_magic: str) -> np.ndarray:
 
 
 def _build_menu(name: str, window: int):
-    if name == "3branch":
-        return default_menu(window)
-    if name == "7branch":
-        return seven_branch_menu(window)
-    raise ValueError(f"unknown menu {name!r} (use '3branch' or '7branch')")
+    return {"3branch": default_menu, "7branch": seven_branch_menu}[name](window)
 
 
 def _project_keys(tokens: np.ndarray, heads: int, head_dim: int, seed: int) -> np.ndarray:
@@ -379,7 +377,10 @@ def cmd_evolution(args) -> int:
         )
     layers, _, _, n = stack.shape
     if args.grid:
-        rows, cols = (int(v) for v in args.grid.lower().split("x"))
+        dims = args.grid.lower().split("x")
+        if len(dims) != 2 or not all(d.isdecimal() and int(d) > 0 for d in dims):
+            raise ValueError(f"--grid must be HxW with positive integers, got {args.grid!r}")
+        rows, cols = (int(d) for d in dims)
     else:
         side = math.isqrt(n)
         if side * side != n:
@@ -400,54 +401,9 @@ def cmd_evolution(args) -> int:
     return 0
 
 
-def _require_report_int(name: str, value) -> None:
-    """Raise unless ``value`` is an integer that a float can hold: the accounting divides."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"report {name} must be an integer, got {value!r}")
-    if abs(value) > sys.float_info.max:
-        raise ValueError(f"report {name} is too large for a float")
-
-
 def cmd_report(args) -> int:
     report = json.loads(Path(args.infile).read_text())
-    if not isinstance(report, dict):
-        raise ValueError("report file must hold a JSON object")
-    if report.get("reportVersion") != 1:
-        raise ValueError(f"unsupported reportVersion {report.get('reportVersion')!r}")
-    required = ("inputTokens", "afterVision", "totalLayers", "effectiveTokens")
-    missing = [key for key in required if key not in report]
-    if missing:
-        raise ValueError(f"report lacks {', '.join(missing)}")
-    for key in ("inputTokens", "afterVision", "totalLayers"):
-        _require_report_int(key, report[key])
-    effective = report["effectiveTokens"]
-    if isinstance(effective, bool) or not isinstance(effective, (int, float)) \
-            or not abs(effective) <= sys.float_info.max:  # also rejects nan and over-large ints
-        raise ValueError(f"report effectiveTokens must be a finite number, got {effective!r}")
-    total_layers = args.total_layers if args.total_layers is not None else report["totalLayers"]
-    if total_layers < 1:
-        raise ValueError(f"totalLayers must be >= 1, got {total_layers}")
-    text = report.get("textSelection")
-    if text is not None:
-        if not isinstance(text, dict) or not {"k", "layer"} <= text.keys():
-            raise ValueError("report textSelection lacks k or layer")
-        _require_report_int("textSelection.k", text["k"])
-        _require_report_int("textSelection.layer", text["layer"])
-        layer = args.layer if args.layer is not None else text["layer"]
-        entering = report["afterVision"]
-        removed = entering - text["k"]
-        report["effectiveTokens"] = effective_token_count(entering, removed, layer, total_layers)
-        text["layer"] = layer
-    elif args.layer is not None:
-        raise ValueError("report has no text selection; --layer does not apply")
-    if report["effectiveTokens"] > report["inputTokens"]:
-        raise ValueError("effective token count exceeds the input token count")  # as build_report
-    report["totalLayers"] = total_layers
-    if report["inputTokens"]:
-        report["effectivePercent"] = 100.0 * report["effectiveTokens"] / report["inputTokens"]
-        if not math.isfinite(report["effectivePercent"]):
-            raise ValueError("effectivePercent overflows a float: the token counts are too large")
-    _emit(report, args.out)
+    _emit(reprofile(report, layer=args.layer, total_layers=args.total_layers), args.out)
     return 0
 
 

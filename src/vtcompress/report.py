@@ -3,12 +3,16 @@
 Tracks how many tokens each stage keeps and converts mid-LLM removals into an
 effective token count: removing n of m tokens at layer i of L still pays for
 those n tokens across the first i layers, so the effective count is
-m - n + i*n/L.
+m - n + i*n/L. Vision and heuristic removals happen before the LLM. This
+policy and every check on a report's counts live in ``_effective``, through
+which both ``build_report`` and ``reprofile`` account.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +24,7 @@ __all__ = [
     "effective_token_count",
     "scale_histogram",
     "build_report",
+    "reprofile",
     "report_to_json",
 ]
 
@@ -36,6 +41,19 @@ def effective_token_count(m: int, n: int, i: int, total_layers: int = 32) -> flo
     if not (0 <= i < total_layers):
         raise ValueError(f"need 0 <= i < total_layers, got i={i}, L={total_layers}")
     return m - n + i * n / total_layers
+
+
+def _effective(input_tokens: int, after_vision: int, total_layers: int, text=None) -> float:
+    """Checked effective token count when ``after_vision`` of ``input_tokens`` enter
+    the LLM and the text stage, if any, keeps ``text = (kept, layer)`` of them.
+    ``effective_token_count`` checks the layers."""
+    kept, layer = text or (after_vision, 0)  # no text stage: all kept, nothing removed
+    if kept > after_vision:
+        raise ValueError(f"text stage kept {kept} tokens but only {after_vision} entered the LLM")
+    if not 0 <= after_vision <= input_tokens:
+        raise ValueError(f"need 0 <= after_vision <= input_tokens, "
+                         f"got after_vision={after_vision}, input_tokens={input_tokens}")
+    return effective_token_count(after_vision, after_vision - kept, layer, total_layers)
 
 
 def _stacked(selections: Sequence[RegionSelection]) -> tuple[np.ndarray, np.ndarray]:
@@ -70,16 +88,11 @@ def build_report(
 
     Vision fields come from ``selections``/``menu``; text fields from
     ``text_selection`` (selected at ``text_layer``); heuristic runs report
-    kept counts only. The effective token count accounts for text-stage
-    removals happening mid-LLM; vision and heuristic removals happen before
-    the LLM, so there they equal the post-stage count.
+    kept counts only. The counts are checked and the effective token count
+    computed by ``_effective``.
     """
     if strategy not in ("vision", "text", "both", "heuristic"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if input_tokens < 0:
-        raise ValueError("input_tokens must be >= 0")
-    if total_layers < 1:
-        raise ValueError("total_layers must be >= 1")
 
     report: dict = {
         "reportVersion": REPORT_VERSION,
@@ -118,52 +131,97 @@ def build_report(
             for sel in selections
         ]
     else:
-        report["window"] = None
-        report["menu"] = None
-        report["afterVision"] = after_vision
-        report["scaleFrequencies"] = None
-        report["meanProbs"] = None
-        report["selections"] = None
+        report.update(window=None, menu=None, afterVision=after_vision,
+                      scaleFrequencies=None, meanProbs=None, selections=None)
 
+    text = None
     if strategy in ("text", "both"):
         if text_selection is None or text_layer is None:
             raise ValueError(f"strategy {strategy!r} needs a text selection and a layer")
-        kept = int(text_selection.k)
-        if kept > after_vision:
-            raise ValueError(
-                f"text stage kept {kept} tokens but only {after_vision} entered the LLM"
-            )
-        removed = after_vision - kept
-        effective = effective_token_count(after_vision, removed, text_layer, total_layers)
+        text = (int(text_selection.k), int(text_layer))
         report["textSelection"] = {
-            "k": kept,
+            "k": text[0],
             "gamma": float(text_selection.gamma),
-            "layer": int(text_layer),
+            "layer": text[1],
             "degenerate": bool(text_selection.degenerate),
         }
     else:
         report["textSelection"] = None
-        effective = float(after_vision)
 
     if strategy == "heuristic":
         if heuristic_kept is None:
             raise ValueError("heuristic strategy needs the kept token count")
-        if not (0 <= heuristic_kept <= input_tokens):
-            raise ValueError("heuristic kept count out of range")
         report["heuristicSelection"] = {
             "kept": int(heuristic_kept),
             "keepFraction": None
             if heuristic_keep_fraction is None
             else float(heuristic_keep_fraction),
         }
-        report["afterVision"] = int(heuristic_kept)
-        effective = float(heuristic_kept)
+        report["afterVision"] = after_vision = int(heuristic_kept)
     else:
         report["heuristicSelection"] = None
 
-    if effective > input_tokens:
+    report["effectiveTokens"] = _effective(
+        int(input_tokens), after_vision, int(total_layers), text
+    )
+    return report
+
+
+def _require_int(name: str, value) -> None:
+    """Raise unless ``value`` is an integer that a float can hold: the accounting divides."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"report {name} must be an integer, got {value!r}")
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"report {name} is too large for a float")
+
+
+def reprofile(report, *, layer: int | None = None, total_layers: int | None = None) -> dict:
+    """A copy of a parsed report re-accounted at ``layer`` of ``total_layers`` (by
+    default its own), with ``effectivePercent``. Raises ``ValueError`` for a
+    report ``build_report`` could not have written: one without a text
+    selection, for instance, has ``effectiveTokens`` equal to ``afterVision``."""
+    if not isinstance(report, dict):
+        raise ValueError("report file must hold a JSON object")
+    if report.get("reportVersion") != REPORT_VERSION:
+        raise ValueError(f"unsupported reportVersion {report.get('reportVersion')!r}")
+    required = ("inputTokens", "afterVision", "totalLayers", "effectiveTokens")
+    missing = [key for key in required if key not in report]
+    if missing:
+        raise ValueError(f"report lacks {', '.join(missing)}")
+    for key in ("inputTokens", "afterVision", "totalLayers"):
+        _require_int(key, report[key])
+    effective = report["effectiveTokens"]
+    if isinstance(effective, bool) or not isinstance(effective, (int, float)) \
+            or not abs(effective) <= sys.float_info.max:  # also rejects nan and over-large ints
+        raise ValueError(f"report effectiveTokens must be a finite number, got {effective!r}")
+    total_layers = report["totalLayers"] if total_layers is None else total_layers
+    if total_layers < 1:
+        raise ValueError(f"totalLayers must be >= 1, got {total_layers}")
+    report = {**report, "totalLayers": total_layers}
+    counts = (report["inputTokens"], report["afterVision"], total_layers)
+    text = report.get("textSelection")
+    if text is not None:
+        if not isinstance(text, dict) or not {"k", "layer"} <= text.keys():
+            raise ValueError("report textSelection lacks k or layer")
+        _require_int("textSelection.k", text["k"])
+        _require_int("textSelection.layer", text["layer"])
+        layer = text["layer"] if layer is None else layer
+        report["textSelection"] = {**text, "layer": layer}
+        expected = report["effectiveTokens"] = _effective(*counts, (text["k"], layer))
+    elif layer is not None:
+        raise ValueError("report has no text selection; --layer does not apply")
+    else:
+        expected = _effective(*counts)
+    # Before the comparison with ``expected``, so that these failures keep their messages.
+    if report["effectiveTokens"] > report["inputTokens"]:
         raise ValueError("effective token count exceeds the input token count")
-    report["effectiveTokens"] = float(effective)
+    if report["inputTokens"]:
+        report["effectivePercent"] = 100.0 * report["effectiveTokens"] / report["inputTokens"]
+        if not math.isfinite(report["effectivePercent"]):
+            raise ValueError("effectivePercent overflows a float: the token counts are too large")
+    if report["effectiveTokens"] != expected:
+        raise ValueError(f"report effectiveTokens {report['effectiveTokens']!r} is not "
+                         f"afterVision {report['afterVision']} but it has no text selection")
     return report
 
 

@@ -264,6 +264,20 @@ class TestEvolution:
                           "--out-dir", str(tmp_path / "evo"))
         assert result["layers"] == 1
 
+    @pytest.mark.parametrize("grid", ["4x4x4", "4", "x", "-4x-4", "0x16", "4x"])
+    def test_malformed_grid_named(self, grid, tmp_path, capsys):
+        attn = tmp_path / "stack.attn"
+        self._write_stack(attn, n=16)
+        out_dir = tmp_path / "evo"
+        code, out, err = run(capsys, "evolution", "--attn", str(attn),
+                             "--out-dir", str(out_dir), f"--grid={grid}")
+        assert code == 5
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert payload["message"] == f"--grid must be HxW with positive integers, got {grid!r}"
+        assert not out_dir.exists()
+
     def test_layer_count_mismatch_error(self, tmp_path, fixtures, capsys):
         code, _, err = run(capsys, "evolution", "--attn", fixtures["q"],
                            "--out-dir", str(tmp_path / "evo"))
@@ -282,6 +296,23 @@ class TestReportCommand:
         m = base["afterVision"]
         assert what_if["effectiveTokens"] == effective_token_count(m, m - k, 16, 32)
         assert what_if["textSelection"]["layer"] == 16
+
+    @pytest.mark.parametrize("strategy", ["vision", "text", "both", "heuristic"])
+    def test_report_in_keeps_what_compress_wrote(self, strategy, fixtures, tmp_path, capsys):
+        """Both commands account through one function: re-profiling a fresh report
+        under its own layers changes nothing but adds the percentage."""
+        rep = tmp_path / "rep.json"
+        inputs = {"vision": ("--global", fixtures["xg"]),
+                  "text": ("--q", fixtures["q"], "--k", fixtures["k"]),
+                  "both": ("--global", fixtures["xg"], "--q", fixtures["q"]),
+                  "heuristic": ("--global", fixtures["xg"])}
+        code, _, err = run(capsys, "compress", "--strategy", strategy, "--map", fixtures["x"],
+                           *inputs[strategy], "--out", str(rep))
+        assert code == 0, err
+        written = json.loads(rep.read_text())
+        again = run_json(capsys, "report", "--in", str(rep))
+        percent = 100.0 * written["effectiveTokens"] / written["inputTokens"]
+        assert again == {**written, "effectivePercent": percent}
 
     def test_layer_without_text_selection_rejected(self, fixtures, tmp_path, capsys):
         rep = tmp_path / "rep.json"
@@ -582,6 +613,24 @@ class TestErrorContract:
         assert payload["error"] == "invalid-input"
         assert payload["message"] == message
 
+    @pytest.mark.parametrize("counts", [
+        {"inputTokens": -10, "afterVision": -10, "effectiveTokens": -20},
+        {"inputTokens": 576, "afterVision": 900, "effectiveTokens": -5},
+        {"inputTokens": 576, "afterVision": 100, "effectiveTokens": 400},
+        {"inputTokens": 576, "afterVision": 900, "effectiveTokens": 500,
+         "textSelection": {"k": 300, "layer": 8}},
+    ], ids=["negative", "vision-over-input", "effective-not-after-vision",
+            "text-vision-over-input"])
+    def test_report_counts_build_report_never_writes(self, counts, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps({"reportVersion": 1, "totalLayers": 32,
+                                   "textSelection": None, **counts}))
+        code, out, err = run(capsys, "report", "--in", str(rep))
+        assert code == 5
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "invalid-input"
+
     @pytest.mark.parametrize("overrides", [
         {"steps": 2.5},
         {"steps": [1]},
@@ -657,6 +706,26 @@ REPORTS = st.fixed_dictionaries(
         | st.fixed_dictionaries({"k": COUNTS, "layer": COUNTS}),
     },
 )
+
+
+@st.composite
+def written_reports(draw):
+    """Counts ``build_report`` could write, then maybe one of them replaced, so that
+    reports the accounting accepts are common and near misses too."""
+    inputs = draw(st.integers(0, 600))
+    after = draw(st.integers(0, inputs))
+    total = draw(st.integers(1, 40))
+    report = {"reportVersion": 1, "inputTokens": inputs, "afterVision": after,
+              "totalLayers": total, "effectiveTokens": after, "textSelection": None}
+    if draw(st.booleans()):
+        report["textSelection"] = {"k": draw(st.integers(0, after)),
+                                   "layer": draw(st.integers(0, total - 1))}
+    key = draw(st.sampled_from([None, "inputTokens", "afterVision", "effectiveTokens"]))
+    if key is not None:
+        report[key] = draw(st.integers(-2, 700))
+    return report
+
+
 COMPRESS_KEYS = st.sampled_from([
     "strategy", "window", "menu", "pool", "gamma", "layer", "total-layers", "keep_fraction",
     "seed", "out", "heatmap-prefix", "params", "q", "k", "global", "map",
@@ -694,6 +763,27 @@ class TestFuzzedInputs:
             if value is not None:
                 flags += [flag, str(value)]
         assert_contract(*run(capsys, "report", "--in", str(path), *flags))
+
+    @given(report=REPORTS | written_reports(), layer=LAYER_FLAGS, total_layers=LAYER_FLAGS)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_accepted_reports_are_ones_build_report_could_write(self, report, layer,
+                                                                total_layers, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        flags = []
+        for flag, value in (("--layer", layer), ("--total-layers", total_layers)):
+            if value is not None:
+                flags += [flag, str(value)]
+        code, out, _ = run(capsys, "report", "--in", str(path), *flags)
+        if code != 0:
+            return
+        accepted = json.loads(out)
+        assert 0 <= accepted["afterVision"] <= accepted["inputTokens"]
+        if accepted.get("textSelection") is None:
+            assert accepted["effectiveTokens"] == accepted["afterVision"]
+        else:
+            assert accepted["effectiveTokens"] <= accepted["afterVision"]
 
     @given(config=CONFIGS)
     @settings(max_examples=150, deadline=None,

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from vtcompress.report import (
 )
 from vtcompress.textsampler import SelectionResult
 from vtcompress.vision import RegionSelection, default_menu
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def make_selections(scale_per_region, menu):
@@ -179,3 +183,32 @@ class TestBuildReport:
             build_report(
                 strategy="text", input_tokens=100, text_selection=text, text_layer=8
             )
+
+    def test_vision_tokens_above_input_rejected(self):
+        menu = default_menu(4)
+        selections = make_selections([2] * 16, menu)  # 256 tokens from 100 input tokens
+        with pytest.raises(ValueError, match="after_vision"):
+            build_report(
+                strategy="both",
+                input_tokens=100,
+                menu=menu,
+                selections=selections,
+                text_selection=SelectionResult(np.arange(10), 10, 0.85),
+                text_layer=0,
+            )
+
+
+def test_accounting_only_in_report():
+    """``effective_token_count`` is called in ``report.py`` only, so the
+    accounting policy and its checks have one owner."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "report.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "effective_token_count":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
