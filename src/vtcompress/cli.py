@@ -138,20 +138,20 @@ def _train_log(summary: dict, run) -> str:
     """``json.dumps(log, indent=2) + "\\n"`` for the summary plus a ``history``
     entry ``{"step", "loss", "f", "p"}`` per step, byte for byte.
 
-    With ``indent`` the json module encodes in pure Python, which is slow for
-    a long history, so the entries are written from one template instead:
-    every history value is a finite float, which json writes as its repr.
+    json's indented encoder is pure Python and slow, so the history is one
+    template filled with reprs, as json writes finite floats. Each distinct
+    value (f only holds k/M) is formatted once, told apart by its bits, since
+    under ``==`` ``-0.0`` would be written as ``0.0``.
     """
     head = json.dumps(summary, indent=2)
-    vector = "[\n        " + ",\n        ".join(["%r"] * run.f_history.shape[1]) + "\n      ]"
-    entry = ('    {\n      "step": %d,\n      "loss": %r,\n      "f": ' + vector
+    values = np.column_stack([run.losses, run.f_history, run.p_history])
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    reprs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    cells = np.column_stack([np.arange(len(values)), reprs[inverse.reshape(values.shape)]])
+    vector = "[\n        " + ",\n        ".join(["%s"] * run.f_history.shape[1]) + "\n      ]"
+    entry = ('    {\n      "step": %d,\n      "loss": %s,\n      "f": ' + vector
              + ',\n      "p": ' + vector + "\n    }")
-    history = ",\n".join([
-        entry % (i, loss, *f, *p)
-        for i, (loss, f, p) in enumerate(
-            zip(run.losses.tolist(), run.f_history.tolist(), run.p_history.tolist())
-        )
-    ])
+    history = ",\n".join([entry] * len(values)) % tuple(cells.ravel().tolist())
     return f'{head[:-2]},\n  "history": [\n{history}\n  ]\n}}\n'
 
 

@@ -163,15 +163,10 @@ def export_heatmap(values, fmt: str, path) -> None:
             pixels = np.floor((grid - lo) / (hi - lo) * 255.0 + 0.5).astype(int)
         else:
             pixels = np.zeros((h, w), dtype=int)
-        lines = [f"P2\n{w} {h}\n255\n"]
-        for row in pixels:
-            lines.append(" ".join(str(v) for v in row) + "\n")
-        Path(path).write_text("".join(lines))
+        rows = [" ".join(map(str, row)) + "\n" for row in pixels.tolist()]
+        Path(path).write_text(f"P2\n{w} {h}\n255\n" + "".join(rows))
     elif fmt == "csv":
-        lines = []
-        for row in grid:
-            lines.append(",".join(repr(float(v)) for v in row) + "\n")
-        Path(path).write_text("".join(lines))
+        Path(path).write_text("".join(",".join(map(repr, row)) + "\n" for row in grid.tolist()))
     else:
         raise ValueError(f"unknown heatmap format {fmt!r} (use 'pgm' or 'csv')")
 

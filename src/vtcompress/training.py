@@ -587,9 +587,8 @@ def make_scale_indifferent_task(
     m = region_rows * region_cols
     base = feature_scale * rng.uniform(0.9, 1.1, size=channels)
     values = base + feature_scale * noise_ratio * rng.uniform(-1.0, 1.0, size=(m, channels))
-    fm = np.zeros((region_rows * window, region_cols * window, channels))
-    for r in range(m):
-        bi, bj = divmod(r, region_cols)
-        fm[bi * window : (bi + 1) * window, bj * window : (bj + 1) * window, :] = values[r]
+    fm = np.empty((region_rows, window, region_cols, window, channels))
+    fm[...] = values.reshape(region_rows, 1, region_cols, 1, channels)
+    fm = fm.reshape(region_rows * window, region_cols * window, channels)
     target = target_pull * values.mean(axis=0)
     return [(fm, values.copy())], MeanTokenTarget(target)

@@ -1,10 +1,12 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vtcompress.cli import _train_log, main
 from vtcompress.formats import MAGIC_FEATURE_MAP, MAGIC_SELECTOR, read_tensor, write_tensor
@@ -200,6 +202,39 @@ class TestTrainLog:
                 zip(run.losses.tolist(), run.f_history.tolist(), run.p_history.tolist())
             )
         ]
+        assert _train_log(summary, run) == json.dumps(log, indent=2) + "\n"
+
+
+# Values whose reprs are easy to mix up: signed zeros, subnormals, exponent forms.
+AWKWARD_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 1e16, 1e-05, -2.5e-300, 0.1]
+)
+
+
+@st.composite
+def train_histories(draw):
+    """A ``(steps, 1 + 2S)`` table of loss, f and p columns, drawn from a small pool
+    so that values repeat within and across the columns."""
+    s = draw(st.sampled_from([1, 2, 3, 7]))
+    steps = draw(st.sampled_from([1, 2, 37]))
+    pool = draw(st.lists(AWKWARD_FLOATS | st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=6))
+    return draw(arrays(np.float64, (steps, 1 + 2 * s), elements=st.sampled_from(pool)))
+
+
+class TestTrainLogFuzzed:
+    @given(table=train_histories())
+    @example(table=np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]))
+    @example(table=np.full((37, 15), 0.1))
+    @settings(max_examples=200, deadline=None)
+    def test_writer_matches_json_dumps_indent_2(self, table):
+        s = (table.shape[1] - 1) // 2
+        run = SimpleNamespace(losses=table[:, 0], f_history=table[:, 1 : 1 + s],
+                              p_history=table[:, 1 + s :])
+        summary = {"steps": len(table), "finalLoss": float(table[-1, 0]), "collapsed": False}
+        log = dict(summary)
+        log["history"] = [{"step": i, "loss": row[0], "f": row[1 : 1 + s], "p": row[1 + s :]}
+                          for i, row in enumerate(table.tolist())]
         assert _train_log(summary, run) == json.dumps(log, indent=2) + "\n"
 
 
@@ -752,7 +787,8 @@ def assert_contract(code, out, err):
 class TestFuzzedInputs:
     """Random JSON reports and config files end in the error contract, never a traceback."""
 
-    @given(report=REPORTS | JSON_VALUES, layer=LAYER_FLAGS, total_layers=LAYER_FLAGS)
+    @given(report=REPORTS | written_reports() | JSON_VALUES, layer=LAYER_FLAGS,
+           total_layers=LAYER_FLAGS)
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_report_in(self, report, layer, total_layers, tmp_path, capsys):

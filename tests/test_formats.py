@@ -254,6 +254,14 @@ class TestHeatmap:
         ]
         np.testing.assert_allclose(np.array(rows), grid, atol=1e-6)
 
+    def test_csv_writes_each_value_as_its_repr(self, tmp_path):
+        grid = np.array([[-0.0, 5e-324, 1e16], [1e-05, 0.1, -2.5e-300]])
+        path = tmp_path / "h.csv"
+        export_heatmap(grid, "csv", path)
+        expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in grid)
+        assert expected == "-0.0,5e-324,1e+16\n1e-05,0.1,-2.5e-300\n"
+        assert path.read_bytes() == expected.encode()
+
 
 class TestSynthetic:
     def test_same_seed_byte_identical(self, tmp_path):
