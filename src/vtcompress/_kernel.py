@@ -8,7 +8,7 @@ element is still summed alone and in ascending k, one rounded product and
 one rounded add at a time: ``-ffp-contract=off`` forbids fusing them into an
 FMA, no fast-math flag allows reordering the sum, and vectorizing the j loop
 only computes independent elements side by side. So the kernel writes the
-bits of the numpy layouts in :mod:`vtcompress.numeric`. No ``-march`` flag is
+bits of the numpy layout in :mod:`vtcompress.numeric`. No ``-march`` flag is
 used, so the binary runs on any CPU of the platform it was built for.
 
 The same source holds the selector training step (:class:`Step`): all of

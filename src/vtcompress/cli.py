@@ -104,6 +104,14 @@ def _read_checked(path: str, expected_magic: str) -> np.ndarray:
     return tensor
 
 
+def _read_json(path: str):
+    """The JSON value in ``path``; nesting too deep to parse is a ``ValueError``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
 def _build_menu(name: str, window: int):
     return {"3branch": default_menu, "7branch": seven_branch_menu}[name](window)
 
@@ -178,13 +186,15 @@ def cmd_compress(args) -> int:
     height, width, _ = feature_map.shape
     input_tokens = height * width
 
+    if args.strategy != "text":
+        if args.global_map is None:
+            raise ValueError(f"strategy {args.strategy!r} needs --global")
+        global_tokens = flatten_grid(_read_checked(args.global_map, MAGIC_FEATURE_MAP))
+
     selections = None
     menu = None
     vision_tokens = None
     if args.strategy in ("vision", "both"):
-        if args.global_map is None:
-            raise ValueError(f"strategy {args.strategy!r} needs --global")
-        global_tokens = flatten_grid(_read_checked(args.global_map, MAGIC_FEATURE_MAP))
         menu = _build_menu(args.menu, args.window)
         if args.params is not None:
             params = params_from_array(_read_checked(args.params, MAGIC_SELECTOR))
@@ -226,9 +236,6 @@ def cmd_compress(args) -> int:
     heuristic_kept = None
     heuristic_scores = None
     if args.strategy == "heuristic":
-        if args.global_map is None:
-            raise ValueError("strategy 'heuristic' needs --global")
-        global_tokens = flatten_grid(_read_checked(args.global_map, MAGIC_FEATURE_MAP))
         heuristic_scores = heuristic_importance(feature_map, global_tokens)
         heuristic_kept = int(heuristic_topk(heuristic_scores, args.keep_fraction).size)
 
@@ -402,7 +409,7 @@ def cmd_evolution(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = json.loads(Path(args.infile).read_text())
+    report = _read_json(args.infile)
     _emit(reprofile(report, layer=args.layer, total_layers=args.total_layers), args.out)
     return 0
 
@@ -544,7 +551,7 @@ def _config_overrides(argv: list[str], commands) -> dict[argparse.Action, object
     known, rest = _config_parser().parse_known_args(argv)
     if not known.config:
         return {}
-    overrides = json.loads(Path(known.config).read_text())
+    overrides = _read_json(known.config)
     if not isinstance(overrides, dict):
         raise ValueError("config file must hold a JSON object")
     command = next((tok for tok in rest if not tok.startswith("-")), None)

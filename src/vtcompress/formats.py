@@ -19,6 +19,7 @@ are f32-representable (everything this package writes is).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -129,9 +130,7 @@ def read_tensor(path) -> tuple[np.ndarray, str]:
         raise TruncatedPayloadError("file too short for dim list")
     dims = struct.unpack_from(f"<{ndims}I", raw, _HEADER.size)
     _check_dims(magic, dims)
-    count = 1
-    for d in dims:
-        count *= d
+    count = math.prod(dims)
     expected = dims_end + 4 * count
     if len(raw) < expected:
         raise TruncatedPayloadError(

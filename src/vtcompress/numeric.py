@@ -13,11 +13,11 @@ into the package's ``__pycache__`` if needed; it runs the scalar loop itself
 in the same order, with no fused multiply-add. The same compiled module holds
 the selector training step (:class:`vtcompress._kernel.Step`), reached
 through the same loader, :func:`_product_kernel`. When the kernel cannot be
-built or loaded, ``matmul`` silently uses two numpy layouts, picked from the
-output shape alone. Never use ``np.sum``, ``np.add.reduce``, ``np.einsum``,
-``np.dot`` or ``@`` for a product that reaches an output: depending on layout
-and length they switch to pairwise summation or BLAS, whose order varies with
-the build and thread count.
+built or loaded, ``matmul`` silently runs one numpy layout instead: one
+rank-1 update per k, from zero, in the same order. Never use ``np.sum``,
+``np.add.reduce``, ``np.einsum``, ``np.dot`` or ``@`` for a product that
+reaches an output: depending on layout and length they switch to pairwise
+summation or BLAS, whose order varies with the build and thread count.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "as_tensor",
     "matmul",
     "softmax",
-    "max_pool",
     "stable_sort_desc",
     "finite_diff_grad",
 ]
@@ -46,29 +45,14 @@ def as_tensor(values) -> np.ndarray:
     return arr
 
 
-# Outputs with at most this many elements take the accumulate layout. On a
-# 2-vCPU x86 host with numpy 2.4 it beat the per-k loop 2-16x for outputs of
-# at most 256 elements and K >= 16 (36x36 @ 36x3: 162 -> 39 us; 1x36 @ 36x4:
-# 126 -> 9 us), because the loop's cost there is interpreter overhead per k.
-# The loop won from about 400 elements at K = 16. The threshold depends on the
-# output shape alone: with large K the slab was as fast as the loop or faster
-# (16x16, K = 576: 2.4 vs 3.0 ms; K = 1024: 4.4 vs 4.4 ms; 1x4, K = 32768:
-# 0.7 vs 122 ms), so K needs no cap of its own. Within the threshold the slab
-# holds at most MN/(M+N) <= 8 times the input elements per k, so it needs no
-# chunking.
-_NARROW_OUTPUT = 256
-
-
 def matmul(a, b) -> np.ndarray:
     """Matrix product with sequential k-order accumulation.
 
     Bit-identical to the naive triple loop ``acc += a[i,k]*b[k,j]`` with k
     ascending, which keeps downstream reports reproducible and lets tests
     compare against a brute-force oracle exactly. The compiled kernel runs
-    it when it loads; otherwise narrow outputs (``M*N <= 256``) reduce an
-    ``(M, N, K+1)`` product slab with ``np.add.accumulate`` along k, whose
-    running sum keeps the k-order, and wider outputs add one rank-1 update
-    per k. The result is always a fresh C-contiguous array.
+    it when it loads; otherwise numpy adds one rank-1 update per k, from
+    zero. The result is always a fresh C-contiguous array.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -76,38 +60,23 @@ def matmul(a, b) -> np.ndarray:
         raise ValueError(f"matmul expects 2-d operands, got shapes {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    (m, kk), n = a.shape, b.shape[1]
+    out = np.empty((a.shape[0], b.shape[1]))
     kernel = _product_kernel()
-    if kernel is not None:
-        return kernel(a, b, np.empty((m, n)))
-    if m * n <= _NARROW_OUTPUT:
-        return _accumulate(a, b, np.zeros((m, n, kk + 1))).copy()
-    return _k_loop(a, b, np.empty((m, n)))
+    return _k_loop(a, b, out) if kernel is None else kernel(a, b, out)
 
 
 @functools.cache
 def _product_kernel():
     """The compiled kernel, loaded on the first product or prepared training
-    batch; ``None`` when it cannot be built or loaded, and the numpy layouts
+    batch; ``None`` when it cannot be built or loaded, and the numpy layout
     and the numpy training step run instead."""
     from . import _kernel
 
     return _kernel.load(Path(__file__).parent / "__pycache__")
 
 
-def _accumulate(a: np.ndarray, b: np.ndarray, slab: np.ndarray) -> np.ndarray:
-    """The narrow layout: products into k-planes 1..K of ``slab``, whose plane 0
-    must be zero, then ``np.add.accumulate`` along k. Returns the last plane, a view.
-
-    ``accumulate`` is defined as the running sum ``r[k] = r[k-1] + x[k]``, so
-    it is sequential by construction, and the zero plane reproduces the loop's
-    ``0.0 + p0`` (a ``-0.0`` product becomes ``+0.0``)."""
-    np.multiply(a[:, np.newaxis, :], b.T[np.newaxis, :, :], out=slab[:, :, 1:])
-    return np.add.accumulate(slab, axis=2)[:, :, -1]
-
-
 def _k_loop(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The wide layout: one rank-1 update of ``out`` per k, from zero."""
+    """The numpy layout: one rank-1 update of ``out`` per k, from zero."""
     out.fill(0.0)
     for k in range(a.shape[1]):
         out += a[:, k, np.newaxis] * b[np.newaxis, k, :]
@@ -123,22 +92,6 @@ def softmax(x, axis: int = -1) -> np.ndarray:
         raise ValueError("softmax input contains non-finite values")
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def max_pool(block, kernel: tuple[int, int]) -> np.ndarray:
-    """Channel-wise windowed max over an (h, w, C) block.
-
-    The kernel (kh, kw) must divide (h, w); output is (h/kh, w/kw, C).
-    """
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 3:
-        raise ValueError(f"max_pool expects an (h, w, C) block, got shape {block.shape}")
-    kh, kw = int(kernel[0]), int(kernel[1])
-    h, w, c = block.shape
-    if kh < 1 or kw < 1 or h % kh != 0 or w % kw != 0:
-        raise ValueError(f"kernel ({kh}, {kw}) does not divide block {h}x{w}")
-    view = block.reshape(h // kh, kh, w // kw, kw, c)
-    return view.max(axis=(1, 3))
 
 
 def stable_sort_desc(values) -> np.ndarray:

@@ -481,6 +481,22 @@ class TestErrorContract:
         assert code == 5
         assert json.loads(err)["error"] == "invalid-input"
 
+    @pytest.mark.parametrize("argv", [
+        ("report", "--in", "{path}"),
+        ("--config", "{path}", "gen", "--out", "{out}"),
+    ], ids=["report-in", "config"])
+    def test_deeply_nested_json(self, argv, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)  # deeper than json.loads can recurse
+        argv = [arg.format(path=deep, out=tmp_path / "fix") for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (5, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "invalid-input",
+            "message": f"{deep}: JSON nested too deeply to parse",
+        }
+
     def test_directory_input(self, tmp_path, capsys):
         code, _, err = run(capsys, "report", "--in", str(tmp_path))
         assert code == 3

@@ -10,7 +10,7 @@ scales, so the routing itself is pinned.
 
 The pipeline runs twice: with the default product backend (the compiled
 kernel, where it builds) and with the kernel forced off, so that the numpy
-layouts must write the same bytes. It runs twice more in fresh processes,
+layout must write the same bytes. It runs twice more in fresh processes,
 with BLAS and OpenMP set to one and to two threads, which must not change
 a byte either, and once in a fresh process that cannot import cffi, so
 that the kernel's loader gives up as on an install without it.

@@ -1,5 +1,4 @@
 import ast
-import importlib.util
 import shutil
 import sysconfig
 from pathlib import Path
@@ -11,20 +10,27 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vtcompress import _kernel, numeric
-from vtcompress.numeric import (
-    as_tensor,
-    finite_diff_grad,
-    matmul,
-    max_pool,
-    softmax,
-    stable_sort_desc,
-)
+from vtcompress.numeric import as_tensor, finite_diff_grad, matmul, softmax, stable_sort_desc
+
+from oracles import max_pool
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-CAN_BUILD = (
-    importlib.util.find_spec("cffi") is not None
-    and shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0]) is not None
-)
+
+
+def _can_build() -> bool:
+    """Whether ``_kernel.load`` can build: ``_cffi_backend`` (which the loader
+    imports) and ``cffi`` (which the build child imports) import, and the C
+    compiler is on the path. An installed module that fails to import counts
+    as missing."""
+    try:
+        import _cffi_backend  # noqa: F401
+        import cffi  # noqa: F401
+    except ImportError:
+        return False
+    return shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0]) is not None
+
+
+CAN_BUILD = _can_build()
 needs_compiler = pytest.mark.skipif(not CAN_BUILD, reason="cffi or a C compiler is missing")
 
 
@@ -74,7 +80,7 @@ class TestMatmul:
             np.testing.assert_array_equal(matmul(a, b), matmul_oracle(a, b))
 
 
-# Output shapes on both sides of matmul's narrow-output threshold (M*N = 256),
+# Square, single-row and single-column outputs of 256 elements and just over,
 # the six products of the selector training step on the 36-region task (the
 # logits, the weight gradient, the weighted token sum, the two gradient
 # projections and the balance term), and empty outputs.
@@ -104,7 +110,7 @@ def _operand(draw, shape, layout):
 
 
 class TestMatmulAgainstOracle:
-    """Both layouts of ``matmul`` reproduce the scalar triple loop byte for byte."""
+    """``matmul`` reproduces the scalar triple loop byte for byte."""
 
     @staticmethod
     def _check(a, b):
@@ -129,9 +135,9 @@ class TestMatmulAgainstOracle:
 
     @pytest.mark.parametrize("m, n, kk", [
         (16, 16, 511),
-        (16, 16, 576),  # a 1.2 MB slab
-        (1, 4, 32768),
-        (17, 16, 576),  # one output row past the accumulate layout: the loop
+        (16, 16, 576),
+        (1, 4, 32768),  # a tiny output with a very long sum
+        (17, 16, 576),
     ])
     def test_large_k(self, m, n, kk):
         rng = np.random.default_rng(kk)
@@ -171,7 +177,7 @@ class TestNumpyLayoutsAgainstOracle(TestMatmulAgainstOracle):
 
 
 class TestProductKernel:
-    # shapes on both sides of the accumulate threshold, long sums, empty shapes
+    # square and narrow outputs, long sums, empty shapes
     SHAPES = [(36, 36, 3), (16, 16, 16), (17, 16, 576), (1, 1200, 4), (5, 3, 0), (0, 3, 2),
               (2, 0, 3)]
 
@@ -193,8 +199,6 @@ class TestProductKernel:
             a[:, ::3] = -0.0
             b = np.asfortranarray(rng.standard_normal((kk, n)))
             out = kernel(a, b, np.empty((m, n)))
-            slab = numeric._accumulate(a, b, np.zeros((m, n, kk + 1)))
-            assert out.tobytes() == slab.tobytes()
             assert out.tobytes() == numeric._k_loop(a, b, np.empty((m, n))).tobytes()
 
         def no_build(*args):
@@ -329,6 +333,8 @@ class TestSoftmax:
 
 
 class TestMaxPool:
+    """The pooling oracle of the vision and training tests."""
+
     def test_constant_block(self):
         block = np.full((4, 4, 2), 3.5)
         np.testing.assert_array_equal(max_pool(block, (2, 2)), np.full((2, 2, 2), 3.5))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtcompress import numeric, training
-from vtcompress.numeric import matmul, max_pool
+from vtcompress.numeric import matmul
 from vtcompress.training import (
     SCALE_INDIFFERENT_LEARNING_RATE,
     BatchDiagnostics,
@@ -34,6 +34,8 @@ from vtcompress.vision import (
     routing_stats,
     seven_branch_menu,
 )
+
+from oracles import max_pool
 
 
 needs_kernel = pytest.mark.skipif(
@@ -474,7 +476,7 @@ _KERNELS = [(4, 4), (4, 2), (2, 4), (2, 2), (4, 1), (1, 4), (2, 1), (1, 2), (1, 
 
 @contextlib.contextmanager
 def _kernel_off():
-    """Force the numpy step and matmul's numpy layouts, which look the kernel up on every call."""
+    """Force the numpy step and matmul's numpy layout, which look the kernel up on every call."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numeric, "_product_kernel", lambda: None)
         yield

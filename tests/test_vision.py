@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from vtcompress.numeric import matmul, max_pool, softmax
+from vtcompress.numeric import matmul, softmax
 from vtcompress.training import prepare_batch
 from vtcompress.vision import (
     RegionSelection,
@@ -24,6 +24,8 @@ from vtcompress.vision import (
     selection_heatmap,
     seven_branch_menu,
 )
+
+from oracles import max_pool
 
 
 def selector_score(block, global_tokens, pool="mean"):
