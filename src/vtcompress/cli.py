@@ -18,10 +18,9 @@ reason (a directory, no permission) also exits 3.
 
 The parser is built on the first ``main`` call and reused by every later
 call in the process, which matters to callers that run ``main`` many times.
-``--config`` sets the subcommand's defaults for its own call only: the
-shared parser's defaults are restored when the call has parsed its
-arguments or failed. Calls from several threads parse one at a time, so one
-call's ``--config`` values never reach another.
+Nothing ever changes the shared parser: ``--config`` values are the starting
+namespace of the subcommand's own parse, so flags win over them, they apply
+to their own call only, and calls from several threads at once are safe.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ import functools
 import json
 import math
 import sys
-import threading
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +107,17 @@ def _read_json(path: str):
         return json.loads(Path(path).read_text())
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
+def _numbers(flag: str, text: str, finite: bool = True) -> list[float]:
+    """Comma-separated numbers in ``text``, finite if ``finite``, or an error naming ``flag``."""
+    try:
+        values = [float(v) for v in text.split(",")]
+        if finite and not all(map(math.isfinite, values)):
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated finite numbers, got {text!r}") from None
+    return values
 
 
 def _build_menu(name: str, window: int):
@@ -277,6 +285,10 @@ def cmd_compress(args) -> int:
 def cmd_train(args) -> int:
     menu = _build_menu(args.menu, args.window)
     if args.task == "scale-indifferent":
+        for flag, value in (("--map", args.map), ("--global", args.global_map),
+                            ("--target", args.target)):
+            if value is not None:
+                raise ValueError(f"{flag} conflicts with --task scale-indifferent")
         dataset, downstream = make_scale_indifferent_task(args.seed, window=args.window)
     else:
         if not args.map or args.global_map is None:
@@ -287,11 +299,11 @@ def cmd_train(args) -> int:
         ]
         downstream = None
         if args.target is not None:
-            downstream = MeanTokenTarget(np.array([float(v) for v in args.target.split(",")]))
+            downstream = MeanTokenTarget(np.array(_numbers("--target", args.target)))
 
     weights = None
     if args.imbalance is not None:
-        weights = tuple(float(v) for v in args.imbalance.split(","))
+        weights = tuple(_numbers("--imbalance", args.imbalance, finite=False))
 
     init_params = None
     if args.resume is not None:
@@ -439,7 +451,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     parser.add_argument("--config", help="JSON file of default flag values (flags override)")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
 
     p = sub.add_parser("gen", help="generate synthetic fixture files")
     p.add_argument("--out", required=True, help="output directory")
@@ -455,7 +466,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--structure", choices=["uniform-noise", "block-structured"],
                    default="uniform-noise")
     p.set_defaults(func=cmd_gen)
-    commands["gen"] = p
 
     p = sub.add_parser("compress", help="run the samplers and emit a report")
     p.add_argument("--strategy", choices=["vision", "text", "both", "heuristic"], default="both")
@@ -476,7 +486,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", default="-", help="report path, '-' for stdout")
     p.add_argument("--heatmap-prefix", help="write PGM heatmaps with this path prefix")
     p.set_defaults(func=cmd_compress)
-    commands["compress"] = p
 
     p = sub.add_parser("train", help="train the scale selector")
     p.add_argument("--task", choices=["scale-indifferent"],
@@ -496,7 +505,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out-params", help="write final parameters to this SELW file")
     p.add_argument("--log", help="write the full JSON training log here")
     p.set_defaults(func=cmd_train)
-    commands["train"] = p
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     p.add_argument("--instances", type=int, default=20)
@@ -508,7 +516,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--window", type=int, default=4)
     p.add_argument("--menu", choices=["3branch", "7branch"], default="3branch")
     p.set_defaults(func=cmd_gradcheck)
-    commands["gradcheck"] = p
 
     p = sub.add_parser("evolution", help="per-layer importance heatmaps from an attention stack")
     p.add_argument("--attn", required=True, help="layer-major 4-d ATTN file")
@@ -516,7 +523,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--grid", help="HxW token grid (default: square root of N)")
     p.add_argument("--format", choices=["pgm", "csv"], default="pgm")
     p.set_defaults(func=cmd_evolution)
-    commands["evolution"] = p
 
     p = sub.add_parser("report", help="re-profile an existing report")
     p.add_argument("--in", dest="infile", required=True, help="report JSON file")
@@ -524,9 +530,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--total-layers", type=int)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_report)
-    commands["report"] = p
 
-    return parser, commands
+    return parser, sub.choices
 
 
 @functools.cache
@@ -541,8 +546,8 @@ def _config_parser() -> argparse.ArgumentParser:
     return pre
 
 
-def _config_overrides(argv: list[str], commands) -> dict[argparse.Action, object]:
-    """``--config`` values, checked and converted, keyed by the flag they set.
+def _config_overrides(argv: list[str], commands) -> tuple[dict[str, object], list[str]]:
+    """Checked ``--config`` values by argparse dest, and the subcommand's own tokens.
 
     A key is a flag's long name without the leading ``--`` (``global``,
     ``out-params``) or its argparse dest (``global_map``); ``-`` and ``_``
@@ -550,46 +555,25 @@ def _config_overrides(argv: list[str], commands) -> dict[argparse.Action, object
     """
     known, rest = _config_parser().parse_known_args(argv)
     if not known.config:
-        return {}
+        return {}, []
     overrides = _read_json(known.config)
     if not isinstance(overrides, dict):
         raise ValueError("config file must hold a JSON object")
     command = next((tok for tok in rest if not tok.startswith("-")), None)
     target = commands.get(command)
     if target is None:
-        return {}
+        return {}, []
     names = {}
     for action in target._actions:
-        names[action.dest] = action
-        for option in action.option_strings:
-            if option.startswith("--"):
-                names[option[2:].replace("-", "_")] = action
+        for name in [action.dest] + [o[2:] for o in action.option_strings if o.startswith("--")]:
+            names[name.replace("-", "_")] = action
     mapped = {}
     for key, value in overrides.items():
         action = names.get(key.replace("-", "_"))
         if action is None:
             raise ValueError(f"config key {key!r} is not a flag of {command!r}")
-        mapped[action] = _config_value(action, key, value)
-    return mapped
-
-
-@contextmanager
-def _config_defaults(argv: list[str], commands):
-    """Within the block, ``--config`` values are the subcommand's flag defaults.
-
-    The parsers are shared by every call in the process, so the defaults
-    this call replaced are put back on leaving the block, also when parsing
-    fails.
-    """
-    overrides = _config_overrides(argv, commands)
-    saved = {action: action.default for action in overrides}
-    try:
-        for action, value in overrides.items():
-            action.default = value
-        yield
-    finally:
-        for action, default in saved.items():
-            action.default = default
+        mapped[action.dest] = _config_value(action, key, value)
+    return mapped, rest[rest.index(command) + 1:]
 
 
 def _config_value(action: argparse.Action, key: str, value):
@@ -610,17 +594,15 @@ def _config_value(action: argparse.Action, key: str, value):
     return converted if repeated else converted[0]
 
 
-# Held while a call's ``--config`` defaults are set on the shared parser, so
-# calls from other threads neither see them nor restore over them.
-_PARSE_LOCK = threading.Lock()
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        with _PARSE_LOCK, _config_defaults(argv, commands):
-            args = parser.parse_args(argv)
+        overrides, own = _config_overrides(argv, commands)
+        args = parser.parse_args(argv)
+        if overrides:  # flags overwrite config values; defaults fill only the rest
+            namespace = argparse.Namespace(command=args.command, **overrides)
+            args = commands[args.command].parse_args(own, namespace)
         return args.func(args)
     except _UsageError as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))

@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vtcompress.cli import _train_log, main
+from vtcompress.cli import _train_log, build_parser, main
 from vtcompress.formats import MAGIC_FEATURE_MAP, MAGIC_SELECTOR, read_tensor, write_tensor
 from vtcompress.report import effective_token_count
 from vtcompress.training import TrainConfig, make_scale_indifferent_task, train_selector
@@ -402,6 +404,44 @@ class TestConfigFile:
         )
         assert code == 5
 
+    @pytest.mark.parametrize("config_maps, flag_maps", [((0, 1), (2,)), ((), (0, 2))],
+                             ids=["config-and-flags", "flags-only"])
+    def test_config_maps_come_before_command_line_maps(self, config_maps, flag_maps, fixtures,
+                                                       tmp_path, capsys, monkeypatch):
+        from vtcompress import cli
+
+        maps = [tmp_path / f"{name}.fmap" for name in "abc"]
+        for path in maps:
+            path.write_bytes(Path(fixtures["x"]).read_bytes())
+        config = {"global": fixtures["xg"]}
+        if config_maps:
+            config["map"] = [str(maps[i]) for i in config_maps]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        read = []
+        real_read = cli._read_checked
+
+        def recording_read(path, magic):
+            read.append(path)
+            return real_read(path, magic)
+
+        monkeypatch.setattr(cli, "_read_checked", recording_read)
+        flags = [arg for i in flag_maps for arg in ("--map", str(maps[i]))]
+        run_json(capsys, "--config", str(cfg), "train", "--steps", "1", *flags)
+        assert read == [fixtures["xg"], *(str(maps[i]) for i in config_maps + flag_maps)]
+
+    def test_missing_config_map_fails_beside_command_line_maps(self, fixtures, tmp_path,
+                                                               capsys):
+        missing = tmp_path / "missing.fmap"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map": str(missing), "global": fixtures["xg"]}))
+        code, out, err = run(capsys, "--config", str(cfg), "train", "--steps", "1",
+                             "--map", fixtures["x"])
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert payload["error"] == "file-not-found"
+        assert str(missing) in payload["message"]
+
 
 class TestCachedParser:
     """The parser is shared by every call in a process; ``--config`` must not leak."""
@@ -450,6 +490,49 @@ class TestCachedParser:
         assert self._text(fixtures, capsys)[0] == 0
         assert run(capsys, "train", "--steps", "x")[0] == 2
         assert built == []
+
+    def test_concurrent_calls_keep_their_own_config(self, fixtures, tmp_path, capsys):
+        self._text(fixtures, capsys)  # loads the product kernel before the threads start
+        settings = [(0.5, 12), (0.7, 20)]
+        results = [[] for _ in settings]
+        barrier = threading.Barrier(len(settings))
+
+        def worker(i):
+            gamma, layer = settings[i]
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps({"gamma": gamma, "layer": layer}))
+            out = tmp_path / f"rep{i}.json"
+            barrier.wait()
+            for _ in range(40):
+                code = main(["--config", str(cfg), "compress", "--strategy", "text",
+                             "--map", fixtures["x"], "--q", fixtures["q"],
+                             "--k", fixtures["k"], "--out", str(out)])
+                selection = json.loads(out.read_text())["textSelection"]
+                results[i].append((code, selection["gamma"], selection["layer"]))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(settings))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for (gamma, layer), result in zip(settings, results):
+            assert result == [(0, gamma, layer)] * 40
+
+    @pytest.mark.parametrize("overrides, extra, exit_code", [
+        ({"gamma": 0.5, "layer": 12}, (), 0),
+        ({"gamma": 0.5, "layer": "x"}, (), 5),  # the config is rejected
+        ({"gamma": 0.5, "layer": 12}, ("--layer", "x"), 2),  # the command line is rejected
+    ])
+    def test_config_call_leaves_parser_defaults_untouched(self, overrides, extra, exit_code,
+                                                          fixtures, tmp_path, capsys):
+        parser, commands = build_parser()
+        actions = [a for p in (parser, *commands.values()) for a in p._actions]
+        before = [action.default for action in actions]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        code, _, _ = self._text(fixtures, capsys, "--config", str(cfg), flags=extra)
+        assert code == exit_code
+        assert all(action.default is default for action, default in zip(actions, before))
 
 
 class TestErrorContract:
@@ -556,6 +639,47 @@ class TestErrorContract:
         assert payload["error"] == "invalid-input"
         assert "target has 2 values" in payload["message"]
         assert "4 channels" in payload["message"]
+
+    @pytest.mark.parametrize("flag, value, via_config", [
+        ("--map", "x", False),
+        ("--global", "xg", False),
+        ("--target", "1,x", False),
+        ("--map", "x", True),
+        ("--target", "1,2,3,4", True),
+    ], ids=["map", "global", "target", "config-map", "config-target"])
+    def test_task_conflicting_flag_named(self, flag, value, via_config, fixtures, tmp_path,
+                                         capsys):
+        value = fixtures.get(value, value)
+        config = ()
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: value}))
+            config = ("--config", str(cfg))
+        flags = () if via_config else (flag, value)
+        code, out, err = run(capsys, *config, "train", "--task", "scale-indifferent",
+                             "--steps", "2", *flags)
+        assert (code, out) == (5, "")
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert payload["message"].startswith(f"{flag} conflicts with --task scale-indifferent")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--target", "1,x", "--target must be comma-separated finite numbers, got '1,x'"),
+        ("--target", "1,inf,1,1",
+         "--target must be comma-separated finite numbers, got '1,inf,1,1'"),
+        ("--target", "nan,1,1,1",
+         "--target must be comma-separated finite numbers, got 'nan,1,1,1'"),
+        ("--imbalance", "1,x,1",
+         "--imbalance must be comma-separated finite numbers, got '1,x,1'"),
+        ("--imbalance", "", "--imbalance must be comma-separated finite numbers, got ''"),
+    ], ids=["target-word", "target-inf", "target-nan", "imbalance-word", "imbalance-empty"])
+    def test_number_list_flag_named(self, flag, value, message, fixtures, capsys):
+        code, out, err = run(capsys, "train", "--map", fixtures["x"], "--global", fixtures["xg"],
+                             "--steps", "2", flag, value)
+        assert (code, out) == (5, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "invalid-input", "message": message}
 
     @pytest.mark.parametrize("flag, value", [
         ("--instances", "0"),
