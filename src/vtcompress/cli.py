@@ -18,9 +18,11 @@ reason (a directory, no permission) also exits 3.
 
 The parser is built on the first ``main`` call and reused by every later
 call in the process, which matters to callers that run ``main`` many times.
-Nothing ever changes the shared parser: ``--config`` values are the starting
-namespace of the subcommand's own parse, so flags win over them, they apply
-to their own call only, and calls from several threads at once are safe.
+``--config`` goes before the subcommand. Its file is read only once the
+command line parses, so a usage error wins over a bad config. Its values
+seed a re-parse of the subcommand's own tokens, so flags win over them; the
+shared parser never changes, so they apply to their own call only and calls
+from several threads at once are safe.
 """
 
 from __future__ import annotations
@@ -214,30 +216,26 @@ def cmd_compress(args) -> int:
 
     text_selection = None
     text_scores = None
-    if args.strategy == "text":
-        if args.q is None or args.k is None:
+    if args.strategy in ("text", "both"):
+        if args.strategy == "text" and (args.q is None or args.k is None):
             raise ValueError("strategy 'text' needs --q and --k")
-        q = _read_checked(args.q, MAGIC_ATTENTION)
-        k = _read_checked(args.k, MAGIC_ATTENTION)
-        if k.ndim != 3 or q.ndim != 3:
-            raise ValueError("--q and --k must be 3-d (heads, tokens, head dim) tensors")
-        if k.shape[1] != input_tokens:
-            raise ValueError(
-                f"key file covers {k.shape[1]} visual tokens but the map has {input_tokens}"
-            )
-        text_scores = importance(attention_scores(q, k))
-        text_selection = cumulative_topk(text_scores, args.gamma)
-    elif args.strategy == "both":
-        if args.q is None:
+        if args.strategy == "both" and args.q is None:
             raise ValueError("strategy 'both' needs --q")
-        if args.k is not None:
+        if args.strategy == "both" and args.k is not None:
             raise ValueError("strategy 'both' projects keys from the vision tokens; drop --k")
         q = _read_checked(args.q, MAGIC_ATTENTION)
-        if q.ndim != 3:
-            raise ValueError("--q must be a 3-d (heads, tokens, head dim) tensor")
-        if vision_tokens.shape[0] == 0:
-            raise ValueError("vision stage emitted no tokens; nothing for the text stage")
-        keys = _project_keys(vision_tokens, q.shape[0], q.shape[2], args.seed)
+        keys = _read_checked(args.k, MAGIC_ATTENTION) if args.strategy == "text" else None
+        for flag, tensor in (("--q", q), ("--k", keys)):
+            if tensor is not None and tensor.ndim != 3:
+                raise ValueError(f"{flag} must be a 3-d (heads, tokens, head dim) tensor")
+        if keys is None:
+            if vision_tokens.shape[0] == 0:
+                raise ValueError("vision stage emitted no tokens; nothing for the text stage")
+            keys = _project_keys(vision_tokens, q.shape[0], q.shape[2], args.seed)
+        elif keys.shape[1] != input_tokens:
+            raise ValueError(
+                f"key file covers {keys.shape[1]} visual tokens but the map has {input_tokens}"
+            )
         text_scores = importance(attention_scores(q, keys))
         text_selection = cumulative_topk(text_scores, args.gamma)
 
@@ -261,24 +259,18 @@ def cmd_compress(args) -> int:
     _emit(report, args.out)
 
     if args.heatmap_prefix:
-        prefix = args.heatmap_prefix
+        grids = {}
         if selections is not None:
             region_grid = (height // menu.window, width // menu.window)
-            export_heatmap(
-                selection_heatmap(selections, menu, region_grid), "pgm", f"{prefix}vision.pgm"
-            )
+            grids["vision"] = selection_heatmap(selections, menu, region_grid)
             if text_scores is not None:
-                export_heatmap(
-                    _region_importance_grid(selections, text_scores, menu, region_grid),
-                    "pgm",
-                    f"{prefix}text.pgm",
-                )
+                grids["text"] = _region_importance_grid(selections, text_scores, menu, region_grid)
         elif text_scores is not None:
-            export_heatmap(text_scores.reshape(height, width), "pgm", f"{prefix}text.pgm")
+            grids["text"] = text_scores.reshape(height, width)
         if heuristic_scores is not None:
-            export_heatmap(
-                heuristic_scores.reshape(height, width), "pgm", f"{prefix}heuristic.pgm"
-            )
+            grids["heuristic"] = heuristic_scores.reshape(height, width)
+        for name, grid in grids.items():
+            export_heatmap(grid, "pgm", f"{args.heatmap_prefix}{name}.pgm")
     return 0
 
 
@@ -360,7 +352,9 @@ def cmd_gradcheck(args) -> int:
                 f"could not find {args.instances} tie-free instances in {max_attempts} attempts"
             )
         attempts += 1
-        dataset, params, downstream = random_gradcheck_instance(seed)
+        dataset, params, downstream = random_gradcheck_instance(
+            seed, num_scales=len(menu), window=args.window
+        )
         seed += 1
         margin = prepare_batch(dataset, menu).argmax_margin(params)
         if margin <= args.margin:
@@ -441,16 +435,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+class _Subcommands(argparse._SubParsersAction):
+    """Also keeps the chosen subcommand's own tokens, for ``main``'s ``--config`` re-parse."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.own_tokens = values[1:]
+        super().__call__(parser, namespace, values, option_string)
+
+
 @functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and the subcommand parsers by name, built once per process."""
     parser = _Parser(
         prog="vtcompress",
         description="Coarse-to-fine visual token compression on encoded feature maps.",
-        allow_abbrev=False,  # as in _config_parser, so an abbreviated --config is a usage error
+        allow_abbrev=False,  # so an abbreviated --config is a usage error
     )
     parser.add_argument("--config", help="JSON file of default flag values (flags override)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
 
     p = sub.add_parser("gen", help="generate synthetic fixture files")
     p.add_argument("--out", required=True, help="output directory")
@@ -534,46 +536,30 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
-@functools.cache
-def _config_parser() -> argparse.ArgumentParser:
-    """Finds ``--config`` before the full parse, which needs the file's defaults.
-
-    Abbreviations are off: otherwise a subcommand's abbreviated flag such as
-    ``gen --c 4`` (``--channels``) would be read here as ``--config 4``.
-    """
-    pre = _Parser(prog="vtcompress", add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
-    return pre
-
-
-def _config_overrides(argv: list[str], commands) -> tuple[dict[str, object], list[str]]:
-    """Checked ``--config`` values by argparse dest, and the subcommand's own tokens.
+def _config_overrides(path: str, command: argparse.ArgumentParser) -> dict[str, object]:
+    """The ``--config`` file at ``path``, checked against the subcommand parser
+    ``command`` and keyed by argparse dest.
 
     A key is a flag's long name without the leading ``--`` (``global``,
     ``out-params``) or its argparse dest (``global_map``); ``-`` and ``_``
-    are interchangeable.
+    are interchangeable. ``help`` names no flag: ``-h`` takes no value.
     """
-    known, rest = _config_parser().parse_known_args(argv)
-    if not known.config:
-        return {}, []
-    overrides = _read_json(known.config)
+    overrides = _read_json(path)
     if not isinstance(overrides, dict):
         raise ValueError("config file must hold a JSON object")
-    command = next((tok for tok in rest if not tok.startswith("-")), None)
-    target = commands.get(command)
-    if target is None:
-        return {}, []
     names = {}
-    for action in target._actions:
+    for action in command._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
         for name in [action.dest] + [o[2:] for o in action.option_strings if o.startswith("--")]:
             names[name.replace("-", "_")] = action
     mapped = {}
     for key, value in overrides.items():
         action = names.get(key.replace("-", "_"))
         if action is None:
-            raise ValueError(f"config key {key!r} is not a flag of {command!r}")
+            raise ValueError(f"config key {key!r} is not a flag of {command.prog!r}")
         mapped[action.dest] = _config_value(action, key, value)
-    return mapped, rest[rest.index(command) + 1:]
+    return mapped
 
 
 def _config_value(action: argparse.Action, key: str, value):
@@ -595,14 +581,14 @@ def _config_value(action: argparse.Action, key: str, value):
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        overrides, own = _config_overrides(argv, commands)
         args = parser.parse_args(argv)
-        if overrides:  # flags overwrite config values; defaults fill only the rest
-            namespace = argparse.Namespace(command=args.command, **overrides)
-            args = commands[args.command].parse_args(own, namespace)
+        if args.config:  # flags overwrite config values; defaults fill only the rest
+            command = commands[args.command]
+            namespace = argparse.Namespace(command=args.command,
+                                           **_config_overrides(args.config, command))
+            args = command.parse_args(args.own_tokens, namespace)
         return args.func(args)
     except _UsageError as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))

@@ -135,13 +135,15 @@ class MeanTokenTarget:
         return float(np.mean(diff * diff))
 
 
-class _Step(NamedTuple):
+class SelectorGradients(NamedTuple):
+    """Loss breakdown, per-scale f and P, and parameter gradients for one batch."""
+
     loss: float
-    down: float
-    bal: float
+    downstream: float
+    balance: float
     f: np.ndarray  # (S,)
     p: np.ndarray  # (S,)
-    grad_weight: np.ndarray | None  # (S, Ng), a view of a reused buffer in the compiled step
+    grad_weight: np.ndarray | None  # (S, Ng); None for a loss-only step
     grad_bias: np.ndarray | None  # (S,)
 
 
@@ -176,10 +178,6 @@ class PreparedBatch:
             from . import _kernel  # already imported by the loader
 
             self._compiled = _kernel.Step(kernel, self.scores, self.sums, self.counts)
-
-    @property
-    def num_regions(self) -> int:
-        return self.scores.shape[0]
 
     @property
     def num_global_tokens(self) -> int:
@@ -219,16 +217,17 @@ class PreparedBatch:
         alpha: float,
         imbalance_weights: np.ndarray | None,
         grad: bool,
-    ) -> _Step:
+    ) -> SelectorGradients:
         """The loss at (weight, bias), and with ``grad`` its gradient, for checked
-        inputs: in the compiled step when the batch has one, else in numpy."""
+        inputs: in the compiled step when the batch has one, else in numpy. The
+        compiled step's ``grad_weight`` is a view of a buffer the next step rewrites."""
         if self._compiled is not None:
             step = self._compiled_at(weight, bias, downstream, alpha, imbalance_weights)
             self._raise_for(step.evaluate(grad))
             terms, f, p = step.terms(), step.f.copy(), step.p.copy()
             if not grad:
-                return _Step(*terms, f, p, None, None)
-            return _Step(*terms, f, p, step.grad_weight, step.grad_bias.copy())
+                return SelectorGradients(*terms, f, p, None, None)
+            return SelectorGradients(*terms, f, p, step.grad_weight, step.grad_bias.copy())
         logits = matmul(self.scores, weight.T) + bias
         probs = softmax(logits, axis=-1)
         chosen = logits.argmax(axis=1)  # ties to the coarsest scale, as in route
@@ -251,7 +250,7 @@ class PreparedBatch:
         weighted_f = f if imbalance_weights is None else imbalance_weights * f
         bal = _balance_term(alpha, weighted_f, p)
         if not grad:
-            return _Step(down + bal, down, bal, f, p, None, None)
+            return SelectorGradients(down + bal, down, bal, f, p, None, None)
 
         m = probs.shape[0]
         d_logits = np.zeros(probs.shape)
@@ -267,7 +266,7 @@ class PreparedBatch:
             d_logits += probs * (coeff - matmul(probs, coeff[:, None]))
 
         grad_weight = matmul(d_logits.T, self.scores)
-        return _Step(down + bal, down, bal, f, p, grad_weight, d_logits.sum(axis=0))
+        return SelectorGradients(down + bal, down, bal, f, p, grad_weight, d_logits.sum(axis=0))
 
     def _compiled_at(self, weight, bias, downstream, alpha, imbalance_weights):
         """The compiled step, holding these parameters and this loss."""
@@ -308,18 +307,11 @@ class PreparedBatch:
         downstream: MeanTokenTarget | None = None,
         alpha: float = 0.1,
         imbalance_weights=None,
-    ) -> "SelectorGradients":
+    ) -> SelectorGradients:
         """Analytic gradient of :meth:`objective` under the stop-gradient conventions."""
         weights = self._check(params, downstream, alpha, imbalance_weights)
         t = self._step(params.weight, params.bias, downstream, alpha, weights, True)
-        return SelectorGradients(
-            loss=t.loss,
-            downstream=t.down,
-            balance=t.bal,
-            diagnostics=BatchDiagnostics(t.f, t.p, self.num_regions),
-            grad_weight=t.grad_weight.copy(),
-            grad_bias=t.grad_bias,
-        )
+        return t._replace(grad_weight=t.grad_weight.copy())
 
 
 def prepare_batch(dataset, menu: ScaleMenu, pool: str = "mean") -> PreparedBatch:
@@ -344,18 +336,6 @@ def prepare_batch(dataset, menu: ScaleMenu, pool: str = "mean") -> PreparedBatch
         scores=np.concatenate(scores),
         variants=tuple(np.concatenate(per_scale) for per_scale in zip(*variants)),
     )
-
-
-@dataclass
-class SelectorGradients:
-    """Loss breakdown, batch diagnostics, and parameter gradients for one batch."""
-
-    loss: float
-    downstream: float
-    balance: float
-    diagnostics: BatchDiagnostics
-    grad_weight: np.ndarray
-    grad_bias: np.ndarray
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import threading
@@ -267,6 +268,12 @@ class TestGradcheck:
         assert code == 7
         assert json.loads(out)["passed"] is False
 
+    @pytest.mark.parametrize("flags", [("--menu", "7branch"), ("--window", "8")],
+                             ids=["7branch", "window-8"])
+    def test_instances_match_menu_and_window(self, flags, capsys):
+        result = run_json(capsys, "gradcheck", "--instances", "3", *flags)
+        assert result["passed"] is True
+
     def test_tie_adjacent_instances_skipped_with_notice(self, capsys):
         code, out, err = run(
             capsys, "gradcheck", "--instances", "1", "--margin", "1e9",
@@ -404,6 +411,36 @@ class TestConfigFile:
         )
         assert code == 5
 
+    def test_help_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"help": "x"}))
+        code, out, err = run(capsys, "--config", str(cfg), "gradcheck", "--instances", "1")
+        assert (code, out) == (5, "")
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert "'help'" in payload["message"]
+
+    def test_config_after_subcommand_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        from vtcompress import cli
+
+        opened = []
+        monkeypatch.setattr(cli, "_read_json", opened.append)
+        missing = tmp_path / "missing.json"
+        code, out, err = run(capsys, "gradcheck", "--instances", "1", "--config", str(missing))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "usage"
+        assert opened == []
+
+    @pytest.mark.parametrize("config", [None, '{"instances": "x"}', '{"nope": 1}', "[1"],
+                             ids=["missing", "bad-value", "unknown-key", "bad-json"])
+    def test_usage_error_wins_over_bad_config(self, config, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        if config is not None:
+            cfg.write_text(config)
+        code, out, err = run(capsys, "--config", str(cfg), "gradcheck", "--instances", "y")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "usage"
+
     @pytest.mark.parametrize("config_maps, flag_maps", [((0, 1), (2,)), ((), (0, 2))],
                              ids=["config-and-flags", "flags-only"])
     def test_config_maps_come_before_command_line_maps(self, config_maps, flag_maps, fixtures,
@@ -533,6 +570,17 @@ class TestCachedParser:
         code, _, _ = self._text(fixtures, capsys, "--config", str(cfg), flags=extra)
         assert code == exit_code
         assert all(action.default is default for action, default in zip(actions, before))
+
+
+def test_command_line_parsed_by_one_parser():
+    """``cli.py`` builds one ``_Parser`` (argparse makes the subcommand parsers
+    from it) and never pre-parses argv with ``parse_known_args``."""
+    from vtcompress import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text(), filename=cli.__file__)
+    calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert sum(isinstance(f, ast.Name) and f.id == "_Parser" for f in calls) == 1
+    assert not any(isinstance(f, ast.Attribute) and f.attr == "parse_known_args" for f in calls)
 
 
 class TestErrorContract:
