@@ -153,15 +153,15 @@ def _region_importance_grid(
 
 
 def _train_log(summary: dict, run) -> str:
-    """``json.dumps(log, indent=2) + "\\n"`` for the summary plus a ``history``
-    entry ``{"step", "loss", "f", "p"}`` per step, byte for byte.
+    """``report_to_json(log)`` for the summary plus a ``history`` entry
+    ``{"step", "loss", "f", "p"}`` per step, byte for byte.
 
-    json's indented encoder is pure Python and slow, so the history is one
-    template filled with reprs, as json writes finite floats. Each distinct
-    value (f only holds k/M) is formatted once, told apart by its bits, since
-    under ``==`` ``-0.0`` would be written as ``0.0``.
+    The history is one columnar template filled with reprs, as json writes
+    finite floats, which beats ``report_to_json``'s walk over ~3,500 floats.
+    Each distinct value (f only holds k/M) is formatted once, told apart by its
+    bits, since under ``==`` ``-0.0`` would be written as ``0.0``.
     """
-    head = json.dumps(summary, indent=2)
+    head = report_to_json(summary)
     values = np.column_stack([run.losses, run.f_history, run.p_history])
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     reprs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
@@ -170,7 +170,7 @@ def _train_log(summary: dict, run) -> str:
     entry = ('    {\n      "step": %d,\n      "loss": %s,\n      "f": ' + vector
              + ',\n      "p": ' + vector + "\n    }")
     history = ",\n".join([entry] * len(values)) % tuple(cells.ravel().tolist())
-    return f'{head[:-2]},\n  "history": [\n{history}\n  ]\n}}\n'
+    return f'{head[:-3]},\n  "history": [\n{history}\n  ]\n}}\n'
 
 
 def cmd_gen(args) -> int:

@@ -162,8 +162,8 @@ def export_heatmap(values, fmt: str, path) -> None:
             pixels = np.floor((grid - lo) / (hi - lo) * 255.0 + 0.5).astype(int)
         else:
             pixels = np.zeros((h, w), dtype=int)
-        rows = [" ".join(map(str, row)) + "\n" for row in pixels.tolist()]
-        Path(path).write_text(f"P2\n{w} {h}\n255\n" + "".join(rows))
+        body = ((" ".join(["%d"] * w) + "\n") * h) % tuple(pixels.ravel().tolist())
+        Path(path).write_text(f"P2\n{w} {h}\n255\n" + body)
     elif fmt == "csv":
         Path(path).write_text("".join(",".join(map(repr, row)) + "\n" for row in grid.tolist()))
     else:

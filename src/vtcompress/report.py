@@ -5,7 +5,8 @@ effective token count: removing n of m tokens at layer i of L still pays for
 those n tokens across the first i layers, so the effective count is
 m - n + i*n/L. Vision and heuristic removals happen before the LLM. This
 policy and every check on a report's counts live in ``_effective``, through
-which both ``build_report`` and ``reprofile`` account.
+which both ``build_report`` and ``reprofile`` account. ``report_to_json`` is
+the one writer of indented JSON.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
@@ -225,6 +227,76 @@ def reprofile(report, *, layer: int | None = None, total_layers: int | None = No
     return report
 
 
-def report_to_json(report: dict) -> str:
-    """Serialize with stable key order and a trailing newline."""
-    return json.dumps(report, indent=2) + "\n"
+# json's C encoder writes a list of leaves with NUL between them, and it escapes
+# NUL inside every string it writes (ensure_ascii), so splitting on it is exact.
+_LEAVES = json.JSONEncoder(separators=("\x00", ": "), allow_nan=False)
+_NESTED = (list, tuple, dict)
+
+
+def _key(key) -> str:
+    """A dict key as json writes it, with ``%`` escaped for a template."""
+    if not isinstance(key, str):
+        if not (isinstance(key, (int, float)) or key is None):  # bool is an int
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _LEAVES.encode(key)  # as json writes the number; refuses nan and infinities
+    return encode_basestring_ascii(key).replace("%", "%%")
+
+
+def _template(value, pad: str, leaves: list, shapes: dict, active: set) -> str:
+    """The list, tuple or dict ``value`` as ``json.dumps(indent=2)`` writes it
+    after a line that ends in ``pad``, with ``%s`` for each scalar, which is
+    appended to ``leaves`` in the order json meets it. A container of scalars
+    takes its template from ``shapes`` when one of its shape is there."""
+    is_dict = isinstance(value, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    if not value:
+        return opening + closing
+    items = value.values() if is_dict else value
+    for item in items:
+        if isinstance(item, _NESTED):
+            shape = None
+            break
+    else:
+        shape = (pad, tuple(value)) if is_dict else (pad, len(value))
+        template = shapes.get(shape)
+        if template is not None:
+            leaves.extend(items)
+            return template
+    if id(value) in active:
+        raise ValueError("Circular reference detected")
+    active.add(id(value))
+    inner = pad + "  "
+    parts = []
+    for key, item in value.items() if is_dict else enumerate(value):
+        head = _key(key) + ": " if is_dict else ""  # json raises for a key before its value
+        if isinstance(item, _NESTED):
+            parts.append(head + _template(item, inner, leaves, shapes, active))
+        else:
+            leaves.append(item)
+            parts.append(head + "%s")
+    active.remove(id(value))
+    template = opening + inner + ("," + inner).join(parts) + pad + closing
+    # Only str keys: 1, 1.0 and True (or 0.0 and -0.0) are one dict key but print apart.
+    if shape is not None and (not is_dict or all(isinstance(key, str) for key in value)):
+        shapes[shape] = template
+    return template
+
+
+def _encode(leaves: list) -> tuple[str, ...]:
+    return tuple(_LEAVES.encode(leaves)[1:-1].split("\x00")) if leaves else ()
+
+
+def report_to_json(report) -> str:
+    """``json.dumps(report, indent=2, allow_nan=False) + "\\n"``, byte for byte and
+    raising what it raises, without json's pure-Python indented encoder: one walk
+    builds a template and collects the scalars, and one call to json's C encoder
+    writes them all. A non-finite float is a ``ValueError``."""
+    if not isinstance(report, _NESTED):
+        return _LEAVES.encode(report) + "\n"
+    leaves: list = []
+    try:
+        template = _template(report, "\n", leaves, {}, set())
+    except (TypeError, ValueError):
+        _encode(leaves)  # json meets these scalars before the bad key or the cycle
+        raise
+    return template % _encode(leaves) + "\n"

@@ -854,6 +854,29 @@ class TestErrorContract:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "invalid-input"
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["window", "meanProbs", "textSelection.gamma"])
+    def test_report_non_finite_pass_through_refused(self, field, value, fixtures, tmp_path,
+                                                    capsys):
+        """``report --in`` copies fields it does not account; a non-finite one
+        would make the output invalid JSON, so it exits 5 and writes nothing."""
+        report = self._text_report(fixtures, tmp_path, capsys)
+        if field == "meanProbs":
+            report[field] = [value, 1, 2]
+        elif field == "textSelection.gamma":
+            report["textSelection"]["gamma"] = value
+        else:
+            report[field] = value
+        rep = tmp_path / "nan.json"
+        rep.write_text(json.dumps(report))  # json writes NaN, Infinity and -Infinity
+        out_file = tmp_path / "out.json"
+        for sink in ("-", str(out_file)):
+            code, out, err = run(capsys, "report", "--in", str(rep), "--out", sink)
+            assert (code, out) == (5, "")
+            assert len(err.splitlines()) == 1
+            assert json.loads(err)["error"] == "invalid-input"
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("overrides", [
         {"steps": 2.5},
         {"steps": [1]},

@@ -242,6 +242,16 @@ class TestHeatmap:
             for j in range(flat_v.size):
                 if flat_v[i] < flat_v[j]:
                     assert flat_p[i] <= flat_p[j]
+        # Thin, single-pixel and constant grids too, byte for byte as one join per row wrote.
+        for grid in [grid, *map(rng.standard_normal, [(1, 1), (1, 7), (7, 1), (5, 13)]),
+                     np.full((3, 4), -2.5)]:
+            export_heatmap(grid, "pgm", path)
+            h, w = grid.shape
+            lo, hi = grid.min(), grid.max()
+            pixels = (np.floor((grid - lo) / (hi - lo) * 255.0 + 0.5).astype(int) if hi > lo
+                      else np.zeros((h, w), dtype=int))
+            rows = "".join(" ".join(map(str, row)) + "\n" for row in pixels.tolist())
+            assert path.read_text() == f"P2\n{w} {h}\n255\n" + rows
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -1,10 +1,17 @@
 import ast
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from test_cli import AWKWARD_FLOATS, HUGE, JSON_VALUES
+from vtcompress.cli import main
+from vtcompress.formats import SyntheticConfig, gen_synthetic
 from vtcompress.numeric import softmax
 from vtcompress.report import (
     build_report,
@@ -212,3 +219,75 @@ def test_accounting_only_in_report():
                 if name == "effective_token_count":
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_indented_json_only_in_report():
+    """No module but ``report.py`` calls ``json.dumps`` with ``indent``: the
+    indented report format has one writer, ``report_to_json``."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "report.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "dumps"
+                    and any(kw.arg == "indent" for kw in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def _compressed_both_report() -> dict:
+    """The report ``vtcompress compress --strategy both`` writes for the seed fixture."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = gen_synthetic(SyntheticConfig(), tmp)["paths"]
+        out = Path(tmp) / "both.json"
+        code = main(["compress", "--strategy", "both", "--map", paths["x"],
+                     "--global", paths["xg"], "--q", paths["q"], "--out", str(out)])
+        assert code == 0
+        return json.loads(out.read_text())
+
+
+# Text that a %-template, the NUL split or the ASCII escapes could get wrong.
+AWKWARD_TEXT = st.sampled_from(["%", "%s", "%%d", "\x00", "a\x00b", "\n", '"', "\\", "é",
+                                "\U0001f600", "\ud800"]) | st.text(max_size=6)
+WRITER_KEYS = (AWKWARD_TEXT | st.integers() | st.floats() | AWKWARD_FLOATS | st.booleans()
+               | st.none() | st.tuples(st.integers()))
+WRITER_SCALARS = (JSON_VALUES | AWKWARD_FLOATS | AWKWARD_TEXT | HUGE
+                  | st.floats().map(np.float64) | st.integers(-9, 9).map(np.int64)
+                  | st.sets(st.integers(), max_size=2))
+WRITER_VALUES = st.recursive(
+    WRITER_SCALARS | st.sampled_from([[], (), {}]),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(WRITER_KEYS, inner, max_size=4)
+    | inner.map(lambda v: [v, {"k": v}, v, {"k": v}]),  # repeated shapes share a template
+    max_leaves=16,
+)
+
+
+def _written(write, value):
+    """What ``write(value)`` returns, or the type of the exception it raises."""
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+class TestWriterParity:
+    @given(value=WRITER_VALUES)
+    @example(value=_compressed_both_report())
+    @example(value=[{1: 0}, {1.0: 0}, {True: 0}, {"1": 0}, {0.0: 0}, {-0.0: 0}, {None: 0}])
+    @example(value=[[1, 2], {3: 4}, (5, 6, 7), {(3,): 4}])
+    @example(value={"a": [math.nan], (1,): 0})  # a bad value before a bad key
+    @example(value={(1,): math.nan})  # a bad key before its bad value
+    @example(value={math.inf: {1}})
+    @example(value=[{"x": 1, "y": [2, {"z": ()}]}, 2**1100, -(2**70)])
+    @settings(max_examples=500, deadline=None)
+    def test_matches_json_dumps_indent_2(self, value):
+        expected = _written(lambda v: json.dumps(v, indent=2, allow_nan=False) + "\n", value)
+        assert _written(report_to_json, value) == expected
+
+    def test_circular_reference_rejected(self):
+        loop = {"a": [1]}
+        loop["a"].append(loop)
+        with pytest.raises(ValueError, match="Circular reference"):
+            report_to_json(loop)
