@@ -1,5 +1,5 @@
-"""The compiled exact kernels behind :func:`vtcompress.numeric.matmul` and the
-selector training step.
+"""The compiled exact kernels behind :func:`vtcompress.numeric.matmul`, the
+selector training step and the text stage's attention.
 
 ``SOURCE`` is the scalar loop ``o[i,j] = 0.0; for k ascending: o[i,j] +=
 a[i,k] * b[k,j]`` over C-contiguous float64 operands, in i-k-j order so that
@@ -9,7 +9,12 @@ one rounded add at a time: ``-ffp-contract=off`` forbids fusing them into an
 FMA, no fast-math flag allows reordering the sum, and vectorizing the j loop
 only computes independent elements side by side. So the kernel writes the
 bits of the numpy layout in :mod:`vtcompress.numeric`. No ``-march`` flag is
-used, so the binary runs on any CPU of the platform it was built for.
+used, so the binary runs on any CPU of the platform it was built for. On
+x86-64 with GCC or Clang and glibc, ``vtc_matmul`` is cloned for AVX-512F,
+AVX2 and the baseline (``target_clones``); the dynamic loader's ifunc
+resolver picks the widest clone the CPU runs, once per process. A wider
+clone only computes more j lanes per instruction: neither target implies
+FMA contraction or fast-math, so every clone writes the same bits.
 
 The same source holds the selector training step (:class:`Step`): all of
 ``PreparedBatch``'s numpy step but the exponential, under the same rules.
@@ -17,21 +22,23 @@ Its two products call ``vtc_matmul``; its sums over regions run
 sequentially, as numpy reduces along a non-contiguous axis; and its sums
 along a contiguous row (the softmax denominators, the downstream mean)
 reproduce numpy's pairwise summation, which ``ndarray.sum`` runs there.
+:meth:`Kernel.attention` is the text stage's per-head scaled softmax under
+the same rules, with the exponential again left to numpy.
 
 :func:`load` builds the kernel through cffi's API mode the first time and
 caches it as an extension module in the given directory (the package's own
 ``__pycache__``), named by a hash of the C source, the flags, the cffi
 version and the interpreter's extension suffix. The build runs in a child
-process with its output captured: compiling imports setuptools, which would
-raise the caller's peak memory, and a CLI call may print nothing but its own
-output. The built module is published with an atomic rename, so another
+process with its output captured: cffi's C generator parses the
+declarations with pycparser, which would raise the caller's peak memory, and
+a CLI call may print nothing but its own output. The built module is published with an atomic rename, so another
 process sees no file or a whole one. :func:`load` returns ``None`` when cffi
 or a C compiler is missing, the directory is not writable, the build fails,
-or the kernel gives other bits than the scalar loop, ``ndarray.sum`` or
-numpy's elementwise arithmetic on a probe. A failed build leaves its output
-in ``<module name>.failed.log`` next to where the module would be, and no
-later process tries that build again until the log is deleted; otherwise
-every process would pay for a doomed build.
+or the kernel gives other bits than the scalar loop, numpy's softmax,
+``ndarray.sum`` or numpy's elementwise arithmetic on a probe. A failed build
+leaves its output in ``<module name>.failed.log`` next to where the module
+would be, and no later process tries that build again until the log is
+deleted; otherwise every process would pay for a doomed build.
 """
 
 from __future__ import annotations
@@ -45,6 +52,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from .numeric import softmax
 
 # Declarations shared by the C source and cffi's cdef. ``vtc_step`` holds one
 # batch of the selector training step. :class:`Step` points it at numpy
@@ -75,9 +84,27 @@ double vtc_sum(const double *, size_t);
 void vtc_descend(double *, const double *, double, size_t);
 int vtc_step_pre(vtc_step *);
 int vtc_step_post(vtc_step *, int, size_t);
+int vtc_attention_pre(const double *, const double *, double *, double *, size_t, size_t, size_t,
+                      size_t, double);
+void vtc_attention_post(double *, size_t, size_t);
 """
 
 SOURCE = "#include <math.h>\n#include <stddef.h>\n#include <stdint.h>\n" + CDEF + r"""
+/* One clone of vtc_matmul per vector width, chosen once per process by the
+   dynamic loader's ifunc resolver. A clone only widens the independent j
+   lanes; each output element keeps its own ascending sum. Elsewhere the
+   plain loop is built. */
+#if defined(__x86_64__) && defined(__GLIBC__) && (defined(__GNUC__) || defined(__clang__)) \
+    && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define VTC_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef VTC_CLONES
+#define VTC_CLONES
+#endif
+
+VTC_CLONES
 void vtc_matmul(const double *restrict a, const double *restrict b, double *restrict o,
                 size_t m, size_t kk, size_t n)
 {
@@ -286,24 +313,80 @@ int vtc_step_post(vtc_step *t, int mode, size_t step)
     vtc_descend(t->bias, gb, t->lr, s);
     return VTC_OK;
 }
+
+/* Scaled attention logits of h heads, each row minus its first maximum: per
+   head, k's (n, d) slice transposed into kt, q's (t, d) slice times kt into
+   o's (t, n) slice, then each element times scale, as numpy multiplies a
+   product by a float. Numpy computes exp(o) before vtc_attention_post. */
+int vtc_attention_pre(const double *restrict q, const double *restrict k, double *restrict o,
+                      double *restrict kt, size_t h, size_t t, size_t d, size_t n, double scale)
+{
+    if (h && t * n == 0)
+        return VTC_EMPTY;
+    for (size_t g = 0; g < h; g++) {
+        const double *restrict kg = k + g * n * d;
+        for (size_t j = 0; j < n; j++)
+            for (size_t c = 0; c < d; c++)
+                kt[c * n + j] = kg[j * d + c];
+        double *restrict og = o + g * t * n;
+        vtc_matmul(q + g * t * d, kt, og, t, d, n);
+        for (size_t i = 0; i < t; i++) {
+            double *restrict x = og + i * n;
+            size_t best = 0;
+            for (size_t j = 0; j < n; j++) {
+                x[j] *= scale;
+                if (!isfinite(x[j]))
+                    return VTC_NONFINITE_LOGITS;
+                if (x[j] > x[best])
+                    best = j;
+            }
+            const double top = x[best];
+            for (size_t j = 0; j < n; j++)
+                x[j] -= top;
+        }
+    }
+    return VTC_OK;
+}
+
+/* Each of the rows of e = exp(o) divided by its ndarray.sum. */
+void vtc_attention_post(double *restrict e, size_t rows, size_t n)
+{
+    for (size_t i = 0; i < rows; i++) {
+        double *restrict x = e + i * n;
+        const double total = 0.0 + pairwise(x, n);
+        for (size_t j = 0; j < n; j++)
+            x[j] /= total;
+    }
+}
 """
 # Appended after the interpreter's own compile flags, so they win. Every
 # function starts on a 64-byte line, so a kernel's speed does not depend on
 # what precedes it in the source: unaligned, vtc_matmul ran 8-18% slower on
-# fixture-sized products once the training step shared its module.
-FLAGS = ("-O3", "-fno-fast-math", "-ffp-contract=off", "-falign-functions=64")
+# fixture-sized products once the training step shared its module. No debug
+# information: it took 15% of the compile time and half of the module's size.
+FLAGS = ("-O3", "-fno-fast-math", "-ffp-contract=off", "-falign-functions=64", "-g0")
 BUILD_TIMEOUT_S = 300
 
-# Runs in the child: reads the build spec as JSON on stdin, compiles in a
-# temporary directory and renames the module to its place in the cache.
+# Runs in the child: reads the build spec as JSON on stdin, writes cffi's C
+# file into a temporary directory, compiles and links it in one call of the
+# compiler that built the interpreter, with the interpreter's flags, and
+# renames the module to its place in the cache. cffi's own ``ffi.compile``
+# would import setuptools, which took 0.3 s of a cold build.
 _BUILD = """
-import json, os, sys
+import json, os, subprocess, sys, sysconfig
 import cffi
 spec = json.load(sys.stdin)
 ffi = cffi.FFI()
 ffi.cdef(spec["cdef"])
-ffi.set_source(spec["name"], spec["source"], extra_compile_args=spec["flags"])
-os.replace(ffi.compile(tmpdir=spec["tmpdir"]), spec["path"])
+ffi.set_source(spec["name"], spec["source"])
+source = os.path.join(spec["tmpdir"], spec["name"] + ".c")
+ffi.emit_c_code(source)
+var = sysconfig.get_config_var
+module = source[:-2] + var("EXT_SUFFIX")
+subprocess.run([*var("LDSHARED").split(), *var("CFLAGS").split(), *var("CCSHARED").split(),
+                "-I" + sysconfig.get_paths()["include"], *spec["flags"], source, "-o", module],
+               check=True)
+os.replace(module, spec["path"])
 """
 
 
@@ -329,6 +412,33 @@ class Kernel:
         buffer = self._buffer
         self._product(buffer("double[]", a), buffer("double[]", b),
                       buffer("double[]", out, require_writable=True), m, kk, n)
+        return out
+
+    def attention(self, q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+        """Per head ``h``, ``numeric.softmax(matmul(q[h], k[h].T) * scale)`` with
+        its bits and its errors, as a fresh ``(h, T, N)`` array.
+
+        ``q`` and ``k`` are C-contiguous float64 ``(h, T, d)`` and ``(h, N, d)``
+        arrays. A C pass writes the scaled logits minus each row's maximum,
+        numpy's ``exp`` runs over them in place (the same ``exp`` as the
+        softmax's), and a second C pass divides each row by its pairwise sum.
+        """
+        (heads, t, d), n = q.shape, k.shape[1]
+        if k.shape != (heads, n, d) or not (q.flags.c_contiguous and k.flags.c_contiguous):
+            raise ValueError(f"cannot attend from {q.shape} to {k.shape}")
+        out, kt = np.empty((heads, t, n)), np.empty((d, n))
+        buffer, lib = self._buffer, self.lib
+        status = lib.vtc_attention_pre(
+            buffer("double[]", q), buffer("double[]", k),
+            buffer("double[]", out, require_writable=True),
+            buffer("double[]", kt, require_writable=True), heads, t, d, n, scale,
+        )
+        if status == lib.VTC_EMPTY:
+            raise ValueError("softmax of an empty input")  # as numeric.softmax
+        if status == lib.VTC_NONFINITE_LOGITS:
+            raise ValueError("softmax input contains non-finite values")  # as numeric.softmax
+        np.exp(out, out=out)
+        lib.vtc_attention_post(buffer("double[]", out, require_writable=True), heads * t, n)
         return out
 
 
@@ -497,13 +607,15 @@ def _build(name: str, source: str, cache_dir: Path, path: Path, failed: Path) ->
 
 def _exact(kernel: Kernel) -> bool:
     """Whether ``kernel`` matches the scalar loop on products that show a changed
-    summation order, a fused multiply-add or a lost signed zero; numpy's
-    ``ndarray.sum`` on a sum long enough to recurse, where a sequential sum
-    gives other bits; and numpy's ``x - lr * g`` where an FMA gives other bits."""
+    summation order, a fused multiply-add or a lost signed zero, with rows long
+    enough to run full vector iterations of every clone and a remainder; the
+    per-head numpy softmax of such a product; numpy's ``ndarray.sum`` on a sum
+    long enough to recurse, where a sequential sum gives other bits; and
+    numpy's ``x - lr * g`` where an FMA gives other bits."""
     a = (np.arange(4 * 37).reshape(4, 37) * 0.618034) % 2.0 - 1.0
     a[1, :4] = [1e16, 1.0, -1e16, 1.0]
     a[2] = -0.0
-    b = (np.arange(37 * 5).reshape(37, 5) * 0.414214) % 2.0 - 1.0
+    b = (np.arange(37 * 19).reshape(37, 19) * 0.414214) % 2.0 - 1.0
     b[:4] = 1.0
     want = []
     for row in a.tolist():
@@ -512,7 +624,11 @@ def _exact(kernel: Kernel) -> bool:
             for x, y in zip(row, col):
                 acc += x * y
             want.append(acc)
-    if kernel(a, b, np.empty((4, 5))).tobytes() != np.array(want).tobytes():
+    want = np.array(want).reshape(4, 19)
+    if kernel(a, b, np.empty((4, 19))).tobytes() != want.tobytes():
+        return False
+    head = kernel.attention(a[np.newaxis], np.ascontiguousarray(b.T)[np.newaxis], 0.125)
+    if head.tobytes() != softmax(want * 0.125, axis=-1).tobytes():
         return False
     # differs from a sequential sum, from a sum without the split above 128
     # elements and from one with four accumulators

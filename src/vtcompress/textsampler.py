@@ -5,6 +5,14 @@ tensors. Attention rows are softmaxed per (head, text token); the importance
 of visual token n is the max over heads of its attention, averaged over the
 text tokens. Selection keeps the smallest top-ranked set whose cumulative
 importance mass strictly exceeds a threshold gamma.
+
+When the compiled kernel loads, :func:`attention_scores` runs as one pass
+over all heads (:meth:`vtcompress._kernel.Kernel.attention`): a C pass forms
+each head's scaled logits through the k-ordered product and subtracts each
+row's maximum, numpy's ``exp`` runs once over the whole (h, T, N) buffer, and
+a C pass divides each row by its sum, added in ``ndarray.sum``'s order. It
+writes the bits and raises the errors of the per-head numpy loop that runs
+without the kernel.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numeric
 from .numeric import as_tensor, matmul, softmax, stable_sort_desc
 
 __all__ = [
@@ -46,6 +55,9 @@ def attention_scores(queries, keys) -> np.ndarray:
     if d < 1:
         raise ValueError("head dim must be >= 1")
     scale = 1.0 / math.sqrt(d)
+    kernel = numeric._product_kernel()
+    if kernel is not None:
+        return kernel.attention(q, k, scale)
     scores = np.empty((heads, t, n))
     for h in range(heads):
         logits = matmul(q[h], k[h].T) * scale

@@ -382,14 +382,24 @@ def gradient_check(
         ).loss
 
     numeric = finite_diff_grad(objective_of, packed.ravel(), step=step)
-    denom = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(numeric)), 1e-12)
-    rel = float(np.linalg.norm(analytic - numeric)) / denom
+    denom = max(_norm(analytic), _norm(numeric), 1e-12)
+    rel = _norm(analytic - numeric) / denom
     return GradCheck(
         rel_error=rel,
         margin=prepared.argmax_margin(params),
         analytic=analytic,
         numeric=numeric,
     )
+
+
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of a vector: divided by its largest magnitude, so that no
+    square overflows, and its squares added in index order through ``matmul``."""
+    top = float(np.abs(x).max(initial=0.0))
+    if top == 0.0:
+        return 0.0
+    y = x / top
+    return top * math.sqrt(float(matmul(y[np.newaxis], y[:, np.newaxis])[0, 0]))
 
 
 def random_gradcheck_instance(seed: int, *, num_scales: int = 3, window: int = 4):

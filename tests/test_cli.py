@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import threading
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -273,6 +274,15 @@ class TestGradcheck:
     def test_instances_match_menu_and_window(self, flags, capsys):
         result = run_json(capsys, "gradcheck", "--instances", "3", *flags)
         assert result["passed"] is True
+
+    @pytest.mark.parametrize("alpha", ["1e200", "1e308"])
+    def test_huge_alpha_prints_one_json_document(self, alpha, capsys):
+        # the norms of gradients near 1e200 must not overflow or warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "gradcheck", "--instances", "1", "--alpha", alpha)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["passed"] is True
 
     def test_tie_adjacent_instances_skipped_with_notice(self, capsys):
         code, out, err = run(

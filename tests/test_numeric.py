@@ -1,4 +1,5 @@
 import ast
+import re
 import shutil
 import sysconfig
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vtcompress import _kernel, numeric
+from vtcompress import _kernel, numeric, textsampler
 from vtcompress.numeric import as_tensor, finite_diff_grad, matmul, softmax, stable_sort_desc
 
 from oracles import max_pool
@@ -269,7 +270,8 @@ class TestStepKernel:
     @pytest.mark.parametrize("mutation", [
         ("if (n < 8) {", "if (n < 1000) {"),  # every sum sequential
         ("x[k] = x[k] - lr * g[k];", "x[k] = fma(-lr, g[k], x[k]);"),  # a fused update
-    ], ids=["sequential-sum", "fused-update"])
+        ("x[j] /= total;", "x[j] *= 1.0 / total;"),  # attention rows times a reciprocal
+    ], ids=["sequential-sum", "fused-update", "reciprocal-attention"])
     def test_probe_rejects_a_build_with_other_bits(self, mutation, tmp_path, monkeypatch):
         source = _kernel.SOURCE.replace(*mutation)
         assert source != _kernel.SOURCE
@@ -285,10 +287,120 @@ class TestStepKernel:
         assert verdicts == [False]  # built and loaded, then rejected by the probe
 
 
+def _cpu_flags() -> set[str]:
+    """The instruction-set flags of the first CPU in /proc/cpuinfo (empty elsewhere)."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    for line in text.splitlines():
+        if line.startswith("flags"):
+            return set(line.split(":", 1)[1].split())
+    return set()
+
+
+_CLONES = 'target_clones("avx512f", "avx2", "default")'
+# The product loop built for one target each: the plain loop, and the loop
+# that each clone of the shipped source runs.
+_TARGET_SOURCES = {
+    "default": _kernel.SOURCE.replace(f"__attribute__(({_CLONES}))", ""),
+    "avx2": _kernel.SOURCE.replace(_CLONES, 'target("avx2")'),
+    "avx512f": _kernel.SOURCE.replace(_CLONES, 'target("avx512f")'),
+}
+
+
+class TestKernelTargets:
+    """Every clone of the product loop writes the numpy layout's bits: rows that
+    end inside, at and just past a vector, signed zeros and subnormals."""
+
+    @needs_compiler
+    @pytest.mark.parametrize("target", sorted(_TARGET_SOURCES))
+    def test_target_matches_numpy_layout(self, target, tmp_path):
+        source = _TARGET_SOURCES[target]
+        assert source != _kernel.SOURCE
+        if target != "default" and target not in _cpu_flags():
+            pytest.skip(f"this CPU has no {target}")
+        kernel = _kernel.load(tmp_path, source=source)
+        assert kernel is not None
+        rng = np.random.default_rng(3)
+        for n in (1, 7, 8, 9, 16, 17, 33, 576):
+            for kk in (0, 1, 37):
+                a = rng.standard_normal((3, kk))
+                b = rng.standard_normal((kk, n))
+                a[0, ::2] = -0.0
+                a[1, ::3] = 3e-310 * rng.standard_normal(a[1, ::3].shape)
+                b[::4] = -0.0
+                b[1::4] = 5e-320 * rng.standard_normal(b[1::4].shape)
+                want = numeric._k_loop(a, b, np.empty((3, n)))
+                assert kernel(a, b, np.empty((3, n))).tobytes() == want.tobytes(), (n, kk)
+
+
+def test_build_keeps_exactness_by_construction():
+    """No flag or clone target lets the compiler fuse, reorder or assume away a
+    rounding; the load-time probe would only catch what it happens to show."""
+    assert {"-ffp-contract=off", "-fno-fast-math"} <= set(_kernel.FLAGS)
+    for flag in _kernel.FLAGS:
+        assert not flag.startswith(("-march", "-mfma", "-ffast-math", "-Ofast")), flag
+    targets = re.findall(r"target(?:_clones)?\(([^)]*)\)", _kernel.SOURCE)
+    assert targets, "the source names no clone targets"
+    for names in targets:
+        assert set(re.findall(r'"([^"]*)"', names)) <= {"avx512f", "avx2", "default"}, names
+
+
+# Magnitudes that cancel, signed zeros and subnormals; scaled by 1e150, some
+# logits overflow to infinity or to inf - inf.
+_HEAD_ELEMENTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 3e-310, -5e-324]) | st.floats(
+    -30, 30, allow_nan=False, allow_infinity=False
+)
+
+
+class TestAttentionKernel:
+    """The compiled attention pass gives ``attention_scores``' numpy bits and errors."""
+
+    @pytest.fixture(autouse=True)
+    def _kernel_loaded(self):
+        if numeric._product_kernel() is None:
+            pytest.skip("the product kernel is not available")
+
+    @staticmethod
+    def _outcome(q, k):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # the numpy layout's overflow
+                scores = textsampler.attention_scores(q, k)
+        except ValueError as exc:
+            return str(exc)
+        return scores.shape, scores.tobytes()
+
+    @classmethod
+    def _check(cls, q, k):
+        """The compiled outcome, after requiring the same with the kernel forced off."""
+        compiled = cls._outcome(q, k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeric, "_product_kernel", lambda: None)
+            assert compiled == cls._outcome(q, k)
+        return compiled
+
+    @given(st.data(), st.integers(0, 3), st.integers(0, 4), st.integers(1, 40),
+           st.integers(0, 40) | st.sampled_from([576]), st.sampled_from([1.0, 1.0, 1e150]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy_per_head(self, data, heads, t, d, n, magnitude):
+        q = data.draw(arrays(np.float64, (heads, t, d), elements=_HEAD_ELEMENTS)) * magnitude
+        k = data.draw(arrays(np.float64, (heads, n, d), elements=_HEAD_ELEMENTS)) * magnitude
+        self._check(q, k)
+
+    @pytest.mark.parametrize("q, k, message", [
+        (np.full((2, 3, 4), 1e200), np.full((2, 5, 4), 1e200), "non-finite"),
+        (np.ones((2, 0, 4)), np.ones((2, 5, 4)), "empty"),
+        (np.ones((1, 3, 4)), np.ones((1, 0, 4)), "empty"),
+    ], ids=["overflow", "no-text-tokens", "no-visual-tokens"])
+    def test_errors_match_numpy(self, q, k, message):
+        assert message in self._check(q, k)
+
+
 def test_products_only_through_matmul():
     """No module under src/ forms a product with ``@`` or a numpy product function,
     whose summation order changes with the BLAS build and its thread count."""
-    banned = {"dot", "einsum", "matmul", "inner", "tensordot", "vdot"}
+    banned = {"dot", "einsum", "matmul", "inner", "tensordot", "vdot", "norm"}
     found = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
