@@ -23,7 +23,9 @@ sequentially, as numpy reduces along a non-contiguous axis; and its sums
 along a contiguous row (the softmax denominators, the downstream mean)
 reproduce numpy's pairwise summation, which ``ndarray.sum`` runs there.
 :meth:`Kernel.attention` is the text stage's per-head scaled softmax under
-the same rules, with the exponential again left to numpy.
+the same rules. Both softmaxes run one C row pass, numpy's ``exp`` in place
+and ``vtc_normalize``, and :meth:`Step.raise_for_softmax` turns the row
+pass's statuses into ``numeric.softmax``'s errors.
 
 :func:`load` builds the kernel through cffi's API mode the first time and
 caches it as an extension module in the given directory (the package's own
@@ -70,9 +72,9 @@ typedef struct {
     const double *target, *imbalance;        /* (c,), (s,); NULL: no downstream term, unit weights */
     double alpha, lr;
     double *weight, *bias;                   /* (s, ng), (s,); VTC_TRAIN updates them */
-    double *logits_t, *shifted, *e;          /* (s, m) logits; (m, s) minus the row max; exp */
+    double *logits_t, *shifted;              /* (s, m) logits; (m, s) minus the row max, exp, P */
     int64_t *chosen;                         /* (m,) first maximum of each row */
-    double *probs, *top1, *f, *p, *wf, *coeff, *diff, *work;
+    double *top1, *f, *p, *wf, *coeff, *diff, *work;
     double *d_logits_t;                      /* (s, m) gradient of the loss by the logits */
     double *grad_weight, *grad_bias;
     double loss, down, bal;
@@ -84,9 +86,9 @@ double vtc_sum(const double *, size_t);
 void vtc_descend(double *, const double *, double, size_t);
 int vtc_step_pre(vtc_step *);
 int vtc_step_post(vtc_step *, int, size_t);
-int vtc_attention_pre(const double *, const double *, double *, double *, size_t, size_t, size_t,
-                      size_t, double);
-void vtc_attention_post(double *, size_t, size_t);
+void vtc_normalize(double *, size_t, size_t);
+int vtc_attention(const double *, const double *, double *, double *, size_t, size_t, size_t,
+                  size_t, double);
 """
 
 SOURCE = "#include <math.h>\n#include <stddef.h>\n#include <stdint.h>\n" + CDEF + r"""
@@ -157,6 +159,39 @@ double vtc_sum(const double *a, size_t n)
     return 0.0 + pairwise(a, n);
 }
 
+/* Each of the rows of x divided by its ndarray.sum: the softmax's denominators
+   once numpy has exponentiated the rows in place. */
+void vtc_normalize(double *restrict x, size_t rows, size_t n)
+{
+    for (size_t i = 0; i < rows; i++, x += n) {
+        const double total = 0.0 + pairwise(x, n);
+        for (size_t j = 0; j < n; j++)
+            x[j] /= total;
+    }
+}
+
+/* The softmax's row pass: each element times scale (1.0 changes no bit), the
+   finite check, and each row minus its first maximum, whose index goes to best if given. */
+static int shift_rows(double *restrict x, size_t rows, size_t n, double scale, int64_t *best)
+{
+    for (size_t i = 0; i < rows; i++, x += n) {
+        size_t top = 0;
+        for (size_t j = 0; j < n; j++) {
+            x[j] *= scale;
+            if (!isfinite(x[j]))
+                return VTC_NONFINITE_LOGITS;
+            if (x[j] > x[top])
+                top = j;
+        }
+        const double max = x[top];
+        for (size_t j = 0; j < n; j++)
+            x[j] -= max;
+        if (best)
+            best[i] = (int64_t)top;
+    }
+    return VTC_OK;
+}
+
 /* x -= lr * g, one rounded product and one rounded difference per element. */
 void vtc_descend(double *restrict x, const double *restrict g, double lr, size_t n)
 {
@@ -164,10 +199,10 @@ void vtc_descend(double *restrict x, const double *restrict g, double lr, size_t
         x[k] = x[k] - lr * g[k];
 }
 
-/* The softmax's checks; the logits weight @ scores.T (the products of
-   scores @ weight.T, in the same order) plus the bias, transposed into
-   shifted; and each row of shifted minus its first maximum, whose index is
-   chosen. Numpy computes e = exp(shifted) before the post call. */
+/* The logits weight @ scores.T (the products of scores @ weight.T, in the
+   same order) plus the bias, transposed into shifted, and the row pass, whose
+   maxima are chosen. Numpy exponentiates shifted in place before the post
+   call. */
 int vtc_step_pre(vtc_step *t)
 {
     const size_t m = t->m, ng = t->ng, s = t->s;
@@ -178,24 +213,10 @@ int vtc_step_pre(vtc_step *t)
     for (size_t j = 0; j < s; j++)
         for (size_t i = 0; i < m; i++)
             x[i * s + j] = t->logits_t[j * m + i] + t->bias[j];
-    for (size_t i = 0; i < m; i++) {
-        double *restrict xi = x + i * s;
-        size_t best = 0;
-        for (size_t j = 0; j < s; j++) {
-            if (!isfinite(xi[j]))
-                return VTC_NONFINITE_LOGITS;
-            if (xi[j] > xi[best])
-                best = j;
-        }
-        const double top = xi[best];
-        for (size_t j = 0; j < s; j++)
-            xi[j] -= top;
-        t->chosen[i] = (int64_t)best;
-    }
-    return VTC_OK;
+    return shift_rows(x, m, s, 1.0, t->chosen);
 }
 
-/* The rest of the step from e = exp(shifted): probabilities, routing
+/* The rest of the step from shifted's exp: probabilities, routing
    statistics, the loss and, from VTC_GRAD on, the gradient; VTC_TRAIN also
    writes history row `step` and descends. Every sum keeps the order in which
    numpy forms it in the fallback step: products ascending from 0.0, sums over
@@ -203,20 +224,16 @@ int vtc_step_pre(vtc_step *t)
 int vtc_step_post(vtc_step *t, int mode, size_t step)
 {
     const size_t m = t->m, ng = t->ng, s = t->s, c = t->c;
-    const double *probs = t->probs;
+    const double *probs = t->shifted;
     double *f = t->f, *p = t->p, *d = t->d_logits_t;
 
+    vtc_normalize(t->shifted, m, s);
     for (size_t j = 0; j < s; j++)
         f[j] = p[j] = 0.0;
     for (size_t i = 0; i < m; i++) {
-        const double *restrict e = t->e + i * s;
-        double *restrict pi = t->probs + i * s;
-        const double total = 0.0 + pairwise(e, s);
-        for (size_t j = 0; j < s; j++) {
-            pi[j] = e[j] / total;
-            p[j] += pi[j];
-        }
-        t->top1[i] = pi[t->chosen[i]];
+        for (size_t j = 0; j < s; j++)
+            p[j] += probs[i * s + j];
+        t->top1[i] = probs[i * s + t->chosen[i]];
         f[t->chosen[i]] += 1.0;
     }
     for (size_t j = 0; j < s; j++) {
@@ -316,10 +333,10 @@ int vtc_step_post(vtc_step *t, int mode, size_t step)
 
 /* Scaled attention logits of h heads, each row minus its first maximum: per
    head, k's (n, d) slice transposed into kt, q's (t, d) slice times kt into
-   o's (t, n) slice, then each element times scale, as numpy multiplies a
-   product by a float. Numpy computes exp(o) before vtc_attention_post. */
-int vtc_attention_pre(const double *restrict q, const double *restrict k, double *restrict o,
-                      double *restrict kt, size_t h, size_t t, size_t d, size_t n, double scale)
+   o's (t, n) slice, then the row pass over that slice while it is in cache.
+   Numpy exponentiates o in place before vtc_normalize. */
+int vtc_attention(const double *restrict q, const double *restrict k, double *restrict o,
+                  double *restrict kt, size_t h, size_t t, size_t d, size_t n, double scale)
 {
     if (h && t * n == 0)
         return VTC_EMPTY;
@@ -330,33 +347,10 @@ int vtc_attention_pre(const double *restrict q, const double *restrict k, double
                 kt[c * n + j] = kg[j * d + c];
         double *restrict og = o + g * t * n;
         vtc_matmul(q + g * t * d, kt, og, t, d, n);
-        for (size_t i = 0; i < t; i++) {
-            double *restrict x = og + i * n;
-            size_t best = 0;
-            for (size_t j = 0; j < n; j++) {
-                x[j] *= scale;
-                if (!isfinite(x[j]))
-                    return VTC_NONFINITE_LOGITS;
-                if (x[j] > x[best])
-                    best = j;
-            }
-            const double top = x[best];
-            for (size_t j = 0; j < n; j++)
-                x[j] -= top;
-        }
+        if (shift_rows(og, t, n, scale, NULL))
+            return VTC_NONFINITE_LOGITS;
     }
     return VTC_OK;
-}
-
-/* Each of the rows of e = exp(o) divided by its ndarray.sum. */
-void vtc_attention_post(double *restrict e, size_t rows, size_t n)
-{
-    for (size_t i = 0; i < rows; i++) {
-        double *restrict x = e + i * n;
-        const double total = 0.0 + pairwise(x, n);
-        for (size_t j = 0; j < n; j++)
-            x[j] /= total;
-    }
 }
 """
 # Appended after the interpreter's own compile flags, so they win. Every
@@ -421,24 +415,20 @@ class Kernel:
         ``q`` and ``k`` are C-contiguous float64 ``(h, T, d)`` and ``(h, N, d)``
         arrays. A C pass writes the scaled logits minus each row's maximum,
         numpy's ``exp`` runs over them in place (the same ``exp`` as the
-        softmax's), and a second C pass divides each row by its pairwise sum.
+        softmax's), and ``vtc_normalize`` divides each row by its pairwise sum.
         """
         (heads, t, d), n = q.shape, k.shape[1]
         if k.shape != (heads, n, d) or not (q.flags.c_contiguous and k.flags.c_contiguous):
             raise ValueError(f"cannot attend from {q.shape} to {k.shape}")
         out, kt = np.empty((heads, t, n)), np.empty((d, n))
         buffer, lib = self._buffer, self.lib
-        status = lib.vtc_attention_pre(
-            buffer("double[]", q), buffer("double[]", k),
-            buffer("double[]", out, require_writable=True),
+        rows = buffer("double[]", out, require_writable=True)
+        Step.raise_for_softmax(lib.vtc_attention(
+            buffer("double[]", q), buffer("double[]", k), rows,
             buffer("double[]", kt, require_writable=True), heads, t, d, n, scale,
-        )
-        if status == lib.VTC_EMPTY:
-            raise ValueError("softmax of an empty input")  # as numeric.softmax
-        if status == lib.VTC_NONFINITE_LOGITS:
-            raise ValueError("softmax input contains non-finite values")  # as numeric.softmax
+        ))
         np.exp(out, out=out)
-        lib.vtc_attention_post(buffer("double[]", out, require_writable=True), heads * t, n)
+        lib.vtc_normalize(rows, heads * t, n)
         return out
 
 
@@ -447,12 +437,13 @@ class Step:
 
     Write the parameters into :attr:`weight` and :attr:`bias`, choose the loss
     with :meth:`set_loss`, then call :meth:`evaluate` or :meth:`train`. A step
-    is a C call up to the shifted logits, ``np.exp`` into :attr:`e`, and a C
-    call for the rest: the exponential stays in numpy because numpy's ``exp``
-    (SIMD on some CPUs) need not give the bits of the C library's. Results
-    are read from :attr:`f`, :attr:`p`, :attr:`grad_weight`,
-    :attr:`grad_bias` and :meth:`terms`, which the next call overwrites. A
-    step holds mutable buffers: do not use one from two threads at once.
+    is a C call up to the shifted logits, ``np.exp`` over :attr:`shifted` in
+    place, and a C call for the rest: the exponential stays in numpy because
+    numpy's ``exp`` (SIMD on some CPUs) need not give the bits of the C
+    library's. Results are read from :attr:`f`, :attr:`p`,
+    :attr:`grad_weight`, :attr:`grad_bias` and :meth:`terms`, which the next
+    call overwrites. A step holds mutable buffers: do not use one from two
+    threads at once.
     """
 
     # The statuses of a run, as CDEF's enum numbers them.
@@ -473,18 +464,26 @@ class Step:
         self._bind("sums", np.ascontiguousarray(sums, dtype=np.float64))
         self._bind("counts", np.ascontiguousarray(counts, dtype=np.int64))
         self._bind("chosen", np.zeros(m, dtype=np.int64))
-        for name, size in (("target", c), ("imbalance", s), ("logits_t", s * m),
-                           ("probs", m * s), ("top1", m), ("wf", s), ("coeff", s),
-                           ("diff", c), ("work", c), ("d_logits_t", s * m)):
+        for name, size in (("target", c), ("imbalance", s), ("logits_t", s * m), ("top1", m),
+                           ("wf", s), ("coeff", s), ("diff", c), ("work", c),
+                           ("d_logits_t", s * m)):
             self._bind(name, np.zeros(size))
         self.weight = self._bind("weight", np.zeros((s, ng)))
         self.bias = self._bind("bias", np.zeros(s))
         self.shifted = self._bind("shifted", np.zeros((m, s)))
-        self.e = self._bind("e", np.zeros((m, s)))
         self.f = self._bind("f", np.zeros(s))
         self.p = self._bind("p", np.zeros(s))
         self.grad_weight = self._bind("grad_weight", np.zeros((s, ng)))
         self.grad_bias = self._bind("grad_bias", np.zeros(s))
+
+    @classmethod
+    def raise_for_softmax(cls, status: int) -> None:
+        """Raise what ``numeric.softmax`` raises on the logits for which a C pass
+        (a step's or the attention's) returned ``status``; return if it would not."""
+        if status == cls.EMPTY:
+            raise ValueError("softmax of an empty input")
+        if status == cls.NONFINITE_LOGITS:
+            raise ValueError("softmax input contains non-finite values")
 
     def _bind(self, field: str, array: np.ndarray) -> np.ndarray:
         """Point ``field`` at ``array``, which must be C-contiguous and writable
@@ -541,11 +540,11 @@ class Step:
 
     def _run(self, mode: int, steps: int) -> tuple[int, int]:
         pre, post, exp = self._lib.vtc_step_pre, self._lib.vtc_step_post, np.exp
-        t, shifted, e = self._t, self.shifted, self.e
+        t, shifted = self._t, self.shifted
         for step in range(steps):
             status = pre(t)
             if status == 0:
-                exp(shifted, out=e)
+                exp(shifted, out=shifted)
                 status = post(t, mode, step)
             if status:
                 return status, step

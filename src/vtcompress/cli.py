@@ -28,6 +28,7 @@ from several threads at once are safe.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -40,6 +41,7 @@ from .formats import (
     MAGIC_ATTENTION,
     MAGIC_FEATURE_MAP,
     MAGIC_SELECTOR,
+    STRUCTURES,
     SyntheticConfig,
     TensorFileError,
     export_heatmap,
@@ -82,6 +84,9 @@ EXIT_INVALID = 5
 EXIT_DIVERGED = 6
 EXIT_GRADCHECK = 7
 
+# the scale menus that --menu names, each built from --window
+MENUS = {"3branch": default_menu, "7branch": seven_branch_menu}
+
 
 def _fail(code: int, kind: str, message: str) -> int:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
@@ -120,10 +125,6 @@ def _numbers(flag: str, text: str, finite: bool = True) -> list[float]:
     except ValueError:
         raise ValueError(f"{flag} must be comma-separated finite numbers, got {text!r}") from None
     return values
-
-
-def _build_menu(name: str, window: int):
-    return {"3branch": default_menu, "7branch": seven_branch_menu}[name](window)
 
 
 def _project_keys(tokens: np.ndarray, heads: int, head_dim: int, seed: int) -> np.ndarray:
@@ -174,20 +175,9 @@ def _train_log(summary: dict, run) -> str:
 
 
 def cmd_gen(args) -> int:
-    cfg = SyntheticConfig(
-        height=args.height,
-        width=args.width,
-        channels=args.channels,
-        global_height=args.global_height,
-        global_width=args.global_width,
-        heads=args.heads,
-        text_tokens=args.text_tokens,
-        head_dim=args.head_dim,
-        seed=args.seed,
-        structure=args.structure,
-    )
-    meta = gen_synthetic(cfg, args.out)
-    _emit(meta, "-")
+    cfg = SyntheticConfig(**{f.name: getattr(args, f.name)
+                             for f in dataclasses.fields(SyntheticConfig)})
+    _emit(gen_synthetic(cfg, args.out), "-")
     return 0
 
 
@@ -205,7 +195,7 @@ def cmd_compress(args) -> int:
     menu = None
     vision_tokens = None
     if args.strategy in ("vision", "both"):
-        menu = _build_menu(args.menu, args.window)
+        menu = MENUS[args.menu](args.window)
         if args.params is not None:
             params = params_from_array(_read_checked(args.params, MAGIC_SELECTOR))
         else:
@@ -275,7 +265,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_train(args) -> int:
-    menu = _build_menu(args.menu, args.window)
+    menu = MENUS[args.menu](args.window)
     if args.task == "scale-indifferent":
         for flag, value in (("--map", args.map), ("--global", args.global_map),
                             ("--target", args.target)):
@@ -340,7 +330,7 @@ def cmd_gradcheck(args) -> int:
         raise ValueError(f"--tolerance must be a finite number > 0, got {args.tolerance}")
     if not (math.isfinite(args.margin) and args.margin >= 0):
         raise ValueError(f"--margin must be a finite number >= 0, got {args.margin}")
-    menu = _build_menu(args.menu, args.window)
+    menu = MENUS[args.menu](args.window)
     checked = []
     skipped = 0
     seed = args.seed
@@ -456,17 +446,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("gen", help="generate synthetic fixture files")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--height", type=int, default=24)
-    p.add_argument("--width", type=int, default=24)
-    p.add_argument("--channels", type=int, default=8)
-    p.add_argument("--global-height", type=int, default=6)
-    p.add_argument("--global-width", type=int, default=6)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--text-tokens", type=int, default=8)
-    p.add_argument("--head-dim", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--structure", choices=["uniform-noise", "block-structured"],
-                   default="uniform-noise")
+    for field in dataclasses.fields(SyntheticConfig):  # one flag per fixture setting
+        p.add_argument("--" + field.name.replace("_", "-"), type=type(field.default),
+                       default=field.default,
+                       choices=STRUCTURES if field.name == "structure" else None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("compress", help="run the samplers and emit a report")
@@ -477,7 +460,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--q", help="projected text queries (ATTN, heads x T x d)")
     p.add_argument("--k", help="projected visual keys (ATTN, heads x N x d)")
     p.add_argument("--window", type=int, default=4)
-    p.add_argument("--menu", choices=["3branch", "7branch"], default="3branch")
+    p.add_argument("--menu", choices=MENUS, default="3branch")
     p.add_argument("--pool", choices=["mean", "max"], default="mean")
     p.add_argument("--gamma", type=float, default=0.85)
     p.add_argument("--layer", type=int, default=8)
@@ -501,7 +484,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--imbalance", help="comma-separated per-scale penalty weights")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--window", type=int, default=4)
-    p.add_argument("--menu", choices=["3branch", "7branch"], default="3branch")
+    p.add_argument("--menu", choices=MENUS, default="3branch")
     p.add_argument("--pool", choices=["mean", "max"], default="mean")
     p.add_argument("--resume", help="SELW file to continue from")
     p.add_argument("--out-params", help="write final parameters to this SELW file")
@@ -516,7 +499,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--margin", type=float, default=1e-3,
                    help="skip instances whose argmax margin is at most this")
     p.add_argument("--window", type=int, default=4)
-    p.add_argument("--menu", choices=["3branch", "7branch"], default="3branch")
+    p.add_argument("--menu", choices=MENUS, default="3branch")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("evolution", help="per-layer importance heatmaps from an attention stack")

@@ -41,6 +41,7 @@ __all__ = [
     "read_tensor",
     "write_tensor",
     "export_heatmap",
+    "STRUCTURES",
     "SyntheticConfig",
     "gen_synthetic",
 ]
@@ -96,15 +97,20 @@ def write_tensor(path, tensor, magic: str) -> None:
     """Write ``tensor`` to ``path`` in the binary format above.
 
     The dim count must match the magic's convention; values are stored as
-    little-endian f32.
+    little-endian f32. A value that f32 rounds to infinity is refused with a
+    ``ValueError`` before the file is opened: no reader would accept the file.
     """
     arr = as_tensor(tensor)
     _check_dims(magic, arr.shape)
-    payload = arr.astype("<f4").tobytes(order="C")
+    with np.errstate(over="ignore"):  # the finite check below reports it
+        payload = arr.astype("<f4")
+    if not np.isfinite(payload).all():
+        raise ValueError(f"tensor holds values beyond float32's range (largest magnitude "
+                         f"{float(np.abs(arr).max())!r}), which cannot be written")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(magic.encode("ascii"), _VERSION, arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(payload)
+        fh.write(payload.tobytes())
 
 
 def read_tensor(path) -> tuple[np.ndarray, str]:
@@ -170,6 +176,10 @@ def export_heatmap(values, fmt: str, path) -> None:
         raise ValueError(f"unknown heatmap format {fmt!r} (use 'pgm' or 'csv')")
 
 
+# the fixture generator's recipes, the values of SyntheticConfig.structure
+STRUCTURES = ("uniform-noise", "block-structured")
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Shapes, seed, and structure for the fixture generator.
@@ -197,7 +207,7 @@ class SyntheticConfig:
                      "heads", "text_tokens", "head_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.structure not in ("uniform-noise", "block-structured"):
+        if self.structure not in STRUCTURES:
             raise ValueError(f"unknown structure {self.structure!r}")
 
 
@@ -251,27 +261,20 @@ def gen_synthetic(cfg: SyntheticConfig, out_dir) -> dict:
         xg = rng.random((cfg.global_height, cfg.global_width, cfg.channels))
         global_source = "independent"
 
-    n_visual = cfg.height * cfg.width
-    tokens = fm.reshape(n_visual, cfg.channels)
+    tokens = fm.reshape(cfg.height * cfg.width, cfg.channels)
     # per-head key projections of the visual tokens
     proj = rng.standard_normal((cfg.heads, cfg.channels, cfg.head_dim)) / np.sqrt(
         cfg.channels
     )
     k = np.stack([matmul(tokens, proj[h]) for h in range(cfg.heads)])  # (h, N, d)
 
-    # queries anchored to visual tokens so attention has somewhere to look
-    if rects:
-        anchor_pool = []
-        for top, left, rh, rw in rects:
-            for r in range(top, top + rh):
-                anchor_pool.extend(r * cfg.width + c for c in range(left, left + rw))
-        anchor_pool = np.array(sorted(set(anchor_pool)))
-    else:
-        anchor_pool = np.arange(n_visual)
-    anchors = rng.choice(anchor_pool, size=cfg.text_tokens, replace=True)
-    q = np.empty((cfg.heads, cfg.text_tokens, cfg.head_dim))
-    for h in range(cfg.heads):
-        q[h] = k[h, anchors] + 0.25 * rng.standard_normal((cfg.text_tokens, cfg.head_dim))
+    # queries anchored to visual tokens (inside the rectangles, if any) so
+    # attention has somewhere to look
+    anchor_pool = np.full((cfg.height, cfg.width), not rects)
+    for top, left, rh, rw in rects:
+        anchor_pool[top : top + rh, left : left + rw] = True
+    anchors = rng.choice(np.flatnonzero(anchor_pool), size=cfg.text_tokens, replace=True)
+    q = k[:, anchors] + 0.25 * rng.standard_normal((cfg.heads, cfg.text_tokens, cfg.head_dim))
 
     # round-trip through f32 so in-memory values match the files exactly
     files = {

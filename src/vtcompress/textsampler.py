@@ -8,11 +8,11 @@ importance mass strictly exceeds a threshold gamma.
 
 When the compiled kernel loads, :func:`attention_scores` runs as one pass
 over all heads (:meth:`vtcompress._kernel.Kernel.attention`): a C pass forms
-each head's scaled logits through the k-ordered product and subtracts each
-row's maximum, numpy's ``exp`` runs once over the whole (h, T, N) buffer, and
-a C pass divides each row by its sum, added in ``ndarray.sum``'s order. It
-writes the bits and raises the errors of the per-head numpy loop that runs
-without the kernel.
+each head's logits through the k-ordered product and runs the training
+step's softmax row pass (scale, check, subtract each row's maximum), numpy's
+``exp`` runs once over the whole (h, T, N) buffer, and the step's C divides
+each row by its sum, added in ``ndarray.sum``'s order. It writes the bits
+and raises the errors of the per-head numpy loop that runs without the kernel.
 """
 
 from __future__ import annotations

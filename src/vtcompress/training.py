@@ -279,10 +279,7 @@ class PreparedBatch:
     def _raise_for(self, status: int) -> None:
         """Raise what the numpy step raises where the compiled step returned ``status``."""
         step = self._compiled
-        if status == step.EMPTY:
-            raise ValueError("softmax of an empty input")  # as numeric.softmax
-        if status == step.NONFINITE_LOGITS:
-            raise ValueError("softmax input contains non-finite values")  # as numeric.softmax
+        step.raise_for_softmax(status)
         if status == step.NO_TOKENS:
             raise ValueError(_NO_TOKENS)
         if status == step.NONFINITE_DOWN:
@@ -356,17 +353,17 @@ def gradient_check(
     downstream: MeanTokenTarget | None = None,
     alpha: float = 0.1,
     imbalance_weights=None,
-    pool: str = "mean",
-    step: float = 1e-5,
 ) -> GradCheck:
     """Compare the analytic gradient against central finite differences.
 
-    Both gradients use the packed (S, Ng+1) parameter layout. The relative
-    error is the 2-norm of the difference over the larger of the two norms.
+    Both gradients use the packed (S, Ng+1) parameter layout and mean-pooled
+    region scores; the differences take ``finite_diff_grad``'s default step.
+    The relative error is the 2-norm of the difference over the larger of
+    the two norms.
     Meaningful only away from argmax ties; check ``margin`` before trusting
     a failure near a tie.
     """
-    prepared = prepare_batch(dataset, menu, pool)
+    prepared = prepare_batch(dataset, menu)
     weights = prepared._check(params, downstream, alpha, imbalance_weights)
     result = prepared._step(params.weight, params.bias, downstream, alpha, weights, True)
     analytic = np.concatenate(
@@ -381,7 +378,7 @@ def gradient_check(
             packed_at[:, :-1], packed_at[:, -1], downstream, alpha, weights, False
         ).loss
 
-    numeric = finite_diff_grad(objective_of, packed.ravel(), step=step)
+    numeric = finite_diff_grad(objective_of, packed.ravel())
     denom = max(_norm(analytic), _norm(numeric), 1e-12)
     rel = _norm(analytic - numeric) / denom
     return GradCheck(
@@ -544,29 +541,20 @@ def _train_compiled(prepared, params, config, downstream, weights, history):
 SCALE_INDIFFERENT_LEARNING_RATE = 0.02
 
 
-def make_scale_indifferent_task(
-    seed: int,
-    *,
-    region_rows: int = 6,
-    region_cols: int = 6,
-    window: int = 4,
-    channels: int = 4,
-    feature_scale: float = 0.3,
-    noise_ratio: float = 0.25,
-    target_pull: float = 0.45,
-):
+def make_scale_indifferent_task(seed: int, *, window: int = 4):
     """Synthetic routing task whose downstream loss cannot prefer any scale.
 
-    Every region of the feature map is constant-valued, so any pooling kernel
+    The feature map holds 6x6 regions of ``window`` x ``window`` positions and
+    4 channels. Every region is constant-valued, so any pooling kernel
     emits tokens equal to the region value; only the number of tokens and the
     winning probability change with the selection. Region values share a base
     vector (so the fresh selector agrees on one scale for every region) plus
-    per-region noise (so, under balance pressure, regions flip one by one
-    rather than in lockstep). ``feature_scale`` keeps the selector logits
-    small enough that no scale's probability saturates to zero; the target
-    asks the mean emitted token to sit at ``target_pull`` times the mean
-    region value, keeping gradient flowing through the winning probabilities
-    without favoring any scale.
+    per-region noise of a quarter of its scale (so, under balance pressure,
+    regions flip one by one rather than in lockstep). A feature scale of 0.3
+    keeps the selector logits small enough that no scale's probability
+    saturates to zero; the target asks the mean emitted token to sit at 0.45
+    times the mean region value, keeping gradient flowing through the winning
+    probabilities without favoring any scale.
 
     Trained without the balance term the selector stays on a single scale;
     with it (alpha 0.1, learning rate :data:`SCALE_INDIFFERENT_LEARNING_RATE`,
@@ -574,11 +562,10 @@ def make_scale_indifferent_task(
     (dataset, downstream).
     """
     rng = np.random.default_rng(seed)
-    m = region_rows * region_cols
-    base = feature_scale * rng.uniform(0.9, 1.1, size=channels)
-    values = base + feature_scale * noise_ratio * rng.uniform(-1.0, 1.0, size=(m, channels))
-    fm = np.empty((region_rows, window, region_cols, window, channels))
-    fm[...] = values.reshape(region_rows, 1, region_cols, 1, channels)
-    fm = fm.reshape(region_rows * window, region_cols * window, channels)
-    target = target_pull * values.mean(axis=0)
-    return [(fm, values.copy())], MeanTokenTarget(target)
+    side, channels, scale = 6, 4, 0.3  # regions per side, channels, feature scale
+    base = scale * rng.uniform(0.9, 1.1, size=channels)
+    values = base + scale * 0.25 * rng.uniform(-1.0, 1.0, size=(side * side, channels))
+    fm = np.empty((side, window, side, window, channels))
+    fm[...] = values.reshape(side, 1, side, 1, channels)
+    fm = fm.reshape(side * window, side * window, channels)
+    return [(fm, values.copy())], MeanTokenTarget(0.45 * values.mean(axis=0))

@@ -77,6 +77,31 @@ class TestGen:
         assert code == 5
         assert json.loads(err)["error"] == "invalid-input"
 
+    def test_flag_surface(self):
+        """The flags come from SyntheticConfig's fields, so renaming a field or
+        changing its default would change them silently: pin each flag's
+        name, type, default, choices and whether it is required."""
+        _, commands = build_parser()
+        flags = [
+            (action.option_strings, action.type or str, action.default,
+             action.choices and list(action.choices), action.required)
+            for action in commands["gen"]._actions if action.dest != "help"
+        ]
+        assert flags == [
+            (["--out"], str, None, None, True),
+            (["--height"], int, 24, None, False),
+            (["--width"], int, 24, None, False),
+            (["--channels"], int, 8, None, False),
+            (["--global-height"], int, 6, None, False),
+            (["--global-width"], int, 6, None, False),
+            (["--heads"], int, 4, None, False),
+            (["--text-tokens"], int, 8, None, False),
+            (["--head-dim"], int, 16, None, False),
+            (["--seed"], int, 0, None, False),
+            (["--structure"], str, "uniform-noise", ["uniform-noise", "block-structured"],
+             False),
+        ]
+
 
 class TestCompress:
     def test_vision_identity_params_keep_everything(self, fixtures, tmp_path, capsys):
@@ -173,6 +198,19 @@ class TestTrain:
         assert payload["collapsed"] is True
         assert len(payload["history"]) == 50
         assert max(payload["finalF"]) == 1.0
+
+    def test_parameters_beyond_float32_not_written(self, tmp_path, capsys):
+        # alpha 1e300 trains finite parameters near 1e297, which float32 holds only as inf
+        out = tmp_path / "p.selw"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would add a line to stderr
+            code, stdout, err = run(
+                capsys, "train", "--task", "scale-indifferent", "--steps", "5",
+                "--alpha", "1e300", "--out-params", str(out),
+            )
+        assert (code, stdout, err.count("\n")) == (5, "", 1)
+        assert "float32" in json.loads(err)["message"]
+        assert not out.exists()
 
     def test_resume_continues_history(self, tmp_path, capsys):
         p1 = tmp_path / "p1.selw"

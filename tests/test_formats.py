@@ -1,3 +1,4 @@
+import math
 import struct
 import warnings
 
@@ -213,6 +214,27 @@ class TestMalformedFiles:
     def test_write_rejects_unknown_magic(self, tmp_path):
         with pytest.raises(BadMagicError):
             write_tensor(tmp_path / "t", np.zeros((2, 2, 2)), "NOPE")
+
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_write_refuses_values_float32_cannot_hold(self, value, tmp_path):
+        path = tmp_path / "t"
+        tensor = np.zeros((2, 2, 2))
+        tensor[1, 0, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would add a line to the CLI's stderr
+            with pytest.raises(ValueError, match="float32") as caught:
+                write_tensor(path, tensor, MAGIC_FEATURE_MAP)
+        assert not isinstance(caught.value, TensorFileError)  # invalid input, not a bad file
+        assert not path.exists()
+
+    def test_write_keeps_float32_extremes(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        above = float(np.nextafter(top, math.inf))  # rounds down to top, not up to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_tensor(tmp_path / "t", np.array([[[top, -top, above]]]), MAGIC_FEATURE_MAP)
+        back, _ = read_tensor(tmp_path / "t")
+        assert back.tolist() == [[[top, -top, top]]]
 
 
 class TestHeatmap:
