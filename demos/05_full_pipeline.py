@@ -29,6 +29,7 @@ from vtcompress import (
     report_to_json,
     train_selector,
 )
+from vtcompress.textsampler import project_keys
 
 root = pathlib.Path(tempfile.mkdtemp(prefix="vtc_demo5_"))
 
@@ -60,9 +61,7 @@ print(f"vision stage: {tokens.shape[0]} of 576 tokens "
 
 # 4. text stage over the emitted tokens (keys are a seeded projection of them,
 #    standing in for the key projection they would receive inside a model)
-rng = np.random.default_rng(0)
-proj = rng.standard_normal((q.shape[0], tokens.shape[1], q.shape[2])) / np.sqrt(tokens.shape[1])
-keys = np.stack([tokens @ proj[h] for h in range(q.shape[0])])
+keys = project_keys(tokens, q.shape[0], q.shape[2], np.random.default_rng(0))
 scores = importance(attention_scores(q, keys))
 selection = cumulative_topk(scores, gamma=0.85)
 print(f"text stage: keeps {selection.k} of {tokens.shape[0]} at gamma 0.85")

@@ -59,8 +59,8 @@ from .numeric import softmax
 
 # Declarations shared by the C source and cffi's cdef. ``vtc_step`` holds one
 # batch of the selector training step. :class:`Step` points it at numpy
-# buffers that it allocates once and keeps alive; only the loss settings and
-# the training history are pointed again, once per call.
+# buffers that it allocates once and keeps alive; only the loss settings are
+# pointed again per call, and each ``train`` binds history buffers of its own.
 CDEF = r"""
 enum { VTC_LOSS, VTC_GRAD, VTC_TRAIN };
 enum { VTC_OK, VTC_EMPTY, VTC_NONFINITE_LOGITS, VTC_NO_TOKENS, VTC_NONFINITE_DOWN, VTC_NONFINITE_LOSS };
@@ -514,29 +514,17 @@ class Step:
         ``grad``; returns the status."""
         return self._run(self._GRAD if grad else self._LOSS, 1)[0]
 
-    def train(self, learning_rate: float, losses: np.ndarray, f_hist: np.ndarray,
-              p_hist: np.ndarray) -> tuple[int, int]:
-        """``len(losses)`` steps of gradient descent from :attr:`weight` and
-        :attr:`bias`, updated in place. Step i writes its loss, f and P into
-        row i of the C-contiguous float64 histories (``(steps, S)`` for f and
-        P) before it updates. Returns the status and the step that set it
-        (the step count when every step succeeded)."""
-        steps, s = losses.shape[0], self._t.s
-        if losses.shape != (steps,) or f_hist.shape != (steps, s) or p_hist.shape != (steps, s):
-            raise ValueError(f"histories {losses.shape}, {f_hist.shape}, {p_hist.shape} "
-                             f"do not hold {steps} steps of {s} scales")
+    def train(self, learning_rate: float, steps: int) -> tuple[int, int, tuple[np.ndarray, ...]]:
+        """``steps`` steps of gradient descent from :attr:`weight` and
+        :attr:`bias`, updated in place. Returns the status, the step that set
+        it (``steps`` when every step succeeded) and the history: fresh
+        ``(steps,)`` losses and ``(steps, S)`` f and P, whose row i step i
+        writes before it updates (rows from a failed step on stay zero)."""
         self._t.lr = learning_rate
-        for field, array in (("losses", losses), ("f_hist", f_hist), ("p_hist", p_hist)):
-            if array.dtype != np.float64 or not (array.flags.c_contiguous
-                                                 and array.flags.writeable):
-                raise ValueError(f"{field} must be a writable C-contiguous float64 array")
-            self._bind(field, array)
-        try:
-            return self._run(self._TRAIN, steps)
-        finally:
-            for field in ("losses", "f_hist", "p_hist"):
-                setattr(self._t, field, self._ffi.NULL)
-                del self._bound[field]
+        s = self._t.s
+        history = tuple(self._bind(field, np.zeros(shape)) for field, shape in
+                        (("losses", steps), ("f_hist", (steps, s)), ("p_hist", (steps, s))))
+        return (*self._run(self._TRAIN, steps), history)
 
     def _run(self, mode: int, steps: int) -> tuple[int, int]:
         pre, post, exp = self._lib.vtc_step_pre, self._lib.vtc_step_post, np.exp

@@ -37,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import textsampler
 from .formats import (
     MAGIC_ATTENTION,
     MAGIC_FEATURE_MAP,
@@ -50,7 +51,6 @@ from .formats import (
     write_tensor,
 )
 from .heuristic import heuristic_importance, heuristic_topk
-from .numeric import matmul
 from .report import build_report, report_to_json, reprofile
 from .textsampler import attention_scores, cumulative_topk, importance, per_layer_importance
 from .training import (
@@ -128,16 +128,9 @@ def _numbers(flag: str, text: str, finite: bool = True) -> list[float]:
 
 
 def _project_keys(tokens: np.ndarray, heads: int, head_dim: int, seed: int) -> np.ndarray:
-    """Seeded per-head projection of emitted tokens to (h, N, d) keys.
-
-    Stands in for the key projection the tokens would receive inside a model;
-    used by the combined strategy, where the vision stage emits pooled tokens
-    that have no precomputed keys.
-    """
-    channels = tokens.shape[1]
-    rng = np.random.default_rng(seed)
-    proj = rng.standard_normal((heads, channels, head_dim)) / math.sqrt(channels)
-    return np.stack([matmul(tokens, proj[h]) for h in range(heads)])
+    """The combined strategy's keys: the vision stage emits pooled tokens that have
+    no precomputed keys, so they get :func:`textsampler.project_keys` seeded by ``seed``."""
+    return textsampler.project_keys(tokens, heads, head_dim, np.random.default_rng(seed))
 
 
 def _region_importance_grid(

@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .numeric import as_tensor, matmul
+from .numeric import as_tensor
+from .textsampler import project_keys
 
 __all__ = [
     "MAGIC_FEATURE_MAP",
@@ -262,11 +263,7 @@ def gen_synthetic(cfg: SyntheticConfig, out_dir) -> dict:
         global_source = "independent"
 
     tokens = fm.reshape(cfg.height * cfg.width, cfg.channels)
-    # per-head key projections of the visual tokens
-    proj = rng.standard_normal((cfg.heads, cfg.channels, cfg.head_dim)) / np.sqrt(
-        cfg.channels
-    )
-    k = np.stack([matmul(tokens, proj[h]) for h in range(cfg.heads)])  # (h, N, d)
+    k = project_keys(tokens, cfg.heads, cfg.head_dim, rng)  # (h, N, d)
 
     # queries anchored to visual tokens (inside the rectangles, if any) so
     # attention has somewhere to look

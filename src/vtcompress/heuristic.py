@@ -27,11 +27,7 @@ def heuristic_importance(feature_map, global_tokens) -> np.ndarray:
     fm = as_tensor(feature_map)
     if fm.ndim != 3:
         raise ValueError(f"expected an (H, W, C) map, got shape {fm.shape}")
-    g = as_tensor(global_tokens)
-    if g.ndim == 3:
-        g = flatten_grid(g)
-    if g.ndim != 2:
-        raise ValueError(f"global tokens must be (Ng, C), got shape {g.shape}")
+    g = flatten_grid(global_tokens)
     if fm.shape[2] != g.shape[1]:
         raise ValueError(f"channel mismatch: map C={fm.shape[2]}, global C={g.shape[1]}")
     tokens = fm.reshape(-1, fm.shape[2])

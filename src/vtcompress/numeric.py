@@ -104,21 +104,19 @@ def stable_sort_desc(values) -> np.ndarray:
     return np.argsort(-v, kind="stable")
 
 
-def finite_diff_grad(f: Callable[[np.ndarray], float], x, step: float = 1e-5) -> np.ndarray:
+def finite_diff_grad(f: Callable[[np.ndarray], float], x) -> np.ndarray:
     """Central-difference gradient of a scalar function of an array.
 
-    Per-coordinate step is ``step * max(1, |x_i|)``. Used as the independent
+    Per-coordinate step is ``1e-5 * max(1, |x_i|)``. Used as the independent
     oracle for analytic gradients; never call it from a gradient it verifies.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     x = np.array(x, dtype=np.float64, copy=True)
     grad = np.zeros_like(x)
     flat_x = x.reshape(-1)
     flat_g = grad.reshape(-1)
     for i in range(flat_x.size):
         orig = flat_x[i]
-        h = step * max(1.0, abs(orig))
+        h = 1e-5 * max(1.0, abs(orig))
         flat_x[i] = orig + h
         up = float(f(x))
         flat_x[i] = orig - h

@@ -70,10 +70,6 @@ def scale_histogram(selections: Sequence[RegionSelection]) -> np.ndarray:
     return routing_stats(*_stacked(selections))[0]
 
 
-def _float_list(arr) -> list[float]:
-    return [float(v) for v in arr]
-
-
 def build_report(
     *,
     strategy: str,
@@ -121,8 +117,8 @@ def build_report(
         ]
         report["afterVision"] = after_vision
         f, p = routing_stats(*_stacked(selections))
-        report["scaleFrequencies"] = _float_list(f)
-        report["meanProbs"] = _float_list(p)
+        report["scaleFrequencies"] = f.tolist()
+        report["meanProbs"] = p.tolist()
         report["selections"] = [
             {
                 "region": sel.region,

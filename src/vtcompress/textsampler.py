@@ -1,10 +1,13 @@
 """Text-guided token selection from attention-derived importance.
 
 Projected text queries and visual keys come in as (h, T, d) / (h, N, d)
-tensors. Attention rows are softmaxed per (head, text token); the importance
+tensors; :func:`project_keys` is the one seeded stand-in projection of tokens
+to keys. Attention rows are softmaxed per (head, text token); the importance
 of visual token n is the max over heads of its attention, averaged over the
-text tokens. Selection keeps the smallest top-ranked set whose cumulative
-importance mass strictly exceeds a threshold gamma.
+text tokens, as in FastV, for one (h, T, N) attention or a whole layer-major
+stack at once; attention with no head or no text token is an error.
+Selection keeps the smallest top-ranked set whose cumulative importance mass
+strictly exceeds a threshold gamma.
 
 When the compiled kernel loads, :func:`attention_scores` runs as one pass
 over all heads (:meth:`vtcompress._kernel.Kernel.attention`): a C pass forms
@@ -26,6 +29,7 @@ from . import numeric
 from .numeric import as_tensor, matmul, softmax, stable_sort_desc
 
 __all__ = [
+    "project_keys",
     "attention_scores",
     "importance",
     "per_layer_importance",
@@ -65,20 +69,33 @@ def attention_scores(queries, keys) -> np.ndarray:
     return scores
 
 
+def project_keys(tokens, heads: int, head_dim: int, rng: np.random.Generator) -> np.ndarray:
+    """(N, C) tokens projected to (h, N, d) keys by (h, C, d) weights N(0, 1) / sqrt(C)
+    drawn from ``rng``, one k-ordered product per head: a stand-in for a model's keys."""
+    channels = tokens.shape[1]
+    proj = rng.standard_normal((heads, channels, head_dim)) / math.sqrt(channels)
+    return np.stack([matmul(tokens, proj[h]) for h in range(heads)])
+
+
 def importance(attention) -> np.ndarray:
     """Per-visual-token importance: reduce-max over heads, mean over text tokens."""
-    a = as_tensor(attention)
-    if a.ndim != 3:
-        raise ValueError(f"expected (h, T, N) attention, got shape {a.shape}")
-    return a.max(axis=0).mean(axis=0)
+    return _attention(attention, 3, "(h, T, N) attention").max(axis=0).mean(axis=0)
 
 
 def per_layer_importance(attention_stack) -> np.ndarray:
-    """Importance per layer of a layer-major (L, h, T, N) stack; returns (L, N)."""
-    a = as_tensor(attention_stack)
-    if a.ndim != 4:
-        raise ValueError(f"expected a layer-major (L, h, T, N) stack, got shape {a.shape}")
-    return np.stack([importance(a[i]) for i in range(a.shape[0])])
+    """:func:`importance` of each layer of a layer-major (L, h, T, N) stack; returns (L, N)."""
+    a = _attention(attention_stack, 4, "a layer-major (L, h, T, N) stack")
+    return a.max(axis=1).mean(axis=1)  # the bits of importance(a[i]) for every layer i
+
+
+def _attention(values, ndim: int, layout: str) -> np.ndarray:
+    """``values`` as an ``ndim``-d ``layout`` array, every axis but the visual tokens non-empty."""
+    a = as_tensor(values)
+    if a.ndim != ndim:
+        raise ValueError(f"expected {layout}, got shape {a.shape}")
+    if 0 in a.shape[:-1]:
+        raise ValueError(f"attention of shape {a.shape} has an empty layer, head or text axis")
+    return a
 
 
 @dataclass(frozen=True)

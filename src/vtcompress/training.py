@@ -318,9 +318,7 @@ def prepare_batch(dataset, menu: ScaleMenu, pool: str = "mean") -> PreparedBatch
     scores = []
     variants = []
     for feature_map, global_tokens in dataset:
-        g = as_tensor(global_tokens)
-        if g.ndim == 3:
-            g = flatten_grid(g)
+        g = flatten_grid(global_tokens)
         if scores and g.shape[0] != scores[0].shape[1]:
             raise ValueError("all dataset entries must share the global token count")
         blocks = partition(feature_map, menu.window)
@@ -357,7 +355,7 @@ def gradient_check(
     """Compare the analytic gradient against central finite differences.
 
     Both gradients use the packed (S, Ng+1) parameter layout and mean-pooled
-    region scores; the differences take ``finite_diff_grad``'s default step.
+    region scores; the differences take ``finite_diff_grad``'s step of 1e-5 * max(1, |x|).
     The relative error is the 2-norm of the difference over the larger of
     the two norms.
     Meaningful only away from argmax ties; check ``margin`` before trusting
@@ -519,11 +517,11 @@ def _train_numpy(prepared, params, config, downstream, weights, history):
 
 
 def _train_compiled(prepared, params, config, downstream, weights, history):
-    """:func:`train_selector`'s steps in the compiled step, which writes the
-    history and updates its own copy of the parameters; raises as
-    :func:`_train_numpy` does and returns the final weight and bias."""
+    """:func:`train_selector`'s steps in the compiled step, which updates its own
+    copy of the parameters and writes a history that is copied into ``history``;
+    raises as :func:`_train_numpy` does and returns the final weight and bias."""
     step = prepared._compiled_at(params.weight, params.bias, downstream, config.alpha, weights)
-    status, index = step.train(config.learning_rate, *history)
+    status, index, written = step.train(config.learning_rate, config.steps)
     if status == step.NONFINITE_LOSS:
         raise TrainingDiverged(index, step.terms()[0])
     try:
@@ -533,6 +531,8 @@ def _train_compiled(prepared, params, config, downstream, weights, history):
     except ValueError:
         SelectorParams(step.weight, step.bias)  # as in _train_numpy
         raise
+    for mine, its in zip(history, written):
+        mine[...] = its
     return step.weight.copy(), step.bias.copy()
 
 

@@ -2,7 +2,9 @@
 
 The feature map is partitioned into w x w regions. Each region can be
 down-sampled by any kernel in a :class:`ScaleMenu`; a linear selector scores
-the region against the flattened global feature map and picks one scale.
+the region against the global tokens and picks one scale. Global tokens, an
+(H, W, C) grid or (Ng, C) rows, are converted and checked once, by
+:func:`flatten_grid`, in every sampler that reads them.
 Inference emits the max-pooled tokens of the winning scale; the training
 variant additionally multiplies each emitted token by the winning softmax
 probability so the selector parameters stay on the gradient path.
@@ -191,11 +193,11 @@ class RegionSelection:
 
 
 def flatten_grid(grid) -> np.ndarray:
-    """Flatten an (H, W, C) grid to (H*W, C) token rows, row-major."""
+    """Global tokens as (Ng, C) rows: an (H, W, C) grid flattened row-major, rows as given."""
     g = as_tensor(grid)
-    if g.ndim != 3:
-        raise ValueError(f"expected an (H, W, C) grid, got shape {g.shape}")
-    return g.reshape(-1, g.shape[2])
+    if g.ndim not in (2, 3):
+        raise ValueError(f"global tokens must be (Ng, C) or (H, W, C), got shape {g.shape}")
+    return g.reshape(-1, g.shape[2]) if g.ndim == 3 else g
 
 
 # The routing core. Every region is handled at once as struct-of-arrays:
@@ -305,9 +307,7 @@ def choose_scale(logits) -> tuple[int, np.ndarray]:
 
 def _compress(feature_map, global_tokens, params, menu, pool, force_scales):
     """Route every region of a map; returns tokens, probs (M, S), chosen (M,), counts (M,)."""
-    g = as_tensor(global_tokens)
-    if g.ndim == 3:
-        g = flatten_grid(g)
+    g = flatten_grid(global_tokens)
     blocks = partition(feature_map, menu.window)
     _, probs, chosen = route(region_scores(blocks, g, pool), params, menu)
     if force_scales is not None:

@@ -398,11 +398,11 @@ class TestAttentionKernel:
 
 
 def test_products_only_through_matmul():
-    """No module under src/ forms a product with ``@`` or a numpy product function,
-    whose summation order changes with the BLAS build and its thread count."""
+    """No module under src/ and no demo forms a product with ``@`` or a numpy product
+    function, whose summation order changes with the BLAS build and its thread count."""
     banned = {"dot", "einsum", "matmul", "inner", "tensordot", "vdot", "norm"}
     found = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(SRC.rglob("*.py")) + sorted((SRC.parent / "demos").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
                 found.append(f"{path.name}:{node.lineno}: @")

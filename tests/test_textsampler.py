@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vtcompress.textsampler import (
     SelectionResult,
@@ -90,6 +94,11 @@ class TestImportance:
     def test_uniform_attention(self):
         a = np.full((3, 4, 8), 1 / 8)
         np.testing.assert_allclose(importance(a), np.full(8, 1 / 8), atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(2, 0, 5), (0, 3, 5)], ids=["no-text-tokens", "no-heads"])
+    def test_rejects_empty_input_naming_its_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            importance(np.zeros(shape))
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(4)
@@ -207,6 +216,26 @@ class TestPerLayerImportance:
     def test_rejects_3d(self):
         with pytest.raises(ValueError, match="layer-major"):
             per_layer_importance(np.zeros((2, 3, 4)))
+
+    @given(
+        st.integers(1, 3), st.integers(1, 3),
+        st.integers(1, 20) | st.sampled_from([128, 129, 300, 1000]),
+        st.integers(1, 12) | st.sampled_from([1, 64]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_layer_has_the_bits_of_importance(self, layers, heads, t, n, seed):
+        rng = np.random.default_rng(seed)
+        shape = (layers, heads, t, n)
+        stack = rng.random(shape) * 10.0 ** rng.uniform(-8, 8, shape)  # 1e-8 .. 1e8
+        want = np.stack([importance(stack[layer]) for layer in range(layers)])
+        assert per_layer_importance(stack).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3, 5), (3, 0, 2, 5), (3, 2, 0, 5)],
+                             ids=["no-layers", "no-heads", "no-text-tokens"])
+    def test_rejects_empty_stack_naming_its_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            per_layer_importance(np.zeros(shape))
 
 
 class TestStochasticDraws:

@@ -142,6 +142,19 @@ class TestPartition:
                 prepare_batch([(fm, g)], menu)
 
 
+class TestFlattenGrid:
+    def test_grid_flattens_row_major_and_rows_pass_through(self):
+        g = np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4)
+        np.testing.assert_array_equal(flatten_grid(g), g.reshape(6, 4))
+        rows = g.reshape(6, 4)
+        assert flatten_grid(rows).tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("shape", [(6,), (1, 2, 3, 4)])
+    def test_other_ranks_rejected_with_their_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            flatten_grid(np.zeros(shape))
+
+
 class TestSelectorScore:
     def test_zero_block(self):
         g = np.random.default_rng(1).random((5, 3))
