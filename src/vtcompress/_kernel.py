@@ -27,17 +27,29 @@ the same rules. Both softmaxes run one C row pass, numpy's ``exp`` in place
 and ``vtc_normalize``, and :meth:`Step.raise_for_softmax` turns the row
 pass's statuses into ``numeric.softmax``'s errors.
 
+:meth:`Kernel.reprs` formats doubles as ``repr`` does, for the training
+log: ``vtc_repr`` finds the shortest digits that read back as the same
+double with Ryu's ``d2d`` (Adams, PLDI 2018), in ``unsigned __int128``
+arithmetic over two tables of 125-bit powers of 5, and lays them out as
+``repr``: positional while the first digit's decimal exponent is in [-4,
+16), with ``.0`` on integral values, else ``d.ddde±XX``. The tables are
+computed exactly with Python integers in the build child (:data:`_BUILD`),
+not typed in and not made at import. A compiler without ``unsigned
+__int128`` (32-bit targets) fails the build, and numpy runs instead.
+
 :func:`load` builds the kernel through cffi's API mode the first time and
 caches it as an extension module in the given directory (the package's own
-``__pycache__``), named by a hash of the C source, the flags, the cffi
-version and the interpreter's extension suffix. The build runs in a child
-process with its output captured: cffi's C generator parses the
-declarations with pycparser, which would raise the caller's peak memory, and
-a CLI call may print nothing but its own output. The built module is published with an atomic rename, so another
-process sees no file or a whole one. :func:`load` returns ``None`` when cffi
+``__pycache__``), named by a hash of the C source, the build script, the
+flags, the cffi version and the interpreter's extension suffix. The build
+runs in a child process with its output captured: cffi's C generator parses
+the declarations with pycparser, which would raise the caller's peak memory,
+and a CLI call may print nothing but its own output. The built module is
+published with an atomic rename, so another process sees no file or a whole
+one. :func:`load` returns ``None`` when cffi
 or a C compiler is missing, the directory is not writable, the build fails,
 or the kernel gives other bits than the scalar loop, numpy's softmax,
-``ndarray.sum`` or numpy's elementwise arithmetic on a probe. A failed build
+``ndarray.sum`` or numpy's elementwise arithmetic on a probe, or other bytes
+than ``repr`` on :data:`REPR_PROBES`. A failed build
 leaves its output in ``<module name>.failed.log`` next to where the module
 would be, and no later process tries that build again until the log is
 deleted; otherwise every process would pay for a doomed build.
@@ -89,9 +101,10 @@ int vtc_step_post(vtc_step *, int, size_t);
 void vtc_normalize(double *, size_t, size_t);
 int vtc_attention(const double *, const double *, double *, double *, size_t, size_t, size_t,
                   size_t, double);
+int vtc_repr(const double *, size_t, char *, size_t);
 """
 
-SOURCE = "#include <math.h>\n#include <stddef.h>\n#include <stdint.h>\n" + CDEF + r"""
+SOURCE = "#include <math.h>\n#include <stddef.h>\n#include <stdint.h>\n#include <string.h>\n" + CDEF + r"""
 /* One clone of vtc_matmul per vector width, chosen once per process by the
    dynamic loader's ifunc resolver. A clone only widens the independent j
    lanes; each output element keeps its own ascending sum. Elsewhere the
@@ -352,6 +365,169 @@ int vtc_attention(const double *restrict q, const double *restrict k, double *re
     }
     return VTC_OK;
 }
+
+/* Ryu's tables (Adams, PLDI 2018): entry i holds 2^(bits(5^i) - 1 + 125) / 5^i
+   rounded down plus one, and 5^i cut or padded to its top 125 bits, each as
+   {low 64 bits, high 64 bits}. The build defines them from Python integers. */
+extern const uint64_t vtc_pow5_inv[342][2], vtc_pow5[326][2];
+
+/* (m * mul) >> j for a 125-bit table entry mul and 64 <= j < 128. */
+static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    const unsigned __int128 low = (unsigned __int128)m * mul[0];
+    const unsigned __int128 high = (unsigned __int128)m * mul[1];
+    return (uint64_t)(((low >> 64) + high) >> (j - 64));
+}
+
+/* Whether 5^p divides v. */
+static int pow5_divides(uint64_t v, uint32_t p)
+{
+    for (; p && v % 5 == 0; p--)
+        v /= 5;
+    return p == 0;
+}
+
+/* Ryu's d2d: the shortest digits that read back as the nonzero finite double
+   m2 * 2^e2 (m2 < 2^53), the nearest of them when several are that short and
+   the even one on a tie, as a decimal mantissa whose last digit has exponent *e10. */
+static uint64_t shortest(uint64_t m2, int32_t e2, int border, int32_t *e10)
+{
+    /* mv = 4 * m2 and the ends of its rounding interval, vp = mv + 2 and
+       vm = mv - 1 - mm_shift: halfway to the neighbouring doubles, the lower
+       one half as far at a power of two (border). The ends round to the
+       double itself, so they are valid digits, when m2 is even. */
+    const int even = (m2 & 1) == 0;
+    const uint64_t mv = 4 * m2;
+    const uint32_t mm_shift = !border;
+    e2 -= 2;
+    uint64_t vr, vp, vm;
+    int vm_zeros = 0, vr_zeros = 0;  /* whether vm, vr's digits dropped below are all 0 */
+    if (e2 >= 0) {
+        const uint32_t q = (((uint32_t)e2 * 78913u) >> 18) - (e2 > 3);  /* log10(2^e2), less 1 */
+        const int32_t k = 125 + (int32_t)((q * 1217359u) >> 19);  /* 124 + bits(5^q) */
+        const int32_t i = -e2 + (int32_t)q + k;
+        *e10 = (int32_t)q;
+        vr = mul_shift(mv, vtc_pow5_inv[q], i);
+        vp = mul_shift(mv + 2, vtc_pow5_inv[q], i);
+        vm = mul_shift(mv - 1 - mm_shift, vtc_pow5_inv[q], i);
+        if (q <= 21) {
+            if (mv % 5 == 0)
+                vr_zeros = pow5_divides(mv, q);
+            else if (even)
+                vm_zeros = pow5_divides(mv - 1 - mm_shift, q);
+            else
+                vp -= (uint64_t)pow5_divides(mv + 2, q);
+        }
+    } else {
+        const uint32_t q = (((uint32_t)(-e2) * 732923u) >> 20) - (-e2 > 1);  /* log10(5^-e2), less 1 */
+        const int32_t i = -e2 - (int32_t)q;
+        const int32_t j = (int32_t)q - ((int32_t)(((uint32_t)i * 1217359u) >> 19) + 1 - 125);
+        *e10 = (int32_t)q + e2;
+        vr = mul_shift(mv, vtc_pow5[i], j);
+        vp = mul_shift(mv + 2, vtc_pow5[i], j);
+        vm = mul_shift(mv - 1 - mm_shift, vtc_pow5[i], j);
+        if (q <= 1) {
+            vr_zeros = 1;
+            if (even)
+                vm_zeros = mm_shift == 1;
+            else
+                vp--;
+        } else if (q < 63) {
+            vr_zeros = (mv & ((1ull << q) - 1)) == 0;
+        }
+    }
+
+    /* drop digits while vp and vm still differ above them, remembering the
+       last digit dropped from vr and whether all the earlier ones were 0 */
+    uint32_t last = 0;
+    while (vp / 10 > vm / 10) {
+        vm_zeros &= vm % 10 == 0;
+        vr_zeros &= last == 0;
+        last = (uint32_t)(vr % 10);
+        vr /= 10;
+        vp /= 10;
+        vm /= 10;
+        ++*e10;
+    }
+    if (vm_zeros) {  /* vm itself is a valid output: drop its zeros too */
+        while (vm % 10 == 0) {
+            vr_zeros &= last == 0;
+            last = (uint32_t)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            ++*e10;
+        }
+    }
+    if (vr_zeros && last == 5 && vr % 2 == 0)
+        last = 4;  /* exactly halfway: round to even */
+    return vr + ((vr == vm && !vm_zeros) || last >= 5);
+}
+
+/* repr(x) of n finite doubles, each into a slot of width bytes (at least 24,
+   the longest repr) padded with NULs: the shortest digits, positional while
+   the first digit's decimal exponent is in [-4, 16), with ".0" on integers,
+   and d.ddde+XX otherwise. Returns 0, and leaves the slots undefined, if a
+   value is not finite. */
+int vtc_repr(const double *x, size_t n, char *out, size_t width)
+{
+    for (size_t s = 0; s < n; s++, out += width) {
+        uint64_t bits;
+        memcpy(&bits, &x[s], sizeof bits);
+        const uint64_t mantissa = bits & ((1ull << 52) - 1);
+        const uint32_t exponent = (uint32_t)(bits >> 52) & 0x7ff;
+        char *p = out;
+        memset(out, 0, width);
+        if (exponent == 0x7ff)
+            return 0;
+        if (bits >> 63)
+            *p++ = '-';
+        if (exponent == 0 && mantissa == 0) {
+            memcpy(p, "0.0", 3);
+            continue;
+        }
+        int32_t e10;
+        uint64_t v = shortest(exponent ? mantissa | (1ull << 52) : mantissa,
+                              (exponent ? (int32_t)exponent : 1) - 1075,
+                              mantissa == 0 && exponent > 1, &e10);
+        char digits[20];
+        int nd = 0;
+        for (; v; v /= 10)
+            digits[19 - nd++] = (char)('0' + v % 10);
+        const char *d = digits + 20 - nd;
+        const int e = e10 + nd - 1;  /* the first digit's decimal exponent */
+        if (e >= -4 && e < 16) {
+            if (e < 0) {
+                memcpy(p, "0.0000", (size_t)(1 - e));
+                p += 1 - e;
+                memcpy(p, d, (size_t)nd);
+            } else if (e + 1 < nd) {
+                memcpy(p, d, (size_t)e + 1);
+                p[e + 1] = '.';
+                memcpy(p + e + 2, d + e + 1, (size_t)(nd - e - 1));
+            } else {
+                memcpy(p, d, (size_t)nd);
+                memset(p + nd, '0', (size_t)(e + 1 - nd));
+                memcpy(p + e + 1, ".0", 2);
+            }
+        } else {
+            *p++ = d[0];
+            if (nd > 1) {
+                *p++ = '.';
+                memcpy(p, d + 1, (size_t)nd - 1);
+                p += nd - 1;
+            }
+            *p++ = 'e';
+            *p++ = e < 0 ? '-' : '+';
+            const int a = e < 0 ? -e : e;
+            if (a >= 100)
+                *p++ = (char)('0' + a / 100);
+            *p++ = (char)('0' + a / 10 % 10);
+            *p = (char)('0' + a % 10);
+        }
+    }
+    return 1;
+}
 """
 # Appended after the interpreter's own compile flags, so they win. Every
 # function starts on a 64-byte line, so a kernel's speed does not depend on
@@ -361,18 +537,30 @@ int vtc_attention(const double *restrict q, const double *restrict k, double *re
 FLAGS = ("-O3", "-fno-fast-math", "-ffp-contract=off", "-falign-functions=64", "-g0")
 BUILD_TIMEOUT_S = 300
 
-# Runs in the child: reads the build spec as JSON on stdin, writes cffi's C
-# file into a temporary directory, compiles and links it in one call of the
-# compiler that built the interpreter, with the interpreter's flags, and
-# renames the module to its place in the cache. cffi's own ``ffi.compile``
-# would import setuptools, which took 0.3 s of a cold build.
-_BUILD = """
+# Runs in the child: reads the build spec as JSON on stdin, appends the
+# definitions of Ryu's power-of-5 tables, computed exactly with Python
+# integers, to the source, writes cffi's C file into a temporary directory,
+# compiles and links it in one call of the compiler that built the
+# interpreter, with the interpreter's flags, and renames the module to its
+# place in the cache. cffi's own ``ffi.compile`` would import setuptools,
+# which took 0.3 s of a cold build. The tables are made here, not at import,
+# because every process would pay about 1 ms for them; this script is part of
+# the cache key, so the key changes whenever the tables would.
+_BUILD = r"""
 import json, os, subprocess, sys, sysconfig
 import cffi
+
+def table(name, values):
+    rows = ",\n".join("{%#x, %#x}" % (v & ((1 << 64) - 1), v >> 64) for v in values)
+    return "const uint64_t %s[%d][2] = {\n%s\n};\n" % (name, len(values), rows)
+
+powers = [5**i for i in range(342)]
+tables = (table("vtc_pow5_inv", [(1 << (x.bit_length() + 124)) // x + 1 for x in powers])
+          + table("vtc_pow5", [(x << 125) >> x.bit_length() for x in powers[:326]]))
 spec = json.load(sys.stdin)
 ffi = cffi.FFI()
 ffi.cdef(spec["cdef"])
-ffi.set_source(spec["name"], spec["source"])
+ffi.set_source(spec["name"], spec["source"] + tables)
 source = os.path.join(spec["tmpdir"], spec["name"] + ".c")
 ffi.emit_c_code(source)
 var = sysconfig.get_config_var
@@ -382,6 +570,18 @@ subprocess.run([*var("LDSHARED").split(), *var("CFLAGS").split(), *var("CCSHARED
                check=True)
 os.replace(module, spec["path"])
 """
+
+
+# Values whose reprs are easy to get wrong: signed zeros; the least subnormal
+# and another; 2^-24, whose lower neighbour is half as far as its upper, and
+# both neighbours; 2^-25 and 2^46 + 0.625, whose shortest digits tie (to even);
+# 1/15, whose last digit rounds up from a 5; 1.9e22, exactly halfway between
+# two doubles, so the lower end of the even one's interval; the ends of the
+# positional range; and the longest reprs, of 24 bytes.
+REPR_PROBES = (0.0, -0.0, 5e-324, 1.5e-310, 5.960464477539062e-08, 2.0**-24,
+               5.960464477539064e-08, 2.0**-25, 2.0**46 + 0.625, 1 / 15, 1.9e22, 1e16,
+               9999999999999998.0, 1e-05, 0.0001, -2.2250738585072014e-308,
+               -1.7976931348623157e+308)
 
 
 class Kernel:
@@ -429,6 +629,18 @@ class Kernel:
         ))
         np.exp(out, out=out)
         lib.vtc_normalize(rows, heads * t, n)
+        return out
+
+    def reprs(self, values: np.ndarray) -> np.ndarray:
+        """``repr`` of each float64 in ``values``, in C order, as a fresh ``(n,)``
+        ``S24`` array (24 bytes hold the longest repr). Raises ``ValueError`` on
+        a non-finite value."""
+        values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+        out = np.empty(values.size, dtype="S24")
+        buffer = self._buffer
+        if not self.lib.vtc_repr(buffer("double[]", values), values.size,
+                                 buffer("char[]", out, require_writable=True), out.itemsize):
+            raise ValueError("cannot format a non-finite value")
         return out
 
 
@@ -550,7 +762,7 @@ def load(cache_dir: Path, source: str = SOURCE) -> Kernel | None:
     except ImportError:
         return None
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    key = "\0".join([source, CDEF, *FLAGS, _cffi_backend.__version__, suffix])
+    key = "\0".join([source, CDEF, _BUILD, *FLAGS, _cffi_backend.__version__, suffix])
     name = "_vtcompress_kernel_" + hashlib.sha256(key.encode()).hexdigest()[:20]
     cache_dir = Path(cache_dir).absolute()  # the build runs in another directory
     path = cache_dir / (name + suffix)
@@ -597,8 +809,9 @@ def _exact(kernel: Kernel) -> bool:
     summation order, a fused multiply-add or a lost signed zero, with rows long
     enough to run full vector iterations of every clone and a remainder; the
     per-head numpy softmax of such a product; numpy's ``ndarray.sum`` on a sum
-    long enough to recurse, where a sequential sum gives other bits; and
-    numpy's ``x - lr * g`` where an FMA gives other bits."""
+    long enough to recurse, where a sequential sum gives other bits;
+    numpy's ``x - lr * g`` where an FMA gives other bits; and ``repr`` on
+    :data:`REPR_PROBES`."""
     a = (np.arange(4 * 37).reshape(4, 37) * 0.618034) % 2.0 - 1.0
     a[1, :4] = [1e16, 1.0, -1e16, 1.0]
     a[2] = -0.0
@@ -630,4 +843,6 @@ def _exact(kernel: Kernel) -> bool:
     lr = 1.0 + 2.0**-30
     want = x - lr * g  # the first element differs by 2**-60 when fused
     lib.vtc_descend(buffer("double[]", x, require_writable=True), buffer("double[]", g), lr, 3)
-    return x.tobytes() == want.tobytes()
+    if x.tobytes() != want.tobytes():
+        return False
+    return kernel.reprs(np.array(REPR_PROBES)).tolist() == [repr(v).encode() for v in REPR_PROBES]

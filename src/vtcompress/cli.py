@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import textsampler
+from . import numeric, textsampler
 from .formats import (
     MAGIC_ATTENTION,
     MAGIC_FEATURE_MAP,
@@ -148,23 +148,32 @@ def _region_importance_grid(
 
 def _train_log(summary: dict, run) -> str:
     """``report_to_json(log)`` for the summary plus a ``history`` entry
-    ``{"step", "loss", "f", "p"}`` per step, byte for byte.
+    ``{"step", "loss", "f", "p"}`` per step, byte for byte and raising its
+    ``ValueError`` on a non-finite value.
 
-    The history is one columnar template filled with reprs, as json writes
-    finite floats, which beats ``report_to_json``'s walk over ~3,500 floats.
-    Each distinct value (f only holds k/M) is formatted once, told apart by its
-    bits, since under ``==`` ``-0.0`` would be written as ``0.0``.
+    The history is one columnar template filled once with the reprs of its
+    values, as json writes finite floats, which beats ``report_to_json``'s walk
+    over ~3,500 floats. The compiled kernel's formatter writes the reprs when
+    the kernel loads; otherwise ``repr`` does, value by value.
     """
     head = report_to_json(summary)
     values = np.column_stack([run.losses, run.f_history, run.p_history])
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    reprs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    cells = np.column_stack([np.arange(len(values)), reprs[inverse.reshape(values.shape)]])
-    vector = "[\n        " + ",\n        ".join(["%s"] * run.f_history.shape[1]) + "\n      ]"
-    entry = ('    {\n      "step": %d,\n      "loss": %s,\n      "f": ' + vector
-             + ',\n      "p": ' + vector + "\n    }")
-    history = ",\n".join([entry] * len(values)) % tuple(cells.ravel().tolist())
-    return f'{head[:-3]},\n  "history": [\n{history}\n  ]\n}}\n'
+    finite = np.isfinite(values)
+    if not finite.all():
+        report_to_json(values[~finite].tolist())  # raises json's error for the first one
+    kernel = numeric._product_kernel()
+    if kernel is None:
+        reprs = np.array(list(map(repr, values.ravel().tolist())), dtype="S24")
+    else:
+        reprs = kernel.reprs(values)
+    cells = np.empty((len(values), 1 + values.shape[1]), dtype=object)
+    cells[:, 0] = range(len(values))
+    cells[:, 1:] = reprs.reshape(values.shape)
+    vector = b"[\n        " + b",\n        ".join([b"%s"] * run.f_history.shape[1]) + b"\n      ]"
+    entry = (b'    {\n      "step": %d,\n      "loss": %s,\n      "f": ' + vector
+             + b',\n      "p": ' + vector + b"\n    }")
+    history = b",\n".join([entry] * len(values)) % tuple(cells.ravel().tolist())
+    return f'{head[:-3]},\n  "history": [\n{history.decode()}\n  ]\n}}\n'
 
 
 def cmd_gen(args) -> int:

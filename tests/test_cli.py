@@ -12,9 +12,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from vtcompress import numeric
 from vtcompress.cli import _train_log, build_parser, main
 from vtcompress.formats import MAGIC_FEATURE_MAP, MAGIC_SELECTOR, read_tensor, write_tensor
-from vtcompress.report import effective_token_count
+from vtcompress.report import effective_token_count, report_to_json
 from vtcompress.training import TrainConfig, make_scale_indifferent_task, train_selector
 from vtcompress.vision import (
     default_menu,
@@ -246,6 +247,25 @@ class TestTrainLog:
         ]
         assert _train_log(summary, run) == json.dumps(log, indent=2) + "\n"
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["loss", "f", "p"])
+    def test_non_finite_value_raises_what_report_to_json_raises(self, column, value):
+        run = SimpleNamespace(losses=np.full(3, 0.25), f_history=np.full((3, 2), 0.5),
+                              p_history=np.full((3, 2), 0.5))
+        {"loss": run.losses, "f": run.f_history[:, 1], "p": run.p_history[:, 0]}[column][1] = value
+        summary = {"steps": 3, "collapsed": False}
+        log = dict(summary, history=[
+            {"step": i, "loss": loss, "f": f, "p": p}
+            for i, (loss, f, p) in enumerate(
+                zip(run.losses.tolist(), run.f_history.tolist(), run.p_history.tolist())
+            )
+        ])
+        with pytest.raises(ValueError) as want:
+            report_to_json(log)
+        with pytest.raises(ValueError) as got:
+            _train_log(summary, run)
+        assert str(got.value) == str(want.value)
+
 
 # Values whose reprs are easy to mix up: signed zeros, subnormals, exponent forms.
 AWKWARD_FLOATS = st.sampled_from(
@@ -270,6 +290,10 @@ class TestTrainLogFuzzed:
     @example(table=np.full((37, 15), 0.1))
     @settings(max_examples=200, deadline=None)
     def test_writer_matches_json_dumps_indent_2(self, table):
+        self._check(table)
+
+    @staticmethod
+    def _check(table):
         s = (table.shape[1] - 1) // 2
         run = SimpleNamespace(losses=table[:, 0], f_history=table[:, 1 : 1 + s],
                               p_history=table[:, 1 + s :])
@@ -278,6 +302,33 @@ class TestTrainLogFuzzed:
         log["history"] = [{"step": i, "loss": row[0], "f": row[1 : 1 + s], "p": row[1 + s :]}
                           for i, row in enumerate(table.tolist())]
         assert _train_log(summary, run) == json.dumps(log, indent=2) + "\n"
+
+
+@pytest.fixture(scope="class")
+def _without_kernel():
+    """The class's tests with the compiled kernel forced off, so ``_train_log``
+    formats its values with ``repr``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numeric, "_product_kernel", lambda: None)
+        yield
+
+
+@pytest.mark.usefixtures("_without_kernel")
+class TestTrainLogWithoutKernel(TestTrainLog):
+    """TestTrainLog's cases on the ``repr`` backend."""
+
+
+@pytest.mark.usefixtures("_without_kernel")
+class TestTrainLogFuzzedWithoutKernel(TestTrainLogFuzzed):
+    """TestTrainLogFuzzed's cases on the ``repr`` backend."""
+
+    # Hypothesis needs a test function of this class's own.
+    @given(table=train_histories())
+    @example(table=np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]))
+    @example(table=np.full((37, 15), 0.1))
+    @settings(max_examples=200, deadline=None)
+    def test_writer_matches_json_dumps_indent_2(self, table):
+        self._check(table)
 
 
 class TestGradcheck:

@@ -1,6 +1,8 @@
 import ast
+import math
 import re
 import shutil
+import subprocess
 import sysconfig
 from pathlib import Path
 
@@ -271,7 +273,8 @@ class TestStepKernel:
         ("if (n < 8) {", "if (n < 1000) {"),  # every sum sequential
         ("x[k] = x[k] - lr * g[k];", "x[k] = fma(-lr, g[k], x[k]);"),  # a fused update
         ("x[j] /= total;", "x[j] *= 1.0 / total;"),  # attention rows times a reciprocal
-    ], ids=["sequential-sum", "fused-update", "reciprocal-attention"])
+        ("|| last >= 5);", "|| last > 5);"),  # a last digit of 5 rounded down
+    ], ids=["sequential-sum", "fused-update", "reciprocal-attention", "repr-rounding"])
     def test_probe_rejects_a_build_with_other_bits(self, mutation, tmp_path, monkeypatch):
         source = _kernel.SOURCE.replace(*mutation)
         assert source != _kernel.SOURCE
@@ -285,6 +288,65 @@ class TestStepKernel:
         monkeypatch.setattr(_kernel, "_exact", exact)
         assert _kernel.load(tmp_path, source=source) is None
         assert verdicts == [False]  # built and loaded, then rejected by the probe
+
+
+class TestReprKernel:
+    """The compiled formatter writes ``repr``'s bytes for every finite double."""
+
+    @pytest.fixture(autouse=True)
+    def _kernel_loaded(self):
+        if numeric._product_kernel() is None:
+            pytest.skip("the product kernel is not available")
+
+    @staticmethod
+    def _reprs(values) -> list[bytes]:
+        return numeric._product_kernel().reprs(np.asarray(values, dtype=np.float64)).tolist()
+
+    @classmethod
+    def _check(cls, values):
+        values = np.asarray(values, dtype=np.float64)
+        want = [repr(v).encode() for v in values.tolist()]
+        mismatched = [(w, g) for w, g in zip(want, cls._reprs(values)) if w != g]
+        assert not mismatched, mismatched[:10]
+
+    def test_powers_of_two_and_ten_and_their_neighbours(self):
+        powers = np.array([math.ldexp(1.0, e) for e in range(-1074, 1024)]
+                          + [float(f"1e{e}") for e in range(-323, 309)])
+        around = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        self._check(np.concatenate([around, -around]))
+
+    def test_zeros_and_the_longest_reprs(self):
+        longest = [-2.2250738585072014e-308, -1.7976931348623157e308]
+        self._check([0.0, -0.0, *longest])
+        assert [len(cell) for cell in self._reprs(longest)] == [24, 24]
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(19)
+        values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+        self._check(values[np.isfinite(values)])
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_repr(self, values):
+        self._check(values)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_refused(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            self._reprs([1.0, value, 2.0])
+
+
+def test_source_compiles_without_warnings(tmp_path):
+    """The C source passes the common warnings as errors, so that a sign or
+    shift slip in its integer code fails here rather than in a silent build."""
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()
+    if shutil.which(compiler[0]) is None:
+        pytest.skip("no C compiler")
+    source = tmp_path / "kernel.c"
+    source.write_text(_kernel.SOURCE)
+    result = subprocess.run([*compiler, "-std=c11", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                             str(source)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def _cpu_flags() -> set[str]:
