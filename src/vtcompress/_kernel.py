@@ -67,7 +67,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numeric import softmax
+from .numeric import _k_loop, softmax
 
 # Declarations shared by the C source and cffi's cdef. ``vtc_step`` holds one
 # batch of the selector training step. :class:`Step` points it at numpy
@@ -805,7 +805,8 @@ def _build(name: str, source: str, cache_dir: Path, path: Path, failed: Path) ->
 
 
 def _exact(kernel: Kernel) -> bool:
-    """Whether ``kernel`` matches the scalar loop on products that show a changed
+    """Whether ``kernel`` matches the numpy layout (``numeric._k_loop``, which
+    the tests pin to the scalar loop) on products that show a changed
     summation order, a fused multiply-add or a lost signed zero, with rows long
     enough to run full vector iterations of every clone and a remainder; the
     per-head numpy softmax of such a product; numpy's ``ndarray.sum`` on a sum
@@ -817,14 +818,7 @@ def _exact(kernel: Kernel) -> bool:
     a[2] = -0.0
     b = (np.arange(37 * 19).reshape(37, 19) * 0.414214) % 2.0 - 1.0
     b[:4] = 1.0
-    want = []
-    for row in a.tolist():
-        for col in b.T.tolist():
-            acc = 0.0
-            for x, y in zip(row, col):
-                acc += x * y
-            want.append(acc)
-    want = np.array(want).reshape(4, 19)
+    want = _k_loop(a, b, np.empty((4, 19)))
     if kernel(a, b, np.empty((4, 19))).tobytes() != want.tobytes():
         return False
     head = kernel.attention(a[np.newaxis], np.ascontiguousarray(b.T)[np.newaxis], 0.125)

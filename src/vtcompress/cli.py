@@ -9,8 +9,9 @@ accounting and its checks belong to ``vtcompress.report``.
 
 Every failure exits nonzero with one JSON line on stderr of the form
 {"error": <class>, "message": <text>}; exit codes are 2 usage, 3 missing
-file, 4 tensor-file format, 5 invalid input or inconsistent dimensions,
-6 training divergence, 7 gradient check failure. A command line argparse
+file, 4 tensor-file format, 5 invalid input or inconsistent dimensions
+(error "out-of-memory" when an array is too large to allocate), 6 training
+divergence, 7 gradient check failure. A command line argparse
 rejects (a missing required flag, a value of the wrong type, an unknown
 flag) exits 2 with error "usage"; only ``-h``/``--help`` prints argparse
 text, and exits 0. A file that cannot be read or written for any other
@@ -68,7 +69,6 @@ from .vision import (
     RegionSelection,
     compress_inference,
     default_menu,
-    flatten_grid,
     init_selector_params,
     params_from_array,
     params_to_array,
@@ -191,7 +191,7 @@ def cmd_compress(args) -> int:
     if args.strategy != "text":
         if args.global_map is None:
             raise ValueError(f"strategy {args.strategy!r} needs --global")
-        global_tokens = flatten_grid(_read_checked(args.global_map, MAGIC_FEATURE_MAP))
+        global_map = _read_checked(args.global_map, MAGIC_FEATURE_MAP)
 
     selections = None
     menu = None
@@ -201,9 +201,10 @@ def cmd_compress(args) -> int:
         if args.params is not None:
             params = params_from_array(_read_checked(args.params, MAGIC_SELECTOR))
         else:
-            params = init_selector_params(len(menu), global_tokens.shape[0], seed=args.seed)
+            num_global = global_map.shape[0] * global_map.shape[1]  # FMAP files are 3-d
+            params = init_selector_params(len(menu), num_global, seed=args.seed)
         vision_tokens, selections = compress_inference(
-            feature_map, global_tokens, params, menu, pool=args.pool
+            feature_map, global_map, params, menu, pool=args.pool
         )
 
     text_selection = None
@@ -234,7 +235,7 @@ def cmd_compress(args) -> int:
     heuristic_kept = None
     heuristic_scores = None
     if args.strategy == "heuristic":
-        heuristic_scores = heuristic_importance(feature_map, global_tokens)
+        heuristic_scores = heuristic_importance(feature_map, global_map)
         heuristic_kept = int(heuristic_topk(heuristic_scores, args.keep_fraction).size)
 
     report = build_report(
@@ -243,10 +244,10 @@ def cmd_compress(args) -> int:
         menu=menu,
         selections=selections,
         text_selection=text_selection,
-        text_layer=args.layer if text_selection is not None else None,
+        text_layer=args.layer,
         total_layers=args.total_layers,
         heuristic_kept=heuristic_kept,
-        heuristic_keep_fraction=args.keep_fraction if args.strategy == "heuristic" else None,
+        heuristic_keep_fraction=args.keep_fraction,
     )
     _emit(report, args.out)
 
@@ -277,10 +278,8 @@ def cmd_train(args) -> int:
     else:
         if not args.map or args.global_map is None:
             raise ValueError("train needs --task scale-indifferent or --map/--global files")
-        global_tokens = flatten_grid(_read_checked(args.global_map, MAGIC_FEATURE_MAP))
-        dataset = [
-            (_read_checked(path, MAGIC_FEATURE_MAP), global_tokens) for path in args.map
-        ]
+        global_map = _read_checked(args.global_map, MAGIC_FEATURE_MAP)
+        dataset = [(_read_checked(path, MAGIC_FEATURE_MAP), global_map) for path in args.map]
         downstream = None
         if args.target is not None:
             downstream = MeanTokenTarget(np.array(_numbers("--target", args.target)))
@@ -587,6 +586,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_DIVERGED, "training-diverged", str(exc))
     except ValueError as exc:
         return _fail(EXIT_INVALID, "invalid-input", str(exc))
+    except MemoryError as exc:
+        return _fail(EXIT_INVALID, "out-of-memory", str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

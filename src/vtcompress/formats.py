@@ -155,7 +155,8 @@ def export_heatmap(values, fmt: str, path) -> None:
     """Write an (H, W) value grid as a plain-text PGM ("P2") or CSV file.
 
     PGM output is min-max normalized to 0..255 (a constant map becomes all
-    zeros); CSV rows carry the raw values with full round-trip precision.
+    zeros; a range wider than the largest float is halved first); CSV rows
+    carry the raw values with full round-trip precision.
     """
     grid = as_tensor(values)
     if grid.ndim != 2:
@@ -163,8 +164,9 @@ def export_heatmap(values, fmt: str, path) -> None:
     fmt = fmt.lower()
     h, w = grid.shape
     if fmt == "pgm":
-        lo = grid.min()
-        hi = grid.max()
+        lo, hi = float(grid.min()), float(grid.max())
+        if not math.isfinite(hi - lo):  # halved, no difference overflows
+            grid, lo, hi = grid / 2.0, lo / 2.0, hi / 2.0
         if hi > lo:
             pixels = np.floor((grid - lo) / (hi - lo) * 255.0 + 0.5).astype(int)
         else:

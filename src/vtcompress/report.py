@@ -42,6 +42,8 @@ def effective_token_count(m: int, n: int, i: int, total_layers: int = 32) -> flo
         raise ValueError(f"need 0 <= n <= m, got n={n}, m={m}")
     if not (0 <= i < total_layers):
         raise ValueError(f"need 0 <= i < total_layers, got i={i}, L={total_layers}")
+    if max(m, total_layers) > sys.float_info.max:
+        raise ValueError("token counts and layers must fit in a float, as a report reads them")
     return m - n + i * n / total_layers
 
 

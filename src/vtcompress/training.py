@@ -480,20 +480,18 @@ def train_selector(
     if init_params is None:
         init_params = init_selector_params(len(menu), prepared.num_global_tokens, seed=config.seed)
     weights = prepared._check(init_params, downstream, config.alpha, config.imbalance_weights)
-    losses = np.zeros(config.steps)
-    f_hist = np.zeros((config.steps, len(menu)))
-    p_hist = np.zeros((config.steps, len(menu)))
     train = _train_numpy if prepared._compiled is None else _train_compiled
-    weight, bias = train(
-        prepared, init_params, config, downstream, weights, (losses, f_hist, p_hist)
+    weight, bias, history = train(prepared, init_params, config, downstream, weights)
+    return TrainRun(*history, params=SelectorParams(weight, bias))  # checks the last update
+
+
+def _train_numpy(prepared, params, config, downstream, weights):
+    """:func:`train_selector`'s steps through the numpy step; returns the final weight
+    and bias and the history it allocates, laid out as :meth:`Step.train`'s."""
+    s = len(prepared.menu)
+    losses, f_hist, p_hist = history = (
+        np.zeros(config.steps), np.zeros((config.steps, s)), np.zeros((config.steps, s))
     )
-    params = SelectorParams(weight, bias)  # checks the last update
-    return TrainRun(losses=losses, f_history=f_hist, p_history=p_hist, params=params)
-
-
-def _train_numpy(prepared, params, config, downstream, weights, history):
-    """:func:`train_selector`'s steps through the numpy step; returns the final weight and bias."""
-    losses, f_hist, p_hist = history
     weight, bias = params.weight, params.bias  # updates make new arrays
     for step in range(config.steps):
         try:
@@ -513,15 +511,15 @@ def _train_numpy(prepared, params, config, downstream, weights, history):
         p_hist[step] = result.p
         weight = weight - config.learning_rate * result.grad_weight
         bias = bias - config.learning_rate * result.grad_bias
-    return weight, bias
+    return weight, bias, history
 
 
-def _train_compiled(prepared, params, config, downstream, weights, history):
+def _train_compiled(prepared, params, config, downstream, weights):
     """:func:`train_selector`'s steps in the compiled step, which updates its own
-    copy of the parameters and writes a history that is copied into ``history``;
-    raises as :func:`_train_numpy` does and returns the final weight and bias."""
+    copy of the parameters; raises as :func:`_train_numpy` does and returns
+    what it returns, the history being the arrays :meth:`Step.train` allocates."""
     step = prepared._compiled_at(params.weight, params.bias, downstream, config.alpha, weights)
-    status, index, written = step.train(config.learning_rate, config.steps)
+    status, index, history = step.train(config.learning_rate, config.steps)
     if status == step.NONFINITE_LOSS:
         raise TrainingDiverged(index, step.terms()[0])
     try:
@@ -531,9 +529,7 @@ def _train_compiled(prepared, params, config, downstream, weights, history):
     except ValueError:
         SelectorParams(step.weight, step.bias)  # as in _train_numpy
         raise
-    for mine, its in zip(history, written):
-        mine[...] = its
-    return step.weight.copy(), step.bias.copy()
+    return step.weight.copy(), step.bias.copy(), history
 
 
 # Learning rate tuned so 500 plain-GD steps settle the balance dynamics on

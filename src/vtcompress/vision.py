@@ -4,10 +4,12 @@ The feature map is partitioned into w x w regions. Each region can be
 down-sampled by any kernel in a :class:`ScaleMenu`; a linear selector scores
 the region against the global tokens and picks one scale. Global tokens, an
 (H, W, C) grid or (Ng, C) rows, are converted and checked once, by
-:func:`flatten_grid`, in every sampler that reads them.
-Inference emits the max-pooled tokens of the winning scale; the training
-variant additionally multiplies each emitted token by the winning softmax
-probability so the selector parameters stay on the gradient path.
+:func:`flatten_grid`, in every sampler that reads them; callers hand over
+the grid they read, not rows of their own.
+Inference emits the max-pooled tokens of the winning scale in one routing
+pass; the training variant runs that pass and multiplies each emitted token
+by the winning softmax probability so the selector parameters stay on the
+gradient path.
 """
 
 from __future__ import annotations
@@ -305,30 +307,6 @@ def choose_scale(logits) -> tuple[int, np.ndarray]:
     return int(np.argmax(z)), probs
 
 
-def _compress(feature_map, global_tokens, params, menu, pool, force_scales):
-    """Route every region of a map; returns tokens, probs (M, S), chosen (M,), counts (M,)."""
-    g = flatten_grid(global_tokens)
-    blocks = partition(feature_map, menu.window)
-    _, probs, chosen = route(region_scores(blocks, g, pool), params, menu)
-    if force_scales is not None:
-        if isinstance(force_scales, (int, np.integer)):
-            force_scales = [force_scales] * len(blocks)
-        chosen = np.array([int(j) for j in force_scales], dtype=np.intp)
-        if chosen.size != len(blocks):
-            raise ValueError(f"force_scales needs {len(blocks)} entries, got {chosen.size}")
-        if np.any((chosen < 0) | (chosen >= len(menu))):
-            raise ValueError("forced scale index out of range")
-    tokens = emit_tokens(scale_variants(blocks, menu), chosen)
-    return tokens, probs, chosen, np.array(menu.token_counts)[chosen]
-
-
-def _selections(probs, chosen, counts) -> list[RegionSelection]:
-    return [
-        RegionSelection(r, j, probs[r], n)
-        for r, (j, n) in enumerate(zip(chosen.tolist(), counts.tolist()))
-    ]
-
-
 def compress_inference(
     feature_map,
     global_tokens,
@@ -348,10 +326,22 @@ def compress_inference(
     regions, or one per region); probabilities are still reported. This is a
     diagnostic hook for lossless-path checks and fixed-split accounting.
     """
-    tokens, probs, chosen, counts = _compress(
-        feature_map, global_tokens, params, menu, pool, force_scales
-    )
-    return tokens, _selections(probs, chosen, counts)
+    g = flatten_grid(global_tokens)
+    blocks = partition(feature_map, menu.window)
+    _, probs, chosen = route(region_scores(blocks, g, pool), params, menu)
+    if force_scales is not None:
+        if isinstance(force_scales, (int, np.integer)):
+            force_scales = [force_scales] * len(blocks)
+        chosen = np.array([int(j) for j in force_scales], dtype=np.intp)
+        if chosen.size != len(blocks):
+            raise ValueError(f"force_scales needs {len(blocks)} entries, got {chosen.size}")
+        if np.any((chosen < 0) | (chosen >= len(menu))):
+            raise ValueError("forced scale index out of range")
+    tokens = emit_tokens(scale_variants(blocks, menu), chosen)
+    counts = menu.token_counts
+    return tokens, [
+        RegionSelection(r, j, probs[r], counts[j]) for r, j in enumerate(chosen.tolist())
+    ]
 
 
 def compress_training(
@@ -365,15 +355,15 @@ def compress_training(
 ) -> tuple[np.ndarray, list[RegionSelection]]:
     """Differentiable-path variant: each region's tokens scaled by its top-1 probability.
 
-    Selection is identical to :func:`compress_inference`; only the emitted
-    values differ, satisfying ``weighted[r] == top1_prob(r) * inference[r]``
-    exactly.
+    Selection is that of :func:`compress_inference`, which this wraps; only
+    the emitted values differ, satisfying
+    ``weighted[r] == top1_prob(r) * inference[r]`` exactly.
     """
-    tokens, probs, chosen, counts = _compress(
-        feature_map, global_tokens, params, menu, pool, force_scales
+    tokens, selections = compress_inference(
+        feature_map, global_tokens, params, menu, pool=pool, force_scales=force_scales
     )
-    top1 = probs[np.arange(chosen.size), chosen]
-    return tokens * np.repeat(top1, counts)[:, None], _selections(probs, chosen, counts)
+    top1 = [sel.probs[sel.scale] for sel in selections]
+    return tokens * np.repeat(top1, [sel.token_count for sel in selections])[:, None], selections
 
 
 def upsample_regions(values, window: int) -> np.ndarray:

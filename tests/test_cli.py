@@ -12,10 +12,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vtcompress import numeric
+from vtcompress import numeric, vision
 from vtcompress.cli import _train_log, build_parser, main
-from vtcompress.formats import MAGIC_FEATURE_MAP, MAGIC_SELECTOR, read_tensor, write_tensor
+from vtcompress.formats import (
+    MAGIC_FEATURE_MAP,
+    MAGIC_SELECTOR,
+    export_heatmap,
+    read_tensor,
+    write_tensor,
+)
 from vtcompress.report import effective_token_count, report_to_json
+from vtcompress.textsampler import per_layer_importance
 from vtcompress.training import TrainConfig, make_scale_indifferent_task, train_selector
 from vtcompress.vision import (
     default_menu,
@@ -77,6 +84,15 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--out", str(tmp_path), "--height", "0")
         assert code == 5
         assert json.loads(err)["error"] == "invalid-input"
+
+    def test_out_of_memory_is_one_json_line(self, tmp_path, capsys):
+        # 7.11 PiB: numpy refuses it at once, allocating nothing
+        code, out, err = run(capsys, "gen", "--out", str(tmp_path / "d"), "--height", "100000",
+                             "--width", "100000", "--channels", "100000")
+        assert code == 5
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "out-of-memory"
 
     def test_flag_surface(self):
         """The flags come from SyntheticConfig's fields, so renaming a field or
@@ -174,6 +190,37 @@ class TestCompress:
         )
         assert code == 4
         assert json.loads(err)["error"] == "format-error"
+
+
+class TestGlobalGridConvertedOnce:
+    """The CLI hands the samplers the global grid it read; they convert it once."""
+
+    @pytest.fixture()
+    def grid_calls(self, tmp_path, capsys, monkeypatch):
+        paths = run_json(capsys, "gen", "--out", str(tmp_path / "fix"), "--seed", "3")["paths"]
+        calls = []
+        as_tensor = vision.as_tensor
+
+        def counted(values):
+            if np.shape(values) in {(6, 6, 8), (36, 8)}:
+                calls.append(np.shape(values))
+            return as_tensor(values)
+
+        monkeypatch.setattr(vision, "as_tensor", counted)
+        return paths, calls
+
+    @pytest.mark.parametrize("strategy", ["vision", "heuristic"])
+    def test_compress(self, strategy, grid_calls, capsys):
+        paths, calls = grid_calls
+        run_json(capsys, "compress", "--strategy", strategy, "--map", paths["x"],
+                 "--global", paths["xg"])
+        assert calls == [(6, 6, 8)]
+
+    def test_train(self, grid_calls, capsys):
+        paths, calls = grid_calls
+        run_json(capsys, "train", "--map", paths["x"], "--map", paths["x"],
+                 "--global", paths["xg"], "--steps", "1")
+        assert calls == [(6, 6, 8)] * 2
 
 
 class TestTrain:
@@ -406,6 +453,18 @@ class TestEvolution:
         result = run_json(capsys, "evolution", "--attn", str(attn),
                           "--out-dir", str(tmp_path / "evo"))
         assert result["layers"] == 1
+
+    def test_csv_layers_are_export_heatmap_csv(self, tmp_path, capsys):
+        attn = tmp_path / "stack.attn"
+        self._write_stack(attn, layers=3, n=16)
+        result = run_json(capsys, "evolution", "--attn", str(attn), "--out-dir",
+                          str(tmp_path / "evo"), "--grid", "2x8", "--format", "csv")
+        maps = per_layer_importance(read_tensor(attn)[0])
+        assert result["files"] == [str(tmp_path / "evo" / f"layer_{i:02d}.csv") for i in range(3)]
+        for layer, path in enumerate(result["files"]):
+            want = tmp_path / "want.csv"
+            export_heatmap(maps[layer].reshape(2, 8), "csv", want)
+            assert Path(path).read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("grid", ["4x4x4", "4", "x", "-4x-4", "0x16", "4x"])
     def test_malformed_grid_named(self, grid, tmp_path, capsys):
@@ -894,6 +953,25 @@ class TestErrorContract:
         payload = json.loads(err)
         assert payload["error"] == "invalid-input"
         assert payload["message"] == "total_layers must be >= 1"
+
+    @pytest.mark.parametrize("strategy, flags", [
+        ("heuristic", ("--total-layers", "1" + "0" * 400)),
+        ("text", ("--total-layers", "1" + "0" * 401, "--layer", "1" + "0" * 400)),
+    ], ids=["total-layers", "layer"])
+    def test_compress_writes_only_reports_report_in_accepts(self, strategy, flags, fixtures,
+                                                            tmp_path, capsys):
+        written = tmp_path / "report.json"
+        code, out, err = run(capsys, "compress", "--strategy", strategy, "--map", fixtures["x"],
+                             "--global", fixtures["xg"], "--q", fixtures["q"], "--k",
+                             fixtures["k"], *flags, "--out", str(written))
+        if code == 0:  # then the report must read back
+            code, out, err = run(capsys, "report", "--in", str(written))
+            assert code == 0, err
+            return
+        assert code == 5
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "invalid-input"
+        assert not written.exists()
 
     @pytest.mark.parametrize("flags", [("--total-layers", "-3"), ("--total-layers", "0"), ()],
                              ids=["flag-negative", "flag-zero", "file-negative"])

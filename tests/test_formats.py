@@ -275,6 +275,16 @@ class TestHeatmap:
             rows = "".join(" ".join(map(str, row)) + "\n" for row in pixels.tolist())
             assert path.read_text() == f"P2\n{w} {h}\n255\n" + rows
 
+    def test_pgm_range_wider_than_a_float(self, tmp_path):
+        path = tmp_path / "h.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            export_heatmap([[-1e308, 1e308], [0.0, 1.0]], "pgm", path)
+        body = path.read_text().split("\n", 3)[3]
+        pixels = [int(v) for v in body.split()]
+        assert all(0 <= v <= 255 for v in pixels)
+        assert pixels[0] == 0 and pixels[1] == 255
+
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         grid = rng.standard_normal((3, 4))

@@ -502,11 +502,9 @@ def _step_outcome(batch, params, downstream, alpha, imbalance, grad):
 
 def _train_outcome(batch, train, params, config, downstream):
     """The history and final parameters of a run as bytes, or the error it raised."""
-    steps, s = config.steps, params.num_scales
-    history = (np.zeros(steps), np.zeros((steps, s)), np.zeros((steps, s)))
     try:
         weights = batch._check(params, downstream, config.alpha, config.imbalance_weights)
-        weight, bias = train(batch, params, config, downstream, weights, history)
+        weight, bias, history = train(batch, params, config, downstream, weights)
     except (ValueError, TrainingDiverged) as exc:
         return type(exc), str(exc)
     return tuple(a.tobytes() for a in (*history, weight, bias))
