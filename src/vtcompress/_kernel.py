@@ -16,16 +16,22 @@ resolver picks the widest clone the CPU runs, once per process. A wider
 clone only computes more j lanes per instruction: neither target implies
 FMA contraction or fast-math, so every clone writes the same bits.
 
-The same source holds the selector training step (:class:`Step`): all of
-``PreparedBatch``'s numpy step but the exponential, under the same rules.
-Its two products call ``vtc_matmul``; its sums over regions run
+``vtc_exp`` is the library's exponential (:func:`vtcompress.numeric._exp_numpy`
+documents it), cloned as ``vtc_matmul`` is. It uses only ``+ - *``, a table
+lookup and bit operations, whose results IEEE 754 fixes, so every clone
+writes the numpy version's bits; its constants come from
+:data:`vtcompress.numeric.EXP_CONSTANTS` as ``repr`` literals.
+
+The same source holds the selector training step (:class:`Step`):
+``PreparedBatch``'s numpy step under the same rules, a whole training run in
+one C call. Its two products call ``vtc_matmul``; its sums over regions run
 sequentially, as numpy reduces along a non-contiguous axis; and its sums
 along a contiguous row (the softmax denominators, the downstream mean)
 reproduce numpy's pairwise summation, which ``ndarray.sum`` runs there.
 :meth:`Kernel.attention` is the text stage's per-head scaled softmax under
-the same rules. Both softmaxes run one C row pass, numpy's ``exp`` in place
-and ``vtc_normalize``, and :meth:`Step.raise_for_softmax` turns the row
-pass's statuses into ``numeric.softmax``'s errors.
+the same rules, one C call for all heads. Both softmaxes run one C row pass,
+``vtc_exp`` in place and ``vtc_normalize``, and :meth:`Step.raise_for_softmax`
+turns the row pass's statuses into ``numeric.softmax``'s errors.
 
 :meth:`Kernel.reprs` formats doubles as ``repr`` does, for the training
 log: ``vtc_repr`` finds the shortest digits that read back as the same
@@ -45,14 +51,14 @@ runs in a child process with its output captured: cffi's C generator parses
 the declarations with pycparser, which would raise the caller's peak memory,
 and a CLI call may print nothing but its own output. The built module is
 published with an atomic rename, so another process sees no file or a whole
-one. :func:`load` returns ``None`` when cffi
-or a C compiler is missing, the directory is not writable, the build fails,
-or the kernel gives other bits than the scalar loop, numpy's softmax,
-``ndarray.sum`` or numpy's elementwise arithmetic on a probe, or other bytes
-than ``repr`` on :data:`REPR_PROBES`. A failed build
-leaves its output in ``<module name>.failed.log`` next to where the module
-would be, and no later process tries that build again until the log is
-deleted; otherwise every process would pay for a doomed build.
+one. :func:`load` returns ``None`` when cffi or a C compiler is missing, the
+directory is not writable, the build fails, or the kernel gives other bits
+than the scalar loop, the numpy softmax and exponential, ``ndarray.sum`` or
+numpy's elementwise arithmetic on a probe, or other bytes than ``repr`` on
+:data:`REPR_PROBES`. A failed build leaves its output in ``<module
+name>.failed.log`` next to where the module would be, and no later process
+tries that build again until the log is deleted; otherwise every process
+would pay for a doomed build.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numeric import _k_loop, softmax
+from .numeric import EXP_CONSTANTS, _exp_numpy, _k_loop, _softmax
 
 # Declarations shared by the C source and cffi's cdef. ``vtc_step`` holds one
 # batch of the selector training step. :class:`Step` points it at numpy
@@ -91,20 +97,29 @@ typedef struct {
     double *grad_weight, *grad_bias;
     double loss, down, bal;
     double *losses, *f_hist, *p_hist;        /* VTC_TRAIN's history, (steps,), (steps, s) */
+    size_t step;                             /* vtc_step_run: the step that failed, or steps */
 } vtc_step;
 
 void vtc_matmul(const double *, const double *, double *, size_t, size_t, size_t);
 double vtc_sum(const double *, size_t);
 void vtc_descend(double *, const double *, double, size_t);
-int vtc_step_pre(vtc_step *);
-int vtc_step_post(vtc_step *, int, size_t);
-void vtc_normalize(double *, size_t, size_t);
+void vtc_exp(double *, size_t);
+int vtc_step_run(vtc_step *, int, size_t);
 int vtc_attention(const double *, const double *, double *, double *, size_t, size_t, size_t,
                   size_t, double);
 int vtc_repr(const double *, size_t, char *, size_t);
 """
 
-SOURCE = "#include <math.h>\n#include <stddef.h>\n#include <stdint.h>\n#include <string.h>\n" + CDEF + r"""
+# The exponential's constants as numeric computes them, for vtc_exp: a repr
+# literal reads back as the same double.
+_EXP = "".join(
+    f"static const double vtc_exp_{name}[] = {{{', '.join(map(repr, value))}}};\n"
+    if isinstance(value, tuple) else f"#define VTC_EXP_{name.upper()} {value!r}\n"
+    for name, value in EXP_CONSTANTS.items()
+)
+
+SOURCE = ("#include <math.h>\n#include <stddef.h>\n#include <stdint.h>\n#include <string.h>\n"
+          + CDEF + _EXP + r"""
 /* One clone of vtc_matmul per vector width, chosen once per process by the
    dynamic loader's ifunc resolver. A clone only widens the independent j
    lanes; each output element keeps its own ascending sum. Elsewhere the
@@ -172,9 +187,45 @@ double vtc_sum(const double *a, size_t n)
     return 0.0 + pairwise(a, n);
 }
 
+/* e^x of count doubles in place: numeric._exp_numpy's operations in its
+   order, with its names (see there), whose bits do not depend on the clone.
+   Its last selects are masks on the bits: as conditional expressions they
+   kept GCC from vectorizing the AVX2 clone, which now runs 4 lanes and the
+   AVX-512F clone 8. */
+VTC_CLONES
+void vtc_exp(double *restrict x, size_t count)
+{
+    const double shift = VTC_EXP_SHIFT, *c = vtc_exp_poly;
+    uint64_t shift_bits;
+    memcpy(&shift_bits, &shift, sizeof shift_bits);
+    for (size_t i = 0; i < count; i++) {
+        const double v = x[i], t = v * VTC_EXP_INV + shift, n = t - shift;
+        uint64_t nb, vb, yb, up, down;
+        memcpy(&nb, &t, sizeof nb);
+        nb -= shift_bits;  /* n in two's complement */
+        const double r = (v - n * VTC_EXP_L1) - n * VTC_EXP_L2;
+        const double p = r + r * r * (c[0] + r * (c[1] + r * (c[2] + r * (c[3] + r * c[4]))));
+        const uint64_t j = nb & 31;
+        const double hi = vtc_exp_hi[j];
+        const int64_t big = (int64_t)(n > 16384.0) - (int64_t)(n < -16384.0);
+        up = ((nb - j) << 47) + ((uint64_t)(1023 - 60 * big) << 52);
+        down = (uint64_t)(1023 + 60 * big) << 52;
+        double scale_up, scale_down;
+        memcpy(&scale_up, &up, sizeof up);
+        memcpy(&scale_down, &down, sizeof down);
+        const double y = (hi + (vtc_exp_lo[j] + hi * p)) * scale_up * scale_down;
+        const uint64_t over = -(uint64_t)(v > 710.0), under = -(uint64_t)(v < -746.0),
+                       nan = -(uint64_t)(v != v);
+        memcpy(&yb, &y, sizeof yb);
+        memcpy(&vb, &v, sizeof vb);
+        yb = (yb & ~(over | under | nan)) | (0x7ff0000000000000u & over) | (vb & nan);
+        memcpy(x + i, &yb, sizeof yb);
+    }
+}
+
 /* Each of the rows of x divided by its ndarray.sum: the softmax's denominators
-   once numpy has exponentiated the rows in place. */
-void vtc_normalize(double *restrict x, size_t rows, size_t n)
+   once the rows are exponentiated in place. */
+static void vtc_normalize(double *restrict x, size_t rows, size_t n)
 {
     for (size_t i = 0; i < rows; i++, x += n) {
         const double total = 0.0 + pairwise(x, n);
@@ -214,9 +265,8 @@ void vtc_descend(double *restrict x, const double *restrict g, double lr, size_t
 
 /* The logits weight @ scores.T (the products of scores @ weight.T, in the
    same order) plus the bias, transposed into shifted, and the row pass, whose
-   maxima are chosen. Numpy exponentiates shifted in place before the post
-   call. */
-int vtc_step_pre(vtc_step *t)
+   maxima are chosen. */
+static int vtc_step_pre(vtc_step *t)
 {
     const size_t m = t->m, ng = t->ng, s = t->s;
     double *restrict x = t->shifted;
@@ -234,7 +284,7 @@ int vtc_step_pre(vtc_step *t)
    writes history row `step` and descends. Every sum keeps the order in which
    numpy forms it in the fallback step: products ascending from 0.0, sums over
    regions sequential, sums along a contiguous row pairwise. */
-int vtc_step_post(vtc_step *t, int mode, size_t step)
+static int vtc_step_post(vtc_step *t, int mode, size_t step)
 {
     const size_t m = t->m, ng = t->ng, s = t->s, c = t->c;
     const double *probs = t->shifted;
@@ -344,10 +394,28 @@ int vtc_step_post(vtc_step *t, int mode, size_t step)
     return VTC_OK;
 }
 
-/* Scaled attention logits of h heads, each row minus its first maximum: per
-   head, k's (n, d) slice transposed into kt, q's (t, d) slice times kt into
-   o's (t, n) slice, then the row pass over that slice while it is in cache.
-   Numpy exponentiates o in place before vtc_normalize. */
+/* `steps` steps in `mode` (VTC_TRAIN writes history row i at step i): the
+   logits and row pass, the exp of shifted and the rest, up to the first step
+   that fails. Returns its status and leaves its index in t->step, or steps. */
+int vtc_step_run(vtc_step *t, int mode, size_t steps)
+{
+    int status = VTC_OK;
+    for (t->step = 0; t->step < steps; t->step++) {
+        status = vtc_step_pre(t);
+        if (status == VTC_OK) {
+            vtc_exp(t->shifted, t->m * t->s);
+            status = vtc_step_post(t, mode, t->step);
+        }
+        if (status != VTC_OK)
+            break;
+    }
+    return status;
+}
+
+/* The scaled attention softmax of h heads: per head, k's (n, d) slice
+   transposed into kt, q's (t, d) slice times kt into o's (t, n) slice, then,
+   while that slice is in cache, the row pass (each row minus its first
+   maximum), vtc_exp and the division by each row's sum. */
 int vtc_attention(const double *restrict q, const double *restrict k, double *restrict o,
                   double *restrict kt, size_t h, size_t t, size_t d, size_t n, double scale)
 {
@@ -362,6 +430,8 @@ int vtc_attention(const double *restrict q, const double *restrict k, double *re
         vtc_matmul(q + g * t * d, kt, og, t, d, n);
         if (shift_rows(og, t, n, scale, NULL))
             return VTC_NONFINITE_LOGITS;
+        vtc_exp(og, t * n);
+        vtc_normalize(og, t, n);
     }
     return VTC_OK;
 }
@@ -528,7 +598,7 @@ int vtc_repr(const double *x, size_t n, char *out, size_t width)
     }
     return 1;
 }
-"""
+""")
 # Appended after the interpreter's own compile flags, so they win. Every
 # function starts on a 64-byte line, so a kernel's speed does not depend on
 # what precedes it in the source: unaligned, vtc_matmul ran 8-18% slower on
@@ -584,6 +654,20 @@ REPR_PROBES = (0.0, -0.0, 5e-324, 1.5e-310, 5.960464477539062e-08, 2.0**-24,
                -1.7976931348623157e+308)
 
 
+# Inputs where an exponential goes wrong, and their neighbours: signed zeros,
+# infinities, NaN; the overflow edge near 709.78 and 710, above which vtc_exp
+# selects infinity; the underflow edge near -745.13, subnormal results and
+# -746, below which it selects 0.0; the ends of the exponent range of each
+# scaling K, near +-354.9; and a sweep over all of them, which runs every
+# table entry and full vector iterations of every clone.
+_EXP_EDGES = np.array([0.0, 1e-300, 709.782712893384, 710.0, -745.1332191019411, -708.4,
+                       -740.0, -746.0, 16384.5 / EXP_CONSTANTS["inv"], 16383.5 / EXP_CONSTANTS["inv"]])
+EXP_PROBES = np.concatenate([
+    _EXP_EDGES, -_EXP_EDGES, np.nextafter(_EXP_EDGES, np.inf), np.nextafter(_EXP_EDGES, -np.inf),
+    [np.inf, -np.inf, np.nan], np.linspace(-750.0, 712.0, 203), np.linspace(-0.05, 0.05, 37),
+])
+
+
 class Kernel:
     """A loaded kernel; ``kernel(a, b, out)`` writes the k-ordered product ``a @ b``.
 
@@ -613,23 +697,30 @@ class Kernel:
         its bits and its errors, as a fresh ``(h, T, N)`` array.
 
         ``q`` and ``k`` are C-contiguous float64 ``(h, T, d)`` and ``(h, N, d)``
-        arrays. A C pass writes the scaled logits minus each row's maximum,
-        numpy's ``exp`` runs over them in place (the same ``exp`` as the
-        softmax's), and ``vtc_normalize`` divides each row by its pairwise sum.
+        arrays. One C call forms each head's scaled logits, subtracts each
+        row's maximum, runs ``vtc_exp`` (the softmax's exponential) and divides
+        each row by its pairwise sum, head by head while the head is in cache.
         """
         (heads, t, d), n = q.shape, k.shape[1]
         if k.shape != (heads, n, d) or not (q.flags.c_contiguous and k.flags.c_contiguous):
             raise ValueError(f"cannot attend from {q.shape} to {k.shape}")
         out, kt = np.empty((heads, t, n)), np.empty((d, n))
-        buffer, lib = self._buffer, self.lib
-        rows = buffer("double[]", out, require_writable=True)
-        Step.raise_for_softmax(lib.vtc_attention(
-            buffer("double[]", q), buffer("double[]", k), rows,
+        buffer = self._buffer
+        Step.raise_for_softmax(self.lib.vtc_attention(
+            buffer("double[]", q), buffer("double[]", k),
+            buffer("double[]", out, require_writable=True),
             buffer("double[]", kt, require_writable=True), heads, t, d, n, scale,
         ))
-        np.exp(out, out=out)
-        lib.vtc_normalize(rows, heads * t, n)
         return out
+
+    def exp(self, values: np.ndarray) -> np.ndarray:
+        """e**x of a C-contiguous float64 array in place by ``vtc_exp``, with
+        :func:`vtcompress.numeric._exp_numpy`'s bits; returns ``values``."""
+        if values.dtype != np.float64 or not values.flags.c_contiguous:
+            raise ValueError(f"cannot exponentiate {values.dtype} values with strides "
+                             f"{values.strides} in place")
+        self.lib.vtc_exp(self._buffer("double[]", values, require_writable=True), values.size)
+        return values
 
     def reprs(self, values: np.ndarray) -> np.ndarray:
         """``repr`` of each float64 in ``values``, in C order, as a fresh ``(n,)``
@@ -648,11 +739,10 @@ class Step:
     """The selector training step of one batch in C, on buffers allocated once.
 
     Write the parameters into :attr:`weight` and :attr:`bias`, choose the loss
-    with :meth:`set_loss`, then call :meth:`evaluate` or :meth:`train`. A step
-    is a C call up to the shifted logits, ``np.exp`` over :attr:`shifted` in
-    place, and a C call for the rest: the exponential stays in numpy because
-    numpy's ``exp`` (SIMD on some CPUs) need not give the bits of the C
-    library's. Results are read from :attr:`f`, :attr:`p`,
+    with :meth:`set_loss`, then call :meth:`evaluate` or :meth:`train`. Each
+    is one C call, ``vtc_step_run``, over all of its steps: the logits and
+    their row pass, ``vtc_exp`` over :attr:`shifted` in place, and the rest of
+    the step. Results are read from :attr:`f`, :attr:`p`,
     :attr:`grad_weight`, :attr:`grad_bias` and :meth:`terms`, which the next
     call overwrites. A step holds mutable buffers: do not use one from two
     threads at once.
@@ -724,7 +814,7 @@ class Step:
     def evaluate(self, grad: bool) -> int:
         """One step at :attr:`weight` and :attr:`bias`, with its gradient if
         ``grad``; returns the status."""
-        return self._run(self._GRAD if grad else self._LOSS, 1)[0]
+        return self._lib.vtc_step_run(self._t, self._GRAD if grad else self._LOSS, 1)
 
     def train(self, learning_rate: float, steps: int) -> tuple[int, int, tuple[np.ndarray, ...]]:
         """``steps`` steps of gradient descent from :attr:`weight` and
@@ -736,19 +826,8 @@ class Step:
         s = self._t.s
         history = tuple(self._bind(field, np.zeros(shape)) for field, shape in
                         (("losses", steps), ("f_hist", (steps, s)), ("p_hist", (steps, s))))
-        return (*self._run(self._TRAIN, steps), history)
-
-    def _run(self, mode: int, steps: int) -> tuple[int, int]:
-        pre, post, exp = self._lib.vtc_step_pre, self._lib.vtc_step_post, np.exp
-        t, shifted = self._t, self.shifted
-        for step in range(steps):
-            status = pre(t)
-            if status == 0:
-                exp(shifted, out=shifted)
-                status = post(t, mode, step)
-            if status:
-                return status, step
-        return self.OK, steps
+        status = self._lib.vtc_step_run(self._t, self._TRAIN, steps)
+        return status, self._t.step, history
 
 
 def load(cache_dir: Path, source: str = SOURCE) -> Kernel | None:
@@ -809,7 +888,8 @@ def _exact(kernel: Kernel) -> bool:
     the tests pin to the scalar loop) on products that show a changed
     summation order, a fused multiply-add or a lost signed zero, with rows long
     enough to run full vector iterations of every clone and a remainder; the
-    per-head numpy softmax of such a product; numpy's ``ndarray.sum`` on a sum
+    per-head numpy softmax of such a product; :func:`numeric._exp_numpy` on
+    :data:`EXP_PROBES`; numpy's ``ndarray.sum`` on a sum
     long enough to recurse, where a sequential sum gives other bits;
     numpy's ``x - lr * g`` where an FMA gives other bits; and ``repr`` on
     :data:`REPR_PROBES`."""
@@ -822,7 +902,9 @@ def _exact(kernel: Kernel) -> bool:
     if kernel(a, b, np.empty((4, 19))).tobytes() != want.tobytes():
         return False
     head = kernel.attention(a[np.newaxis], np.ascontiguousarray(b.T)[np.newaxis], 0.125)
-    if head.tobytes() != softmax(want * 0.125, axis=-1).tobytes():
+    if head.tobytes() != _softmax(want * 0.125, -1, _exp_numpy).tobytes():
+        return False
+    if kernel.exp(EXP_PROBES.copy()).tobytes() != _exp_numpy(EXP_PROBES.copy()).tobytes():
         return False
     # differs from a sequential sum, from a sum without the split above 128
     # elements and from one with four accumulators

@@ -11,7 +11,8 @@ Every failure exits nonzero with one JSON line on stderr of the form
 {"error": <class>, "message": <text>}; exit codes are 2 usage, 3 missing
 file, 4 tensor-file format, 5 invalid input or inconsistent dimensions
 (error "out-of-memory" when an array is too large to allocate), 6 training
-divergence, 7 gradient check failure. A command line argparse
+divergence, 7 gradient check failure (error "gradcheck-failed", after the
+check's report on stdout). A command line argparse
 rejects (a missing required flag, a value of the wrong type, an unknown
 flag) exits 2 with error "usage"; only ``-h``/``--help`` prints argparse
 text, and exits 0. A file that cannot be read or written for any other
@@ -370,7 +371,10 @@ def cmd_gradcheck(args) -> int:
         },
         "-",
     )
-    return 0 if passed else EXIT_GRADCHECK
+    if passed:
+        return 0
+    return _fail(EXIT_GRADCHECK, "gradcheck-failed",
+                 f"worst relative error {worst!r} exceeds the tolerance {args.tolerance!r}")
 
 
 def cmd_evolution(args) -> int:

@@ -244,8 +244,6 @@ def gen_synthetic(cfg: SyntheticConfig, out_dir) -> dict:
     Returns a metadata dict with the file paths and generator details.
     """
     rng = np.random.default_rng(cfg.seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     rects: list[tuple[int, int, int, int]] = []
     if cfg.structure == "block-structured":
@@ -275,6 +273,9 @@ def gen_synthetic(cfg: SyntheticConfig, out_dir) -> dict:
     anchors = rng.choice(np.flatnonzero(anchor_pool), size=cfg.text_tokens, replace=True)
     q = k[:, anchors] + 0.25 * rng.standard_normal((cfg.heads, cfg.text_tokens, cfg.head_dim))
 
+    # made only now, so that a config too large to allocate leaves no directory
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     # round-trip through f32 so in-memory values match the files exactly
     files = {
         "x": (out / "x.fmap", fm, MAGIC_FEATURE_MAP),

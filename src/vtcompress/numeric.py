@@ -18,11 +18,20 @@ rank-1 update per k, from zero, in the same order. Never use ``np.sum``,
 ``np.add.reduce``, ``np.einsum``, ``np.dot`` or ``@`` for a product that
 reaches an output: depending on layout and length they switch to pairwise
 summation or BLAS, whose order varies with the build and thread count.
+
+Every softmax exponentiates through the library's own ``exp``, not numpy's,
+whose bits change with the SIMD code numpy dispatches on the CPU. It is
+Tang's table-driven exponential (ACM TOMS 15(2), 1989) in IEEE-exact
+``+ - *`` only, within 1 ulp of ``math.exp``. The compiled
+``vtc_exp`` runs it when the kernel loads, and :func:`_exp_numpy` otherwise;
+both apply the same operations in the same order, so they write the same
+bits, and those bits do not depend on the CPU.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from pathlib import Path
 from typing import Callable
 
@@ -84,14 +93,86 @@ def _k_loop(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def softmax(x, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis`` (max-subtraction before exp)."""
+    """Numerically stable softmax along ``axis``: ``x`` minus its maximum, the
+    library's ``exp`` (the compiled ``vtc_exp`` when the kernel loads, else
+    :func:`_exp_numpy`) and the division by the sum."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0 or x.size == 0:
         raise ValueError("softmax of an empty input")
     if not np.isfinite(x).all():
         raise ValueError("softmax input contains non-finite values")
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    kernel = _product_kernel()
+    return _softmax(x, axis, _exp_numpy if kernel is None else kernel.exp)
+
+
+def _softmax(x: np.ndarray, axis: int, exp: Callable[[np.ndarray], object]) -> np.ndarray:
+    """The softmax of checked ``x`` along ``axis``, exponentiated in place by ``exp``."""
+    e = x - x.max(axis=axis, keepdims=True)
+    exp(e)
     return e / e.sum(axis=axis, keepdims=True)
+
+
+def _tang_constants() -> dict:
+    """The exponential's constants, from Python integers at 120 bits:
+    ``hi[j] + lo[j]`` is 2^(j/32), ``l1 + l2`` is ln(2)/32 with ``l1``'s 37
+    significant bits (so ``n * l1`` is exact for |n| < 2^16), ``inv`` is
+    32/ln(2) and ``poly`` holds 1/k! for k = 2..6."""
+    bits = 120
+    one = 1 << bits
+    root = 1 << (32 * bits + 1)
+    for _ in range(5):
+        root = math.isqrt(root)  # 2^(1/32), scaled by 2^bits and rounded down
+    hi, lo, power = [], [], one
+    for _ in range(32):
+        head = power / one
+        num, den = head.as_integer_ratio()
+        hi.append(head)
+        lo.append((power - num * (one // den)) / one)
+        power = power * root >> bits
+    ln2 = sum((one << 8) // (k << k) for k in range(1, bits + 9)) >> 8  # sum of 1 / (k 2^k)
+    cut = ln2.bit_length() - 37
+    top = ln2 >> cut << cut  # the top 37 bits
+    return {"hi": tuple(hi), "lo": tuple(lo), "l1": math.ldexp(top >> cut, cut - bits - 5),
+            "l2": (ln2 - top) / (one << 5), "inv": 32 / math.log(2), "shift": 1.5 * 2.0**52,
+            "poly": tuple(1 / math.factorial(k) for k in range(2, 7))}
+
+
+EXP_CONSTANTS = _tang_constants()
+_EXP_HI, _EXP_LO = np.array(EXP_CONSTANTS["hi"]), np.array(EXP_CONSTANTS["lo"])
+
+
+def _exp_numpy(x: np.ndarray) -> np.ndarray:
+    """e**x of a float64 array in place (returned), by Tang's algorithm; the
+    bits of the compiled ``vtc_exp``, which applies the same operations.
+
+    ``n = round(x * 32/ln2)`` comes from the low bits of ``x * inv + 1.5 * 2^52``;
+    ``r = (x - n * l1) - n * l2`` (the first difference is exact) and
+    ``p = r + r^2 (1/2 + r (1/6 + ... r / 720))``. With ``j = n mod 32`` and
+    ``m = (n - j) / 32``, the result is ``hi[j] + (lo[j] + hi[j] * p)`` times
+    2^(m + K), which is exact, then times 2^-K, which rounds once, also to a
+    subnormal: K is 60 where n < -16384 (m < -512), -60 where n > 16384, else
+    0. NaN, x < -746 (0.0) and x > 710 (infinity) are selected last."""
+    c = EXP_CONSTANTS
+    c2, c3, c4, c5, c6 = c["poly"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = x * c["inv"] + c["shift"]
+        nb = t.view(np.uint64) - np.float64(c["shift"]).view(np.uint64)
+        n = t - c["shift"]
+        r = (x - n * c["l1"]) - n * c["l2"]
+        p = r + r * r * (c2 + r * (c3 + r * (c4 + r * (c5 + r * c6))))
+        j = nb & np.uint64(31)
+        hi = _EXP_HI[j]
+        y = hi + (_EXP_LO[j] + hi * p)
+        big = (n > 16384).astype(np.int64) - (n < -16384)
+        up = ((nb - j) << np.uint64(47)) + ((1023 - 60 * big).astype(np.uint64) << np.uint64(52))
+        down = (1023 + 60 * big).astype(np.uint64) << np.uint64(52)
+        y = y * up.view(np.float64) * down.view(np.float64)
+    y[x > 710.0] = np.inf
+    y[x < -746.0] = 0.0
+    nan = np.isnan(x)
+    y[nan] = x[nan]
+    x[...] = y
+    return x
 
 
 def stable_sort_desc(values) -> np.ndarray:

@@ -9,13 +9,14 @@ stack at once; attention with no head or no text token is an error.
 Selection keeps the smallest top-ranked set whose cumulative importance mass
 strictly exceeds a threshold gamma.
 
-When the compiled kernel loads, :func:`attention_scores` runs as one pass
-over all heads (:meth:`vtcompress._kernel.Kernel.attention`): a C pass forms
-each head's logits through the k-ordered product and runs the training
-step's softmax row pass (scale, check, subtract each row's maximum), numpy's
-``exp`` runs once over the whole (h, T, N) buffer, and the step's C divides
-each row by its sum, added in ``ndarray.sum``'s order. It writes the bits
-and raises the errors of the per-head numpy loop that runs without the kernel.
+When the compiled kernel loads, :func:`attention_scores` is one C call over
+all heads (:meth:`vtcompress._kernel.Kernel.attention`): per head, it forms
+the logits through the k-ordered product and runs the training step's
+softmax row pass (scale, check, subtract each row's maximum), the library's
+exponential and the division of each row by its sum, added in
+``ndarray.sum``'s order. It writes the bits and raises the errors of the
+per-head numpy loop that runs without the kernel, whose softmax runs the
+numpy version of the same exponential.
 """
 
 from __future__ import annotations

@@ -157,9 +157,11 @@ class PreparedBatch:
 
     Every loss and gradient, :func:`train_selector`'s steps included, runs
     one step that does only the arithmetic that changes with the parameters:
-    the compiled step (:class:`vtcompress._kernel.Step`) when the product
-    kernel loads, otherwise the numpy step, whose products go through
-    :func:`~vtcompress.numeric.matmul`. Both give the same bits. The
+    the compiled step (:class:`vtcompress._kernel.Step`, one C call per
+    training run) when the product kernel loads, otherwise the numpy step,
+    whose products go through :func:`~vtcompress.numeric.matmul` and whose
+    softmax through the library's numpy exponential. Both give the same
+    bits, on any CPU. The
     parameters, ``alpha`` and the imbalance weights are checked once per
     public call or training run. The compiled step's buffers are rewritten
     by every step, so a batch must not be used by two threads at once.

@@ -94,6 +94,13 @@ class TestGen:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "out-of-memory"
 
+    def test_out_of_memory_leaves_no_out_directory(self, tmp_path, capsys):
+        # the same shape, which numpy refuses outright: the directory comes after the arrays
+        code, _, _ = run(capsys, "gen", "--out", str(tmp_path / "d"), "--height", "100000",
+                         "--width", "100000", "--channels", "100000")
+        assert code == 5
+        assert not (tmp_path / "d").exists()
+
     def test_flag_surface(self):
         """The flags come from SyntheticConfig's fields, so renaming a field or
         changing its default would change them silently: pin each flag's
@@ -384,7 +391,8 @@ class TestGradcheck:
         assert result["passed"] is True
         assert result["worstRelError"] <= 1e-4
 
-    def test_corrupt_flag_exercises_failure(self, capsys, monkeypatch):
+    @pytest.fixture
+    def corrupted(self, monkeypatch):
         # perturb the analytic gradient the CLI sees to exercise its failure path
         import dataclasses
 
@@ -401,8 +409,16 @@ class TestGradcheck:
             return dataclasses.replace(chk, rel_error=rel, analytic=analytic)
 
         monkeypatch.setattr(cli, "gradient_check", corrupted)
+
+    def test_corrupt_flag_exercises_failure(self, capsys, corrupted):
         code, out, _ = run(capsys, "gradcheck", "--instances", "2")
         assert code == 7
+        assert json.loads(out)["passed"] is False
+
+    def test_failure_follows_the_error_contract(self, capsys, corrupted):
+        code, out, err = run(capsys, "gradcheck", "--instances", "2")
+        assert_contract(code, out, err)
+        assert json.loads(err)["error"] == "gradcheck-failed"
         assert json.loads(out)["passed"] is False
 
     @pytest.mark.parametrize("flags", [("--menu", "7branch"), ("--window", "8")],

@@ -12,8 +12,11 @@ The pipeline runs twice: with the default product backend (the compiled
 kernel, where it builds) and with the kernel forced off, so that the numpy
 layout must write the same bytes. It runs twice more in fresh processes,
 with BLAS and OpenMP set to one and to two threads, which must not change
-a byte either, and once in a fresh process that cannot import cffi, so
-that the kernel's loader gives up as on an install without it.
+a byte either; once in a fresh process where numpy dispatches none of its
+AVX-512 loops, whose ``np.exp`` gives other bits, so the library's own
+exponential must carry every output; and once in a fresh process that
+cannot import cffi, so that the kernel's loader gives up as on an install
+without it.
 
 The expected hashes change only with a deliberate change of output bytes.
 After one, print the new table with ``python tests/test_golden.py`` and
@@ -202,6 +205,19 @@ def test_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert tables[0] == tables[1] == GOLDEN
 
 
+def test_bytes_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
+    # numpy reads the setting when it loads; a CPU or a numpy build without
+    # these features only warns that there is nothing to disable
+    env = _env_with_src()
+    env["NPY_DISABLE_CPU_FEATURES"] = "AVX512_SPR AVX512_ICL X86_V4"
+    proc = subprocess.run(
+        [sys.executable, __file__, str(tmp_path)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == GOLDEN
+
+
 # Runs this module's __main__ in a process where cffi and its backend cannot be
 # imported, as on an install without cffi, after checking that the kernel's
 # loader then gives up.
@@ -245,8 +261,8 @@ GOLDEN: dict[str, str] = {
     "blk_split_vision_vision.pgm": "717eeb86c057e617144ba5c5078db6ff85d358873f899be588228000a1c00300",
     "blk_text.json": "0f31fc1b52a937f89272690a4d7e25abcb77252938e9508720e05c98dc4728cb",
     "blk_text_text.pgm": "a11c6206fca68241977fcc69882e87e45d15cdde6db25bc727fa782cef58ebf1",
-    "blk_trained.json": "d25ee023384588bb1ccde06eb2e2a8507c0e07a59ec5805c1583205fafdb7c89",
-    "blk_trained_max.json": "62faa27dfbb8c1ea4e3b3fdeb3b9ca95daf6dc654b435d5180264b5771d275e7",
+    "blk_trained.json": "35fe87b0c624f8fdba18e4a2565ababd913ffdd20be312b94fa94685ba6b4074",
+    "blk_trained_max.json": "10ed03053e9def1392204b7c953e6fa599a05028068dbb439c5f41b9ac640b9e",
     "blk_trained_max_vision.pgm": "e9a1e3c91d08317bbec6e221a300adc144f40716159cc3ecec833a3efcee3b14",
     "blk_trained_text.pgm": "43a150b0d5bc3cd64f2a7dd61488c6d83b63d387ba92505fbd70eb3cc203d4eb",
     "blk_trained_vision.pgm": "e9a1e3c91d08317bbec6e221a300adc144f40716159cc3ecec833a3efcee3b14",
@@ -256,23 +272,23 @@ GOLDEN: dict[str, str] = {
     "blk_vision_vision.pgm": "e9a1e3c91d08317bbec6e221a300adc144f40716159cc3ecec833a3efcee3b14",
     "split_blk.selw": "045806b7ee0460af83ac168f5b3a5c3834825b3dd17187667ddff07479661174",
     "split_uni.selw": "d8613fdc86002d3cff38009efd721ed67556a7fd28ec23d2e25545cecad91e7b",
-    "train_7b.json": "947b25435b3144a46dc7155124a67e70c7531e3adfa09988ef3a5c0a9c8a1ed6",
+    "train_7b.json": "a845c4769be24e68f13c5f938d1dd8f0863d818e7df43aa78a83133c0273fa8b",
     "train_7b.selw": "009b0629eaffe8c5004315234dd0280a85c802e7160e1e5811a6211ddd50eacb",
-    "train_7b.stdout": "efdba1e14d9d61815c00f8f0304ca8233f391dc4466ed7ff49949bce66914103",
-    "train_pm.json": "7870582c03f516ce0e60e0042f0442871efcf3ecd47647cd6d9ddb86b6ed71ee",
+    "train_7b.stdout": "aaadc9ebac77e9450b345e47ebdcd5291ea3ffce2a8f38ba175bbf9e9578f5dc",
+    "train_pm.json": "0fba64bc8d1edcd10a800b806d5b78967b6df79ac07eb689ece65c5be54addfa",
     "train_pm.selw": "aec5b1ab1654b85461dda790a4665e7ec87445ed399f1216f85dd6e1f50b5b9a",
-    "train_pm.stdout": "9db578736795b5b101b454e7e1cde8424645e71f0977fd26f1cd19450cce3d26",
-    "train_rs.json": "d8a446b62d7396e7d6bcbc92c4bbc134ababb369ba06f3f169f417fdb1bb8dd3",
+    "train_pm.stdout": "273267c5edaacc8ddb674113fb15698ecfe3905b228def29efc217a15e33138d",
+    "train_rs.json": "2da19c121a23c92fe624be777e769737666d3c17d2d5a7707772e41e0662c7eb",
     "train_rs.selw": "0c16756bc4e44c75220f2c6361e156208627efc3f9ba635b4a86a77b822bd6e7",
-    "train_rs.stdout": "68255359e005f214f3c9fe6c021c3ad2a126227489b087145cc81f1e7b065875",
-    "train_si.json": "6bd010e4c26529782e34c52591f1d8f92b3dad5f3dc118e3238dbb93324e9aff",
+    "train_rs.stdout": "67132016fb0a4bc396bf769bf7930a94710dbf325ae5ec4c6a687473ea56e1e9",
+    "train_si.json": "19fbe8199f8a8dfd318318dfa61269cc20722a2b45f2b9f59f4a8e7d1d84b526",
     "train_si.selw": "8b6539d026ef5897220a7449201ee94715a11b90fdaec56cbb0135f13413f8f0",
     "train_si.stdout": "e3412afa3ea605a96cfd116f2257a40cec2889c1ab7da58c7bd019c95f0412e1",
     "uni/k.attn": "cdc25d67f52880c3295d29686e5811d9e1f34d28b9bf370ee4bb053a92f1c105",
     "uni/q.attn": "eeff39da8f12323e2adf37ce61086454f85e0a692e8c42869a73832dc0a0e74c",
     "uni/x.fmap": "3814e4e4b94b83b04b60bb9d2f6e5ca9a7227e311a516283e897425757d2e48c",
     "uni/xg.fmap": "cbafaf8082f581a766b74dfe08d70f262d43ca1838b40e12794f3911cc6f0e9d",
-    "uni_both.json": "bd7cb6498e4587edd22ef54d3d8b715175d5a361fbc794f3453dc4e73dba318b",
+    "uni_both.json": "f69d932563e6808ccacba454018262fb6657bbb099e0168661895becd6b3f39a",
     "uni_both7.json": "79d7ec42d9a5e9665e7c94888b362257114edf4a3a3c79899bcfefe1613b5113",
     "uni_both7_text.pgm": "5e4b750fffdd233e4093157cecfca8e8385418daf0aef7635ddfcf8a8143ce11",
     "uni_both7_vision.pgm": "e9a1e3c91d08317bbec6e221a300adc144f40716159cc3ecec833a3efcee3b14",
@@ -280,18 +296,18 @@ GOLDEN: dict[str, str] = {
     "uni_both_vision.pgm": "e9a1e3c91d08317bbec6e221a300adc144f40716159cc3ecec833a3efcee3b14",
     "uni_heuristic.json": "f81c377ddfc6259eff043af57d8f8305d8f8c7a4880167c71f18b0ce7f15e92e",
     "uni_heuristic_heuristic.pgm": "ac7a22d2b75e98774c82f5ea77dca048aa6cae8fbd74a7cae85ebf1e83e36744",
-    "uni_report16.json": "25f1edef95d73fccab3373ada9c962287164a39f22d1f76c071eb13333fac04b",
-    "uni_split_both.json": "c281af35157a42531454ecc2a1f52acfcc1cc2e16d492025d07db7395f918551",
+    "uni_report16.json": "4733e7cf73b32fd196398df905072e2b9346e32c3813d7d8ac6ec6521c52799d",
+    "uni_split_both.json": "aa6b22332236235a69beafa7c7eba82537833486aab3538326137bccebc6c563",
     "uni_split_both_text.pgm": "78f43e0d715d16e458463bc286e30bdb2dfcd5c065ab1f67f7049d0864788255",
     "uni_split_both_vision.pgm": "ce2f67316783644030a6f9314e5c0d2058a052bfdbe9200ec4206711769e9e36",
-    "uni_split_vision.json": "3e5a2f6d0b67da3a8c6edb4daf1c7e62a62b1092a6095c75ff0d0ed2531af17a",
+    "uni_split_vision.json": "201f4a92357abe28190202861e6951513f1612913bd621943f93f05248390dc1",
     "uni_split_vision_vision.pgm": "ce2f67316783644030a6f9314e5c0d2058a052bfdbe9200ec4206711769e9e36",
     "uni_text.json": "45d7500c4a8d811dd10b8144ebc96afafdb7893f3a16a8093afb710876f73cf7",
     "uni_text_text.pgm": "8e0263c1920781044577e49e58b34b9ed3a2d5cf9e2f3e6605fdf49368a2159b",
-    "uni_trained.json": "3ccf4530a9db1667b803e659061b9f129257b2f97f482b7839c6b87b4ce53727",
+    "uni_trained.json": "945f50bc8f0514f2ad250b064f29dbeb4246d94ee0f243ee020dfeeb9766da77",
     "uni_trained_text.pgm": "fe6fb511e64c3e2d9fd61af0c81f19def2bfbf8dbdb880f6edb53252f0be371e",
     "uni_trained_vision.pgm": "e9a1e3c91d08317bbec6e221a300adc144f40716159cc3ecec833a3efcee3b14",
-    "uni_vision.json": "c8c98782254d7ebb12a6b213def617520031dff9b0d4bc788e487398a7a438f7",
+    "uni_vision.json": "6765e0cff02d4b691a62e38429bd464d91662e544f55d90798e25c43a34351f2",
     "uni_vision8.json": "34d10f23e8d1ccf260393cf39e586b18d3deb59204d35de1c00f74ca5754e385",
     "uni_vision8_vision.pgm": "e9a1e3c91d08317bbec6e221a300adc144f40716159cc3ecec833a3efcee3b14",
     "uni_vision_vision.pgm": "e9a1e3c91d08317bbec6e221a300adc144f40716159cc3ecec833a3efcee3b14",

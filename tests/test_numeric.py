@@ -274,7 +274,10 @@ class TestStepKernel:
         ("x[k] = x[k] - lr * g[k];", "x[k] = fma(-lr, g[k], x[k]);"),  # a fused update
         ("x[j] /= total;", "x[j] *= 1.0 / total;"),  # attention rows times a reciprocal
         ("|| last >= 5);", "|| last > 5);"),  # a last digit of 5 rounded down
-    ], ids=["sequential-sum", "fused-update", "reciprocal-attention", "repr-rounding"])
+        ("hi + (vtc_exp_lo[j] + hi * p)", "hi + fma(hi, p, vtc_exp_lo[j])"),  # a fused exp
+        ("under = -(uint64_t)(v < -746.0)", "under = -(uint64_t)(v < -745.0)"),  # early underflow
+    ], ids=["sequential-sum", "fused-update", "reciprocal-attention", "repr-rounding", "fused-exp",
+            "early-underflow"])
     def test_probe_rejects_a_build_with_other_bits(self, mutation, tmp_path, monkeypatch):
         source = _kernel.SOURCE.replace(*mutation)
         assert source != _kernel.SOURCE
@@ -373,7 +376,10 @@ _TARGET_SOURCES = {
 
 class TestKernelTargets:
     """Every clone of the product loop writes the numpy layout's bits: rows that
-    end inside, at and just past a vector, signed zeros and subnormals."""
+    end inside, at and just past a vector, signed zeros and subnormals; and
+    every clone of ``vtc_exp`` writes the numpy exponential's bits: the probe's
+    edges, a sweep of its range and random bit patterns, in lengths that end
+    inside, at and just past a vector."""
 
     @needs_compiler
     @pytest.mark.parametrize("target", sorted(_TARGET_SOURCES))
@@ -395,6 +401,10 @@ class TestKernelTargets:
                 b[1::4] = 5e-320 * rng.standard_normal(b[1::4].shape)
                 want = numeric._k_loop(a, b, np.empty((3, n)))
                 assert kernel(a, b, np.empty((3, n))).tobytes() == want.tobytes(), (n, kk)
+        x = np.concatenate([_kernel.EXP_PROBES, np.linspace(-750.0, 712.0, 100_003),
+                            rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)])
+        for n in (1, 7, 8, 9, 17, x.size):
+            assert kernel.exp(x[:n].copy()).tobytes() == numeric._exp_numpy(x[:n].copy()).tobytes()
 
 
 def test_build_keeps_exactness_by_construction():
@@ -471,6 +481,70 @@ def test_products_only_through_matmul():
             elif isinstance(node, ast.Attribute) and node.attr in banned:
                 found.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert found == []
+
+
+def _ulps(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """How many doubles lie between non-negative ``got`` and ``want`` (infinity
+    being the one after the largest finite double)."""
+    return np.abs(got.view(np.int64) - want.view(np.int64))
+
+
+def _math_exp(values: np.ndarray) -> np.ndarray:
+    """``math.exp``, infinity where it overflows."""
+    out = []
+    for v in values.tolist():
+        try:
+            out.append(math.exp(v))
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
+
+
+# The edges of the exponential, as the load-time probe has them
+_EXP_EDGES = st.sampled_from(_kernel.EXP_PROBES.tolist())
+
+
+class TestExp:
+    """The library's exponential: within 1 ulp of ``math.exp``, and the compiled
+    ``vtc_exp`` gives the numpy version's bits on every double."""
+
+    def test_within_one_ulp_of_math_exp(self):
+        rng = np.random.default_rng(23)
+        x = np.concatenate([
+            np.linspace(-746.0, 710.0, 300_001), rng.uniform(-746.0, 710.0, 100_000),
+            rng.uniform(-1.0, 1.0, 50_000), rng.uniform(-746.0, -708.0, 50_000),
+            _kernel.EXP_PROBES[np.abs(_kernel.EXP_PROBES) <= 746.0],
+        ])
+        ulps = _ulps(numeric._exp_numpy(x.copy()), _math_exp(x))
+        assert ulps.max() <= 1, x[ulps.argmax()]
+
+    @given(st.floats(-750.0, 712.0))
+    @settings(max_examples=500, deadline=None)
+    def test_within_one_ulp_anywhere(self, value):
+        x = np.array([value])
+        assert _ulps(numeric._exp_numpy(x.copy()), _math_exp(x))[0] <= 1
+
+    def test_special_values(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, 710.5, -746.5, 1e308, -1e308, np.nan])
+        got = numeric._exp_numpy(x.copy())
+        np.testing.assert_array_equal(got[:-1], [1.0, 1.0, np.inf, 0.0, np.inf, 0.0, np.inf, 0.0])
+        assert np.isnan(got[-1])
+
+    @given(arrays(np.float64, st.integers(1, 40), elements=st.floats() | _EXP_EDGES))
+    @settings(max_examples=500, deadline=None)
+    def test_compiled_matches_numpy_bit_for_bit(self, x):
+        kernel = numeric._product_kernel()
+        if kernel is None:
+            pytest.skip("the product kernel is not available")
+        assert kernel.exp(x.copy()).tobytes() == numeric._exp_numpy(x.copy()).tobytes()
+
+    def test_compiled_takes_only_contiguous_float64(self):
+        kernel = numeric._product_kernel()
+        if kernel is None:
+            pytest.skip("the product kernel is not available")
+        for bad in (np.zeros(4, dtype=np.float32), np.zeros((4, 4))[:, 0]):
+            with pytest.raises(ValueError, match="cannot exponentiate"):
+                kernel.exp(bad)
 
 
 class TestSoftmax:
