@@ -1,23 +1,28 @@
 """The compiled exact kernels behind :func:`vtcompress.numeric.matmul`, the
 selector training step and the text stage's attention.
 
-``SOURCE`` is the scalar loop ``o[i,j] = 0.0; for k ascending: o[i,j] +=
-a[i,k] * b[k,j]`` over C-contiguous float64 operands, in i-k-j order so that
-the innermost loop runs along one row of ``b`` and of ``o``. Every output
-element is still summed alone and in ascending k, one rounded product and
-one rounded add at a time: ``-ffp-contract=off`` forbids fusing them into an
-FMA, no fast-math flag allows reordering the sum, and vectorizing the j loop
-only computes independent elements side by side. So the kernel writes the
+``SOURCE``'s product, ``vtc_matmul``, forms every output element as the
+scalar loop ``o[i,j] = 0.0; for k ascending: o[i,j] += a[i,k] * b[k,j]``
+does, over C-contiguous float64 operands: one rounded product and one
+rounded add at a time. ``-ffp-contract=off`` forbids fusing them into an FMA
+and no fast-math flag allows reordering the sum, so the kernel writes the
 bits of the numpy layout in :mod:`vtcompress.numeric`. No ``-march`` flag is
 used, so the binary runs on any CPU of the platform it was built for. On
-x86-64 with GCC or Clang and glibc, ``vtc_matmul`` is cloned for AVX-512F,
-AVX2 and the baseline (``target_clones``); the dynamic loader's ifunc
-resolver picks the widest clone the CPU runs, once per process. A wider
-clone only computes more j lanes per instruction: neither target implies
-FMA contraction or fast-math, so every clone writes the same bits.
+x86-64 with GCC or Clang and glibc, a CPU with AVX-512F or AVX2 runs the
+product in register tiles (Goto and van de Geijn, ACM TOMS 34(3), 2008): 4
+rows by two vectors of outputs (16 columns with AVX-512F, 8 with AVX2) held
+in registers for a block of 256 steps of k, narrower tiles for the rest of
+a row, the 4-column tile on a zero-padded copy of the last one to three
+columns, and a short block of rows padded with a repeat of its last row.
+Each lane is one output element and the sums continue across blocks of k
+through the output, so every tile writes the scalar loop's bits. Elsewhere
+the plain i-k-j loop runs, whose innermost loop the compiler vectorizes over
+independent elements of one row.
 
 ``vtc_exp`` is the library's exponential (:func:`vtcompress.numeric._exp_numpy`
-documents it), cloned as ``vtc_matmul`` is. It uses only ``+ - *``, a table
+documents it), cloned for AVX-512F, AVX2 and the baseline
+(``target_clones``; the dynamic loader's ifunc resolver picks the widest
+clone the CPU runs, once per process). It uses only ``+ - *``, a table
 lookup and bit operations, whose results IEEE 754 fixes, so every clone
 writes the numpy version's bits; its constants come from
 :data:`vtcompress.numeric.EXP_CONSTANTS` as ``repr`` literals.
@@ -51,14 +56,15 @@ runs in a child process with its output captured: cffi's C generator parses
 the declarations with pycparser, which would raise the caller's peak memory,
 and a CLI call may print nothing but its own output. The built module is
 published with an atomic rename, so another process sees no file or a whole
-one. :func:`load` returns ``None`` when cffi or a C compiler is missing, the
-directory is not writable, the build fails, or the kernel gives other bits
-than the scalar loop, the numpy softmax and exponential, ``ndarray.sum`` or
-numpy's elementwise arithmetic on a probe, or other bytes than ``repr`` on
-:data:`REPR_PROBES`. A failed build leaves its output in ``<module
-name>.failed.log`` next to where the module would be, and no later process
-tries that build again until the log is deleted; otherwise every process
-would pay for a doomed build.
+one, and the build then deletes the modules of other sources and the logs
+of failed builds in that directory. :func:`load` returns ``None`` when cffi
+or a C compiler is missing, the directory is not writable, the build fails,
+or the kernel gives other bits than the scalar loop, the numpy softmax and
+exponential, ``ndarray.sum`` or numpy's elementwise arithmetic on a probe,
+or other bytes than ``repr`` on :data:`REPR_PROBES`. A failed build leaves
+its output in ``<module name>.failed.log`` next to where the module would
+be, and no later process tries that build again until the log is deleted;
+otherwise every process would pay for a doomed build.
 """
 
 from __future__ import annotations
@@ -120,24 +126,133 @@ _EXP = "".join(
 
 SOURCE = ("#include <math.h>\n#include <stddef.h>\n#include <stdint.h>\n#include <string.h>\n"
           + CDEF + _EXP + r"""
-/* One clone of vtc_matmul per vector width, chosen once per process by the
-   dynamic loader's ifunc resolver. A clone only widens the independent j
-   lanes; each output element keeps its own ascending sum. Elsewhere the
-   plain loop is built. */
+/* One clone of vtc_exp per vector width, chosen once per process by the
+   dynamic loader's ifunc resolver, and vtc_matmul's tiles for the two wide
+   targets, chosen per call. A clone or a tile only computes independent
+   output elements side by side; each keeps its own ascending sum. Elsewhere
+   the plain loops are built. */
 #if defined(__x86_64__) && defined(__GLIBC__) && (defined(__GNUC__) || defined(__clang__)) \
     && defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define VTC_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#define VTC_TILES
 #endif
 #endif
 #ifndef VTC_CLONES
 #define VTC_CLONES
 #endif
 
-VTC_CLONES
+#ifdef VTC_TILES
+/* Vectors of 8 and 4 doubles, loaded from and stored to any double. */
+typedef double vtc_v8 __attribute__((vector_size(64), aligned(8), may_alias));
+typedef double vtc_v4 __attribute__((vector_size(32), aligned(8), may_alias));
+
+/* A tile of 4 rows of outputs by vecs vectors of V (Goto and van de Geijn,
+   ACM TOMS 34(3), 2008), held in registers for kc steps of k: each row r
+   starts from o[r] and adds a[r][k] * b[k * ldb + column], one rounded
+   product and one rounded add per k, in ascending k. */
+#define VTC_TILE(name, isa, V, vecs)                                                       \
+static __attribute__((isa)) void name(                                                     \
+    const double *const *restrict a, const double *restrict b, size_t ldb,                \
+    double *const *restrict o, size_t kc)                                                 \
+{                                                                                          \
+    const size_t w = sizeof(V) / sizeof(double);                                           \
+    V acc[4][vecs], bk[vecs];                                                              \
+    for (size_t r = 0; r < 4; r++)                                                         \
+        for (size_t v = 0; v < vecs; v++)                                                  \
+            acc[r][v] = *(const V *)(o[r] + v * w);                                        \
+    for (size_t k = 0; k < kc; k++) {                                                      \
+        for (size_t v = 0; v < vecs; v++)                                                  \
+            bk[v] = *(const V *)(b + k * ldb + v * w);                                     \
+        for (size_t r = 0; r < 4; r++)                                                     \
+            for (size_t v = 0; v < vecs; v++)                                              \
+                acc[r][v] += a[r][k] * bk[v];                                              \
+    }                                                                                      \
+    for (size_t r = 0; r < 4; r++)                                                         \
+        for (size_t v = 0; v < vecs; v++)                                                  \
+            *(V *)(o[r] + v * w) = acc[r][v];                                              \
+}
+VTC_TILE(vtc_tile_16, target("avx512f"), vtc_v8, 2)
+VTC_TILE(vtc_tile_8, target("avx2"), vtc_v4, 2)
+VTC_TILE(vtc_tile_4, target("avx2"), vtc_v4, 1)
+
+typedef void vtc_tile(const double *const *, const double *, size_t, double *const *, size_t);
+/* Each wide target's tiles, widest first, and their widths in columns. */
+static vtc_tile *const vtc_avx512f_tiles[] = {vtc_tile_16, vtc_tile_8, vtc_tile_4};
+static vtc_tile *const vtc_avx2_tiles[] = {vtc_tile_8, vtc_tile_4};
+static const size_t vtc_avx512f_widths[] = {16, 8, 4}, vtc_avx2_widths[] = {8, 4};
+
+/* Blocks of k and of rows small enough that a block of a stays in L2 and a
+   strip of b in L1 while the tiles run over them. */
+enum { VTC_KC = 256, VTC_MC = 128 };
+
+/* o = a @ b through tiles: o starts at 0.0, then per block of k and of rows
+   the columns run in strips of the widest tile that fits, and the last one to
+   three columns through the narrowest tile on a copy of them padded with
+   zeros. A block of fewer than 4 rows repeats its last row of a and sends the
+   extra rows to scratch. The sums continue across blocks of k through o, so
+   every element is still 0.0 plus each product in ascending k. */
+static void vtc_tiled(vtc_tile *const *tile, const size_t *width, const double *a,
+                      const double *b, double *o, size_t m, size_t kk, size_t n)
+{
+    double scratch[4][16] = {{0}}, pack[VTC_KC * 4];
+    const double *ar[4];
+    double *orow[4];
+    memset(o, 0, m * n * sizeof *o);
+    for (size_t k0 = 0; k0 < kk; k0 += VTC_KC) {
+        const size_t kc = kk - k0 < VTC_KC ? kk - k0 : VTC_KC;
+        for (size_t i0 = 0; i0 < m; i0 += VTC_MC) {
+            const size_t i1 = m - i0 < VTC_MC ? m : i0 + VTC_MC;
+            size_t t = 0;
+            for (size_t j = 0, cols; j < n; j += cols) {
+                while (n - j < width[t] && width[t] > 4)
+                    t++;
+                const double *bj = b + k0 * n + j;
+                size_t ldb = n;
+                cols = n - j < width[t] ? n - j : width[t];
+                if (cols < width[t]) {
+                    memset(pack, 0, kc * 4 * sizeof *pack);
+                    for (size_t k = 0; k < kc; k++)
+                        for (size_t c = 0; c < cols; c++)
+                            pack[k * 4 + c] = bj[k * n + c];
+                    bj = pack;
+                    ldb = 4;
+                }
+                for (size_t i = i0; i < i1; i += 4) {
+                    const size_t rows = i1 - i < 4 ? i1 - i : 4;
+                    for (size_t r = 0; r < 4; r++) {
+                        ar[r] = a + (r < rows ? i + r : i + rows - 1) * kk + k0;
+                        orow[r] = r < rows && cols == width[t] ? o + (i + r) * n + j : scratch[r];
+                        if (r < rows && cols < width[t])
+                            memcpy(scratch[r], o + (i + r) * n + j, cols * sizeof *o);
+                    }
+                    tile[t](ar, bj, ldb, orow, kc);
+                    if (cols < width[t])
+                        for (size_t r = 0; r < rows; r++)
+                            memcpy(o + (i + r) * n + j, scratch[r], cols * sizeof *o);
+                }
+            }
+        }
+    }
+}
+#endif
+
+/* o = a @ b for C-contiguous (m, kk) and (kk, n) operands: every element is
+   0.0 plus a[i,k] * b[k,j] for k ascending, one rounded product and one
+   rounded add at a time. A CPU with AVX-512F or AVX2 runs the tiles; otherwise
+   the plain loop runs, in i-k-j order so that the innermost loop runs along
+   one row of b and of o. */
 void vtc_matmul(const double *restrict a, const double *restrict b, double *restrict o,
                 size_t m, size_t kk, size_t n)
 {
+#ifdef VTC_TILES
+    const int avx512f = __builtin_cpu_supports("avx512f");
+    if (avx512f || __builtin_cpu_supports("avx2")) {
+        vtc_tiled(avx512f ? vtc_avx512f_tiles : vtc_avx2_tiles,
+                  avx512f ? vtc_avx512f_widths : vtc_avx2_widths, a, b, o, m, kk, n);
+        return;
+    }
+#endif
     for (size_t i = 0; i < m; i++) {
         double *restrict oi = o + i * n;
         for (size_t j = 0; j < n; j++)
@@ -864,8 +979,11 @@ def _build(name: str, source: str, cache_dir: Path, path: Path, failed: Path) ->
     """Compile ``source`` in a child process and publish it at ``path``.
 
     When the build fails, writes its output to ``failed`` and raises
-    ``OSError``. ``subprocess`` is imported here because a warm cache never
-    needs it.
+    ``OSError``. Once the module is published, deletes the modules of other
+    sources built for this interpreter's extension suffix (another
+    interpreter sharing the directory keeps its own) and every failed build's
+    log, ignoring errors: a process that loaded one of them keeps running it.
+    ``subprocess`` is imported here because a warm cache never needs it.
     """
     import subprocess
 
@@ -881,14 +999,23 @@ def _build(name: str, source: str, cache_dir: Path, path: Path, failed: Path) ->
         except subprocess.SubprocessError as exc:
             failed.write_text(f"{exc}\n{exc.stdout or ''}{exc.stderr or ''}")
             raise OSError(f"building the product kernel failed: {exc}") from exc
+    suffix = path.name[len(name):]
+    for stale in [*cache_dir.glob("_vtcompress_kernel_*" + suffix),
+                  *cache_dir.glob("_vtcompress_kernel_*.failed.log")]:
+        if stale != path:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
 
 
 def _exact(kernel: Kernel) -> bool:
     """Whether ``kernel`` matches the numpy layout (``numeric._k_loop``, which
     the tests pin to the scalar loop) on products that show a changed
-    summation order, a fused multiply-add or a lost signed zero, with rows long
-    enough to run full vector iterations of every clone and a remainder; the
-    per-head numpy softmax of such a product; :func:`numeric._exp_numpy` on
+    summation order, a fused multiply-add or a lost signed zero, shaped to run
+    every tile of each wide build, a padded row tile, a padded column tail and
+    a sum continued across blocks of k; the per-head numpy softmax of such a
+    product; :func:`numeric._exp_numpy` on
     :data:`EXP_PROBES`; numpy's ``ndarray.sum`` on a sum
     long enough to recurse, where a sequential sum gives other bits;
     numpy's ``x - lr * g`` where an FMA gives other bits; and ``repr`` on
@@ -903,6 +1030,17 @@ def _exact(kernel: Kernel) -> bool:
         return False
     head = kernel.attention(a[np.newaxis], np.ascontiguousarray(b.T)[np.newaxis], 0.125)
     if head.tobytes() != _softmax(want * 0.125, -1, _exp_numpy).tobytes():
+        return False
+    # 31 columns run the 16-, 8- and 4-column tiles and a tail of 3 padded to
+    # 4 (the AVX2 build: three 8-column tiles first); 5 rows run a full and a
+    # padded row tile; 261 steps of k run two blocks. b is not negative, so
+    # the rows of -0.0 sum to +0.0 only from a start at +0.0.
+    a = (np.arange(5 * 261).reshape(5, 261) * 0.618034) % 2.0 - 1.0
+    a[1, :4] = [1e16, 1.0, -1e16, 1.0]
+    a[2] = a[4] = -0.0
+    b = np.abs((np.arange(261 * 31).reshape(261, 31) * 0.414214) % 2.0 - 1.0)
+    b[:4] = 1.0
+    if kernel(a, b, np.empty((5, 31))).tobytes() != _k_loop(a, b, np.empty((5, 31))).tobytes():
         return False
     if kernel.exp(EXP_PROBES.copy()).tobytes() != _exp_numpy(EXP_PROBES.copy()).tobytes():
         return False

@@ -9,8 +9,10 @@ scalar loop ``acc = 0.0; acc += a[i,k]*b[k,j]``.
 
 ``matmul`` has two backends that write the same bits. The first product of a
 process loads a compiled C kernel (:mod:`vtcompress._kernel`), building it
-into the package's ``__pycache__`` if needed; it runs the scalar loop itself
-in the same order, with no fused multiply-add. The same compiled module holds
+into the package's ``__pycache__`` if needed; it keeps tiles of outputs in
+vector registers while k runs, or runs the plain scalar loop, and either
+way adds each element's products one at a time in ascending k from 0.0,
+with no fused multiply-add. The same compiled module holds
 the selector training step (:class:`vtcompress._kernel.Step`), reached
 through the same loader, :func:`_product_kernel`. When the kernel cannot be
 built or loaded, ``matmul`` silently runs one numpy layout instead: one

@@ -223,6 +223,18 @@ class TestProductKernel:
         monkeypatch.setattr(_kernel, "_build", no_build)
         assert _kernel.load(tmp_path, source="this is not C") is None
 
+    @needs_compiler
+    def test_build_prunes_modules_of_other_sources(self, tmp_path):
+        old = _kernel.load(tmp_path, source=_kernel.SOURCE + "/* an older source */\n")
+        assert old is not None
+        (tmp_path / "_vtcompress_kernel_0.failed.log").write_text("an older failed build")
+        assert _kernel.load(tmp_path) is not None
+        (built,) = tmp_path.iterdir()  # the newer module only
+        assert built.name.startswith("_vtcompress_kernel_")
+        a, b = np.arange(6.0).reshape(2, 3), np.arange(12.0).reshape(3, 4)
+        want = numeric._k_loop(a, b, np.empty((2, 4)))
+        assert old(a, b, np.empty((2, 4))).tobytes() == want.tobytes()
+
     def test_unwritable_cache_returns_none(self, tmp_path, capfd):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -237,6 +249,30 @@ class TestProductKernel:
             kernel(np.ones((2, 3)), np.ones((4, 2)), np.empty((2, 2)))
         with pytest.raises(ValueError, match="cannot write"):
             kernel(np.ones((2, 3)), np.ones((3, 2)), np.empty((2, 3)))
+
+
+# _MATMUL_ELEMENTS with subnormals, whose products underflow to signed zeros.
+_KERNEL_ELEMENTS = _MATMUL_ELEMENTS | st.sampled_from([5e-324, -5e-324, 3e-310, -2.2e-308])
+
+
+class TestTiledKernel:
+    """The loaded kernel's tiles against the numpy layout on shapes that cross
+    every tile boundary: full and padded row tiles, every column width and
+    padded tail, and sums over one and two blocks of k."""
+
+    @pytest.fixture(autouse=True)
+    def _kernel_loaded(self):
+        if numeric._product_kernel() is None:
+            pytest.skip("the product kernel is not available")
+
+    @given(st.data(), st.integers(0, 9), st.integers(0, 40),
+           st.sampled_from([0, 1]) | st.integers(0, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_layout(self, data, m, n, kk):
+        a = data.draw(arrays(np.float64, (m, kk), elements=_KERNEL_ELEMENTS))
+        b = data.draw(arrays(np.float64, (kk, n), elements=_KERNEL_ELEMENTS))
+        got = numeric._product_kernel()(a, b, np.empty((m, n)))
+        assert got.tobytes() == numeric._k_loop(a, b, np.empty((m, n))).tobytes()
 
 
 class TestStepKernel:
@@ -276,8 +312,12 @@ class TestStepKernel:
         ("|| last >= 5);", "|| last > 5);"),  # a last digit of 5 rounded down
         ("hi + (vtc_exp_lo[j] + hi * p)", "hi + fma(hi, p, vtc_exp_lo[j])"),  # a fused exp
         ("under = -(uint64_t)(v < -746.0)", "under = -(uint64_t)(v < -745.0)"),  # early underflow
+        # tiles whose accumulators start at -0.0 instead of the +0.0 in o
+        ("acc[r][v] = *(const V *)(o[r] + v * w);", "acc[r][v] = -*(const V *)(o[r] + v * w);"),
+        # tiles that drop every block of k after the first
+        ("k0 < kk; k0 += VTC_KC", "k0 < kk && k0 < VTC_KC; k0 += VTC_KC"),
     ], ids=["sequential-sum", "fused-update", "reciprocal-attention", "repr-rounding", "fused-exp",
-            "early-underflow"])
+            "early-underflow", "tile-negative-zero-start", "tile-first-k-block-only"])
     def test_probe_rejects_a_build_with_other_bits(self, mutation, tmp_path, monkeypatch):
         source = _kernel.SOURCE.replace(*mutation)
         assert source != _kernel.SOURCE
@@ -365,18 +405,40 @@ def _cpu_flags() -> set[str]:
 
 
 _CLONES = 'target_clones("avx512f", "avx2", "default")'
-# The product loop built for one target each: the plain loop, and the loop
-# that each clone of the shipped source runs.
+_HAS_AVX512F, _HAS_AVX2 = '__builtin_cpu_supports("avx512f")', '__builtin_cpu_supports("avx2")'
+# The kernels built for one target each: the plain product loop and the
+# baseline exponential, and the tiles and the clone of vtc_exp that each wide
+# target runs in the shipped source.
 _TARGET_SOURCES = {
-    "default": _kernel.SOURCE.replace(f"__attribute__(({_CLONES}))", ""),
-    "avx2": _kernel.SOURCE.replace(_CLONES, 'target("avx2")'),
-    "avx512f": _kernel.SOURCE.replace(_CLONES, 'target("avx512f")'),
+    "default": _kernel.SOURCE.replace(f"__attribute__(({_CLONES}))", "")
+    .replace(_HAS_AVX512F, "0").replace(_HAS_AVX2, "0"),
+    "avx2": _kernel.SOURCE.replace(_CLONES, 'target("avx2")')
+    .replace(_HAS_AVX512F, "0").replace(_HAS_AVX2, "1"),
+    "avx512f": _kernel.SOURCE.replace(_CLONES, 'target("avx512f")').replace(_HAS_AVX512F, "1"),
 }
 
 
+@pytest.mark.parametrize("target", sorted(_TARGET_SOURCES))
+def test_target_source_compiles_without_warnings(target, tmp_path):
+    """Each target's source compiles to an object with the build's flags and
+    the common warnings as errors, so that a vector-ABI (-Wpsabi) warning or
+    a helper that its build never calls fails here rather than in a silent
+    build."""
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()
+    if shutil.which(compiler[0]) is None:
+        pytest.skip("no C compiler")
+    source = tmp_path / "kernel.c"
+    source.write_text(_TARGET_SOURCES[target])
+    result = subprocess.run([*compiler, "-std=c11", "-Wall", "-Wextra", "-Werror", *_kernel.FLAGS,
+                             "-c", str(source), "-o", str(tmp_path / "kernel.o")],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 class TestKernelTargets:
-    """Every clone of the product loop writes the numpy layout's bits: rows that
-    end inside, at and just past a vector, signed zeros and subnormals; and
+    """Every target's product writes the numpy layout's bits: row counts that
+    fill, pad and repeat a tile, rows that end inside, at and just past each
+    tile width, one and two blocks of k, signed zeros and subnormals; and
     every clone of ``vtc_exp`` writes the numpy exponential's bits: the probe's
     edges, a sweep of its range and random bit patterns, in lengths that end
     inside, at and just past a vector."""
@@ -391,16 +453,17 @@ class TestKernelTargets:
         kernel = _kernel.load(tmp_path, source=source)
         assert kernel is not None
         rng = np.random.default_rng(3)
-        for n in (1, 7, 8, 9, 16, 17, 33, 576):
-            for kk in (0, 1, 37):
-                a = rng.standard_normal((3, kk))
-                b = rng.standard_normal((kk, n))
-                a[0, ::2] = -0.0
-                a[1, ::3] = 3e-310 * rng.standard_normal(a[1, ::3].shape)
-                b[::4] = -0.0
-                b[1::4] = 5e-320 * rng.standard_normal(b[1::4].shape)
-                want = numeric._k_loop(a, b, np.empty((3, n)))
-                assert kernel(a, b, np.empty((3, n))).tobytes() == want.tobytes(), (n, kk)
+        widths = (1, 2, 7, 8, 9, 12, 16, 17, 31, 33, 36, 576)
+        shapes = [(m, n, kk) for m in (1, 3, 4, 5, 8) for n in widths for kk in (0, 1, 37)]
+        for m, n, kk in shapes + [(5, 31, 300), (130, 36, 8)]:
+            a = rng.standard_normal((m, kk))
+            b = rng.standard_normal((kk, n))
+            a[0, ::2] = -0.0
+            a[m // 2, 1::3] = 3e-310 * rng.standard_normal(a[m // 2, 1::3].shape)
+            b[::4] = -0.0
+            b[1::4] = 5e-320 * rng.standard_normal(b[1::4].shape)
+            want = numeric._k_loop(a, b, np.empty((m, n)))
+            assert kernel(a, b, np.empty((m, n))).tobytes() == want.tobytes(), (m, n, kk)
         x = np.concatenate([_kernel.EXP_PROBES, np.linspace(-750.0, 712.0, 100_003),
                             rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)])
         for n in (1, 7, 8, 9, 17, x.size):
