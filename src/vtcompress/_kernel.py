@@ -31,22 +31,30 @@ The same source holds the selector training step (:class:`Step`):
 ``PreparedBatch``'s numpy step under the same rules, a whole training run in
 one C call. Its two products call ``vtc_matmul``; its sums over regions run
 sequentially, as numpy reduces along a non-contiguous axis; and its sums
-along a contiguous row (the softmax denominators, the downstream mean)
-reproduce numpy's pairwise summation, which ``ndarray.sum`` runs there.
-:meth:`Kernel.attention` is the text stage's per-head scaled softmax under
-the same rules, one C call for all heads. Both softmaxes run one C row pass,
-``vtc_exp`` in place and ``vtc_normalize``, and :meth:`Step.raise_for_softmax`
-turns the row pass's statuses into ``numeric.softmax``'s errors.
+along a contiguous numpy row (each region's softmax denominator, the
+downstream mean) reproduce numpy's pairwise summation, which ``ndarray.sum``
+runs there. The step holds its logits region-major, ``(S, M)``, so its
+softmax runs across the regions: below 8 scales the pairwise sum is a
+sequential one, run lane by lane; from 8 on, each region's column is summed
+pairwise. :meth:`Kernel.attention` is the text stage's per-head scaled
+softmax under the same rules, one C call for all heads, by rows: the row
+pass, ``vtc_exp`` in place and ``vtc_normalize``. :meth:`Step.raise_for_softmax`
+turns either softmax's statuses into ``numeric.softmax``'s errors.
 
-:meth:`Kernel.reprs` formats doubles as ``repr`` does, for the training
-log: ``vtc_repr`` finds the shortest digits that read back as the same
+:meth:`Kernel.reprs` formats doubles as ``repr`` does, one per 24-byte
+slot: ``vtc_repr`` finds the shortest digits that read back as the same
 double with Ryu's ``d2d`` (Adams, PLDI 2018), in ``unsigned __int128``
-arithmetic over two tables of 125-bit powers of 5, and lays them out as
-``repr``: positional while the first digit's decimal exponent is in [-4,
-16), with ``.0`` on integral values, else ``d.ddde±XX``. The tables are
-computed exactly with Python integers in the build child (:data:`_BUILD`),
-not typed in and not made at import. A compiler without ``unsigned
-__int128`` (32-bit targets) fails the build, and numpy runs instead.
+arithmetic over two tables of 125-bit powers of 5, emits them two at a time
+from a ``"00".."99"`` table, and lays them out as ``repr``: positional while
+the first digit's decimal exponent is in [-4, 16), with ``.0`` on integral
+values, else ``d.ddde±XX``. :meth:`Kernel.history` writes the training log's
+whole ``history`` member in one C call, ``vtc_history``: the framing,
+indentation and step numbers of ``json.dumps(log, indent=2)`` and each
+value's repr, through the same per-value writer, into one buffer sized once
+that the writer never passes. The tables are computed exactly with Python
+integers in the build child (:data:`_BUILD`), not typed in and not made at
+import. A compiler without ``unsigned __int128`` (32-bit targets) fails the
+build, and numpy runs instead.
 
 :func:`load` builds the kernel through cffi's API mode the first time and
 caches it as an extension module in the given directory (the package's own
@@ -61,9 +69,10 @@ of failed builds in that directory. :func:`load` returns ``None`` when cffi
 or a C compiler is missing, the directory is not writable, the build fails,
 or the kernel gives other bits than the scalar loop, the numpy softmax and
 exponential, ``ndarray.sum`` or numpy's elementwise arithmetic on a probe,
-or other bytes than ``repr`` on :data:`REPR_PROBES`. A failed build leaves
-its output in ``<module name>.failed.log`` next to where the module would
-be, and no later process tries that build again until the log is deleted;
+or other bytes than ``repr`` and ``report_to_json`` on :data:`REPR_PROBES`
+laid out as values and as a training log. A failed build leaves its output in
+``<module name>.failed.log`` next to where the module would be, and no
+later process tries that build again until the log is deleted;
 otherwise every process would pay for a doomed build.
 """
 
@@ -80,6 +89,7 @@ from pathlib import Path
 import numpy as np
 
 from .numeric import EXP_CONSTANTS, _exp_numpy, _k_loop, _softmax
+from .report import report_to_json
 
 # Declarations shared by the C source and cffi's cdef. ``vtc_step`` holds one
 # batch of the selector training step. :class:`Step` points it at numpy
@@ -96,8 +106,9 @@ typedef struct {
     const double *target, *imbalance;        /* (c,), (s,); NULL: no downstream term, unit weights */
     double alpha, lr;
     double *weight, *bias;                   /* (s, ng), (s,); VTC_TRAIN updates them */
-    double *logits_t, *shifted;              /* (s, m) logits; (m, s) minus the row max, exp, P */
-    int64_t *chosen;                         /* (m,) first maximum of each row */
+    double *shifted;                         /* (s, m) logits minus each region's max, exp, P */
+    double *per_region;                      /* (m,) scratch: maxima, denominators, terms */
+    int64_t *chosen;                         /* (m,) each region's first maximum */
     double *top1, *f, *p, *wf, *coeff, *diff, *work;
     double *d_logits_t;                      /* (s, m) gradient of the loss by the logits */
     double *grad_weight, *grad_bias;
@@ -114,6 +125,7 @@ int vtc_step_run(vtc_step *, int, size_t);
 int vtc_attention(const double *, const double *, double *, double *, size_t, size_t, size_t,
                   size_t, double);
 int vtc_repr(const double *, size_t, char *, size_t);
+size_t vtc_history(const double *, const double *, const double *, size_t, size_t, char *, size_t);
 """
 
 # The exponential's constants as numeric computes them, for vtc_exp: a repr
@@ -124,8 +136,11 @@ _EXP = "".join(
     for name, value in EXP_CONSTANTS.items()
 )
 
+# "00" to "99", for the formatter's digits two at a time.
+_PAIRS = 'static const char vtc_digit_pairs[] = "%s";\n' % "".join(f"{i:02d}" for i in range(100))
+
 SOURCE = ("#include <math.h>\n#include <stddef.h>\n#include <stdint.h>\n#include <string.h>\n"
-          + CDEF + _EXP + r"""
+          + CDEF + _EXP + _PAIRS + r"""
 /* One clone of vtc_exp per vector width, chosen once per process by the
    dynamic loader's ifunc resolver, and vtc_matmul's tiles for the two wide
    targets, chosen per call. A clone or a tile only computes independent
@@ -349,9 +364,9 @@ static void vtc_normalize(double *restrict x, size_t rows, size_t n)
     }
 }
 
-/* The softmax's row pass: each element times scale (1.0 changes no bit), the
-   finite check, and each row minus its first maximum, whose index goes to best if given. */
-static int shift_rows(double *restrict x, size_t rows, size_t n, double scale, int64_t *best)
+/* The attention's row pass: each element times scale, the finite check, and
+   each row minus its first maximum. */
+static int shift_rows(double *restrict x, size_t rows, size_t n, double scale)
 {
     for (size_t i = 0; i < rows; i++, x += n) {
         size_t top = 0;
@@ -365,8 +380,6 @@ static int shift_rows(double *restrict x, size_t rows, size_t n, double scale, i
         const double max = x[top];
         for (size_t j = 0; j < n; j++)
             x[j] -= max;
-        if (best)
-            best[i] = (int64_t)top;
     }
     return VTC_OK;
 }
@@ -379,40 +392,93 @@ void vtc_descend(double *restrict x, const double *restrict g, double lr, size_t
 }
 
 /* The logits weight @ scores.T (the products of scores @ weight.T, in the
-   same order) plus the bias, transposed into shifted, and the row pass, whose
-   maxima are chosen. */
+   same order) into shifted, region-major: (s, m), one row per scale, as the
+   product writes them, so every loop here and in vtc_step_post runs across
+   the m regions. Then each scale's bias, the finite check, and each region's
+   first maximum down the s rows (a strict > select), which is chosen and
+   subtracted. */
 static int vtc_step_pre(vtc_step *t)
 {
-    const size_t m = t->m, ng = t->ng, s = t->s;
-    double *restrict x = t->shifted;
+    const size_t m = t->m, s = t->s;
+    double *restrict x = t->shifted, *restrict top = t->per_region;
+    int64_t *restrict chosen = t->chosen;
     if (m * s == 0)
         return VTC_EMPTY;
-    vtc_matmul(t->weight, t->scores_t, t->logits_t, s, ng, m);
+    vtc_matmul(t->weight, t->scores_t, x, s, t->ng, m);
+    int finite = 1;
+    for (size_t j = 0; j < s; j++)
+        for (size_t i = 0; i < m; i++) {
+            x[j * m + i] += t->bias[j];
+            finite &= isfinite(x[j * m + i]) != 0;
+        }
+    if (!finite)
+        return VTC_NONFINITE_LOGITS;
+    for (size_t i = 0; i < m; i++) {
+        top[i] = x[i];
+        chosen[i] = 0;
+    }
+    for (size_t j = 1; j < s; j++)
+        for (size_t i = 0; i < m; i++) {
+            const int up = x[j * m + i] > top[i];
+            top[i] = up ? x[j * m + i] : top[i];
+            chosen[i] = up ? (int64_t)j : chosen[i];
+        }
     for (size_t j = 0; j < s; j++)
         for (size_t i = 0; i < m; i++)
-            x[i * s + j] = t->logits_t[j * m + i] + t->bias[j];
-    return shift_rows(x, m, s, 1.0, t->chosen);
+            x[j * m + i] -= top[i];
+    return VTC_OK;
+}
+
+/* Each region's ndarray.sum over the s values of its column of the (s, m) x:
+   0.0 plus numpy's pairwise sum, which below 8 elements is a sequential sum
+   from -0.0, run here across the regions; from 8 on, each column is copied
+   into column (s doubles) and summed pairwise. */
+static void column_sums(const double *restrict x, size_t m, size_t s, double *restrict total,
+                        double *restrict column)
+{
+    if (s < 8) {
+        for (size_t i = 0; i < m; i++)
+            total[i] = -0.0;
+        for (size_t j = 0; j < s; j++)
+            for (size_t i = 0; i < m; i++)
+                total[i] += x[j * m + i];
+    } else {
+        for (size_t i = 0; i < m; i++) {
+            for (size_t j = 0; j < s; j++)
+                column[j] = x[j * m + i];
+            total[i] = pairwise(column, s);
+        }
+    }
+    for (size_t i = 0; i < m; i++)
+        total[i] = 0.0 + total[i];
 }
 
 /* The rest of the step from shifted's exp: probabilities, routing
    statistics, the loss and, from VTC_GRAD on, the gradient; VTC_TRAIN also
    writes history row `step` and descends. Every sum keeps the order in which
    numpy forms it in the fallback step: products ascending from 0.0, sums over
-   regions sequential, sums along a contiguous row pairwise. */
+   regions sequential, sums along a region's scales pairwise. */
 static int vtc_step_post(vtc_step *t, int mode, size_t step)
 {
     const size_t m = t->m, ng = t->ng, s = t->s, c = t->c;
-    const double *probs = t->shifted;
-    double *f = t->f, *p = t->p, *d = t->d_logits_t;
+    double *restrict probs = t->shifted, *restrict region = t->per_region;
+    double *f = t->f, *p = t->p, *d = t->d_logits_t, *top1 = t->top1;
+    const int64_t *chosen = t->chosen;
 
-    vtc_normalize(t->shifted, m, s);
+    column_sums(probs, m, s, region, t->coeff);  /* coeff is free until the balance term */
     for (size_t j = 0; j < s; j++)
-        f[j] = p[j] = 0.0;
+        for (size_t i = 0; i < m; i++)
+            probs[j * m + i] /= region[i];
+    for (size_t j = 0; j < s; j++) {
+        double pj = 0.0;
+        for (size_t i = 0; i < m; i++)
+            pj += probs[j * m + i];
+        p[j] = pj;
+        f[j] = 0.0;
+    }
     for (size_t i = 0; i < m; i++) {
-        for (size_t j = 0; j < s; j++)
-            p[j] += probs[i * s + j];
-        t->top1[i] = probs[i * s + t->chosen[i]];
-        f[t->chosen[i]] += 1.0;
+        top1[i] = probs[(size_t)chosen[i] * m + i];
+        f[chosen[i]] += 1.0;
     }
     for (size_t j = 0; j < s; j++) {
         f[j] /= (double)m;
@@ -424,16 +490,16 @@ static int vtc_step_post(vtc_step *t, int mode, size_t step)
     double down = 0.0;
     if (t->target) {
         for (size_t i = 0; i < m; i++)
-            tokens += t->counts[t->chosen[i]];
+            tokens += t->counts[chosen[i]];
         if (tokens == 0)
             return VTC_NO_TOKENS;
         double *restrict u = t->diff;
         for (size_t k = 0; k < c; k++)
             u[k] = 0.0;
         for (size_t i = 0; i < m; i++) {
-            const double *restrict rs = t->sums + ((size_t)t->chosen[i] * m + i) * c;
+            const double *restrict rs = t->sums + ((size_t)chosen[i] * m + i) * c;
             for (size_t k = 0; k < c; k++)
-                u[k] += t->top1[i] * rs[k];
+                u[k] += top1[i] * rs[k];
         }
         for (size_t k = 0; k < c; k++) {
             u[k] = u[k] / (double)tokens - t->target[k];
@@ -458,34 +524,33 @@ static int vtc_step_post(vtc_step *t, int mode, size_t step)
         double *restrict dl_du = t->work;
         for (size_t k = 0; k < c; k++)
             dl_du[k] = 2.0 * t->diff[k] / (double)c;
-        for (size_t i = 0; i < m; i++) {
-            const size_t chosen = (size_t)t->chosen[i];
-            const double *restrict rs = t->sums + (chosen * m + i) * c;
+        for (size_t i = 0; i < m; i++) {  /* region[i]: the winner's token sum times dl_du */
+            const double *restrict rs = t->sums + ((size_t)chosen[i] * m + i) * c;
             double gp = 0.0;
             for (size_t k = 0; k < c; k++)
                 gp += rs[k] * dl_du[k];
-            gp /= (double)tokens;
-            const double top1 = t->top1[i];
-            for (size_t j = 0; j < s; j++) {
-                double jacobian = -probs[i * s + j] * top1;
-                if (j == chosen)
-                    jacobian += top1;
-                d[j * m + i] += gp * jacobian;
-            }
+            region[i] = gp / (double)tokens;
         }
+        for (size_t j = 0; j < s; j++)
+            for (size_t i = 0; i < m; i++) {
+                double jacobian = -probs[j * m + i] * top1[i];
+                if ((size_t)chosen[i] == j)
+                    jacobian += top1[i];
+                d[j * m + i] += region[i] * jacobian;
+            }
     }
     if (t->alpha > 0) {
         const double scale = t->alpha / (double)m;
         for (size_t j = 0; j < s; j++)
             t->coeff[j] = scale * t->wf[j];
-        for (size_t i = 0; i < m; i++) {
-            const double *restrict pi = probs + i * s;
-            double pc = 0.0;
-            for (size_t j = 0; j < s; j++)
-                pc += pi[j] * t->coeff[j];
-            for (size_t j = 0; j < s; j++)
-                d[j * m + i] += pi[j] * (t->coeff[j] - pc);
-        }
+        for (size_t i = 0; i < m; i++)  /* region[i]: probs times coeff, summed over scales */
+            region[i] = 0.0;
+        for (size_t j = 0; j < s; j++)
+            for (size_t i = 0; i < m; i++)
+                region[i] += probs[j * m + i] * t->coeff[j];
+        for (size_t j = 0; j < s; j++)
+            for (size_t i = 0; i < m; i++)
+                d[j * m + i] += probs[j * m + i] * (t->coeff[j] - region[i]);
     }
     double *gw = t->grad_weight, *gb = t->grad_bias;
     vtc_matmul(d, t->scores, gw, s, m, ng);
@@ -510,8 +575,9 @@ static int vtc_step_post(vtc_step *t, int mode, size_t step)
 }
 
 /* `steps` steps in `mode` (VTC_TRAIN writes history row i at step i): the
-   logits and row pass, the exp of shifted and the rest, up to the first step
-   that fails. Returns its status and leaves its index in t->step, or steps. */
+   logits and each region's maximum, the exp of shifted and the rest, up to
+   the first step that fails. Returns its status and leaves its index in
+   t->step, or steps. */
 int vtc_step_run(vtc_step *t, int mode, size_t steps)
 {
     int status = VTC_OK;
@@ -543,7 +609,7 @@ int vtc_attention(const double *restrict q, const double *restrict k, double *re
                 kt[c * n + j] = kg[j * d + c];
         double *restrict og = o + g * t * n;
         vtc_matmul(q + g * t * d, kt, og, t, d, n);
-        if (shift_rows(og, t, n, scale, NULL))
+        if (shift_rows(og, t, n, scale))
             return VTC_NONFINITE_LOGITS;
         vtc_exp(og, t * n);
         vtc_normalize(og, t, n);
@@ -649,69 +715,157 @@ static uint64_t shortest(uint64_t m2, int32_t e2, int border, int32_t *e10)
     return vr + ((vr == vm && !vm_zeros) || last >= 5);
 }
 
-/* repr(x) of n finite doubles, each into a slot of width bytes (at least 24,
-   the longest repr) padded with NULs: the shortest digits, positional while
-   the first digit's decimal exponent is in [-4, 16), with ".0" on integers,
-   and d.ddde+XX otherwise. Returns 0, and leaves the slots undefined, if a
-   value is not finite. */
+/* The decimal digits of v, two at a time from vtc_digit_pairs, ending at end;
+   returns where they start. Not inlined: a copy in each caller added more
+   to the cold build's compile time than the calls cost at run time. */
+static __attribute__((noinline)) char *put_digits(char *end, uint64_t v)
+{
+    for (; v >= 100; v /= 100) {
+        end -= 2;
+        memcpy(end, vtc_digit_pairs + 2 * (v % 100), 2);
+    }
+    if (v < 10) {
+        *--end = (char)('0' + v);
+        return end;
+    }
+    end -= 2;
+    memcpy(end, vtc_digit_pairs + 2 * v, 2);
+    return end;
+}
+
+/* repr(x) of a finite double at out, at most 24 bytes (the longest repr):
+   the shortest digits, positional while the first digit's decimal exponent is
+   in [-4, 16), with ".0" on integers, and d.ddde+XX otherwise. Returns the
+   end of what it wrote. */
+static char *repr_to(char *out, double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const uint64_t mantissa = bits & ((1ull << 52) - 1);
+    const uint32_t exponent = (uint32_t)(bits >> 52) & 0x7ff;
+    char *p = out;
+    if (bits >> 63)
+        *p++ = '-';
+    if (exponent == 0 && mantissa == 0) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    int32_t e10;
+    char digits[20];
+    const char *d = put_digits(digits + 20, shortest(exponent ? mantissa | (1ull << 52) : mantissa,
+                                                     (exponent ? (int32_t)exponent : 1) - 1075,
+                                                     mantissa == 0 && exponent > 1, &e10));
+    const int nd = (int)(digits + 20 - d);
+    const int e = e10 + nd - 1;  /* the first digit's decimal exponent */
+    if (e >= -4 && e < 16) {
+        if (e < 0) {
+            memcpy(p, "0.0000", (size_t)(1 - e));
+            p += 1 - e;
+            memcpy(p, d, (size_t)nd);
+            return p + nd;
+        }
+        if (e + 1 < nd) {
+            memcpy(p, d, (size_t)e + 1);
+            p[e + 1] = '.';
+            memcpy(p + e + 2, d + e + 1, (size_t)(nd - e - 1));
+            return p + nd + 1;
+        }
+        memcpy(p, d, (size_t)nd);
+        memset(p + nd, '0', (size_t)(e + 1 - nd));
+        memcpy(p + e + 1, ".0", 2);
+        return p + e + 3;
+    }
+    *p++ = d[0];
+    if (nd > 1) {
+        *p++ = '.';
+        memcpy(p, d + 1, (size_t)nd - 1);
+        p += nd - 1;
+    }
+    *p++ = 'e';
+    *p++ = e < 0 ? '-' : '+';
+    const int a = e < 0 ? -e : e;
+    if (a >= 100)
+        *p++ = (char)('0' + a / 100);
+    memcpy(p, vtc_digit_pairs + 2 * (a % 100), 2);
+    return p + 2;
+}
+
+/* repr(x) of n finite doubles, each into a slot of width bytes (at least 24)
+   padded with NULs. Returns 0, and leaves the slots undefined, if a value is
+   not finite. */
 int vtc_repr(const double *x, size_t n, char *out, size_t width)
 {
-    for (size_t s = 0; s < n; s++, out += width) {
-        uint64_t bits;
-        memcpy(&bits, &x[s], sizeof bits);
-        const uint64_t mantissa = bits & ((1ull << 52) - 1);
-        const uint32_t exponent = (uint32_t)(bits >> 52) & 0x7ff;
-        char *p = out;
-        memset(out, 0, width);
-        if (exponent == 0x7ff)
+    for (size_t i = 0; i < n; i++, out += width) {
+        if (!isfinite(x[i]))
             return 0;
-        if (bits >> 63)
-            *p++ = '-';
-        if (exponent == 0 && mantissa == 0) {
-            memcpy(p, "0.0", 3);
-            continue;
-        }
-        int32_t e10;
-        uint64_t v = shortest(exponent ? mantissa | (1ull << 52) : mantissa,
-                              (exponent ? (int32_t)exponent : 1) - 1075,
-                              mantissa == 0 && exponent > 1, &e10);
-        char digits[20];
-        int nd = 0;
-        for (; v; v /= 10)
-            digits[19 - nd++] = (char)('0' + v % 10);
-        const char *d = digits + 20 - nd;
-        const int e = e10 + nd - 1;  /* the first digit's decimal exponent */
-        if (e >= -4 && e < 16) {
-            if (e < 0) {
-                memcpy(p, "0.0000", (size_t)(1 - e));
-                p += 1 - e;
-                memcpy(p, d, (size_t)nd);
-            } else if (e + 1 < nd) {
-                memcpy(p, d, (size_t)e + 1);
-                p[e + 1] = '.';
-                memcpy(p + e + 2, d + e + 1, (size_t)(nd - e - 1));
-            } else {
-                memcpy(p, d, (size_t)nd);
-                memset(p + nd, '0', (size_t)(e + 1 - nd));
-                memcpy(p + e + 1, ".0", 2);
-            }
-        } else {
-            *p++ = d[0];
-            if (nd > 1) {
-                *p++ = '.';
-                memcpy(p, d + 1, (size_t)nd - 1);
-                p += nd - 1;
-            }
-            *p++ = 'e';
-            *p++ = e < 0 ? '-' : '+';
-            const int a = e < 0 ? -e : e;
-            if (a >= 100)
-                *p++ = (char)('0' + a / 100);
-            *p++ = (char)('0' + a / 10 % 10);
-            *p = (char)('0' + a % 10);
-        }
+        memset(out, 0, width);
+        repr_to(out, x[i]);
     }
     return 1;
+}
+
+/* The n bytes of text at p, if they fit before end; returns their end, or
+   NULL if they do not fit or p is NULL. */
+static char *put(char *p, const char *end, const char *text, size_t n)
+{
+    if (!p || (size_t)(end - p) < n)
+        return NULL;
+    memcpy(p, text, n);
+    return p + n;
+}
+#define PUT(p, end, literal) put(p, end, literal, sizeof literal - 1)
+
+/* repr(x) at p, as put writes text; NULL if x is not finite. */
+static char *put_repr(char *p, const char *end, double x)
+{
+    if (!isfinite(x))
+        return NULL;
+    if (p && end - p >= 24)
+        return repr_to(p, x);
+    char text[24];
+    return put(p, end, text, (size_t)(repr_to(text, x) - text));
+}
+
+/* The reprs of the n values of a list in a history entry, as put writes text. */
+static char *put_list(char *p, const char *end, const double *x, size_t n)
+{
+    for (size_t j = 0; j < n; j++) {
+        if (j)
+            p = PUT(p, end, ",\n        ");
+        p = put_repr(p, end, x[j]);
+    }
+    return p;
+}
+
+/* The training log after its summary's members, as json.dumps(log, indent=2)
+   writes it: the "history" member, one entry {"step": i, "loss": losses[i],
+   "f": row i of the (n, s) f, "p": row i of p} per step, and the log's closing
+   brace. Writes at most 24 + n * (150 + 68 * s) bytes (a step number has at
+   most 20 digits, a repr 24 bytes) into out. Returns the bytes written, or 0,
+   having written nothing past out + capacity, if they do not fit or a value
+   is not finite. */
+size_t vtc_history(const double *losses, const double *f, const double *p, size_t n, size_t s,
+                   char *out, size_t capacity)
+{
+    const char *end = out + capacity;
+    char *q = PUT(out, end, ",\n  \"history\": [\n");
+    for (size_t i = 0; i < n; i++) {
+        char digits[20];
+        const char *step = put_digits(digits + 20, i);
+        if (i)
+            q = PUT(q, end, ",\n");
+        q = PUT(q, end, "    {\n      \"step\": ");
+        q = put(q, end, step, (size_t)(digits + 20 - step));
+        q = PUT(q, end, ",\n      \"loss\": ");
+        q = put_repr(q, end, losses[i]);
+        q = PUT(q, end, ",\n      \"f\": [\n        ");
+        q = put_list(q, end, f + i * s, s);
+        q = PUT(q, end, "\n      ],\n      \"p\": [\n        ");
+        q = put_list(q, end, p + i * s, s);
+        q = PUT(q, end, "\n      ]\n    }");
+    }
+    q = PUT(q, end, "\n  ]\n}\n");
+    return q ? (size_t)(q - out) : 0;
 }
 """)
 # Appended after the interpreter's own compile flags, so they win. Every
@@ -837,6 +991,30 @@ class Kernel:
         self.lib.vtc_exp(self._buffer("double[]", values, require_writable=True), values.size)
         return values
 
+    def history(self, prefix: bytes, losses: np.ndarray, f: np.ndarray,
+                p: np.ndarray) -> bytearray:
+        """``prefix`` followed by the training log's ``history`` member and
+        closing brace, as ``json.dumps(log, indent=2)`` writes them, for the
+        finite ``(n,)`` losses and ``(n, S)`` f and P: one ``vtc_history`` call
+        into one buffer, sized once for the longest reprs and cut to the
+        bytes written."""
+        losses, f, p = (np.ascontiguousarray(a, dtype=np.float64) for a in (losses, f, p))
+        (n,), (_, s) = losses.shape, f.shape
+        if f.shape != (n, s) or p.shape != (n, s):
+            raise ValueError(f"cannot lay out losses {losses.shape} with f {f.shape} "
+                             f"and p {p.shape}")
+        out = bytearray(len(prefix) + 24 + n * (150 + 68 * s))  # vtc_history's bound
+        out[: len(prefix)] = prefix
+        buffer = self._buffer
+        written = self.lib.vtc_history(
+            buffer("double[]", losses), buffer("double[]", f), buffer("double[]", p), n, s,
+            buffer("char[]", out, require_writable=True) + len(prefix), len(out) - len(prefix),
+        )
+        if not written:
+            raise ValueError("cannot format a non-finite value")
+        del out[len(prefix) + written :]
+        return out
+
     def reprs(self, values: np.ndarray) -> np.ndarray:
         """``repr`` of each float64 in ``values``, in C order, as a fresh ``(n,)``
         ``S24`` array (24 bytes hold the longest repr). Raises ``ValueError`` on
@@ -855,9 +1033,12 @@ class Step:
 
     Write the parameters into :attr:`weight` and :attr:`bias`, choose the loss
     with :meth:`set_loss`, then call :meth:`evaluate` or :meth:`train`. Each
-    is one C call, ``vtc_step_run``, over all of its steps: the logits and
-    their row pass, ``vtc_exp`` over :attr:`shifted` in place, and the rest of
-    the step. Results are read from :attr:`f`, :attr:`p`,
+    is one C call, ``vtc_step_run``, over all of its steps. A step runs
+    region-major: the logits are laid out ``(S, M)``, one row per scale, as
+    the product ``weight @ scores.T`` writes them, and every softmax pass
+    (the bias, each region's first maximum, ``vtc_exp`` in place, each
+    region's pairwise sum and the division) and the gradient's terms run as
+    loops across the regions. Results are read from :attr:`f`, :attr:`p`,
     :attr:`grad_weight`, :attr:`grad_bias` and :meth:`terms`, which the next
     call overwrites. A step holds mutable buffers: do not use one from two
     threads at once.
@@ -881,13 +1062,12 @@ class Step:
         self._bind("sums", np.ascontiguousarray(sums, dtype=np.float64))
         self._bind("counts", np.ascontiguousarray(counts, dtype=np.int64))
         self._bind("chosen", np.zeros(m, dtype=np.int64))
-        for name, size in (("target", c), ("imbalance", s), ("logits_t", s * m), ("top1", m),
-                           ("wf", s), ("coeff", s), ("diff", c), ("work", c),
+        for name, size in (("target", c), ("imbalance", s), ("shifted", s * m), ("per_region", m),
+                           ("top1", m), ("wf", s), ("coeff", s), ("diff", c), ("work", c),
                            ("d_logits_t", s * m)):
             self._bind(name, np.zeros(size))
         self.weight = self._bind("weight", np.zeros((s, ng)))
         self.bias = self._bind("bias", np.zeros(s))
-        self.shifted = self._bind("shifted", np.zeros((m, s)))
         self.f = self._bind("f", np.zeros(s))
         self.p = self._bind("p", np.zeros(s))
         self.grad_weight = self._bind("grad_weight", np.zeros((s, ng)))
@@ -1018,8 +1198,9 @@ def _exact(kernel: Kernel) -> bool:
     product; :func:`numeric._exp_numpy` on
     :data:`EXP_PROBES`; numpy's ``ndarray.sum`` on a sum
     long enough to recurse, where a sequential sum gives other bits;
-    numpy's ``x - lr * g`` where an FMA gives other bits; and ``repr`` on
-    :data:`REPR_PROBES`."""
+    numpy's ``x - lr * g`` where an FMA gives other bits; ``repr`` on
+    :data:`REPR_PROBES`; and :func:`vtcompress.report.report_to_json`, which
+    writes ``json.dumps(log, indent=2)``, on a 2-step training log of them."""
     a = (np.arange(4 * 37).reshape(4, 37) * 0.618034) % 2.0 - 1.0
     a[1, :4] = [1e16, 1.0, -1e16, 1.0]
     a[2] = -0.0
@@ -1059,4 +1240,13 @@ def _exact(kernel: Kernel) -> bool:
     lib.vtc_descend(buffer("double[]", x, require_writable=True), buffer("double[]", g), lr, 3)
     if x.tobytes() != want.tobytes():
         return False
-    return kernel.reprs(np.array(REPR_PROBES)).tolist() == [repr(v).encode() for v in REPR_PROBES]
+    if kernel.reprs(np.array(REPR_PROBES)).tolist() != [repr(v).encode() for v in REPR_PROBES]:
+        return False
+    # a 2-step history of the 17 probes per step (the loss, then 8 each of f
+    # and P) after the head report_to_json writes, against its whole log
+    rows = np.array([REPR_PROBES, REPR_PROBES[::-1]])
+    log = {"steps": 2, "history": [{"step": i, "loss": row[0], "f": row[1:9], "p": row[9:]}
+                                   for i, row in enumerate(rows.tolist())]}
+    head = report_to_json({"steps": 2})[:-3].encode()
+    got = kernel.history(head, rows[:, 0], rows[:, 1:9], rows[:, 9:])
+    return got == report_to_json(log).encode()

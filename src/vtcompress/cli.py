@@ -147,15 +147,17 @@ def _region_importance_grid(
     return upsample_regions(means.reshape(region_grid), menu.window)
 
 
-def _train_log(summary: dict, run) -> str:
-    """``report_to_json(log)`` for the summary plus a ``history`` entry
-    ``{"step", "loss", "f", "p"}`` per step, byte for byte and raising its
-    ``ValueError`` on a non-finite value.
+def _train_log(summary: dict, run) -> bytes | bytearray:
+    """The bytes of ``report_to_json(log)`` for the summary plus a ``history``
+    entry ``{"step", "loss", "f", "p"}`` per step, raising its ``ValueError``
+    on a non-finite value.
 
-    The history is one columnar template filled once with the reprs of its
-    values, as json writes finite floats, which beats ``report_to_json``'s walk
-    over ~3,500 floats. The compiled kernel's formatter writes the reprs when
-    the kernel loads; otherwise ``repr`` does, value by value.
+    The head is the summary from ``report_to_json``; the history is laid out
+    apart from it, as json writes finite floats, which beats
+    ``report_to_json``'s walk over ~3,500 floats. With the compiled kernel
+    loaded, one C call (:meth:`Kernel.history`) writes the whole history,
+    reprs included, after the head in one buffer. Otherwise one columnar
+    template is filled once with the step numbers and ``repr`` of each value.
     """
     head = report_to_json(summary)
     values = np.column_stack([run.losses, run.f_history, run.p_history])
@@ -163,10 +165,9 @@ def _train_log(summary: dict, run) -> str:
     if not finite.all():
         report_to_json(values[~finite].tolist())  # raises json's error for the first one
     kernel = numeric._product_kernel()
-    if kernel is None:
-        reprs = np.array(list(map(repr, values.ravel().tolist())), dtype="S24")
-    else:
-        reprs = kernel.reprs(values)
+    if kernel is not None:
+        return kernel.history(head[:-3].encode(), run.losses, run.f_history, run.p_history)
+    reprs = np.array(list(map(repr, values.ravel().tolist())), dtype="S24")
     cells = np.empty((len(values), 1 + values.shape[1]), dtype=object)
     cells[:, 0] = range(len(values))
     cells[:, 1:] = reprs.reshape(values.shape)
@@ -174,7 +175,7 @@ def _train_log(summary: dict, run) -> str:
     entry = (b'    {\n      "step": %d,\n      "loss": %s,\n      "f": ' + vector
              + b',\n      "p": ' + vector + b"\n    }")
     history = b",\n".join([entry] * len(values)) % tuple(cells.ravel().tolist())
-    return f'{head[:-3]},\n  "history": [\n{history.decode()}\n  ]\n}}\n'
+    return f'{head[:-3]},\n  "history": [\n'.encode() + history + b"\n  ]\n}\n"
 
 
 def cmd_gen(args) -> int:
@@ -319,7 +320,7 @@ def cmd_train(args) -> int:
         "collapsed": run.collapsed,
     }
     if args.log:
-        Path(args.log).write_text(_train_log(summary, run))
+        Path(args.log).write_bytes(_train_log(summary, run))
     summary["paramsFile"] = args.out_params
     _emit(summary, "-")
     return 0

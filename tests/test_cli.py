@@ -12,8 +12,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vtcompress import numeric, vision
-from vtcompress.cli import _train_log, build_parser, main
+from vtcompress import cli, numeric, vision
+from vtcompress.cli import build_parser, main
 from vtcompress.formats import (
     MAGIC_FEATURE_MAP,
     MAGIC_SELECTOR,
@@ -282,6 +282,11 @@ class TestTrain:
         np.testing.assert_allclose(resumed, full, atol=1e-6)  # params pass through f32 disk
 
 
+def _train_log(summary, run) -> str:
+    """The text of the log ``train --log`` writes; ``cli._train_log`` returns its bytes."""
+    return cli._train_log(summary, run).decode()
+
+
 class TestTrainLog:
     @pytest.mark.parametrize("steps", [1, 500])
     @pytest.mark.parametrize("menu", ["3branch", "7branch"])
@@ -383,6 +388,72 @@ class TestTrainLogFuzzedWithoutKernel(TestTrainLogFuzzed):
     @settings(max_examples=200, deadline=None)
     def test_writer_matches_json_dumps_indent_2(self, table):
         self._check(table)
+
+
+# Finite values whose reprs are easy to get wrong: signed zeros, subnormals and
+# the two 24-byte reprs.
+HISTORY_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -1.5e-310, -2.2250738585072014e-308, -1.7976931348623157e308]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _history_run(table: np.ndarray):
+    """A run whose losses, f and p are the columns of a ``(steps, 1 + 2S)`` table."""
+    s = (table.shape[1] - 1) // 2
+    return SimpleNamespace(losses=np.ascontiguousarray(table[:, 0]),
+                           f_history=np.ascontiguousarray(table[:, 1 : 1 + s]),
+                           p_history=np.ascontiguousarray(table[:, 1 + s :]))
+
+
+class TestHistoryWriter:
+    """``_train_log``'s compiled history writer gives its template path's bytes."""
+
+    @pytest.fixture(autouse=True)
+    def _kernel_loaded(self):
+        if numeric._product_kernel() is None:
+            pytest.skip("the product kernel is not available")
+
+    @staticmethod
+    def _both_paths(summary, run) -> tuple[bytes, bytes]:
+        compiled = bytes(cli._train_log(summary, run))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeric, "_product_kernel", lambda: None)
+            return compiled, bytes(cli._train_log(summary, run))
+
+    @given(s=st.sampled_from([1, 2, 3, 7, 9]), steps=st.integers(1, 40), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_template_path(self, s, steps, data):
+        table = data.draw(arrays(np.float64, (steps, 1 + 2 * s), elements=HISTORY_FLOATS))
+        compiled, template = self._both_paths({"steps": steps, "collapsed": False},
+                                               _history_run(table))
+        assert compiled == template
+
+    def test_step_numbers_of_every_length(self):
+        table = np.random.default_rng(3).standard_normal((10_001, 7))
+        compiled, template = self._both_paths({"steps": 10_001}, _history_run(table))
+        assert compiled == template
+        assert b'"step": 9999,' in compiled and b'"step": 10000,' in compiled
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_refuses_a_buffer_one_byte_short(self, s):
+        # every value has a 24-byte repr, the longest
+        run = _history_run(np.full((3, 1 + 2 * s), -2.2250738585072014e-308))
+        summary = {"steps": 3}
+        want = bytes(cli._train_log(summary, run))[len(report_to_json(summary)) - 3 :]
+        kernel = numeric._product_kernel()
+        buffer = kernel.ffi.from_buffer
+        for capacity in (len(want), len(want) - 1):
+            out = bytearray(b"#" * (len(want) + 8))
+            written = kernel.lib.vtc_history(
+                buffer("double[]", run.losses), buffer("double[]", run.f_history),
+                buffer("double[]", run.p_history), 3, s,
+                buffer("char[]", out, require_writable=True), capacity,
+            )
+            if capacity == len(want):
+                assert (written, out[:written]) == (len(want), want)
+            else:
+                assert written == 0
+                assert out[capacity:] == b"#" * (len(out) - capacity)
 
 
 class TestGradcheck:

@@ -316,8 +316,11 @@ class TestStepKernel:
         ("acc[r][v] = *(const V *)(o[r] + v * w);", "acc[r][v] = -*(const V *)(o[r] + v * w);"),
         # tiles that drop every block of k after the first
         ("k0 < kk; k0 += VTC_KC", "k0 < kk && k0 < VTC_KC; k0 += VTC_KC"),
+        ('q = PUT(q, end, ",\\n");', 'q = PUT(q, end, ", \\n");'),  # a history entry separator
+        ('"000102030405060708', '"000102030405067008'),  # the digit pair 07 written as 70
     ], ids=["sequential-sum", "fused-update", "reciprocal-attention", "repr-rounding", "fused-exp",
-            "early-underflow", "tile-negative-zero-start", "tile-first-k-block-only"])
+            "early-underflow", "tile-negative-zero-start", "tile-first-k-block-only",
+            "history-separator", "swapped-digit-pair"])
     def test_probe_rejects_a_build_with_other_bits(self, mutation, tmp_path, monkeypatch):
         source = _kernel.SOURCE.replace(*mutation)
         assert source != _kernel.SOURCE

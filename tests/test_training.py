@@ -559,3 +559,31 @@ class TestCompiledStepMatchesNumpyStep:
         with _kernel_off():
             want = _train_outcome(reference, training._train_numpy, params, config, downstream)
         assert got == want
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    @pytest.mark.parametrize("m", [1, 36])
+    @pytest.mark.parametrize("s", [8, 16, 129, 130])
+    def test_many_scales_bit_identical(self, s, m, tied):
+        # From 8 scales on, each region's softmax denominator is numpy's
+        # pairwise sum, which splits recursively above 128 elements.
+        menu = ScaleMenu(4, tuple(ScaleSpec(_KERNELS[j * len(_KERNELS) // s]) for j in range(s)))
+        rng = np.random.default_rng(s * 100 + m)
+        scores = rng.standard_normal((m, 5)) * 4.0
+        variants = tuple(rng.standard_normal((m, n, 3)) for n in menu.token_counts)
+        weight, bias = rng.uniform(-1.0, 1.0, (s, 5)), rng.standard_normal(s)
+        if tied:  # the first and the last two scales tie for every region's maximum
+            weight[[-2, -1]], bias[[0, -2, -1]] = weight[0], bias.max() + 100.0
+        params = SelectorParams(weight, bias)
+        downstream = MeanTokenTarget(rng.standard_normal(3))
+        compiled = _batch(menu, scores, variants, True)
+        reference = _batch(menu, scores, variants, False)
+        for grad in (False, True):
+            got = _step_outcome(compiled, params, downstream, 0.1, None, grad)
+            with _kernel_off():
+                assert got == _step_outcome(reference, params, downstream, 0.1, None, grad)
+        config = TrainConfig(steps=3, learning_rate=0.5, alpha=0.1)
+        got = _train_outcome(compiled, training._train_compiled, params, config, downstream)
+        with _kernel_off():
+            want = _train_outcome(reference, training._train_numpy, params, config, downstream)
+        assert got == want
+        assert len(got) == 5  # the run trained; it raised nothing
