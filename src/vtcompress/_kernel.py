@@ -1,5 +1,6 @@
 """The compiled exact kernels behind :func:`vtcompress.numeric.matmul`, the
-selector training step and the text stage's attention.
+selector training step, the vision stage's routing pass and the text
+stage's attention.
 
 ``SOURCE``'s product, ``vtc_matmul``, forms every output element as the
 scalar loop ``o[i,j] = 0.0; for k ascending: o[i,j] += a[i,k] * b[k,j]``
@@ -36,25 +37,36 @@ downstream mean) reproduce numpy's pairwise summation, which ``ndarray.sum``
 runs there. The step holds its logits region-major, ``(S, M)``, so its
 softmax runs across the regions: below 8 scales the pairwise sum is a
 sequential one, run lane by lane; from 8 on, each region's column is summed
-pairwise. :meth:`Kernel.attention` is the text stage's per-head scaled
-softmax under the same rules, one C call for all heads, by rows: the row
-pass, ``vtc_exp`` in place and ``vtc_normalize``. :meth:`Step.raise_for_softmax`
-turns either softmax's statuses into ``numeric.softmax``'s errors.
+pairwise. The attention and the vision pass share one row pass instead,
+``softmax_rows``: each element times a scale, the finite check, each row
+minus its first maximum, ``vtc_exp`` in place and each row divided by its
+pairwise sum. :meth:`Kernel.attention` is the text stage's per-head scaled
+softmax, one C call for all heads. :meth:`Kernel.route` is the vision
+stage's whole routing pass in one C call, ``vtc_route``, with the bits of
+:mod:`vtcompress.vision`'s numpy core: it pools each region straight from
+the map (a mean is ``0.0`` plus each token in row-major order for C > 1,
+``0.0`` plus numpy's pairwise sum of the region for C = 1, then divided by
+``w * w``; a max keeps the later of two equal values, as numpy's maximum
+does for C > 1 and its AVX-512 loops for C = 1, so of ``+0.0`` and
+``-0.0`` the later wins), forms the scores and the logits with
+``vtc_matmul``, adds the bias, takes each region's first maximum (or the
+forced scale), runs the row pass with a scale of 1.0 and max-pools only
+the chosen scale's tokens. :meth:`Step.raise_for_softmax` turns the
+statuses of any of these softmax passes into ``numeric.softmax``'s errors.
 
-:meth:`Kernel.reprs` formats doubles as ``repr`` does, one per 24-byte
-slot: ``vtc_repr`` finds the shortest digits that read back as the same
-double with Ryu's ``d2d`` (Adams, PLDI 2018), in ``unsigned __int128``
-arithmetic over two tables of 125-bit powers of 5, emits them two at a time
-from a ``"00".."99"`` table, and lays them out as ``repr``: positional while
-the first digit's decimal exponent is in [-4, 16), with ``.0`` on integral
-values, else ``d.ddde±XX``. :meth:`Kernel.history` writes the training log's
-whole ``history`` member in one C call, ``vtc_history``: the framing,
-indentation and step numbers of ``json.dumps(log, indent=2)`` and each
-value's repr, through the same per-value writer, into one buffer sized once
-that the writer never passes. The tables are computed exactly with Python
-integers in the build child (:data:`_BUILD`), not typed in and not made at
-import. A compiler without ``unsigned __int128`` (32-bit targets) fails the
-build, and numpy runs instead.
+:meth:`Kernel.history` writes the training log's whole ``history`` member
+in one C call, ``vtc_history``: the framing, indentation and step numbers of
+``json.dumps(log, indent=2)`` and each value's repr, into one buffer sized
+once that the writer never passes. Each repr comes from the shortest digits
+that read back as the same double, found with Ryu's ``d2d`` (Adams, PLDI
+2018) in ``unsigned __int128`` arithmetic over two tables of 125-bit powers
+of 5, emitted two at a time from a ``"00".."99"`` table and laid out as
+``repr``: positional while the first digit's decimal exponent is in
+[-4, 16), with ``.0`` on integral values, else ``d.ddde±XX``. The tables are
+computed exactly with Python integers in the build child (:data:`_BUILD`),
+not typed in and not made at import. A compiler without
+``unsigned __int128`` (32-bit targets) fails the build, and numpy runs
+instead.
 
 :func:`load` builds the kernel through cffi's API mode the first time and
 caches it as an extension module in the given directory (the package's own
@@ -68,11 +80,11 @@ one, and the build then deletes the modules of other sources and the logs
 of failed builds in that directory. :func:`load` returns ``None`` when cffi
 or a C compiler is missing, the directory is not writable, the build fails,
 or the kernel gives other bits than the scalar loop, the numpy softmax and
-exponential, ``ndarray.sum`` or numpy's elementwise arithmetic on a probe,
-or other bytes than ``repr`` and ``report_to_json`` on :data:`REPR_PROBES`
-laid out as values and as a training log. A failed build leaves its output in
-``<module name>.failed.log`` next to where the module would be, and no
-later process tries that build again until the log is deleted;
+exponential, ``ndarray.sum``, numpy's elementwise arithmetic or the numpy
+routing core on a probe, or other bytes than ``report_to_json`` on
+:data:`REPR_PROBES` laid out as a training log. A failed build leaves its
+output in ``<module name>.failed.log`` next to where the module would be,
+and no later process tries that build again until the log is deleted;
 otherwise every process would pay for a doomed build.
 """
 
@@ -90,6 +102,7 @@ import numpy as np
 
 from .numeric import EXP_CONSTANTS, _exp_numpy, _k_loop, _softmax
 from .report import report_to_json
+from .vision import default_menu, emit_tokens, partition, scale_variants
 
 # Declarations shared by the C source and cffi's cdef. ``vtc_step`` holds one
 # batch of the selector training step. :class:`Step` points it at numpy
@@ -117,6 +130,19 @@ typedef struct {
     size_t step;                             /* vtc_step_run: the step that failed, or steps */
 } vtc_step;
 
+/* One vision pass (vtc_route): a C-contiguous map in w x w regions, m of them. */
+typedef struct {
+    size_t rows, cols, c, w, ng, s;         /* map, window, global tokens, scales */
+    const double *map, *g, *weight, *bias;  /* (rows, cols, c), (ng, c), (s, ng), (s,) */
+    const int64_t *kernels, *forced;        /* (s, 2) kh, kw, 0, 0 drops; NULL or (m,) */
+    int pool_max;                           /* max, else mean */
+    double *work;                           /* m * c + c * ng + m * ng + ng * s + w * w */
+    double *probs;                          /* (m, s) */
+    int64_t *chosen;                        /* (m,) */
+    double *tokens;                         /* room for every region at its finest scale */
+    size_t written;                         /* tokens written */
+} vtc_route_pass;
+
 void vtc_matmul(const double *, const double *, double *, size_t, size_t, size_t);
 double vtc_sum(const double *, size_t);
 void vtc_descend(double *, const double *, double, size_t);
@@ -124,7 +150,7 @@ void vtc_exp(double *, size_t);
 int vtc_step_run(vtc_step *, int, size_t);
 int vtc_attention(const double *, const double *, double *, double *, size_t, size_t, size_t,
                   size_t, double);
-int vtc_repr(const double *, size_t, char *, size_t);
+int vtc_route(vtc_route_pass *);
 size_t vtc_history(const double *, const double *, const double *, size_t, size_t, char *, size_t);
 """
 
@@ -353,33 +379,32 @@ void vtc_exp(double *restrict x, size_t count)
     }
 }
 
-/* Each of the rows of x divided by its ndarray.sum: the softmax's denominators
-   once the rows are exponentiated in place. */
-static void vtc_normalize(double *restrict x, size_t rows, size_t n)
+/* The scaled softmax of each of the rows of x in place, with the bits of
+   numeric.softmax: each element times scale, the finite check, each row minus
+   its first maximum, vtc_exp, and each row divided by its ndarray.sum. Not
+   inlined: the attention and the vision pass share one copy. */
+static __attribute__((noinline)) int softmax_rows(double *restrict x, size_t rows, size_t n,
+                                                  double scale)
 {
+    double *restrict row = x;
+    for (size_t i = 0; i < rows; i++, row += n) {
+        size_t top = 0;
+        for (size_t j = 0; j < n; j++) {
+            row[j] *= scale;
+            if (!isfinite(row[j]))
+                return VTC_NONFINITE_LOGITS;
+            if (row[j] > row[top])
+                top = j;
+        }
+        const double max = row[top];
+        for (size_t j = 0; j < n; j++)
+            row[j] -= max;
+    }
+    vtc_exp(x, rows * n);
     for (size_t i = 0; i < rows; i++, x += n) {
         const double total = 0.0 + pairwise(x, n);
         for (size_t j = 0; j < n; j++)
             x[j] /= total;
-    }
-}
-
-/* The attention's row pass: each element times scale, the finite check, and
-   each row minus its first maximum. */
-static int shift_rows(double *restrict x, size_t rows, size_t n, double scale)
-{
-    for (size_t i = 0; i < rows; i++, x += n) {
-        size_t top = 0;
-        for (size_t j = 0; j < n; j++) {
-            x[j] *= scale;
-            if (!isfinite(x[j]))
-                return VTC_NONFINITE_LOGITS;
-            if (x[j] > x[top])
-                top = j;
-        }
-        const double max = x[top];
-        for (size_t j = 0; j < n; j++)
-            x[j] -= max;
     }
     return VTC_OK;
 }
@@ -593,27 +618,130 @@ int vtc_step_run(vtc_step *t, int mode, size_t steps)
     return status;
 }
 
+/* The (cols, rows) transpose of the C-contiguous (rows, cols) x into out. */
+static __attribute__((noinline)) void transpose(const double *restrict x, size_t rows,
+                                                size_t cols, double *restrict out)
+{
+    for (size_t i = 0; i < rows; i++)
+        for (size_t j = 0; j < cols; j++)
+            out[j * rows + i] = x[i * cols + j];
+}
+
 /* The scaled attention softmax of h heads: per head, k's (n, d) slice
    transposed into kt, q's (t, d) slice times kt into o's (t, n) slice, then,
-   while that slice is in cache, the row pass (each row minus its first
-   maximum), vtc_exp and the division by each row's sum. */
+   while that slice is in cache, softmax_rows. */
 int vtc_attention(const double *restrict q, const double *restrict k, double *restrict o,
                   double *restrict kt, size_t h, size_t t, size_t d, size_t n, double scale)
 {
     if (h && t * n == 0)
         return VTC_EMPTY;
     for (size_t g = 0; g < h; g++) {
-        const double *restrict kg = k + g * n * d;
-        for (size_t j = 0; j < n; j++)
-            for (size_t c = 0; c < d; c++)
-                kt[c * n + j] = kg[j * d + c];
+        transpose(k + g * n * d, n, d, kt);
         double *restrict og = o + g * t * n;
         vtc_matmul(q + g * t * d, kt, og, t, d, n);
-        if (shift_rows(og, t, n, scale))
+        if (softmax_rows(og, t, n, scale))
             return VTC_NONFINITE_LOGITS;
-        vtc_exp(og, t * n);
-        vtc_normalize(og, t, n);
     }
+    return VTC_OK;
+}
+
+/* The larger of acc and v as numpy's maximum takes it in a reduction: v on a
+   tie, so of +0.0 and -0.0 the later one wins. */
+static inline double later_max(double acc, double v)
+{
+    return v >= acc ? v : acc;
+}
+
+/* The maximum of each of c channels over the kh x kw tokens at x, whose rows
+   are ld doubles apart, into out: later_max over the tokens in row-major
+   order, from the first. Not inlined, as mean_pool: one copy of each costs
+   the cold build less than a copy in each caller. */
+static __attribute__((noinline)) void max_pool(const double *restrict x, size_t ld, size_t kh,
+                                               size_t kw, size_t c, double *restrict out)
+{
+    memcpy(out, x, c * sizeof *out);
+    for (size_t y = 0; y < kh; y++)
+        for (size_t z = 0; z < kw; z++) {
+            const double *restrict token = x + y * ld + z * c;
+            for (size_t k = 0; k < c; k++)
+                out[k] = later_max(out[k], token[k]);
+        }
+}
+
+/* The mean of each of c channels over the w x w tokens at x, whose rows are
+   ld doubles apart, into out, with the bits of ndarray.mean over a region:
+   for c > 1, 0.0 plus each token in row-major order; for c = 1, the region
+   copied into strip (w * w doubles) and 0.0 plus its pairwise sum; then the
+   division by w * w. */
+static __attribute__((noinline)) void mean_pool(const double *restrict x, size_t ld, size_t w,
+                                                size_t c, double *restrict out,
+                                                double *restrict strip)
+{
+    if (c == 1) {
+        for (size_t y = 0; y < w; y++)
+            memcpy(strip + y * w, x + y * ld, w * sizeof *strip);
+        out[0] = 0.0 + pairwise(strip, w * w);
+    } else {
+        for (size_t k = 0; k < c; k++)
+            out[k] = 0.0;
+        for (size_t y = 0; y < w; y++)
+            for (size_t z = 0; z < w; z++) {
+                const double *restrict token = x + y * ld + z * c;
+                for (size_t k = 0; k < c; k++)
+                    out[k] += token[k];
+            }
+    }
+    for (size_t k = 0; k < c; k++)
+        out[k] /= (double)(w * w);
+}
+
+/* The vision stage of t's map in its m regions, row-major, with the bits of
+   vision's numpy path: each region pooled into the (m, c) head of work, the
+   scores times the global rows transposed, the logits times weight
+   transposed plus bias into probs, each region's first maximum into chosen
+   unless forced gives its scale, and softmax_rows. Then each region's tokens
+   at its chosen scale, max-pooled by its kernel, into tokens, and their
+   number into written. */
+int vtc_route(vtc_route_pass *t)
+{
+    const size_t c = t->c, w = t->w, ng = t->ng, s = t->s, across = t->cols / w;
+    const size_t m = t->rows / w * across, ld = t->cols * c;
+    double *pooled = t->work, *gt = pooled + m * c, *scores = gt + c * ng, *wt = scores + m * ng;
+    double *strip = wt + ng * s, *probs = t->probs, *out = t->tokens;
+    if (m * s == 0)
+        return VTC_EMPTY;
+    for (size_t r = 0; r < m; r++) {
+        const double *x = t->map + (r / across * ld + r % across * c) * w;
+        if (t->pool_max)
+            max_pool(x, ld, w, w, c, pooled + r * c);
+        else
+            mean_pool(x, ld, w, c, pooled + r * c, strip);
+    }
+    transpose(t->g, ng, c, gt);
+    vtc_matmul(pooled, gt, scores, m, c, ng);
+    transpose(t->weight, s, ng, wt);
+    vtc_matmul(scores, wt, probs, m, ng, s);
+    for (size_t i = 0; i < m; i++) {
+        double *restrict row = probs + i * s;
+        size_t top = 0;
+        for (size_t j = 0; j < s; j++) {
+            row[j] += t->bias[j];
+            if (row[j] > row[top])
+                top = j;
+        }
+        t->chosen[i] = t->forced ? t->forced[i] : (int64_t)top;
+    }
+    if (softmax_rows(probs, m, s, 1.0))
+        return VTC_NONFINITE_LOGITS;
+    for (size_t r = 0; r < m; r++) {
+        const int64_t *kernel = t->kernels + 2 * t->chosen[r];
+        const size_t kh = (size_t)kernel[0], kw = (size_t)kernel[1];
+        const double *x = t->map + (r / across * ld + r % across * c) * w;
+        for (size_t y = 0; kh && y < w; y += kh)
+            for (size_t z = 0; z < w; z += kw, out += c)
+                max_pool(x + y * ld + z * c, ld, kh, kw, c, out);
+    }
+    t->written = (size_t)(out - t->tokens) / c;
     return VTC_OK;
 }
 
@@ -788,20 +916,6 @@ static char *repr_to(char *out, double x)
         *p++ = (char)('0' + a / 100);
     memcpy(p, vtc_digit_pairs + 2 * (a % 100), 2);
     return p + 2;
-}
-
-/* repr(x) of n finite doubles, each into a slot of width bytes (at least 24)
-   padded with NULs. Returns 0, and leaves the slots undefined, if a value is
-   not finite. */
-int vtc_repr(const double *x, size_t n, char *out, size_t width)
-{
-    for (size_t i = 0; i < n; i++, out += width) {
-        if (!isfinite(x[i]))
-            return 0;
-        memset(out, 0, width);
-        repr_to(out, x[i]);
-    }
-    return 1;
 }
 
 /* The n bytes of text at p, if they fit before end; returns their end, or
@@ -1015,17 +1129,55 @@ class Kernel:
         del out[len(prefix) + written :]
         return out
 
-    def reprs(self, values: np.ndarray) -> np.ndarray:
-        """``repr`` of each float64 in ``values``, in C order, as a fresh ``(n,)``
-        ``S24`` array (24 bytes hold the longest repr). Raises ``ValueError`` on
-        a non-finite value."""
-        values = np.ascontiguousarray(values, dtype=np.float64).ravel()
-        out = np.empty(values.size, dtype="S24")
+    def route(self, feature_map: np.ndarray, global_rows: np.ndarray, weight: np.ndarray,
+              bias: np.ndarray, kernels, window: int, pool: str,
+              forced: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The vision stage of a checked ``(H, W, C)`` map in one ``vtc_route``
+        call: its ``(tokens, C)`` tokens, the ``(M, S)`` probabilities and the
+        ``(M,)`` chosen scales, with the bits of :mod:`vtcompress.vision`'s
+        numpy path.
+
+        ``global_rows`` are the ``(Ng, C)`` global tokens, ``weight`` and
+        ``bias`` the ``(S, Ng)`` and ``(S,)`` selector, ``kernels`` one
+        ``(kh, kw)`` per scale (``(0, 0)`` drops the region), ``pool``
+        ``"mean"`` or ``"max"`` and ``forced`` ``None`` or each region's
+        scale. The tokens are the head of one buffer sized for every region
+        at its finest scale.
+        """
+        fm, g, weight, bias = (np.ascontiguousarray(a, dtype=np.float64)
+                               for a in (feature_map, global_rows, weight, bias))
+        kernels = np.ascontiguousarray(kernels, dtype=np.int64)
+        (h, w, c), (s, ng) = fm.shape, weight.shape
+        pairs = kernels.tolist() if kernels.shape == (s, 2) else [(-1, -1)]
+        if (window < 1 or not fm.size or h % window or w % window or g.shape != (ng, c)
+                or bias.shape != (s,) or not all(kh == kw == 0 or kh > 0 < kw and window % kh
+                                                 == window % kw == 0 for kh, kw in pairs)):
+            raise ValueError(f"cannot route a {fm.shape} map in windows of {window} with "
+                             f"global rows {g.shape}, weight {weight.shape}, bias {bias.shape} "
+                             f"and kernels {kernels.tolist()}")
+        m = (h // window) * (w // window)
+        if forced is not None:
+            forced = np.ascontiguousarray(forced, dtype=np.int64)
+            if forced.shape != (m,) or (forced.size and not 0 <= forced.min() <= forced.max() < s):
+                raise ValueError(f"cannot force {forced.shape} scales out of {s} on {m} regions")
+        work = np.empty(m * c + c * ng + m * ng + ng * s + window * window)
+        probs, chosen = np.empty((m, s)), np.empty(m, dtype=np.int64)
+        tokens = np.empty((m * max([(window // kh) * (window // kw) for kh, kw in pairs if kh],
+                                   default=0), c))
         buffer = self._buffer
-        if not self.lib.vtc_repr(buffer("double[]", values), values.size,
-                                 buffer("char[]", out, require_writable=True), out.itemsize):
-            raise ValueError("cannot format a non-finite value")
-        return out
+        t = self.ffi.new("vtc_route_pass *", {
+            "rows": h, "cols": w, "c": c, "w": window, "ng": ng, "s": s,
+            "map": buffer("double[]", fm), "g": buffer("double[]", g),
+            "weight": buffer("double[]", weight), "bias": buffer("double[]", bias),
+            "kernels": buffer("int64_t[]", kernels),
+            "forced": self.ffi.NULL if forced is None else buffer("int64_t[]", forced),
+            "pool_max": pool == "max", "work": buffer("double[]", work, require_writable=True),
+            "probs": buffer("double[]", probs, require_writable=True),
+            "chosen": buffer("int64_t[]", chosen, require_writable=True),
+            "tokens": buffer("double[]", tokens, require_writable=True),
+        })
+        Step.raise_for_softmax(self.lib.vtc_route(t))
+        return tokens[: t.written], probs, chosen
 
 
 class Step:
@@ -1198,9 +1350,11 @@ def _exact(kernel: Kernel) -> bool:
     product; :func:`numeric._exp_numpy` on
     :data:`EXP_PROBES`; numpy's ``ndarray.sum`` on a sum
     long enough to recurse, where a sequential sum gives other bits;
-    numpy's ``x - lr * g`` where an FMA gives other bits; ``repr`` on
-    :data:`REPR_PROBES`; and :func:`vtcompress.report.report_to_json`, which
-    writes ``json.dumps(log, indent=2)``, on a 2-step training log of them."""
+    numpy's ``x - lr * g`` where an FMA gives other bits; the numpy routing
+    core's pooling, products, softmax and max ties on small maps; and
+    :func:`vtcompress.report.report_to_json`, which writes
+    ``json.dumps(log, indent=2)`` and so ``repr``, on a 2-step training log of
+    :data:`REPR_PROBES`."""
     a = (np.arange(4 * 37).reshape(4, 37) * 0.618034) % 2.0 - 1.0
     a[1, :4] = [1e16, 1.0, -1e16, 1.0]
     a[2] = -0.0
@@ -1240,8 +1394,27 @@ def _exact(kernel: Kernel) -> bool:
     lib.vtc_descend(buffer("double[]", x, require_writable=True), buffer("double[]", g), lr, 3)
     if x.tobytes() != want.tobytes():
         return False
-    if kernel.reprs(np.array(REPR_PROBES)).tolist() != [repr(v).encode() for v in REPR_PROBES]:
-        return False
+    # the vision pass on 8x8 maps in four 4x4 regions against the numpy core's
+    # parts: one channel with a first row that cancels, whose mean differs
+    # between a pairwise and a sequential sum; three channels pooled by max,
+    # with 2x2 cells whose zeros tie as +0.0, -0.0 and as -0.0, +0.0 (numpy's
+    # maximum keeps the later of them for every C > 1 and dispatch)
+    for c, pool, forced in ((1, "mean", None), (3, "max", [2, 0, 1, 0])):
+        fm = (np.arange(8 * 8 * c).reshape(8, 8, c) * 0.618034) % 2.0 - 1.0
+        fm[0, :4, 0] = [1e16, 1.0, -1e16, 1.0]
+        fm[4:, :4] = -np.abs(fm[4:, :4])
+        fm[4, :4] = np.array([0.0, -0.0, -0.0, 0.0])[:, np.newaxis]
+        g = (np.arange(5 * c).reshape(5, c) * 0.414214) % 2.0 - 1.0
+        weight, bias = (np.arange(15).reshape(3, 5) * 0.3) % 2.0 - 1.0, np.array([0.1, -0.2, 0.05])
+        blocks = partition(fm, 4)
+        pooled = blocks.mean(axis=(1, 2)) if pool == "mean" else blocks.max(axis=(1, 2))
+        logits = _k_loop(_k_loop(pooled, g.T, np.empty((4, 5))), weight.T, np.empty((4, 3))) + bias
+        chosen = np.argmax(logits, axis=1) if forced is None else np.array(forced)
+        want = (emit_tokens(scale_variants(blocks, default_menu(4)), chosen),
+                _softmax(logits, -1, _exp_numpy), chosen)
+        got = kernel.route(fm, g, weight, bias, [(4, 4), (2, 2), (1, 1)], 4, pool, forced)
+        if any(x.tobytes() != y.tobytes() for x, y in zip(got, want)):
+            return False
     # a 2-step history of the 17 probes per step (the loss, then 8 each of f
     # and P) after the head report_to_json writes, against its whole log
     rows = np.array([REPR_PROBES, REPR_PROBES[::-1]])

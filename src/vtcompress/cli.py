@@ -20,6 +20,11 @@ reason (a directory, no permission) also exits 3.
 
 The parser is built on the first ``main`` call and reused by every later
 call in the process, which matters to callers that run ``main`` many times.
+A command line that starts with a subcommand is parsed by that subcommand's
+parser alone, so a flag it does not know is reported as
+``vtcompress compress: unrecognized arguments: ...``; every other command
+line (``--config``, ``-h``, an unknown command) goes through the top-level
+parser.
 ``--config`` goes before the subcommand. Its file is read only once the
 command line parses, so a usage error wins over a bad config. Its values
 seed a re-parse of the subcommand's own tokens, so flags win over them; the
@@ -571,8 +576,13 @@ def _config_value(action: argparse.Action, key: str, value):
 
 def main(argv=None) -> int:
     parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in commands:  # the subcommand's parser alone: half the parse time
+            namespace = argparse.Namespace(command=argv[0], config=None)
+            args = commands[argv[0]].parse_args(argv[1:], namespace)
+        else:
+            args = parser.parse_args(argv)
         if args.config:  # flags overwrite config values; defaults fill only the rest
             command = commands[args.command]
             namespace = argparse.Namespace(command=args.command,

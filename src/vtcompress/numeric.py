@@ -13,8 +13,9 @@ into the package's ``__pycache__`` if needed; it keeps tiles of outputs in
 vector registers while k runs, or runs the plain scalar loop, and either
 way adds each element's products one at a time in ascending k from 0.0,
 with no fused multiply-add. The same compiled module holds
-the selector training step (:class:`vtcompress._kernel.Step`), reached
-through the same loader, :func:`_product_kernel`. When the kernel cannot be
+the selector training step (:class:`vtcompress._kernel.Step`) and the
+vision stage's routing pass, reached through the same loader,
+:func:`_product_kernel`. When the kernel cannot be
 built or loaded, ``matmul`` silently runs one numpy layout instead: one
 rank-1 update per k, from zero, in the same order. Never use ``np.sum``,
 ``np.add.reduce``, ``np.einsum``, ``np.dot`` or ``@`` for a product that

@@ -10,6 +10,21 @@ Inference emits the max-pooled tokens of the winning scale in one routing
 pass; the training variant runs that pass and multiplies each emitted token
 by the winning softmax probability so the selector parameters stay on the
 gradient path.
+
+The routing pass has two backends that write the same bits. When the
+compiled kernel loads (``numeric._product_kernel``), :func:`compress_inference`
+checks its inputs here and then runs the whole pass in one C call,
+:meth:`vtcompress._kernel.Kernel.route`: it pools each region straight from
+the map, forms the scores and logits with the k-ordered product, takes each
+region's first maximum, runs the softmax's row pass and writes only the
+chosen scale's tokens. Otherwise the numpy routing core below runs, and the
+tests take it as the reference. Both keep numpy's rules: a region's mean is
+``0.0`` plus each token in row-major order for C > 1, and ``0.0`` plus
+numpy's pairwise sum of the region for C = 1, divided by ``w * w``; a max
+keeps the later of two equal values, so of ``+0.0`` and ``-0.0`` the later
+one in row-major order wins. numpy's maximum does so for C > 1 whatever SIMD
+code it dispatches; for C = 1 only its AVX-512 loops do, so on a CPU without
+them the numpy core can give a tie of zeros the other sign.
 """
 
 from __future__ import annotations
@@ -20,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import numeric
 from .numeric import as_tensor, matmul, softmax
 
 __all__ = [
@@ -202,8 +218,24 @@ def flatten_grid(grid) -> np.ndarray:
     return g.reshape(-1, g.shape[2]) if g.ndim == 3 else g
 
 
-# The routing core. Every region is handled at once as struct-of-arrays:
+# The numpy routing core, which training prepares its batches with and
+# compress_inference runs when the compiled pass does not load. Every region
+# is handled at once as struct-of-arrays:
 # partition -> region_scores -> route -> scale_variants -> emit_tokens.
+
+
+def _checked_map(feature_map, window: int) -> np.ndarray:
+    """``feature_map`` as a checked (H, W, C) tensor that ``window`` tiles.
+
+    Empty or non-divisible dimensions are an error; inputs are never padded.
+    """
+    fm = as_tensor(feature_map)
+    if fm.ndim != 3 or 0 in fm.shape:
+        raise ValueError(f"expected a non-empty (H, W, C) map, got shape {fm.shape}")
+    h, w, _ = fm.shape
+    if window < 1 or h % window != 0 or w % window != 0:
+        raise ValueError(f"window {window} does not divide map {h}x{w}")
+    return fm
 
 
 def partition(feature_map, window: int) -> np.ndarray:
@@ -211,15 +243,23 @@ def partition(feature_map, window: int) -> np.ndarray:
 
     Empty or non-divisible dimensions are an error; inputs are never padded.
     """
-    fm = as_tensor(feature_map)
-    if fm.ndim != 3 or 0 in fm.shape:
-        raise ValueError(f"expected a non-empty (H, W, C) map, got shape {fm.shape}")
+    fm = _checked_map(feature_map, window)
     h, w, c = fm.shape
-    if window < 1 or h % window != 0 or w % window != 0:
-        raise ValueError(f"window {window} does not divide map {h}x{w}")
     # contiguous, so each region reduces in the same order as a standalone block
     grid = fm.reshape(h // window, window, w // window, window, c).swapaxes(1, 2)
     return np.ascontiguousarray(grid).reshape(-1, window, window, c)
+
+
+def _check_pooling(global_tokens: np.ndarray, channels: int, pool: str) -> None:
+    """Raise unless (Ng, C) ``global_tokens`` match ``channels`` and ``pool`` names a pool mode."""
+    if global_tokens.ndim != 2:
+        raise ValueError(f"global tokens must be (Ng, C), got shape {global_tokens.shape}")
+    if channels != global_tokens.shape[1]:
+        raise ValueError(
+            f"channel mismatch: block C={channels}, global C={global_tokens.shape[1]}"
+        )
+    if pool not in ("mean", "max"):
+        raise ValueError(f"unknown pool mode {pool!r} (use 'mean' or 'max')")
 
 
 def region_scores(blocks: np.ndarray, global_tokens: np.ndarray, pool: str = "mean") -> np.ndarray:
@@ -229,18 +269,8 @@ def region_scores(blocks: np.ndarray, global_tokens: np.ndarray, pool: str = "me
     scored by its inner product with each global token, as one k-ordered
     product. Scores are not normalized; the selector weights absorb their scale.
     """
-    if global_tokens.ndim != 2:
-        raise ValueError(f"global tokens must be (Ng, C), got shape {global_tokens.shape}")
-    if blocks.shape[3] != global_tokens.shape[1]:
-        raise ValueError(
-            f"channel mismatch: block C={blocks.shape[3]}, global C={global_tokens.shape[1]}"
-        )
-    if pool == "mean":
-        pooled = blocks.mean(axis=(1, 2))
-    elif pool == "max":
-        pooled = blocks.max(axis=(1, 2))
-    else:
-        raise ValueError(f"unknown pool mode {pool!r} (use 'mean' or 'max')")
+    _check_pooling(global_tokens, blocks.shape[3], pool)
+    pooled = blocks.mean(axis=(1, 2)) if pool == "mean" else blocks.max(axis=(1, 2))
     return matmul(pooled, global_tokens.T)
 
 
@@ -325,19 +355,36 @@ def compress_inference(
     ``force_scales`` overrides the selector's argmax (one index for all
     regions, or one per region); probabilities are still reported. This is a
     diagnostic hook for lossless-path checks and fixed-split accounting.
+
+    Every input is checked before the routing pass runs, ``force_scales``
+    last. The pass is one call of the compiled kernel when it loads, else
+    the numpy routing core; both write the same bits.
     """
     g = flatten_grid(global_tokens)
-    blocks = partition(feature_map, menu.window)
-    _, probs, chosen = route(region_scores(blocks, g, pool), params, menu)
+    fm = _checked_map(feature_map, menu.window)
+    _check_pooling(g, fm.shape[2], pool)
+    check_selector(params, menu, g.shape[0])
+    regions = (fm.shape[0] // menu.window) * (fm.shape[1] // menu.window)
+    forced = None
     if force_scales is not None:
         if isinstance(force_scales, (int, np.integer)):
-            force_scales = [force_scales] * len(blocks)
-        chosen = np.array([int(j) for j in force_scales], dtype=np.intp)
-        if chosen.size != len(blocks):
-            raise ValueError(f"force_scales needs {len(blocks)} entries, got {chosen.size}")
-        if np.any((chosen < 0) | (chosen >= len(menu))):
+            force_scales = [force_scales] * regions
+        forced = np.array([int(j) for j in force_scales], dtype=np.intp)
+        if forced.size != regions:
+            raise ValueError(f"force_scales needs {regions} entries, got {forced.size}")
+        if np.any((forced < 0) | (forced >= len(menu))):
             raise ValueError("forced scale index out of range")
-    tokens = emit_tokens(scale_variants(blocks, menu), chosen)
+    kernel = numeric._product_kernel()
+    if kernel is not None:
+        tokens, probs, chosen = kernel.route(
+            fm, g, params.weight, params.bias, [spec.kernel or (0, 0) for spec in menu.scales],
+            menu.window, pool, forced,
+        )
+    else:
+        blocks = partition(fm, menu.window)
+        _, probs, chosen = route(region_scores(blocks, g, pool), params, menu)
+        chosen = chosen if forced is None else forced
+        tokens = emit_tokens(scale_variants(blocks, menu), chosen)
     counts = menu.token_counts
     return tokens, [
         RegionSelection(r, j, probs[r], counts[j]) for r, j in enumerate(chosen.tolist())

@@ -16,6 +16,7 @@ from vtcompress import _kernel, numeric, textsampler
 from vtcompress.numeric import as_tensor, finite_diff_grad, matmul, softmax, stable_sort_desc
 
 from oracles import max_pool
+from test_vision import assert_route_matches_numpy, route_cases
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -318,9 +319,15 @@ class TestStepKernel:
         ("k0 < kk; k0 += VTC_KC", "k0 < kk && k0 < VTC_KC; k0 += VTC_KC"),
         ('q = PUT(q, end, ",\\n");', 'q = PUT(q, end, ", \\n");'),  # a history entry separator
         ('"000102030405060708', '"000102030405067008'),  # the digit pair 07 written as 70
+        # a one-channel region mean summed sequentially instead of pairwise
+        ("out[0] = 0.0 + pairwise(strip, w * w);",
+         "out[0] = 0.0;\n        for (size_t k = 0; k < w * w; k++)\n"
+         "            out[0] += strip[k];"),
+        ("return v >= acc ? v : acc;", "return v > acc ? v : acc;"),  # the earlier of tied maxima
     ], ids=["sequential-sum", "fused-update", "reciprocal-attention", "repr-rounding", "fused-exp",
             "early-underflow", "tile-negative-zero-start", "tile-first-k-block-only",
-            "history-separator", "swapped-digit-pair"])
+            "history-separator", "swapped-digit-pair", "sequential-region-mean",
+            "earlier-max-tie"])
     def test_probe_rejects_a_build_with_other_bits(self, mutation, tmp_path, monkeypatch):
         source = _kernel.SOURCE.replace(*mutation)
         assert source != _kernel.SOURCE
@@ -346,7 +353,12 @@ class TestReprKernel:
 
     @staticmethod
     def _reprs(values) -> list[bytes]:
-        return numeric._product_kernel().reprs(np.asarray(values, dtype=np.float64)).tolist()
+        """Each value as :meth:`Kernel.history` writes it: a one-step history
+        whose f lists the values, one to a line."""
+        values = np.asarray(values, dtype=np.float64).ravel()
+        text = numeric._product_kernel().history(b"", values[:1], values[None], values[None])
+        f = bytes(text).split(b'"f": [\n')[1].split(b"\n      ]")[0]
+        return [line.strip().rstrip(b",") for line in f.split(b"\n")]
 
     @classmethod
     def _check(cls, values):
@@ -444,7 +456,8 @@ class TestKernelTargets:
     tile width, one and two blocks of k, signed zeros and subnormals; and
     every clone of ``vtc_exp`` writes the numpy exponential's bits: the probe's
     edges, a sweep of its range and random bit patterns, in lengths that end
-    inside, at and just past a vector."""
+    inside, at and just past a vector; and every target's vision pass writes
+    the numpy routing core's bytes and errors on ``test_vision.route_cases``."""
 
     @needs_compiler
     @pytest.mark.parametrize("target", sorted(_TARGET_SOURCES))
@@ -471,6 +484,8 @@ class TestKernelTargets:
                             rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)])
         for n in (1, 7, 8, 9, 17, x.size):
             assert kernel.exp(x[:n].copy()).tobytes() == numeric._exp_numpy(x[:n].copy()).tobytes()
+        for _, args, kwargs in route_cases():
+            assert_route_matches_numpy(kernel, args, kwargs)
 
 
 def test_build_keeps_exactness_by_construction():

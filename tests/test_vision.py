@@ -1,8 +1,10 @@
+import itertools
 import re
 
 import numpy as np
 import pytest
 
+from vtcompress import numeric
 from vtcompress.numeric import matmul, softmax
 from vtcompress.training import prepare_batch
 from vtcompress.vision import (
@@ -412,3 +414,84 @@ class TestBatchedCoreMatchesPerRegionLoop:
         np.testing.assert_array_equal(tokens, ref_tokens)
         assert [s.scale for s in selections] == ref_scales
         np.testing.assert_array_equal(np.array([s.probs for s in selections]), ref_probs)
+
+
+def route_cases():
+    """``compress_inference`` arguments on which the compiled pass must give the
+    numpy core's outcome, by name: the 3-branch, 7-branch, window-8 and
+    retain/discard menus, 1 and 5 channels, mean and max pools, each routed
+    by the selector, forced to scale 0 and forced to a scale per region.
+
+    Region 0 is all -0.0 (its mean is +0.0). Region 1 is negative but for
+    zeros that tie in the 2x2, 4x2 and whole-region cells in both orders:
+    +0.0 then -0.0, and -0.0 then +0.0. Then logits that tie (the first
+    maximum wins) and maps whose logits overflow.
+    """
+    menus = {"3branch": default_menu(4), "7branch": seven_branch_menu(4),
+             "3branch-w8": default_menu(8), "retain-discard": retain_discard_menu()}
+    rng = np.random.default_rng(29)
+    for (name, menu), channels, pool in itertools.product(menus.items(), (1, 5), ("mean", "max")):
+        w = menu.window
+        fm = rng.standard_normal((3 * w, 2 * w, channels)) * 10.0 ** rng.integers(-3, 4, channels)
+        fm[:w, :w] = -0.0
+        fm[:w, w:] = -np.abs(fm[:w, w:])
+        if w >= 4:
+            fm[0, w:w + 4] = np.array([0.0, -0.0, -0.0, 0.0])[:, None]
+            fm[1, w] = -0.0
+        g = rng.standard_normal((7, channels))
+        params = SelectorParams(rng.standard_normal((len(menu), 7)), rng.standard_normal(len(menu)))
+        for force in (None, 0, [r % len(menu) for r in range(6)]):
+            yield f"{name}-c{channels}-{pool}-force{force}", (fm, g, params, menu), dict(
+                pool=pool, force_scales=force)
+    fm, g = rng.standard_normal((8, 8, 5)), rng.standard_normal((7, 5))
+    weight = rng.standard_normal((3, 7))
+    weight[2] = weight[1]
+    yield "logit-tie", (fm, g, SelectorParams(weight, [-50.0, 50.0, 50.0]), default_menu(4)), {}
+    yield "all-tie", (fm, g, SelectorParams(np.zeros((3, 7)), np.zeros(3)), default_menu(4)), {}
+    for pool in ("mean", "max"):  # finite scores times weights of 1e200
+        yield f"overflow-{pool}", (fm * 1e200, g, SelectorParams(weight * 1e200, np.zeros(3)),
+                                   default_menu(4)), dict(pool=pool)
+
+
+def route_outcome(args, kwargs):
+    """``compress_inference``'s tokens, scales and probabilities as bytes, or its error's text."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the numpy core's overflow
+            tokens, selections = compress_inference(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    probs = np.array([s.probs for s in selections])
+    return tokens.shape, tokens.tobytes(), [s.scale for s in selections], probs.tobytes()
+
+
+def assert_route_matches_numpy(kernel, args, kwargs):
+    """The outcome with ``kernel`` loaded is the one with the kernel forced off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numeric, "_product_kernel", lambda: kernel)
+        compiled = route_outcome(args, kwargs)
+        mp.setattr(numeric, "_product_kernel", lambda: None)
+        assert compiled == route_outcome(args, kwargs)
+
+
+class TestCompiledRoutePass:
+    """The compiled vision pass writes the numpy routing core's bytes and raises its errors."""
+
+    @pytest.fixture(autouse=True)
+    def _kernel_loaded(self):
+        if numeric._product_kernel() is None:
+            pytest.skip("the product kernel is not available")
+
+    @pytest.mark.parametrize("args, kwargs", [case[1:] for case in route_cases()],
+                             ids=[case[0] for case in route_cases()])
+    def test_matches_numpy_core(self, args, kwargs):
+        assert_route_matches_numpy(numeric._product_kernel(), args, kwargs)
+
+    def test_ties_and_overflow_seen(self):
+        outcomes = {name: route_outcome(args, kwargs) for name, args, kwargs in route_cases()}
+        assert outcomes["logit-tie"][2] == [1] * 4
+        assert outcomes["all-tie"][2] == [0] * 4
+        assert outcomes["overflow-mean"] == "softmax input contains non-finite values"
+        assert outcomes["overflow-max"] == "softmax input contains non-finite values"
+        # region 1's 2x2 cells at the forced 2x2 scale: the later zero of each tie
+        tokens = np.frombuffer(outcomes["3branch-c1-max-force[0, 1, 2, 0, 1, 2]"][1])
+        assert np.signbit(tokens[1:3]).tolist() == [True, False]
