@@ -46,9 +46,9 @@ stage's whole routing pass in one C call, ``vtc_route``, with the bits of
 :mod:`vtcompress.vision`'s numpy core: it pools each region straight from
 the map (a mean is ``0.0`` plus each token in row-major order for C > 1,
 ``0.0`` plus numpy's pairwise sum of the region for C = 1, then divided by
-``w * w``; a max keeps the later of two equal values, as numpy's maximum
-does for C > 1 and its AVX-512 loops for C = 1, so of ``+0.0`` and
-``-0.0`` the later wins), forms the scores and the logits with
+``w * w``; a max keeps the later of two equal values in row-major order,
+as ``vision.max_pool`` does, so of ``+0.0`` and ``-0.0`` the later wins),
+forms the scores and the logits with
 ``vtc_matmul``, adds the bias, takes each region's first maximum (or the
 forced scale), runs the row pass with a scale of 1.0 and max-pools only
 the chosen scale's tokens. :meth:`Step.raise_for_softmax` turns the
@@ -102,7 +102,7 @@ import numpy as np
 
 from .numeric import EXP_CONSTANTS, _exp_numpy, _k_loop, _softmax
 from .report import report_to_json
-from .vision import default_menu, emit_tokens, partition, scale_variants
+from .vision import default_menu, emit_tokens, max_pool, partition, scale_variants
 
 # Declarations shared by the C source and cffi's cdef. ``vtc_step`` holds one
 # batch of the selector training step. :class:`Step` points it at numpy
@@ -645,8 +645,8 @@ int vtc_attention(const double *restrict q, const double *restrict k, double *re
     return VTC_OK;
 }
 
-/* The larger of acc and v as numpy's maximum takes it in a reduction: v on a
-   tie, so of +0.0 and -0.0 the later one wins. */
+/* The larger of acc and v as vision.max_pool takes it: v on a tie, so of
+   +0.0 and -0.0 the later one wins. */
 static inline double later_max(double acc, double v)
 {
     return v >= acc ? v : acc;
@@ -1397,8 +1397,8 @@ def _exact(kernel: Kernel) -> bool:
     # the vision pass on 8x8 maps in four 4x4 regions against the numpy core's
     # parts: one channel with a first row that cancels, whose mean differs
     # between a pairwise and a sequential sum; three channels pooled by max,
-    # with 2x2 cells whose zeros tie as +0.0, -0.0 and as -0.0, +0.0 (numpy's
-    # maximum keeps the later of them for every C > 1 and dispatch)
+    # with 2x2 cells whose zeros tie as +0.0, -0.0 and as -0.0, +0.0 (the
+    # later of them wins)
     for c, pool, forced in ((1, "mean", None), (3, "max", [2, 0, 1, 0])):
         fm = (np.arange(8 * 8 * c).reshape(8, 8, c) * 0.618034) % 2.0 - 1.0
         fm[0, :4, 0] = [1e16, 1.0, -1e16, 1.0]
@@ -1407,7 +1407,7 @@ def _exact(kernel: Kernel) -> bool:
         g = (np.arange(5 * c).reshape(5, c) * 0.414214) % 2.0 - 1.0
         weight, bias = (np.arange(15).reshape(3, 5) * 0.3) % 2.0 - 1.0, np.array([0.1, -0.2, 0.05])
         blocks = partition(fm, 4)
-        pooled = blocks.mean(axis=(1, 2)) if pool == "mean" else blocks.max(axis=(1, 2))
+        pooled = blocks.mean(axis=(1, 2)) if pool == "mean" else max_pool(blocks, 4, 4)[:, 0, 0]
         logits = _k_loop(_k_loop(pooled, g.T, np.empty((4, 5))), weight.T, np.empty((4, 3))) + bias
         chosen = np.argmax(logits, axis=1) if forced is None else np.array(forced)
         want = (emit_tokens(scale_variants(blocks, default_menu(4)), chosen),

@@ -18,13 +18,13 @@ checks its inputs here and then runs the whole pass in one C call,
 the map, forms the scores and logits with the k-ordered product, takes each
 region's first maximum, runs the softmax's row pass and writes only the
 chosen scale's tokens. Otherwise the numpy routing core below runs, and the
-tests take it as the reference. Both keep numpy's rules: a region's mean is
+tests take it as the reference. Both keep the same rules: a region's mean is
 ``0.0`` plus each token in row-major order for C > 1, and ``0.0`` plus
 numpy's pairwise sum of the region for C = 1, divided by ``w * w``; a max
 keeps the later of two equal values, so of ``+0.0`` and ``-0.0`` the later
-one in row-major order wins. numpy's maximum does so for C > 1 whatever SIMD
-code it dispatches; for C = 1 only its AVX-512 loops do, so on a CPU without
-them the numpy core can give a tie of zeros the other sign.
+one in row-major order wins. The numpy core takes its maxima through
+:func:`max_pool`, which folds each cell in row-major order, because which
+zero numpy's own max reductions keep depends on the SIMD code they dispatch.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ __all__ = [
     "check_selector",
     "route",
     "scale_variants",
+    "max_pool",
     "emit_tokens",
     "routing_stats",
     "choose_scale",
@@ -270,7 +271,8 @@ def region_scores(blocks: np.ndarray, global_tokens: np.ndarray, pool: str = "me
     product. Scores are not normalized; the selector weights absorb their scale.
     """
     _check_pooling(global_tokens, blocks.shape[3], pool)
-    pooled = blocks.mean(axis=(1, 2)) if pool == "mean" else blocks.max(axis=(1, 2))
+    m, w, _, c = blocks.shape
+    pooled = blocks.mean(axis=(1, 2)) if pool == "mean" else max_pool(blocks, w, w).reshape(m, c)
     return matmul(pooled, global_tokens.T)
 
 
@@ -305,9 +307,32 @@ def scale_variants(blocks: np.ndarray, menu: ScaleMenu) -> tuple[np.ndarray, ...
             variants.append(np.zeros((m, 0, c)))
         else:
             kh, kw = spec.kernel
-            pooled = blocks.reshape(m, w // kh, kh, w // kw, kw, c).max(axis=(2, 4))
-            variants.append(pooled.reshape(m, -1, c))
+            variants.append(max_pool(blocks, kh, kw).reshape(m, -1, c))
     return tuple(variants)
+
+
+def max_pool(blocks: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The max of each kh x kw cell of (M, w, w, C) blocks: (M, w/kh, w/kw, C).
+
+    A cell's max is that of its tokens folded in row-major order from the
+    first, a token replacing the running max when it is ``>=`` it, so of a
+    tied ``+0.0`` and ``-0.0`` the later one wins. Each row of the cell folds
+    first, then the rows in order, which keeps the same token. numpy's max
+    reductions do not fix that tie: which zero they keep depends on the SIMD
+    code they dispatch.
+    """
+    m, w, _, c = blocks.shape
+    return _later_max(_later_max(blocks.reshape(m, w // kh, kh, w // kw, kw, c), 4), 2)
+
+
+def _later_max(x: np.ndarray, axis: int) -> np.ndarray:
+    """The max along ``axis`` folded from the first element; a later one wins a tie."""
+    head = (slice(None),) * axis
+    out = x[head + (0,)].copy()
+    for i in range(1, x.shape[axis]):
+        part = x[head + (i,)]
+        np.copyto(out, part, where=part >= out)
+    return out
 
 
 def emit_tokens(variants: Sequence[np.ndarray], chosen: np.ndarray) -> np.ndarray:

@@ -14,9 +14,10 @@ layout must write the same bytes. It runs twice more in fresh processes,
 with BLAS and OpenMP set to one and to two threads, which must not change
 a byte either; once in a fresh process where numpy dispatches none of its
 AVX-512 loops, whose ``np.exp`` gives other bits, so the library's own
-exponential must carry every output; and once in a fresh process that
-cannot import cffi, so that the kernel's loader gives up as on an install
-without it.
+exponential must carry every output, and where the compiled vision pass
+must still write the numpy routing core's bytes on ``test_vision``'s route
+cases, tied zeros included; and once in a fresh process that cannot import
+cffi, so that the kernel's loader gives up as on an install without it.
 
 The expected hashes change only with a deliberate change of output bytes.
 After one, print the new table with ``python tests/test_golden.py`` and
@@ -205,14 +206,31 @@ def test_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert tables[0] == tables[1] == GOLDEN
 
 
+# Checks the compiled vision pass against the numpy routing core on
+# test_vision's route cases, where the kernel loads, then runs this module's
+# __main__: both under the numpy dispatch of the calling environment.
+_ROUTE_THEN_PIPELINE = """\
+import runpy, sys
+from pathlib import Path
+sys.path.insert(0, str(Path(sys.argv[1]).parent))
+from test_vision import assert_route_matches_numpy, route_cases
+from vtcompress import numeric
+kernel = numeric._product_kernel()
+for _, args, kwargs in route_cases() if kernel is not None else ():
+    assert_route_matches_numpy(kernel, args, kwargs)
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
 def test_bytes_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
     # numpy reads the setting when it loads; a CPU or a numpy build without
     # these features only warns that there is nothing to disable
     env = _env_with_src()
     env["NPY_DISABLE_CPU_FEATURES"] = "AVX512_SPR AVX512_ICL X86_V4"
     proc = subprocess.run(
-        [sys.executable, __file__, str(tmp_path)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", _ROUTE_THEN_PIPELINE, __file__, str(tmp_path)], cwd=tmp_path,
+        env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == GOLDEN

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from vtcompress import numeric
+from vtcompress import numeric, vision
 from vtcompress.numeric import matmul, softmax
 from vtcompress.training import prepare_batch
 from vtcompress.vision import (
@@ -416,6 +416,40 @@ class TestBatchedCoreMatchesPerRegionLoop:
         np.testing.assert_array_equal(np.array([s.probs for s in selections]), ref_probs)
 
 
+def later_max_loop(blocks, kh, kw):
+    """Each kh x kw cell's max, one token at a time in row-major order: a token
+    replaces the running max when it is >= it."""
+    m, w, _, c = blocks.shape
+    out = np.empty((m, w // kh, w // kw, c))
+    for r, y, x, k in np.ndindex(out.shape):
+        cell = blocks[r, y * kh:(y + 1) * kh, x * kw:(x + 1) * kw, k].ravel()
+        acc = cell[0]
+        for v in cell[1:]:
+            acc = v if v >= acc else acc
+        out[r, y, x, k] = acc
+    return out
+
+
+class TestMaxPool:
+    """The numpy core's max keeps the later of tied values, whatever numpy dispatches."""
+
+    @pytest.mark.parametrize("kh, kw", [(4, 4), (2, 2), (4, 2), (1, 2), (1, 1)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_later_of_tied_values_wins(self, kh, kw, channels):
+        rng = np.random.default_rng(10 * kh + kw + channels)
+        zeros = np.where(rng.random((20, 4, 4, channels)) < 0.5, 0.0, -0.0)
+        mixed = np.where(rng.random(zeros.shape) < 0.3, -rng.random(zeros.shape), zeros)
+        for blocks in (zeros, mixed):
+            got = vision.max_pool(blocks, kh, kw)
+            assert got.tobytes() == later_max_loop(blocks, kh, kw).tobytes()
+            assert 0 < np.signbit(got).sum() < got.size  # both zeros won somewhere
+
+    def test_values_are_numpy_max(self):
+        blocks = np.random.default_rng(3).standard_normal((6, 8, 8, 5))
+        got = vision.max_pool(blocks, 4, 2)
+        np.testing.assert_array_equal(got, blocks.reshape(6, 2, 4, 4, 2, 5).max(axis=(2, 4)))
+
+
 def route_cases():
     """``compress_inference`` arguments on which the compiled pass must give the
     numpy core's outcome, by name: the 3-branch, 7-branch, window-8 and
@@ -425,7 +459,8 @@ def route_cases():
     Region 0 is all -0.0 (its mean is +0.0). Region 1 is negative but for
     zeros that tie in the 2x2, 4x2 and whole-region cells in both orders:
     +0.0 then -0.0, and -0.0 then +0.0. Then logits that tie (the first
-    maximum wins) and maps whose logits overflow.
+    maximum wins), maps whose logits overflow, and one of them with a forced
+    scale out of range, which is checked first.
     """
     menus = {"3branch": default_menu(4), "7branch": seven_branch_menu(4),
              "3branch-w8": default_menu(8), "retain-discard": retain_discard_menu()}
@@ -451,6 +486,9 @@ def route_cases():
     for pool in ("mean", "max"):  # finite scores times weights of 1e200
         yield f"overflow-{pool}", (fm * 1e200, g, SelectorParams(weight * 1e200, np.zeros(3)),
                                    default_menu(4)), dict(pool=pool)
+    yield "overflow-forced-out-of-range", (
+        fm * 1e200, g, SelectorParams(weight * 1e200, np.zeros(3)), default_menu(4)
+    ), dict(force_scales=3)
 
 
 def route_outcome(args, kwargs):
@@ -492,6 +530,7 @@ class TestCompiledRoutePass:
         assert outcomes["all-tie"][2] == [0] * 4
         assert outcomes["overflow-mean"] == "softmax input contains non-finite values"
         assert outcomes["overflow-max"] == "softmax input contains non-finite values"
+        assert outcomes["overflow-forced-out-of-range"] == "forced scale index out of range"
         # region 1's 2x2 cells at the forced 2x2 scale: the later zero of each tie
         tokens = np.frombuffer(outcomes["3branch-c1-max-force[0, 1, 2, 0, 1, 2]"][1])
         assert np.signbit(tokens[1:3]).tolist() == [True, False]
