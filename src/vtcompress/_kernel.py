@@ -1,6 +1,6 @@
 """The compiled exact kernels behind :func:`vtcompress.numeric.matmul`, the
-selector training step, the vision stage's routing pass and the text
-stage's attention.
+selector training step, the vision stage's routing pass, the text stage's
+attention and the layout of reports and heatmaps.
 
 ``SOURCE``'s product, ``vtc_matmul``, forms every output element as the
 scalar loop ``o[i,j] = 0.0; for k ascending: o[i,j] += a[i,k] * b[k,j]``
@@ -68,6 +68,15 @@ not typed in and not made at import. A compiler without
 ``unsigned __int128`` (32-bit targets) fails the build, and numpy runs
 instead.
 
+Two more passes write output files. :meth:`Kernel.indent`, ``vtc_indent``,
+lays the compact text of json's C encoder out as ``json.dumps(indent=2)``
+does, for :func:`vtcompress.report.report_to_json`: a newline and two
+spaces per level after each opening bracket that does not close at once and
+after each comma, and before each closing bracket that ends a non-empty
+container, copying strings as they are. :meth:`Kernel.pgm`, ``vtc_pgm``,
+lays a heatmap's pixels out as plain PGM rows with the formatter's digit
+pairs, for :func:`vtcompress.formats.export_heatmap`.
+
 :func:`load` builds the kernel through cffi's API mode the first time and
 caches it as an extension module in the given directory (the package's own
 ``__pycache__``), named by a hash of the C source, the build script, the
@@ -81,8 +90,10 @@ of failed builds in that directory. :func:`load` returns ``None`` when cffi
 or a C compiler is missing, the directory is not writable, the build fails,
 or the kernel gives other bits than the scalar loop, the numpy softmax and
 exponential, ``ndarray.sum``, numpy's elementwise arithmetic or the numpy
-routing core on a probe, or other bytes than ``report_to_json`` on
-:data:`REPR_PROBES` laid out as a training log. A failed build leaves its
+routing core on a probe, or other bytes than ``json.dumps(indent=2)`` on
+:data:`REPR_PROBES` laid out as a training log and on :data:`INDENT_PROBES`,
+or than :func:`vtcompress.formats.export_heatmap`'s ``%d`` template on
+pixels of one to three digits. A failed build leaves its
 output in ``<module name>.failed.log`` next to where the module would be,
 and no later process tries that build again until the log is deleted;
 otherwise every process would pay for a doomed build.
@@ -101,7 +112,8 @@ from pathlib import Path
 import numpy as np
 
 from .numeric import EXP_CONSTANTS, _exp_numpy, _k_loop, _softmax
-from .report import report_to_json
+from .formats import _pgm_rows
+from .report import _dumps
 from .vision import default_menu, emit_tokens, max_pool, partition, scale_variants
 
 # Declarations shared by the C source and cffi's cdef. ``vtc_step`` holds one
@@ -152,6 +164,8 @@ int vtc_attention(const double *, const double *, double *, double *, size_t, si
                   size_t, double);
 int vtc_route(vtc_route_pass *);
 size_t vtc_history(const double *, const double *, const double *, size_t, size_t, char *, size_t);
+size_t vtc_indent(const char *, size_t, char *, size_t);
+size_t vtc_pgm(const uint8_t *, size_t, size_t, char *, size_t);
 """
 
 # The exponential's constants as numeric computes them, for vtc_exp: a repr
@@ -981,6 +995,82 @@ size_t vtc_history(const double *losses, const double *f, const double *p, size_
     q = PUT(q, end, "\n  ]\n}\n");
     return q ? (size_t)(q - out) : 0;
 }
+
+/* The byte c at out[len] if it fits in capacity; returns len + 1. */
+static size_t put_byte(char *out, size_t len, size_t capacity, char c)
+{
+    if (len < capacity)
+        out[len] = c;
+    return len + 1;
+}
+
+/* A newline and 2 * depth spaces at out + len if they fit in capacity;
+   returns their end. */
+static size_t put_line(char *out, size_t len, size_t capacity, size_t depth)
+{
+    if (len < capacity && capacity - len >= 1 + 2 * depth) {
+        out[len] = '\n';
+        memset(out + len + 1, ' ', 2 * depth);
+    }
+    return len + 1 + 2 * depth;
+}
+
+/* The n bytes of compact JSON text at in, as json.JSONEncoder(separators=
+   (",", ": ")) writes them in ASCII, laid out as json.dumps(indent=2) lays
+   them out, and a newline. Outside strings, [ or { opens a new line one level
+   deeper unless the next byte closes it, , starts a new line at the same
+   depth, and ] or } closes on a new line one level shallower; a string is
+   copied as it is, a backslash escaping the byte after it. Returns the length
+   of the layout, written into out only where it fits in capacity, or 0 if a
+   bracket closes at depth 0. */
+size_t vtc_indent(const char *in, size_t n, char *out, size_t capacity)
+{
+    size_t len = 0, depth = 0;
+    for (size_t i = 0; i < n; i++) {
+        const char c = in[i];
+        if (c == '"') {
+            size_t j = i + 1;
+            while (j < n && in[j] != '"')
+                j += in[j] == '\\' ? 2 : 1;
+            j = j < n ? j + 1 : n;
+            if (len <= capacity && capacity - len >= j - i)
+                memcpy(out + len, in + i, j - i);
+            len += j - i;
+            i = j - 1;
+            continue;
+        }
+        if (c == ']' || c == '}') {
+            if (!depth)
+                return 0;
+            len = put_line(out, len, capacity, --depth);
+        }
+        len = put_byte(out, len, capacity, c);
+        if ((c == '[' || c == '{') && i + 1 < n && (in[i + 1] == ']' || in[i + 1] == '}'))
+            len = put_byte(out, len, capacity, in[++i]);
+        else if (c == '[' || c == '{')
+            len = put_line(out, len, capacity, ++depth);
+        else if (c == ',')
+            len = put_line(out, len, capacity, depth);
+    }
+    return put_byte(out, len, capacity, '\n');
+}
+
+/* The rows of the (h, w) pixels as a plain PGM ("P2") body: each pixel's
+   decimal digits, a space after each but the last of a row and a newline after
+   that. Writes at most 4 * h * w bytes into out. Returns the bytes written, or
+   0, having written nothing past out + capacity, if they do not fit. */
+size_t vtc_pgm(const uint8_t *pixels, size_t h, size_t w, char *out, size_t capacity)
+{
+    const char *end = out + capacity;
+    char *q = out;
+    for (size_t i = 0; i < h * w; i++) {
+        char digits[3];
+        const char *d = put_digits(digits + 3, pixels[i]);
+        q = put(q, end, d, (size_t)(digits + 3 - d));
+        q = put(q, end, (i + 1) % w ? " " : "\n", 1);
+    }
+    return q ? (size_t)(q - out) : 0;
+}
 """)
 # Appended after the interpreter's own compile flags, so they win. Every
 # function starts on a 64-byte line, so a kernel's speed does not depend on
@@ -1035,6 +1125,16 @@ REPR_PROBES = (0.0, -0.0, 5e-324, 1.5e-310, 5.960464477539062e-08, 2.0**-24,
                5.960464477539064e-08, 2.0**-25, 2.0**46 + 0.625, 1 / 15, 1.9e22, 1e16,
                9999999999999998.0, 1e-05, 0.0001, -2.2250738585072014e-308,
                -1.7976931348623157e+308)
+
+
+# JSON whose layout is easy to get wrong: brackets, commas, the key separator,
+# escaped quotes and backslashes inside strings, empty and nested empty
+# containers, and top-level scalars.
+INDENT_PROBES = (
+    {"[ ] { } ,": ['": "', '\\"', "\\", '\\\\"', '", [', "a\\", ""], "": [[], {}, [[]]],
+     "a": {"b": {}, "c": [1, -2.5e-300, None, True, False, {"d": "\u00e9\n"}]}},
+    [], {}, [[]], "]", 0.1, None,
+)
 
 
 # Inputs where an exponential goes wrong, and their neighbours: signed zeros,
@@ -1127,6 +1227,41 @@ class Kernel:
         if not written:
             raise ValueError("cannot format a non-finite value")
         del out[len(prefix) + written :]
+        return out
+
+    def indent(self, compact: str) -> str:
+        """``json.dumps(value, indent=2) + "\\n"`` from the compact ASCII text
+        ``compact`` that ``json.JSONEncoder(separators=(",", ": "))`` writes for
+        ``value``: one ``vtc_indent`` call into a buffer of twice its size
+        and 64 bytes, and one more into a buffer of the layout's size when
+        the layout is longer."""
+        text = compact.encode("ascii")
+        out = bytearray(2 * len(text) + 64)
+        while True:
+            size = self.lib.vtc_indent(text, len(text),
+                                       self._buffer("char[]", out, require_writable=True), len(out))
+            if size <= len(out):
+                break
+            out = bytearray(size)
+        if not size:
+            raise ValueError("cannot lay out unbalanced JSON text")
+        del out[size:]
+        return out.decode("ascii")
+
+    def pgm(self, head: bytes, pixels: np.ndarray) -> bytearray:
+        """``head`` followed by the rows of the ``(H, W)`` uint8 ``pixels`` as a
+        plain PGM body: one ``vtc_pgm`` call into one buffer sized for three
+        digits and a separator per pixel, cut to the bytes written."""
+        if pixels.dtype != np.uint8 or pixels.ndim != 2:
+            raise ValueError(f"cannot lay out {pixels.dtype} pixels of shape {pixels.shape}")
+        pixels = np.ascontiguousarray(pixels)
+        (h, w), buffer = pixels.shape, self._buffer
+        out = bytearray(len(head) + 4 * pixels.size)
+        out[: len(head)] = head
+        written = self.lib.vtc_pgm(buffer("uint8_t[]", pixels), h, w,
+                                   buffer("char[]", out, require_writable=True) + len(head),
+                                   len(out) - len(head))
+        del out[len(head) + written :]
         return out
 
     def route(self, feature_map: np.ndarray, global_rows: np.ndarray, weight: np.ndarray,
@@ -1329,7 +1464,7 @@ def _build(name: str, source: str, cache_dir: Path, path: Path, failed: Path) ->
                 capture_output=True, text=True, timeout=BUILD_TIMEOUT_S, check=True,
             )
         except subprocess.SubprocessError as exc:
-            failed.write_text(f"{exc}\n{exc.stdout or ''}{exc.stderr or ''}")
+            failed.write_bytes(f"{exc}\n{exc.stdout or ''}{exc.stderr or ''}".encode())
             raise OSError(f"building the product kernel failed: {exc}") from exc
     suffix = path.name[len(name):]
     for stale in [*cache_dir.glob("_vtcompress_kernel_*" + suffix),
@@ -1351,10 +1486,13 @@ def _exact(kernel: Kernel) -> bool:
     :data:`EXP_PROBES`; numpy's ``ndarray.sum`` on a sum
     long enough to recurse, where a sequential sum gives other bits;
     numpy's ``x - lr * g`` where an FMA gives other bits; the numpy routing
-    core's pooling, products, softmax and max ties on small maps; and
-    :func:`vtcompress.report.report_to_json`, which writes
-    ``json.dumps(log, indent=2)`` and so ``repr``, on a 2-step training log of
-    :data:`REPR_PROBES`."""
+    core's pooling, products, softmax and max ties on small maps;
+    ``json.dumps(log, indent=2)``, and so ``repr``, on a 2-step training log
+    of :data:`REPR_PROBES`, and ``json.dumps(value, indent=2)`` on
+    :data:`INDENT_PROBES`; and the PGM ``%d`` template on a row and a column
+    of the pixels 0, 9, 10, 99, 100 and 255. The JSON is written by
+    ``report._dumps``, not ``report_to_json``, which would ask for the
+    kernel that is being loaded."""
     a = (np.arange(4 * 37).reshape(4, 37) * 0.618034) % 2.0 - 1.0
     a[1, :4] = [1e16, 1.0, -1e16, 1.0]
     a[2] = -0.0
@@ -1416,10 +1554,15 @@ def _exact(kernel: Kernel) -> bool:
         if any(x.tobytes() != y.tobytes() for x, y in zip(got, want)):
             return False
     # a 2-step history of the 17 probes per step (the loss, then 8 each of f
-    # and P) after the head report_to_json writes, against its whole log
+    # and P) after the head json writes, against its whole log
     rows = np.array([REPR_PROBES, REPR_PROBES[::-1]])
     log = {"steps": 2, "history": [{"step": i, "loss": row[0], "f": row[1:9], "p": row[9:]}
                                    for i, row in enumerate(rows.tolist())]}
-    head = report_to_json({"steps": 2})[:-3].encode()
-    got = kernel.history(head, rows[:, 0], rows[:, 1:9], rows[:, 9:])
-    return got == report_to_json(log).encode()
+    head = _dumps({"steps": 2})[:-3].encode()
+    if kernel.history(head, rows[:, 0], rows[:, 1:9], rows[:, 9:]) != _dumps(log).encode():
+        return False
+    if any(kernel.indent(json.dumps(value, separators=(",", ": "))) != _dumps(value)
+           for value in INDENT_PROBES):
+        return False
+    pixels = np.array([[0, 9, 10, 99, 100, 255]], dtype=np.uint8)
+    return all(kernel.pgm(b"P2\n", grid) == b"P2\n" + _pgm_rows(grid) for grid in (pixels, pixels.T))

@@ -104,7 +104,7 @@ def _emit(payload: dict, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_bytes(text.encode())
 
 
 def _read_checked(path: str, expected_magic: str) -> np.ndarray:
@@ -159,7 +159,7 @@ def _train_log(summary: dict, run) -> bytes | bytearray:
 
     The head is the summary from ``report_to_json``; the history is laid out
     apart from it, as json writes finite floats, which beats
-    ``report_to_json``'s walk over ~3,500 floats. With the compiled kernel
+    ``report_to_json`` over ~3,500 floats. With the compiled kernel
     loaded, one C call (:meth:`Kernel.history`) writes the whole history,
     reprs included, after the head in one buffer. Otherwise one columnar
     template is filled once with the step numbers and ``repr`` of each value.

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import numeric
 from .numeric import as_tensor
 from .textsampler import project_keys
 
@@ -151,12 +152,20 @@ def read_tensor(path) -> tuple[np.ndarray, str]:
     return values.astype(np.float64).reshape(dims), magic
 
 
+def _pgm_rows(pixels: np.ndarray) -> bytes:
+    """The rows of (H, W) pixels as a plain PGM body, from one ``%d`` template."""
+    h, w = pixels.shape
+    return ((b" ".join([b"%d"] * w) + b"\n") * h) % tuple(pixels.ravel().tolist())
+
+
 def export_heatmap(values, fmt: str, path) -> None:
     """Write an (H, W) value grid as a plain-text PGM ("P2") or CSV file.
 
     PGM output is min-max normalized to 0..255 (a constant map becomes all
-    zeros; a range wider than the largest float is halved first); CSV rows
-    carry the raw values with full round-trip precision.
+    zeros; a range wider than the largest float is halved first); its rows are
+    laid out by one compiled pass (``Kernel.pgm``) when the kernel loads, else
+    by one ``%d`` template, to the same bytes. CSV rows carry the raw values
+    with full round-trip precision.
     """
     grid = as_tensor(values)
     if grid.ndim != 2:
@@ -168,13 +177,16 @@ def export_heatmap(values, fmt: str, path) -> None:
         if not math.isfinite(hi - lo):  # halved, no difference overflows
             grid, lo, hi = grid / 2.0, lo / 2.0, hi / 2.0
         if hi > lo:
-            pixels = np.floor((grid - lo) / (hi - lo) * 255.0 + 0.5).astype(int)
+            pixels = np.floor((grid - lo) / (hi - lo) * 255.0 + 0.5).astype(np.uint8)
         else:
-            pixels = np.zeros((h, w), dtype=int)
-        body = ((" ".join(["%d"] * w) + "\n") * h) % tuple(pixels.ravel().tolist())
-        Path(path).write_text(f"P2\n{w} {h}\n255\n" + body)
+            pixels = np.zeros((h, w), dtype=np.uint8)
+        head = f"P2\n{w} {h}\n255\n".encode()
+        kernel = numeric._product_kernel()
+        Path(path).write_bytes(head + _pgm_rows(pixels) if kernel is None
+                               else kernel.pgm(head, pixels))
     elif fmt == "csv":
-        Path(path).write_text("".join(",".join(map(repr, row)) + "\n" for row in grid.tolist()))
+        Path(path).write_bytes("".join(",".join(map(repr, row)) + "\n"
+                                       for row in grid.tolist()).encode())
     else:
         raise ValueError(f"unknown heatmap format {fmt!r} (use 'pgm' or 'csv')")
 

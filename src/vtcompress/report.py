@@ -6,7 +6,10 @@ those n tokens across the first i layers, so the effective count is
 m - n + i*n/L. Vision and heuristic removals happen before the LLM. This
 policy and every check on a report's counts live in ``_effective``, through
 which both ``build_report`` and ``reprofile`` account. ``report_to_json`` is
-the one writer of indented JSON.
+the one writer of indented JSON: json's C encoder writes a report compactly,
+which also raises every error json raises for it, and one compiled pass
+lays that text out as ``json.dumps(indent=2)`` does; without the compiled
+kernel, ``json.dumps(indent=2)`` writes it.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
 
+from . import numeric
 from .textsampler import SelectionResult
 from .vision import RegionSelection, ScaleMenu, routing_stats
 
@@ -118,17 +121,13 @@ def build_report(
             for s, c in zip(menu.scales, counts)
         ]
         report["afterVision"] = after_vision
-        f, p = routing_stats(*_stacked(selections))
+        scales, probs = _stacked(selections)
+        f, p = routing_stats(scales, probs)
         report["scaleFrequencies"] = f.tolist()
         report["meanProbs"] = p.tolist()
         report["selections"] = [
-            {
-                "region": sel.region,
-                "scale": sel.scale,
-                "tokens": sel.token_count,
-                "top1Prob": float(sel.top1_prob),
-            }
-            for sel in selections
+            {"region": sel.region, "scale": sel.scale, "tokens": sel.token_count, "top1Prob": top1}
+            for sel, top1 in zip(selections, probs[np.arange(len(scales)), scales].tolist())
         ]
     else:
         report.update(window=None, menu=None, afterVision=after_vision,
@@ -225,76 +224,23 @@ def reprofile(report, *, layer: int | None = None, total_layers: int | None = No
     return report
 
 
-# json's C encoder writes a list of leaves with NUL between them, and it escapes
-# NUL inside every string it writes (ensure_ascii), so splitting on it is exact.
-_LEAVES = json.JSONEncoder(separators=("\x00", ": "), allow_nan=False)
-_NESTED = (list, tuple, dict)
+# json's C encoder, whose compact text the compiled layout pass indents.
+_COMPACT = json.JSONEncoder(separators=(",", ": "), allow_nan=False)
 
 
-def _key(key) -> str:
-    """A dict key as json writes it, with ``%`` escaped for a template."""
-    if not isinstance(key, str):
-        if not (isinstance(key, (int, float)) or key is None):  # bool is an int
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-        key = _LEAVES.encode(key)  # as json writes the number; refuses nan and infinities
-    return encode_basestring_ascii(key).replace("%", "%%")
-
-
-def _template(value, pad: str, leaves: list, shapes: dict, active: set) -> str:
-    """The list, tuple or dict ``value`` as ``json.dumps(indent=2)`` writes it
-    after a line that ends in ``pad``, with ``%s`` for each scalar, which is
-    appended to ``leaves`` in the order json meets it. A container of scalars
-    takes its template from ``shapes`` when one of its shape is there."""
-    is_dict = isinstance(value, dict)
-    opening, closing = "{}" if is_dict else "[]"
-    if not value:
-        return opening + closing
-    items = value.values() if is_dict else value
-    for item in items:
-        if isinstance(item, _NESTED):
-            shape = None
-            break
-    else:
-        shape = (pad, tuple(value)) if is_dict else (pad, len(value))
-        template = shapes.get(shape)
-        if template is not None:
-            leaves.extend(items)
-            return template
-    if id(value) in active:
-        raise ValueError("Circular reference detected")
-    active.add(id(value))
-    inner = pad + "  "
-    parts = []
-    for key, item in value.items() if is_dict else enumerate(value):
-        head = _key(key) + ": " if is_dict else ""  # json raises for a key before its value
-        if isinstance(item, _NESTED):
-            parts.append(head + _template(item, inner, leaves, shapes, active))
-        else:
-            leaves.append(item)
-            parts.append(head + "%s")
-    active.remove(id(value))
-    template = opening + inner + ("," + inner).join(parts) + pad + closing
-    # Only str keys: 1, 1.0 and True (or 0.0 and -0.0) are one dict key but print apart.
-    if shape is not None and (not is_dict or all(isinstance(key, str) for key in value)):
-        shapes[shape] = template
-    return template
-
-
-def _encode(leaves: list) -> tuple[str, ...]:
-    return tuple(_LEAVES.encode(leaves)[1:-1].split("\x00")) if leaves else ()
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2, allow_nan=False) + "\\n"``: what
+    ``report_to_json`` writes, and what it runs without the compiled kernel."""
+    return json.dumps(value, indent=2, allow_nan=False) + "\n"
 
 
 def report_to_json(report) -> str:
-    """``json.dumps(report, indent=2, allow_nan=False) + "\\n"``, byte for byte and
-    raising what it raises, without json's pure-Python indented encoder: one walk
-    builds a template and collects the scalars, and one call to json's C encoder
-    writes them all. A non-finite float is a ``ValueError``."""
-    if not isinstance(report, _NESTED):
-        return _LEAVES.encode(report) + "\n"
-    leaves: list = []
-    try:
-        template = _template(report, "\n", leaves, {}, set())
-    except (TypeError, ValueError):
-        _encode(leaves)  # json meets these scalars before the bad key or the cycle
-        raise
-    return template % _encode(leaves) + "\n"
+    """``json.dumps(report, indent=2, allow_nan=False) + "\\n"``, byte for byte,
+    raising what json's C encoder raises: it writes ``report`` compactly
+    first, so a non-finite float is a ``ValueError`` and a value json cannot
+    write a ``TypeError`` with the same text on both backends. When the
+    compiled kernel loads, one C pass (``Kernel.indent``) lays the compact
+    text out; otherwise json's pure-Python indented encoder writes it."""
+    compact = _COMPACT.encode(report)
+    kernel = numeric._product_kernel()
+    return _dumps(report) if kernel is None else kernel.indent(compact)

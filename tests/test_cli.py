@@ -553,6 +553,21 @@ class TestEvolution:
             export_heatmap(maps[layer].reshape(2, 8), "csv", want)
             assert Path(path).read_bytes() == want.read_bytes()
 
+    def test_pgm_layers_are_the_same_bytes_without_the_kernel(self, tmp_path, capsys):
+        attn = tmp_path / "stack.attn"
+        self._write_stack(attn, layers=3, n=16)
+        argv = ["evolution", "--attn", str(attn), "--grid", "2x8", "--format", "pgm", "--out-dir"]
+        compiled = run_json(capsys, *argv, str(tmp_path / "kernel"))["files"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeric, "_product_kernel", lambda: None)
+            template = run_json(capsys, *argv, str(tmp_path / "numpy"))["files"]
+        maps = per_layer_importance(read_tensor(attn)[0])
+        for layer, (a, b) in enumerate(zip(compiled, template)):
+            grid = maps[layer].reshape(2, 8)
+            pixels = np.floor((grid - grid.min()) / (grid.max() - grid.min()) * 255.0 + 0.5)
+            rows = "".join(" ".join(map(str, row)) + "\n" for row in pixels.astype(int).tolist())
+            assert Path(a).read_bytes() == Path(b).read_bytes() == f"P2\n8 2\n255\n{rows}".encode()
+
     @pytest.mark.parametrize("grid", ["4x4x4", "4", "x", "-4x-4", "0x16", "4x"])
     def test_malformed_grid_named(self, grid, tmp_path, capsys):
         attn = tmp_path / "stack.attn"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vtcompress import numeric
 from vtcompress.formats import (
     MAGIC_ATTENTION,
     MAGIC_FEATURE_MAP,
@@ -274,6 +275,21 @@ class TestHeatmap:
                       else np.zeros((h, w), dtype=int))
             rows = "".join(" ".join(map(str, row)) + "\n" for row in pixels.tolist())
             assert path.read_text() == f"P2\n{w} {h}\n255\n" + rows
+
+    @pytest.mark.parametrize("grid", [
+        [[0.0, 9.0, 10.0, 99.0, 100.0, 255.0]],  # pixels of one, two and three digits
+        [[0.0], [9.0], [10.0], [99.0], [100.0], [255.0]],
+        [[3.0]],
+        np.full((3, 4), -2.5),
+        [[-1e308, 1e308], [0.0, 1.0]],  # halved first
+        np.random.default_rng(6).standard_normal((24, 24)),
+    ], ids=["one-row", "one-column", "one-pixel", "constant", "halved", "24x24"])
+    def test_pgm_is_the_same_bytes_without_the_kernel(self, grid, tmp_path):
+        export_heatmap(grid, "pgm", tmp_path / "kernel.pgm")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeric, "_product_kernel", lambda: None)
+            export_heatmap(grid, "pgm", tmp_path / "template.pgm")
+        assert (tmp_path / "kernel.pgm").read_bytes() == (tmp_path / "template.pgm").read_bytes()
 
     def test_pgm_range_wider_than_a_float(self, tmp_path):
         path = tmp_path / "h.pgm"

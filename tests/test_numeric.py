@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import re
 import shutil
@@ -16,7 +17,10 @@ from vtcompress import _kernel, numeric, textsampler
 from vtcompress.numeric import as_tensor, finite_diff_grad, matmul, softmax, stable_sort_desc
 
 from oracles import max_pool
+from test_report import _compressed_both_report, _nested
 from test_vision import assert_route_matches_numpy, route_cases
+from vtcompress.formats import _pgm_rows
+from vtcompress.report import _dumps
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -324,10 +328,18 @@ class TestStepKernel:
          "out[0] = 0.0;\n        for (size_t k = 0; k < w * w; k++)\n"
          "            out[0] += strip[k];"),
         ("return v >= acc ? v : acc;", "return v > acc ? v : acc;"),  # the earlier of tied maxima
+        ("j += in[j] == '\\\\' ? 2 : 1;", "j += 1;"),  # a string that ends at an escaped quote
+        # an empty list laid out as [\n]
+        ("len = put_byte(out, len, capacity, in[++i]);",
+         "len = put_byte(out, put_byte(out, len, capacity, '\\n'), capacity, in[++i]);"),
+        # pixels zero-padded to three digits
+        ("q = put(q, end, d, (size_t)(digits + 3 - d));",
+         "memset(digits, '0', (size_t)(d - digits));\n        q = put(q, end, digits, 3);"),
     ], ids=["sequential-sum", "fused-update", "reciprocal-attention", "repr-rounding", "fused-exp",
             "early-underflow", "tile-negative-zero-start", "tile-first-k-block-only",
             "history-separator", "swapped-digit-pair", "sequential-region-mean",
-            "earlier-max-tie"])
+            "earlier-max-tie", "string-ends-at-escaped-quote", "empty-list-on-two-lines",
+            "zero-padded-pixels"])
     def test_probe_rejects_a_build_with_other_bits(self, mutation, tmp_path, monkeypatch):
         source = _kernel.SOURCE.replace(*mutation)
         assert source != _kernel.SOURCE
@@ -341,6 +353,28 @@ class TestStepKernel:
         monkeypatch.setattr(_kernel, "_exact", exact)
         assert _kernel.load(tmp_path, source=source) is None
         assert verdicts == [False]  # built and loaded, then rejected by the probe
+
+
+class TestLayoutKernel:
+    """What the compiled JSON and PGM layout passes refuse; tests/test_report.py
+    and tests/test_formats.py compare their bytes with json's and the template's."""
+
+    @pytest.fixture
+    def kernel(self):
+        kernel = numeric._product_kernel()
+        if kernel is None:
+            pytest.skip("the product kernel is not available")
+        return kernel
+
+    @pytest.mark.parametrize("text", ["]", "[1]]", '{"a": 1}}'])
+    def test_unbalanced_text_refused(self, kernel, text):
+        with pytest.raises(ValueError, match="unbalanced"):
+            kernel.indent(text)
+
+    @pytest.mark.parametrize("pixels", [np.zeros((2, 2), dtype=int), np.zeros(4, dtype=np.uint8)])
+    def test_only_a_uint8_grid_laid_out(self, kernel, pixels):
+        with pytest.raises(ValueError, match="cannot lay out"):
+            kernel.pgm(b"", pixels)
 
 
 class TestReprKernel:
@@ -456,8 +490,11 @@ class TestKernelTargets:
     tile width, one and two blocks of k, signed zeros and subnormals; and
     every clone of ``vtc_exp`` writes the numpy exponential's bits: the probe's
     edges, a sweep of its range and random bit patterns, in lengths that end
-    inside, at and just past a vector; and every target's vision pass writes
-    the numpy routing core's bytes and errors on ``test_vision.route_cases``."""
+    inside, at and just past a vector; every target's vision pass writes
+    the numpy routing core's bytes and errors on ``test_vision.route_cases``;
+    and every target's layout passes write ``json.dumps(indent=2)``'s bytes
+    for the load-time probe's values, a compressed report and a deep nesting,
+    and the ``%d`` template's bytes for PGM rows of one to three digits."""
 
     @needs_compiler
     @pytest.mark.parametrize("target", sorted(_TARGET_SOURCES))
@@ -486,6 +523,12 @@ class TestKernelTargets:
             assert kernel.exp(x[:n].copy()).tobytes() == numeric._exp_numpy(x[:n].copy()).tobytes()
         for _, args, kwargs in route_cases():
             assert_route_matches_numpy(kernel, args, kwargs)
+        for value in _kernel.INDENT_PROBES + (_compressed_both_report(), _nested(40)):
+            assert kernel.indent(json.dumps(value, separators=(",", ": "))) == _dumps(value)
+        for shape in ((1, 1), (1, 7), (7, 1), (5, 13), (24, 24)):
+            pixels = rng.integers(0, 256, shape).astype(np.uint8)
+            pixels.flat[:6] = [0, 9, 10, 99, 100, 255][: pixels.size]
+            assert kernel.pgm(b"P2\n", pixels) == b"P2\n" + _pgm_rows(pixels)
 
 
 def test_build_keeps_exactness_by_construction():

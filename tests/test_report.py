@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_cli import AWKWARD_FLOATS, HUGE, JSON_VALUES
+from vtcompress import numeric
 from vtcompress.cli import main
 from vtcompress.formats import SyntheticConfig, gen_synthetic
 from vtcompress.numeric import softmax
@@ -236,6 +238,19 @@ def test_indented_json_only_in_report():
     assert found == []
 
 
+def test_files_written_as_bytes():
+    """No module under src/ calls ``write_text``, which encodes with the
+    locale's codec and, on Windows, writes each newline as CRLF: every file
+    is written as the bytes of its text, the same on every platform."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "write_text"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _compressed_both_report() -> dict:
     """The report ``vtcompress compress --strategy both`` writes for the seed fixture."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -247,9 +262,13 @@ def _compressed_both_report() -> dict:
         return json.loads(out.read_text())
 
 
-# Text that a %-template, the NUL split or the ASCII escapes could get wrong.
-AWKWARD_TEXT = st.sampled_from(["%", "%s", "%%d", "\x00", "a\x00b", "\n", '"', "\\", "é",
-                                "\U0001f600", "\ud800"]) | st.text(max_size=6)
+# Text that a writer could get wrong: format specifiers, NUL, characters that
+# need an ASCII escape, and JSON's brackets, commas and key separator, escaped
+# quotes and backslashes inside strings, which a layout pass must copy as text.
+AWKWARD_TEXT = st.sampled_from([
+    "%", "%s", "%%d", "\x00", "a\x00b", "\n", '"', "\\", "é", "\U0001f600", "\ud800",
+    "[", "]", "{", "}", ",", "[ ] { } ,", '": "', '\\"', "\\\\", '\\\\"', '", [', "a\\",
+]) | st.text(max_size=6)
 WRITER_KEYS = (AWKWARD_TEXT | st.integers() | st.floats() | AWKWARD_FLOATS | st.booleans()
                | st.none() | st.tuples(st.integers()))
 WRITER_SCALARS = (JSON_VALUES | AWKWARD_FLOATS | AWKWARD_TEXT | HUGE
@@ -265,15 +284,52 @@ WRITER_VALUES = st.recursive(
 
 
 def _written(write, value):
-    """What ``write(value)`` returns, or the type of the exception it raises."""
+    """What ``write(value)`` returns, or the type and text of the exception it raises."""
     try:
         return write(value)
     except (TypeError, ValueError) as exc:
-        return type(exc)
+        return type(exc), str(exc)
+
+
+def _cycle() -> dict:
+    loop = {"a": [1]}
+    loop["a"].append(loop)
+    return loop
+
+
+def _nested(depth: int):
+    """``[[...[1]...]]``, ``depth`` lists deep: its layout is far longer than its compact text."""
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
 
 
 class TestWriterParity:
+    """``report_to_json`` writes ``json.dumps(indent=2)``'s bytes, and raises
+    the same errors with the same text with the compiled kernel and without it."""
+
+    @staticmethod
+    def _both_backends(value):
+        """``report_to_json``'s outcome with the compiled kernel, after requiring
+        the same with the kernel forced off."""
+        compiled = _written(report_to_json, value)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeric, "_product_kernel", lambda: None)
+            assert _written(report_to_json, value) == compiled
+        return compiled
+
     @given(value=WRITER_VALUES)
+    @example(value=["[ ] { } ,", '": "', '\\"', "\\\\", '\\\\"', {'", [': ['\\"', {}, "a\\"]}])
+    @example(value=[[]])
+    @example(value={"a": {}})
+    @example(value=[])
+    @example(value={})
+    @example(value="]")
+    @example(value=-2.5e-300)
+    @example(value=None)
+    @example(value=True)
+    @example(value=_nested(40))
     @example(value=_compressed_both_report())
     @example(value=[{1: 0}, {1.0: 0}, {True: 0}, {"1": 0}, {0.0: 0}, {-0.0: 0}, {None: 0}])
     @example(value=[[1, 2], {3: 4}, (5, 6, 7), {(3,): 4}])
@@ -284,7 +340,27 @@ class TestWriterParity:
     @settings(max_examples=500, deadline=None)
     def test_matches_json_dumps_indent_2(self, value):
         expected = _written(lambda v: json.dumps(v, indent=2, allow_nan=False) + "\n", value)
-        assert _written(report_to_json, value) == expected
+        got = self._both_backends(value)
+        if isinstance(expected, str):
+            assert got == expected
+        else:  # json's indented encoder words its float error differently
+            assert got[0] == expected[0]
+
+    # The errors as json's C encoder words them.
+    @pytest.mark.parametrize("value, error", [
+        ([1.0, math.nan], (ValueError, "Out of range float values are not JSON compliant")),
+        ({"a": -math.inf}, (ValueError, "Out of range float values are not JSON compliant")),
+        ({(1,): 0}, (TypeError, "keys must be str, int, float, bool or None, not tuple")),
+        ([{1, 2}], (TypeError, "Object of type set is not JSON serializable")),
+        (_cycle(), (ValueError, "Circular reference detected")),
+        pytest.param([10**5000], (ValueError, "Exceeds the limit (4300 digits) for integer "
+                     "string conversion; use sys.set_int_max_str_digits() to increase the limit"),
+                     marks=pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                              reason="this Python writes integers of any length"),
+                     id="huge-int"),
+    ], ids=["nan", "inf", "tuple-key", "set", "cycle", None])
+    def test_errors_keep_their_type_and_text(self, value, error):
+        assert self._both_backends(value) == error
 
     def test_circular_reference_rejected(self):
         loop = {"a": [1]}
