@@ -76,7 +76,7 @@ report = build_report(
     text_layer=8,
     total_layers=32,
 )
-(root / "report.json").write_text(report_to_json(report))
+(root / "report.json").write_bytes(report_to_json(report).encode())
 print(f"effective tokens: {report['effectiveTokens']:.1f} "
       f"({100 * report['effectiveTokens'] / 576:.1f}% of input)")
 print(f"report written to {root / 'report.json'}")

@@ -44,15 +44,11 @@ pairwise sum. :meth:`Kernel.attention` is the text stage's per-head scaled
 softmax, one C call for all heads. :meth:`Kernel.route` is the vision
 stage's whole routing pass in one C call, ``vtc_route``, with the bits of
 :mod:`vtcompress.vision`'s numpy core: it pools each region straight from
-the map (a mean is ``0.0`` plus each token in row-major order for C > 1,
-``0.0`` plus numpy's pairwise sum of the region for C = 1, then divided by
-``w * w``; a max keeps the later of two equal values in row-major order,
-as ``vision.max_pool`` does, so of ``+0.0`` and ``-0.0`` the later wins),
-forms the scores and the logits with
-``vtc_matmul``, adds the bias, takes each region's first maximum (or the
-forced scale), runs the row pass with a scale of 1.0 and max-pools only
-the chosen scale's tokens. :meth:`Step.raise_for_softmax` turns the
-statuses of any of these softmax passes into ``numeric.softmax``'s errors.
+the map, by the mean and max rules that module gives, forms the scores and
+the logits with ``vtc_matmul``, adds the bias, takes each region's first
+maximum (or the forced scale), runs the row pass with a scale of 1.0 and
+max-pools only the chosen scale's tokens. :meth:`Step.raise_for_softmax`
+turns the statuses of these softmax passes into ``numeric.softmax``'s errors.
 
 :meth:`Kernel.history` writes the training log's whole ``history`` member
 in one C call, ``vtc_history``: the framing, indentation and step numbers of
@@ -88,12 +84,8 @@ published with an atomic rename, so another process sees no file or a whole
 one, and the build then deletes the modules of other sources and the logs
 of failed builds in that directory. :func:`load` returns ``None`` when cffi
 or a C compiler is missing, the directory is not writable, the build fails,
-or the kernel gives other bits than the scalar loop, the numpy softmax and
-exponential, ``ndarray.sum``, numpy's elementwise arithmetic or the numpy
-routing core on a probe, or other bytes than ``json.dumps(indent=2)`` on
-:data:`REPR_PROBES` laid out as a training log and on :data:`INDENT_PROBES`,
-or than :func:`vtcompress.formats.export_heatmap`'s ``%d`` template on
-pixels of one to three digits. A failed build leaves its
+or the kernel gives other bits or bytes than the numpy code it replaces on
+one of the probes that :func:`_exact` lists. A failed build leaves its
 output in ``<module name>.failed.log`` next to where the module would be,
 and no later process tries that build again until the log is deleted;
 otherwise every process would pay for a doomed build.

@@ -72,7 +72,7 @@ from .training import (
     train_selector,
 )
 from .vision import (
-    RegionSelection,
+    RegionRouting,
     compress_inference,
     default_menu,
     init_selector_params,
@@ -140,10 +140,10 @@ def _project_keys(tokens: np.ndarray, heads: int, head_dim: int, seed: int) -> n
 
 
 def _region_importance_grid(
-    selections: list[RegionSelection], scores: np.ndarray, menu, region_grid
+    selections: RegionRouting, scores: np.ndarray, menu, region_grid
 ) -> np.ndarray:
     """Mean emitted-token importance per region, upsampled to the map grid."""
-    counts = np.array([sel.token_count for sel in selections])
+    counts = RegionRouting.of(selections, menu).counts
     starts = np.cumsum(counts) - counts
     means = np.zeros(counts.size)
     for n in set(menu.token_counts) - {0}:  # one gather per token count

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import numeric
 from .textsampler import SelectionResult
-from .vision import RegionSelection, ScaleMenu, routing_stats
+from .vision import RegionRouting, RegionSelection, ScaleMenu, routing_stats
 
 __all__ = [
     "effective_token_count",
@@ -63,16 +63,10 @@ def _effective(input_tokens: int, after_vision: int, total_layers: int, text=Non
     return effective_token_count(after_vision, after_vision - kept, layer, total_layers)
 
 
-def _stacked(selections: Sequence[RegionSelection]) -> tuple[np.ndarray, np.ndarray]:
-    """Chosen scales (M,) and probabilities (M, S) of a selection list."""
-    if not selections:
-        raise ValueError("no selections")
-    return np.array([sel.scale for sel in selections]), np.array([sel.probs for sel in selections])
-
-
 def scale_histogram(selections: Sequence[RegionSelection]) -> np.ndarray:
     """Empirical selection frequency per scale: f_i = count(scale == i) / M."""
-    return routing_stats(*_stacked(selections))[0]
+    routing = RegionRouting.of(selections)
+    return routing_stats(routing.scales, routing.probs)[0]
 
 
 def build_report(
@@ -89,10 +83,10 @@ def build_report(
 ) -> dict:
     """Assemble a schema-stable compression report.
 
-    Vision fields come from ``selections``/``menu``; text fields from
-    ``text_selection`` (selected at ``text_layer``); heuristic runs report
-    kept counts only. The counts are checked and the effective token count
-    computed by ``_effective``.
+    Vision fields come from ``selections`` (see :meth:`RegionRouting.of`)
+    and ``menu``; text fields from ``text_selection`` (selected at
+    ``text_layer``); heuristic runs report kept counts only. The counts are
+    checked and the effective token count computed by ``_effective``.
     """
     if strategy not in ("vision", "text", "both", "heuristic"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -108,26 +102,21 @@ def build_report(
     if strategy in ("vision", "both"):
         if selections is None or menu is None:
             raise ValueError(f"strategy {strategy!r} needs selections and a menu")
-        counts = menu.token_counts
-        after_vision = sum(counts[sel.scale] for sel in selections)
-        declared = sum(sel.token_count for sel in selections)
-        if declared != after_vision:
-            raise ValueError(
-                f"selection token counts ({declared}) disagree with the menu ({after_vision})"
-            )
+        routing = RegionRouting.of(selections, menu)
+        after_vision = int(routing.counts.sum())
         report["window"] = menu.window
         report["menu"] = [
             {"kernel": None if s.discard else list(s.kernel), "tokens": int(c)}
-            for s, c in zip(menu.scales, counts)
+            for s, c in zip(menu.scales, menu.token_counts)
         ]
         report["afterVision"] = after_vision
-        scales, probs = _stacked(selections)
-        f, p = routing_stats(scales, probs)
+        f, p = routing_stats(routing.scales, routing.probs)
         report["scaleFrequencies"] = f.tolist()
         report["meanProbs"] = p.tolist()
         report["selections"] = [
-            {"region": sel.region, "scale": sel.scale, "tokens": sel.token_count, "top1Prob": top1}
-            for sel, top1 in zip(selections, probs[np.arange(len(scales)), scales].tolist())
+            {"region": r, "scale": j, "tokens": n, "top1Prob": top1}
+            for r, (j, n, top1) in enumerate(zip(routing.scales.tolist(), routing.counts.tolist(),
+                                                 routing.top1_probs.tolist()))
         ]
     else:
         report.update(window=None, menu=None, afterVision=after_vision,

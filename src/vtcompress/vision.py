@@ -7,31 +7,27 @@ the region against the global tokens and picks one scale. Global tokens, an
 :func:`flatten_grid`, in every sampler that reads them; callers hand over
 the grid they read, not rows of their own.
 Inference emits the max-pooled tokens of the winning scale in one routing
-pass; the training variant runs that pass and multiplies each emitted token
-by the winning softmax probability so the selector parameters stay on the
-gradient path.
+pass, and every region's scale as arrays (:class:`RegionRouting`); training
+runs that pass and multiplies each emitted token by the winning softmax
+probability so the selector parameters stay on the gradient path.
 
 The routing pass has two backends that write the same bits. When the
-compiled kernel loads (``numeric._product_kernel``), :func:`compress_inference`
-checks its inputs here and then runs the whole pass in one C call,
-:meth:`vtcompress._kernel.Kernel.route`: it pools each region straight from
-the map, forms the scores and logits with the k-ordered product, takes each
-region's first maximum, runs the softmax's row pass and writes only the
-chosen scale's tokens. Otherwise the numpy routing core below runs, and the
-tests take it as the reference. Both keep the same rules: a region's mean is
-``0.0`` plus each token in row-major order for C > 1, and ``0.0`` plus
-numpy's pairwise sum of the region for C = 1, divided by ``w * w``; a max
-keeps the later of two equal values, so of ``+0.0`` and ``-0.0`` the later
-one in row-major order wins. The numpy core takes its maxima through
-:func:`max_pool`, which folds each cell in row-major order, because which
-zero numpy's own max reductions keep depends on the SIMD code they dispatch.
+compiled kernel loads (``numeric._product_kernel``),
+:func:`compress_inference` checks its inputs here and then runs the whole
+pass in one C call, :meth:`vtcompress._kernel.Kernel.route`. Otherwise the
+numpy routing core below runs, and the tests take it as the reference. Both
+keep the same rules: a region's mean is ``0.0`` plus each token in row-major
+order for C > 1, and ``0.0`` plus numpy's pairwise sum of the region for
+C = 1, divided by ``w * w``; a max keeps the later of two equal values, so of
+``+0.0`` and ``-0.0`` the later one in row-major order wins, whatever SIMD
+code numpy dispatches (see :func:`max_pool`).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +45,7 @@ __all__ = [
     "params_to_array",
     "params_from_array",
     "RegionSelection",
+    "RegionRouting",
     "flatten_grid",
     "partition",
     "region_scores",
@@ -211,6 +208,48 @@ class RegionSelection:
         return float(self.probs[self.scale])
 
 
+@dataclass(frozen=True, eq=False)
+class RegionRouting(Sequence):
+    """Every region's chosen scale ``scales`` (M,), ``probs`` (M, S) and token
+    ``counts`` (M,), region r in row r; its items are :class:`RegionSelection` views."""
+
+    scales: np.ndarray
+    probs: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, selections, menu: ScaleMenu | None = None) -> RegionRouting:
+        """``selections``, a routing or a list of :class:`RegionSelection` of regions
+        0..M-1 in order, as one routing whose counts match ``menu``'s, if given."""
+        if not len(selections):
+            raise ValueError("no selections")
+        if not isinstance(selections, cls):
+            regions = [sel.region for sel in selections]
+            if regions != list(range(len(regions))):
+                raise ValueError(f"selection regions {regions} do not run 0..{len(regions) - 1}")
+            selections = cls(*(np.array([getattr(sel, f) for sel in selections])
+                               for f in ("scale", "probs", "token_count")))
+        if menu is not None:
+            expected = np.asarray(menu.token_counts)[selections.scales]
+            if not np.array_equal(selections.counts, expected):
+                raise ValueError(f"selection token counts ({int(selections.counts.sum())}) "
+                                 f"disagree with the menu ({int(expected.sum())})")
+        return selections
+
+    @property
+    def top1_probs(self) -> np.ndarray:
+        return self.probs[np.arange(len(self)), self.scales]
+
+    def __len__(self) -> int:
+        return len(self.scales)
+
+    def __getitem__(self, index):
+        r = range(len(self))[index]
+        if isinstance(r, range):
+            return [self[i] for i in r]
+        return RegionSelection(r, int(self.scales[r]), self.probs[r], int(self.counts[r]))
+
+
 def flatten_grid(grid) -> np.ndarray:
     """Global tokens as (Ng, C) rows: an (H, W, C) grid flattened row-major, rows as given."""
     g = as_tensor(grid)
@@ -370,20 +409,18 @@ def compress_inference(
     *,
     pool: str = "mean",
     force_scales: int | Sequence[int] | None = None,
-) -> tuple[np.ndarray, list[RegionSelection]]:
+) -> tuple[np.ndarray, RegionRouting]:
     """Compress a feature map region by region.
 
     Each region is max-pooled by its selected scale and the resulting tokens
     are flattened row-major, regions concatenated in row-major region order.
-    Returns the (total_tokens, C) token matrix and the per-region selections.
+    Returns the (total_tokens, C) token matrix and the :class:`RegionRouting`.
 
     ``force_scales`` overrides the selector's argmax (one index for all
     regions, or one per region); probabilities are still reported. This is a
     diagnostic hook for lossless-path checks and fixed-split accounting.
 
-    Every input is checked before the routing pass runs, ``force_scales``
-    last. The pass is one call of the compiled kernel when it loads, else
-    the numpy routing core; both write the same bits.
+    Every input is checked before the routing pass runs, ``force_scales`` last.
     """
     g = flatten_grid(global_tokens)
     fm = _checked_map(feature_map, menu.window)
@@ -410,32 +447,20 @@ def compress_inference(
         _, probs, chosen = route(region_scores(blocks, g, pool), params, menu)
         chosen = chosen if forced is None else forced
         tokens = emit_tokens(scale_variants(blocks, menu), chosen)
-    counts = menu.token_counts
-    return tokens, [
-        RegionSelection(r, j, probs[r], counts[j]) for r, j in enumerate(chosen.tolist())
-    ]
+    return tokens, RegionRouting(chosen, probs, np.asarray(menu.token_counts)[chosen])
 
 
 def compress_training(
-    feature_map,
-    global_tokens,
-    params: SelectorParams,
-    menu: ScaleMenu,
-    *,
-    pool: str = "mean",
-    force_scales: int | Sequence[int] | None = None,
-) -> tuple[np.ndarray, list[RegionSelection]]:
+    feature_map, global_tokens, params: SelectorParams, menu: ScaleMenu, **options
+) -> tuple[np.ndarray, RegionRouting]:
     """Differentiable-path variant: each region's tokens scaled by its top-1 probability.
 
-    Selection is that of :func:`compress_inference`, which this wraps; only
-    the emitted values differ, satisfying
-    ``weighted[r] == top1_prob(r) * inference[r]`` exactly.
+    Selection is that of :func:`compress_inference`, which this runs with
+    ``options`` (``pool``, ``force_scales``); only the emitted values differ,
+    satisfying ``weighted[r] == top1_prob(r) * inference[r]`` exactly.
     """
-    tokens, selections = compress_inference(
-        feature_map, global_tokens, params, menu, pool=pool, force_scales=force_scales
-    )
-    top1 = [sel.probs[sel.scale] for sel in selections]
-    return tokens * np.repeat(top1, [sel.token_count for sel in selections])[:, None], selections
+    tokens, routing = compress_inference(feature_map, global_tokens, params, menu, **options)
+    return tokens * np.repeat(routing.top1_probs, routing.counts)[:, None], routing
 
 
 def upsample_regions(values, window: int) -> np.ndarray:
@@ -447,11 +472,9 @@ def selection_heatmap(
     selections: Sequence[RegionSelection], menu: ScaleMenu, region_grid: tuple[int, int]
 ) -> np.ndarray:
     """Per-pixel kept-token fraction: each region's w x w patch is filled with
-    token_count / w^2 of the scale chosen there."""
+    token_count / w^2 of the scale chosen there (:meth:`RegionRouting.of`)."""
     rows, cols = region_grid
     if rows * cols != len(selections):
         raise ValueError(f"region grid {region_grid} does not hold {len(selections)} selections")
-    kept = np.zeros(rows * cols)
-    kept[[sel.region for sel in selections]] = [sel.token_count for sel in selections]
-    w = menu.window
-    return upsample_regions(kept.reshape(rows, cols) / float(w * w), w)
+    kept = RegionRouting.of(selections, menu).counts / float(menu.window * menu.window)
+    return upsample_regions(kept.reshape(rows, cols), menu.window)

@@ -22,9 +22,10 @@ from vtcompress.report import (
     scale_histogram,
 )
 from vtcompress.textsampler import SelectionResult
-from vtcompress.vision import RegionSelection, default_menu
+from vtcompress.vision import RegionSelection, default_menu, selection_heatmap
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def make_selections(scale_per_region, menu):
@@ -172,6 +173,21 @@ class TestBuildReport:
         with pytest.raises(ValueError, match="disagree"):
             build_report(strategy="vision", input_tokens=16, menu=menu, selections=bad)
 
+    def test_regions_out_of_order_rejected(self):
+        """A selection list is region 0, 1, ..., M-1 in order: two selections of
+        region 0 would be counted twice in the report and leave region 1 blank
+        in the heatmap."""
+        menu = default_menu(4)
+        probs = softmax(np.zeros(3))
+        bad = [RegionSelection(0, 0, probs, 1), RegionSelection(0, 2, probs, 16)]
+        match = r"selection regions \[0, 0\] do not run 0\.\.1"
+        with pytest.raises(ValueError, match=match):
+            build_report(strategy="vision", input_tokens=32, menu=menu, selections=bad)
+        with pytest.raises(ValueError, match=match):
+            selection_heatmap(bad, menu, (1, 2))
+        with pytest.raises(ValueError, match=match):
+            scale_histogram(bad)
+
     @pytest.mark.parametrize("strategy", ["vision", "text", "both", "heuristic"])
     @pytest.mark.parametrize("total_layers", [0, -3])
     def test_total_layers_below_one_rejected(self, strategy, total_layers):
@@ -239,11 +255,11 @@ def test_indented_json_only_in_report():
 
 
 def test_files_written_as_bytes():
-    """No module under src/ calls ``write_text``, which encodes with the
-    locale's codec and, on Windows, writes each newline as CRLF: every file
-    is written as the bytes of its text, the same on every platform."""
+    """No module under src/ and no demo calls ``write_text``, which encodes
+    with the locale's codec and, on Windows, writes each newline as CRLF:
+    every file is written as the bytes of its text, the same on every platform."""
     found = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted([*SRC.rglob("*.py"), *(ROOT / "demos").glob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "write_text"):

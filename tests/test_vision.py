@@ -1,11 +1,14 @@
 import itertools
 import re
+import tempfile
 
 import numpy as np
 import pytest
 
-from vtcompress import numeric, vision
+from vtcompress import cli, numeric, vision
+from vtcompress.formats import SyntheticConfig, gen_synthetic, read_tensor
 from vtcompress.numeric import matmul, softmax
+from vtcompress.report import build_report, report_to_json, scale_histogram
 from vtcompress.training import prepare_batch
 from vtcompress.vision import (
     RegionSelection,
@@ -460,7 +463,8 @@ def route_cases():
     zeros that tie in the 2x2, 4x2 and whole-region cells in both orders:
     +0.0 then -0.0, and -0.0 then +0.0. Then logits that tie (the first
     maximum wins), maps whose logits overflow, and one of them with a forced
-    scale out of range, which is checked first.
+    scale out of range, which is checked first. Last, the seed fixture of
+    ``vtcompress gen`` at three seeds, routed by the selector of the same seed.
     """
     menus = {"3branch": default_menu(4), "7branch": seven_branch_menu(4),
              "3branch-w8": default_menu(8), "retain-discard": retain_discard_menu()}
@@ -489,15 +493,37 @@ def route_cases():
     yield "overflow-forced-out-of-range", (
         fm * 1e200, g, SelectorParams(weight * 1e200, np.zeros(3)), default_menu(4)
     ), dict(force_scales=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in (0, 1, 2):
+            paths = gen_synthetic(SyntheticConfig(seed=seed), f"{tmp}/{seed}")["paths"]
+            fm, g = read_tensor(paths["x"])[0], read_tensor(paths["xg"])[0]
+            params = init_selector_params(3, 36, seed=seed)
+            yield f"fixture-seed{seed}", (fm, g, params, default_menu(4)), {}
+
+
+def routing_readings(tokens, selections, fm, menu):
+    """The report bytes, scale histogram and heatmaps that ``selections`` of
+    ``fm``'s routing give, the importance heatmap from each token's sum."""
+    grid = (fm.shape[0] // menu.window, fm.shape[1] // menu.window)
+    report = build_report(strategy="vision", input_tokens=fm.shape[0] * fm.shape[1],
+                          menu=menu, selections=selections)
+    return (report_to_json(report), scale_histogram(selections).tobytes(),
+            selection_heatmap(selections, menu, grid).tobytes(),
+            cli._region_importance_grid(selections, tokens.sum(axis=1), menu, grid).tobytes())
 
 
 def route_outcome(args, kwargs):
-    """``compress_inference``'s tokens, scales and probabilities as bytes, or its error's text."""
+    """``compress_inference``'s tokens, scales and probabilities as bytes, or its
+    error's text, after checking that its routing and the list of its
+    selections read the same (``routing_readings``)."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # the numpy core's overflow
             tokens, selections = compress_inference(*args, **kwargs)
     except ValueError as exc:
         return str(exc)
+    fm, menu = args[0], args[3]
+    assert routing_readings(tokens, selections, fm, menu) == routing_readings(
+        tokens, list(selections), fm, menu)
     probs = np.array([s.probs for s in selections])
     return tokens.shape, tokens.tobytes(), [s.scale for s in selections], probs.tobytes()
 
