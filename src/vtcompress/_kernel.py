@@ -104,7 +104,7 @@ from pathlib import Path
 import numpy as np
 
 from .numeric import EXP_CONSTANTS, _exp_numpy, _k_loop, _softmax
-from .formats import _pgm_rows
+from .formats import _pgm_rows, write_bytes
 from .report import _dumps
 from .vision import default_menu, emit_tokens, max_pool, partition, scale_variants
 
@@ -1456,7 +1456,7 @@ def _build(name: str, source: str, cache_dir: Path, path: Path, failed: Path) ->
                 capture_output=True, text=True, timeout=BUILD_TIMEOUT_S, check=True,
             )
         except subprocess.SubprocessError as exc:
-            failed.write_bytes(f"{exc}\n{exc.stdout or ''}{exc.stderr or ''}".encode())
+            write_bytes(failed, f"{exc}\n{exc.stdout or ''}{exc.stderr or ''}".encode())
             raise OSError(f"building the product kernel failed: {exc}") from exc
     suffix = path.name[len(name):]
     for stale in [*cache_dir.glob("_vtcompress_kernel_*" + suffix),

@@ -19,17 +19,17 @@ text, and exits 0. A file that cannot be read or written for any other
 reason (a directory, no permission) also exits 3.
 
 The parser is built on the first ``main`` call and reused by every later
-call in the process, which matters to callers that run ``main`` many times.
-A command line that starts with a subcommand is parsed by that subcommand's
-parser alone, so a flag it does not know is reported as
-``vtcompress compress: unrecognized arguments: ...``; every other command
-line (``--config``, ``-h``, an unknown command) goes through the top-level
-parser.
-``--config`` goes before the subcommand. Its file is read only once the
-command line parses, so a usage error wins over a bad config. Its values
-seed a re-parse of the subcommand's own tokens, so flags win over them; the
-shared parser never changes, so they apply to their own call only and calls
-from several threads at once are safe.
+one, also from several threads at once: nothing changes it. A command line
+that starts with a subcommand is parsed by that subcommand's parser alone
+(``vtcompress compress: unrecognized arguments: ...``), from its actions
+without argparse when its tokens are only exact ``--flag value`` pairs
+(``_parse_pairs``). Everything else (``-h``, an abbreviated flag,
+``--flag=value``, a value that starts with ``-``, a usage error, a command
+line that starts with ``--config`` or is no command) goes through argparse,
+with unchanged behaviour and text. ``--config`` goes before the subcommand.
+Its file is read only once the command line parses, so a usage error wins
+over a bad config. Its values seed a re-parse of the subcommand's own
+tokens, so flags win over them and they apply to their own call only.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .formats import (
     export_heatmap,
     gen_synthetic,
     read_tensor,
+    write_bytes,
     write_tensor,
 )
 from .heuristic import heuristic_importance, heuristic_topk
@@ -104,7 +105,7 @@ def _emit(payload: dict, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_bytes(text.encode())
+        write_bytes(out, text.encode())
 
 
 def _read_checked(path: str, expected_magic: str) -> np.ndarray:
@@ -115,9 +116,9 @@ def _read_checked(path: str, expected_magic: str) -> np.ndarray:
 
 
 def _read_json(path: str):
-    """The JSON value in ``path``; nesting too deep to parse is a ``ValueError``."""
+    """The JSON value in the UTF-8 file ``path``; a BOM or deep nesting is a ``ValueError``."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
@@ -155,15 +156,10 @@ def _region_importance_grid(
 def _train_log(summary: dict, run) -> bytes | bytearray:
     """The bytes of ``report_to_json(log)`` for the summary plus a ``history``
     entry ``{"step", "loss", "f", "p"}`` per step, raising its ``ValueError``
-    on a non-finite value.
-
-    The head is the summary from ``report_to_json``; the history is laid out
-    apart from it, as json writes finite floats, which beats
-    ``report_to_json`` over ~3,500 floats. With the compiled kernel
-    loaded, one C call (:meth:`Kernel.history`) writes the whole history,
-    reprs included, after the head in one buffer. Otherwise one columnar
-    template is filled once with the step numbers and ``repr`` of each value.
-    """
+    on a non-finite value. Only the head goes through ``report_to_json``: the
+    ~3,500 finite floats of the history are laid out by one C call
+    (:meth:`Kernel.history`) or, without the kernel, by one columnar template
+    filled with the step numbers and the ``repr`` of each value."""
     head = report_to_json(summary)
     values = np.column_stack([run.losses, run.f_history, run.p_history])
     finite = np.isfinite(values)
@@ -325,7 +321,7 @@ def cmd_train(args) -> int:
         "collapsed": run.collapsed,
     }
     if args.log:
-        Path(args.log).write_bytes(_train_log(summary, run))
+        write_bytes(args.log, _train_log(summary, run))
     summary["paramsFile"] = args.out_params
     _emit(summary, "-")
     return 0
@@ -530,6 +526,46 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
+@functools.cache
+def _pair_flags(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """``parser``'s exact long options whose action stores or appends one value."""
+    return {option: action for action in parser._actions if action.nargs is None
+            and type(action) in (argparse._StoreAction, argparse._AppendAction)
+            for option in action.option_strings if option.startswith("--")}
+
+
+def _parse_pairs(parser, tokens: list[str], namespace) -> argparse.Namespace | None:
+    """``parser.parse_args(tokens, namespace)`` for ``tokens`` that are only
+    :func:`_pair_flags` pairs with every required flag, each value ``-`` or not
+    starting with ``-`` and of its flag's type and choices; else None. Fills a copy
+    of ``namespace`` in argparse's order; ``namespace`` itself is left as it was."""
+    flags, seen = _pair_flags(parser), set()
+    args = argparse.Namespace(**vars(namespace))
+    defaults = [(a.dest, a.default) for a in parser._actions if a.default is not argparse.SUPPRESS]
+    for dest, value in defaults + list(parser._defaults.items()):
+        if dest is not argparse.SUPPRESS and not hasattr(args, dest):
+            setattr(args, dest, value)
+    for flag, text in zip(tokens[::2], tokens[1::2]):
+        action = flags.get(flag)
+        if action is None or (text.startswith("-") and text != "-"):
+            return None
+        try:
+            value = (action.type or str)(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        action(parser, args, value, flag)
+        seen.add(action)
+    if len(tokens) % 2 or any(a.required and a not in seen for a in parser._actions):
+        return None
+    for action in parser._actions:
+        if (action not in seen and isinstance(action.default, str)
+                and getattr(args, action.dest, None) is action.default):
+            setattr(args, action.dest, (action.type or str)(action.default))
+    return args
+
+
 def _config_overrides(path: str, command: argparse.ArgumentParser) -> dict[str, object]:
     """The ``--config`` file at ``path``, checked against the subcommand parser
     ``command`` and keyed by argparse dest.
@@ -579,15 +615,17 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         if argv and argv[0] in commands:  # the subcommand's parser alone: half the parse time
+            command, tokens = commands[argv[0]], argv[1:]
             namespace = argparse.Namespace(command=argv[0], config=None)
-            args = commands[argv[0]].parse_args(argv[1:], namespace)
+            args = _parse_pairs(command, tokens, namespace) or command.parse_args(tokens, namespace)
         else:
             args = parser.parse_args(argv)
         if args.config:  # flags overwrite config values; defaults fill only the rest
             command = commands[args.command]
             namespace = argparse.Namespace(command=args.command,
                                            **_config_overrides(args.config, command))
-            args = command.parse_args(args.own_tokens, namespace)
+            tokens = args.own_tokens
+            args = _parse_pairs(command, tokens, namespace) or command.parse_args(tokens, namespace)
         return args.func(args)
     except _UsageError as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))

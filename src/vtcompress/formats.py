@@ -20,6 +20,7 @@ are f32-representable (everything this package writes is).
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +43,7 @@ __all__ = [
     "NonFiniteDataError",
     "read_tensor",
     "write_tensor",
+    "write_bytes",
     "export_heatmap",
     "STRUCTURES",
     "SyntheticConfig",
@@ -54,6 +56,7 @@ MAGIC_SELECTOR = "SELW"
 
 _VERSION = 1
 _HEADER = struct.Struct("<4sII")
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)  # no CRLF
 
 # allowed dim counts per magic
 _NDIMS = {MAGIC_FEATURE_MAP: (3,), MAGIC_ATTENTION: (3, 4), MAGIC_SELECTOR: (2,)}
@@ -95,6 +98,20 @@ def _check_dims(magic: str, dims: tuple[int, ...]) -> None:
         raise DimsMismatchError(f"dims must be positive, got {dims}")
 
 
+def write_bytes(path, *parts) -> None:
+    """Replace the file at ``path`` with the bytes-like ``parts`` by one ``os.open``,
+    ``os.write`` until all is out and one ``os.close``, raising ``open(path, "wb")``'s
+    ``OSError``. Every file this package writes goes through here."""
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        for part in parts:
+            view = memoryview(part).cast("B")
+            while view:
+                view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
 def write_tensor(path, tensor, magic: str) -> None:
     """Write ``tensor`` to ``path`` in the binary format above.
 
@@ -109,10 +126,8 @@ def write_tensor(path, tensor, magic: str) -> None:
     if not np.isfinite(payload).all():
         raise ValueError(f"tensor holds values beyond float32's range (largest magnitude "
                          f"{float(np.abs(arr).max())!r}), which cannot be written")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(magic.encode("ascii"), _VERSION, arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(payload.tobytes())
+    head = struct.pack(f"<4sII{arr.ndim}I", magic.encode("ascii"), _VERSION, arr.ndim, *arr.shape)
+    write_bytes(path, head, payload.view(np.uint8))  # no copy, which would double the peak
 
 
 def read_tensor(path) -> tuple[np.ndarray, str]:
@@ -182,11 +197,11 @@ def export_heatmap(values, fmt: str, path) -> None:
             pixels = np.zeros((h, w), dtype=np.uint8)
         head = f"P2\n{w} {h}\n255\n".encode()
         kernel = numeric._product_kernel()
-        Path(path).write_bytes(head + _pgm_rows(pixels) if kernel is None
-                               else kernel.pgm(head, pixels))
+        write_bytes(path, head + _pgm_rows(pixels) if kernel is None
+                    else kernel.pgm(head, pixels))
     elif fmt == "csv":
-        Path(path).write_bytes("".join(",".join(map(repr, row)) + "\n"
-                                       for row in grid.tolist()).encode())
+        write_bytes(path, "".join(",".join(map(repr, row)) + "\n"
+                                  for row in grid.tolist()).encode())
     else:
         raise ValueError(f"unknown heatmap format {fmt!r} (use 'pgm' or 'csv')")
 

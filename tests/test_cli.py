@@ -1,6 +1,14 @@
+import argparse
 import ast
+import contextlib
+import importlib.util
+import io
 import json
 import math
+import os
+import shlex
+import subprocess
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -1322,3 +1330,232 @@ class TestFuzzedInputs:
         path.write_text(json.dumps(config))
         assert_contract(*run(capsys, "--config", str(path), "compress", "--map", fixtures["x"],
                              "--global", fixtures["xg"], "--q", fixtures["q"]))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = build_parser()[1]
+
+
+def _argparse(command, tokens, namespace):
+    """``command.parse_args(tokens, namespace)``, or None where argparse rejects
+    the command line or prints its help."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return command.parse_args(tokens, namespace)
+    except (cli._UsageError, SystemExit):
+        return None
+
+
+def _valid_values(action):
+    """Value tokens ``action`` accepts, if it takes one."""
+    if action is None or action.nargs == 0:
+        return st.nothing()
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        return st.integers(0, 99).map(str)
+    if action.type is float:
+        return st.floats(0, 10).map(repr)
+    return st.sampled_from(["a", "x.fmap", "0.5,0.5"])
+
+
+# Values of every kind a command line might give a flag, valid or not.
+VALUE_TOKENS = (
+    st.sampled_from(sorted({c for p in COMMANDS.values() for a in p._actions
+                            for c in a.choices or ()}))
+    | st.integers(-10**6, 10**6).map(str)
+    | st.floats().map(repr)
+    | st.sampled_from(["-", "", "-x", "--", "-1", "-1.5", "-inf", "nan", "1e999", " 3",
+                       "3_0", "\uff13", "-h", "--out", "a b", "a=b"])
+    | st.text(max_size=5)
+)
+
+
+@st.composite
+def command_lines(draw):
+    """(subcommand, its tokens, a starting namespace, whether argparse must
+    accept the tokens) drawn from ``build_parser()``'s actions.
+
+    A line starts as exact ``--flag value`` pairs that argparse accepts (the
+    required flags, usually, and a few others), then up to two edits: a flag
+    becomes another token (a prefix, ``--flag=value``, ``-h``, an unknown
+    flag), a value becomes a value of any kind, a pair of those is put in, or a
+    token is dropped. The namespace may hold ``--config`` values already."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    command = COMMANDS[name]
+    options = sorted(o for a in command._actions for o in a.option_strings)
+    longs = [o for o in options if o.startswith("--")]
+    flags = (st.sampled_from(options)
+             | st.sampled_from(sorted({o[:n] for o in longs for n in range(3, len(o))}))
+             | st.builds("{}={}".format, st.sampled_from(longs), VALUE_TOKENS)
+             | st.sampled_from(["-h", "--bogus", "--config", "-x", "--"]))
+    valued = [a for a in command._actions if a.nargs != 0]
+    actions = [a for a in valued if a.required and draw(st.integers(0, 9))]
+    actions += draw(st.lists(st.sampled_from(valued), max_size=4))
+    pairs = [(draw(st.sampled_from(a.option_strings)), draw(_valid_values(a)))
+             for a in draw(st.permutations(actions))]
+    tokens = [token for pair in pairs for token in pair]
+    edits = draw(st.integers(0, 2))
+    for _ in range(edits):
+        edit = draw(st.sampled_from(["flag", "value", "insert", "drop"]))
+        if edit == "insert" or not tokens:
+            at = 2 * draw(st.integers(0, len(tokens) // 2))
+            tokens[at:at] = [draw(flags), draw(VALUE_TOKENS)]
+        elif edit == "drop":
+            del tokens[draw(st.integers(0, len(tokens) - 1))]
+        else:
+            at = draw(st.integers(0, (len(tokens) - 1) // 2)) * 2 + (edit == "value")
+            if at < len(tokens):
+                tokens[at] = draw(flags if edit == "flag" else VALUE_TOKENS)
+    namespace = {"command": name, "config": None}
+    for action in draw(st.lists(st.sampled_from(valued), max_size=3)):
+        text = draw(_valid_values(action))
+        value = action.type(text) if action.type else text
+        namespace[action.dest] = [value] if isinstance(action, argparse._AppendAction) else value
+    return name, tokens, namespace, edits == 0 and all(a in actions for a in valued if a.required)
+
+
+class TestParsePairs:
+    """``_parse_pairs`` parses exact ``--flag value`` pairs as argparse does and
+    leaves every other command line to argparse. Parsing only: no command runs."""
+
+    @given(line=command_lines())
+    @settings(max_examples=600, deadline=None)
+    def test_agrees_with_argparse(self, line):
+        name, tokens, values, pairs = line
+        namespace = argparse.Namespace(**values)
+        fast = cli._parse_pairs(COMMANDS[name], tokens, namespace)
+        assert vars(namespace) == values  # left for argparse when fast is None
+        slow = _argparse(COMMANDS[name], tokens, argparse.Namespace(**values))
+        if pairs:
+            assert slow is not None and fast is not None
+        if slow is None:
+            assert fast is None
+        elif fast is not None:  # repr: a "nan" value is equal to itself there
+            assert repr(vars(fast)) == repr(vars(slow))
+
+    @staticmethod
+    def _pairs(argv):
+        """Whether ``argv`` is a subcommand and only exact ``--flag value`` pairs."""
+        command = COMMANDS.get(argv[0])
+        tokens = argv[1:]
+        return command is not None and len(tokens) % 2 == 0 and all(
+            flag.startswith("--") and flag in command._option_string_actions
+            and not (value.startswith("-") and value != "-")
+            for flag, value in zip(tokens[::2], tokens[1::2]))
+
+    @staticmethod
+    def _benchmark_command_lines() -> list[list[str]]:
+        spec = importlib.util.spec_from_file_location(
+            "vtcompress_benchmark_workloads", ROOT / "benchmarks" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses looks the module up
+        try:
+            spec.loader.exec_module(module)
+        finally:
+            del sys.modules[spec.name]
+        lines = []
+        for workload in module.WORKLOADS.values():
+            if workload.gen is not None:
+                lines.append(["gen", "--out", "inp", "--seed", "1", *workload.gen])
+            lines += workload.argv(Path("inp"), Path("out"), 1)
+        return lines
+
+    @staticmethod
+    def _readme_command_lines() -> list[list[str]]:
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()  # joins continued lines
+        return [argv[1:] for argv in map(shlex.split, lines) if argv[:1] == ["vtcompress"]]
+
+    def test_benchmark_command_lines_take_the_fast_path(self):
+        lines = self._benchmark_command_lines()
+        assert len(lines) == 7 and all(map(self._pairs, lines))
+        for argv in lines:
+            namespace = argparse.Namespace(command=argv[0], config=None)
+            assert cli._parse_pairs(COMMANDS[argv[0]], argv[1:], namespace) is not None, argv
+
+    def test_readme_command_lines_of_pairs_take_the_fast_path(self):
+        lines = [line for line in self._readme_command_lines() if self._pairs(line)]
+        assert len(lines) == 6
+        for argv in lines:
+            namespace = argparse.Namespace(command=argv[0], config=None)
+            assert cli._parse_pairs(COMMANDS[argv[0]], argv[1:], namespace) is not None, argv
+
+
+class TestWriter:
+    """Every output file goes through ``formats.write_bytes``."""
+
+    @staticmethod
+    def _outputs(fixtures, out: Path) -> dict[str, bytes]:
+        out.mkdir()
+        assert main(["gen", "--out", str(out / "fix"), "--height", "8", "--width", "8"]) == 0
+        assert main(["compress", "--strategy", "both", "--map", fixtures["x"],
+                     "--global", fixtures["xg"], "--q", fixtures["q"],
+                     "--out", str(out / "both.json"), "--heatmap-prefix", str(out / "hm_")]) == 0
+        assert main(["train", "--task", "scale-indifferent", "--steps", "20",
+                     "--out-params", str(out / "sel.selw"), "--log", str(out / "train.json")]) == 0
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file()}
+
+    def test_short_writes_give_the_same_bytes(self, fixtures, tmp_path, capsys, monkeypatch):
+        expected = self._outputs(fixtures, tmp_path / "whole")
+        real_write = os.write
+        calls = []
+
+        def short_write(fd, data):  # at most 7 bytes a call, as a pipe or a signal may cut it
+            calls.append(fd)
+            return real_write(fd, memoryview(data)[:7])
+
+        monkeypatch.setattr(os, "write", short_write)
+        got = self._outputs(fixtures, tmp_path / "short")
+        assert sorted(got) == ["both.json", "fix/k.attn", "fix/q.attn", "fix/x.fmap",
+                               "fix/xg.fmap", "hm_text.pgm", "hm_vision.pgm", "sel.selw",
+                               "train.json"]
+        assert got == expected
+        assert len(calls) >= sum(-(-len(data) // 7) for data in expected.values())
+
+    def test_heatmap_prefix_in_missing_directory(self, fixtures, tmp_path, capsys):
+        prefix = tmp_path / "missing" / "hm_"
+        code, _, err = run(capsys, "compress", "--strategy", "both", "--map", fixtures["x"],
+                           "--global", fixtures["xg"], "--q", fixtures["q"],
+                           "--out", str(tmp_path / "both.json"), "--heatmap-prefix", str(prefix))
+        with pytest.raises(OSError) as expected:
+            Path(f"{prefix}vision.pgm").write_bytes(b"")
+        assert (code, json.loads(err)) == (
+            3, {"error": "file-not-found", "message": str(expected.value)})
+
+    def test_train_log_pointed_at_a_directory(self, tmp_path, capsys):
+        code, _, err = run(capsys, "train", "--task", "scale-indifferent", "--steps", "3",
+                           "--log", str(tmp_path))
+        with pytest.raises(OSError) as expected:
+            tmp_path.write_bytes(b"")
+        assert (code, json.loads(err)) == (
+            3, {"error": "file-error", "message": str(expected.value)})
+
+
+@pytest.mark.parametrize("case", ["config", "report-in"])
+def test_json_inputs_are_utf8_whatever_the_locale(case, fixtures, tmp_path, capsys):
+    """A ``--config`` or ``report --in`` file is UTF-8 (RFC 8259) under any locale,
+    here the C locale with Python's UTF-8 mode off, whose codec is ASCII."""
+    if case == "config":
+        (tmp_path / "cfg.json").write_bytes('{"steps": "\uff13"}'.encode())  # a fullwidth 3
+        argv = ["--config", "cfg.json", "train", "--task", "scale-indifferent"]
+    else:
+        report = run_json(capsys, "compress", "--strategy", "text", "--map", fixtures["x"],
+                          "--q", fixtures["q"], "--k", fixtures["k"])
+        report["note"] = "s\u00e9lection"
+        (tmp_path / "rep.json").write_bytes(json.dumps(report, ensure_ascii=False).encode())
+        argv = ["report", "--in", "rep.json", "--layer", "16"]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUTF8"}
+    env["LC_ALL"] = "C"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "vtcompress.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    out = json.loads(proc.stdout)
+    if case == "config":
+        assert out["steps"] == 3
+    else:
+        assert out["note"] == "s\u00e9lection" and out["textSelection"]["layer"] == 16

@@ -1,6 +1,8 @@
+import ast
 import math
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,3 +365,22 @@ class TestSynthetic:
             SyntheticConfig(height=0)
         with pytest.raises(ValueError):
             SyntheticConfig(structure="spiral")
+
+
+def test_every_file_written_by_write_bytes():
+    """Under src/ only ``formats.write_bytes`` opens a file to write: no other
+    call to ``os.open``, ``os.write``, ``Path.open`` or ``Path.write_bytes``,
+    and the one ``open`` reads."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_bytes(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Attribute) and node.func.attr in ("open", "write",
+                                                                           "write_bytes"):
+                found.append(f"{path.name}:{ast.unparse(node.func)}")
+            elif isinstance(node.func, ast.Name) and node.func.id == "open":
+                found.append(f"{path.name}:{ast.unparse(node)}")
+    assert sorted(found) == ["cli.py:sys.stdout.write", "formats.py:open(path, 'rb')",
+                             "formats.py:os.open", "formats.py:os.write"]

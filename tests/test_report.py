@@ -255,14 +255,15 @@ def test_indented_json_only_in_report():
 
 
 def test_files_written_as_bytes():
-    """No module under src/ and no demo calls ``write_text``, which encodes
-    with the locale's codec and, on Windows, writes each newline as CRLF:
-    every file is written as the bytes of its text, the same on every platform."""
+    """No module under src/ and no demo calls ``write_text`` or ``read_text``,
+    which encode and decode with the locale's codec and, on Windows, translate
+    newlines: every file is written as the bytes of its text and read as bytes,
+    the same on every platform."""
     found = []
     for path in sorted([*SRC.rglob("*.py"), *(ROOT / "demos").glob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "write_text"):
+                    and node.func.attr in ("write_text", "read_text")):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
