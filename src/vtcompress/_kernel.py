@@ -1,6 +1,6 @@
 """The compiled exact kernels behind :func:`vtcompress.numeric.matmul`, the
 selector training step, the vision stage's routing pass, the text stage's
-attention and the layout of reports and heatmaps.
+attention and the layout of reports and training logs.
 
 ``SOURCE``'s product, ``vtc_matmul``, forms every output element as the
 scalar loop ``o[i,j] = 0.0; for k ascending: o[i,j] += a[i,k] * b[k,j]``
@@ -64,14 +64,12 @@ not typed in and not made at import. A compiler without
 ``unsigned __int128`` (32-bit targets) fails the build, and numpy runs
 instead.
 
-Two more passes write output files. :meth:`Kernel.indent`, ``vtc_indent``,
+One more pass writes output files. :meth:`Kernel.indent`, ``vtc_indent``,
 lays the compact text of json's C encoder out as ``json.dumps(indent=2)``
 does, for :func:`vtcompress.report.report_to_json`: a newline and two
 spaces per level after each opening bracket that does not close at once and
 after each comma, and before each closing bracket that ends a non-empty
-container, copying strings as they are. :meth:`Kernel.pgm`, ``vtc_pgm``,
-lays a heatmap's pixels out as plain PGM rows with the formatter's digit
-pairs, for :func:`vtcompress.formats.export_heatmap`.
+container, copying strings as they are.
 
 :func:`load` builds the kernel through cffi's API mode the first time and
 caches it as an extension module in the given directory (the package's own
@@ -104,7 +102,7 @@ from pathlib import Path
 import numpy as np
 
 from .numeric import EXP_CONSTANTS, _exp_numpy, _k_loop, _softmax
-from .formats import _pgm_rows, write_bytes
+from .formats import write_bytes
 from .report import _dumps
 from .vision import default_menu, emit_tokens, max_pool, partition, scale_variants
 
@@ -157,7 +155,6 @@ int vtc_attention(const double *, const double *, double *, double *, size_t, si
 int vtc_route(vtc_route_pass *);
 size_t vtc_history(const double *, const double *, const double *, size_t, size_t, char *, size_t);
 size_t vtc_indent(const char *, size_t, char *, size_t);
-size_t vtc_pgm(const uint8_t *, size_t, size_t, char *, size_t);
 """
 
 # The exponential's constants as numeric computes them, for vtc_exp: a repr
@@ -1046,23 +1043,6 @@ size_t vtc_indent(const char *in, size_t n, char *out, size_t capacity)
     }
     return put_byte(out, len, capacity, '\n');
 }
-
-/* The rows of the (h, w) pixels as a plain PGM ("P2") body: each pixel's
-   decimal digits, a space after each but the last of a row and a newline after
-   that. Writes at most 4 * h * w bytes into out. Returns the bytes written, or
-   0, having written nothing past out + capacity, if they do not fit. */
-size_t vtc_pgm(const uint8_t *pixels, size_t h, size_t w, char *out, size_t capacity)
-{
-    const char *end = out + capacity;
-    char *q = out;
-    for (size_t i = 0; i < h * w; i++) {
-        char digits[3];
-        const char *d = put_digits(digits + 3, pixels[i]);
-        q = put(q, end, d, (size_t)(digits + 3 - d));
-        q = put(q, end, (i + 1) % w ? " " : "\n", 1);
-    }
-    return q ? (size_t)(q - out) : 0;
-}
 """)
 # Appended after the interpreter's own compile flags, so they win. Every
 # function starts on a 64-byte line, so a kernel's speed does not depend on
@@ -1239,22 +1219,6 @@ class Kernel:
             raise ValueError("cannot lay out unbalanced JSON text")
         del out[size:]
         return out.decode("ascii")
-
-    def pgm(self, head: bytes, pixels: np.ndarray) -> bytearray:
-        """``head`` followed by the rows of the ``(H, W)`` uint8 ``pixels`` as a
-        plain PGM body: one ``vtc_pgm`` call into one buffer sized for three
-        digits and a separator per pixel, cut to the bytes written."""
-        if pixels.dtype != np.uint8 or pixels.ndim != 2:
-            raise ValueError(f"cannot lay out {pixels.dtype} pixels of shape {pixels.shape}")
-        pixels = np.ascontiguousarray(pixels)
-        (h, w), buffer = pixels.shape, self._buffer
-        out = bytearray(len(head) + 4 * pixels.size)
-        out[: len(head)] = head
-        written = self.lib.vtc_pgm(buffer("uint8_t[]", pixels), h, w,
-                                   buffer("char[]", out, require_writable=True) + len(head),
-                                   len(out) - len(head))
-        del out[len(head) + written :]
-        return out
 
     def route(self, feature_map: np.ndarray, global_rows: np.ndarray, weight: np.ndarray,
               bias: np.ndarray, kernels, window: int, pool: str,
@@ -1481,8 +1445,7 @@ def _exact(kernel: Kernel) -> bool:
     core's pooling, products, softmax and max ties on small maps;
     ``json.dumps(log, indent=2)``, and so ``repr``, on a 2-step training log
     of :data:`REPR_PROBES`, and ``json.dumps(value, indent=2)`` on
-    :data:`INDENT_PROBES`; and the PGM ``%d`` template on a row and a column
-    of the pixels 0, 9, 10, 99, 100 and 255. The JSON is written by
+    :data:`INDENT_PROBES`. The JSON is written by
     ``report._dumps``, not ``report_to_json``, which would ask for the
     kernel that is being loaded."""
     a = (np.arange(4 * 37).reshape(4, 37) * 0.618034) % 2.0 - 1.0
@@ -1553,8 +1516,5 @@ def _exact(kernel: Kernel) -> bool:
     head = _dumps({"steps": 2})[:-3].encode()
     if kernel.history(head, rows[:, 0], rows[:, 1:9], rows[:, 9:]) != _dumps(log).encode():
         return False
-    if any(kernel.indent(json.dumps(value, separators=(",", ": "))) != _dumps(value)
-           for value in INDENT_PROBES):
-        return False
-    pixels = np.array([[0, 9, 10, 99, 100, 255]], dtype=np.uint8)
-    return all(kernel.pgm(b"P2\n", grid) == b"P2\n" + _pgm_rows(grid) for grid in (pixels, pixels.T))
+    return all(kernel.indent(json.dumps(value, separators=(",", ": "))) == _dumps(value)
+               for value in INDENT_PROBES)

@@ -16,7 +16,8 @@ check's report on stdout). A command line argparse
 rejects (a missing required flag, a value of the wrong type, an unknown
 flag) exits 2 with error "usage"; only ``-h``/``--help`` prints argparse
 text, and exits 0. A file that cannot be read or written for any other
-reason (a directory, no permission) also exits 3.
+reason (a directory, no permission, a path that the file-system encoding
+cannot encode) also exits 3.
 
 The parser is built on the first ``main`` call and reused by every later
 one, also from several threads at once: nothing changes it. A command line
@@ -156,27 +157,15 @@ def _region_importance_grid(
 def _train_log(summary: dict, run) -> bytes | bytearray:
     """The bytes of ``report_to_json(log)`` for the summary plus a ``history``
     entry ``{"step", "loss", "f", "p"}`` per step, raising its ``ValueError``
-    on a non-finite value. Only the head goes through ``report_to_json``: the
-    ~3,500 finite floats of the history are laid out by one C call
-    (:meth:`Kernel.history`) or, without the kernel, by one columnar template
-    filled with the step numbers and the ``repr`` of each value."""
-    head = report_to_json(summary)
-    values = np.column_stack([run.losses, run.f_history, run.p_history])
-    finite = np.isfinite(values)
-    if not finite.all():
-        report_to_json(values[~finite].tolist())  # raises json's error for the first one
-    kernel = numeric._product_kernel()
-    if kernel is not None:
-        return kernel.history(head[:-3].encode(), run.losses, run.f_history, run.p_history)
-    reprs = np.array(list(map(repr, values.ravel().tolist())), dtype="S24")
-    cells = np.empty((len(values), 1 + values.shape[1]), dtype=object)
-    cells[:, 0] = range(len(values))
-    cells[:, 1:] = reprs.reshape(values.shape)
-    vector = b"[\n        " + b",\n        ".join([b"%s"] * run.f_history.shape[1]) + b"\n      ]"
-    entry = (b'    {\n      "step": %d,\n      "loss": %s,\n      "f": ' + vector
-             + b',\n      "p": ' + vector + b"\n    }")
-    history = b",\n".join([entry] * len(values)) % tuple(cells.ravel().tolist())
-    return f'{head[:-3]},\n  "history": [\n'.encode() + history + b"\n  ]\n}\n"
+    on a non-finite value. With the kernel, only the head goes through
+    ``report_to_json``: the ~3,500 floats of a finite history are laid out by
+    one C call (:meth:`Kernel.history`)."""
+    kernel, values = numeric._product_kernel(), (run.losses, run.f_history, run.p_history)
+    if kernel is not None and all(np.isfinite(v).all() for v in values):
+        return kernel.history(report_to_json(summary)[:-3].encode(), *values)
+    history = [{"step": i, "loss": loss, "f": f, "p": p}
+               for i, (loss, f, p) in enumerate(zip(*(v.tolist() for v in values)))]
+    return report_to_json({**summary, "history": history}).encode()
 
 
 def cmd_gen(args) -> int:
@@ -633,6 +622,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_MISSING_FILE, "file-not-found", str(exc))
     except OSError as exc:
         return _fail(EXIT_MISSING_FILE, "file-error", str(exc))
+    except UnicodeEncodeError as exc:  # only a path is encoded: all other text is ASCII JSON
+        return _fail(EXIT_MISSING_FILE, "file-error", f"path {exc.object!r}: {exc}")
     except TensorFileError as exc:
         return _fail(EXIT_FORMAT, "format-error", str(exc))
     except TrainingDiverged as exc:

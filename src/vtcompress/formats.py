@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import numeric
 from .numeric import as_tensor
 from .textsampler import project_keys
 
@@ -167,10 +166,16 @@ def read_tensor(path) -> tuple[np.ndarray, str]:
     return values.astype(np.float64).reshape(dims), magic
 
 
+# Each pixel value's digits, then a space (row 0) or a newline (row 1), NUL-padded.
+_PGM_CELLS = np.array([[b"%d " % v for v in range(256)], [b"%d\n" % v for v in range(256)]], "S4")
+
+
 def _pgm_rows(pixels: np.ndarray) -> bytes:
-    """The rows of (H, W) pixels as a plain PGM body, from one ``%d`` template."""
-    h, w = pixels.shape
-    return ((b" ".join([b"%d"] * w) + b"\n") * h) % tuple(pixels.ravel().tolist())
+    """The rows of (H, W) uint8 pixels as a plain PGM body: each pixel's cell of
+    :data:`_PGM_CELLS`, the newline one at the end of a row, without the NULs."""
+    cells = _PGM_CELLS[0, pixels]
+    cells[:, -1] = _PGM_CELLS[1, pixels[:, -1]]
+    return cells.tobytes().replace(b"\0", b"")
 
 
 def export_heatmap(values, fmt: str, path) -> None:
@@ -178,9 +183,8 @@ def export_heatmap(values, fmt: str, path) -> None:
 
     PGM output is min-max normalized to 0..255 (a constant map becomes all
     zeros; a range wider than the largest float is halved first); its rows are
-    laid out by one compiled pass (``Kernel.pgm``) when the kernel loads, else
-    by one ``%d`` template, to the same bytes. CSV rows carry the raw values
-    with full round-trip precision.
+    laid out by :func:`_pgm_rows` on every backend. CSV rows carry the raw
+    values with full round-trip precision.
     """
     grid = as_tensor(values)
     if grid.ndim != 2:
@@ -195,10 +199,7 @@ def export_heatmap(values, fmt: str, path) -> None:
             pixels = np.floor((grid - lo) / (hi - lo) * 255.0 + 0.5).astype(np.uint8)
         else:
             pixels = np.zeros((h, w), dtype=np.uint8)
-        head = f"P2\n{w} {h}\n255\n".encode()
-        kernel = numeric._product_kernel()
-        write_bytes(path, head + _pgm_rows(pixels) if kernel is None
-                    else kernel.pgm(head, pixels))
+        write_bytes(path, f"P2\n{w} {h}\n255\n".encode() + _pgm_rows(pixels))
     elif fmt == "csv":
         write_bytes(path, "".join(",".join(map(repr, row)) + "\n"
                                   for row in grid.tolist()).encode())

@@ -414,7 +414,8 @@ def _history_run(table: np.ndarray):
 
 
 class TestHistoryWriter:
-    """``_train_log``'s compiled history writer gives its template path's bytes."""
+    """``_train_log``'s compiled history writer gives the bytes of its path
+    without the kernel, ``report_to_json`` of the whole log."""
 
     @pytest.fixture(autouse=True)
     def _kernel_loaded(self):
@@ -1547,15 +1548,39 @@ def test_json_inputs_are_utf8_whatever_the_locale(case, fixtures, tmp_path, caps
         report["note"] = "s\u00e9lection"
         (tmp_path / "rep.json").write_bytes(json.dumps(report, ensure_ascii=False).encode())
         argv = ["report", "--in", "rep.json", "--layer", "16"]
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUTF8"}
-    env["LC_ALL"] = "C"
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "vtcompress.cli", *argv],
-                          cwd=tmp_path, env=env, capture_output=True, timeout=300)
+    proc = _run_in_the_c_locale(argv, tmp_path)
     assert (proc.returncode, proc.stderr) == (0, b"")
     out = json.loads(proc.stdout)
     if case == "config":
         assert out["steps"] == 3
     else:
         assert out["note"] == "s\u00e9lection" and out["textSelection"]["layer"] == 16
+
+
+def _run_in_the_c_locale(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """``vtcompress *argv`` in a child under the C locale with Python's UTF-8
+    mode off, whose file-system encoding is ASCII."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUTF8"}
+    env["LC_ALL"] = "C"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-X", "utf8=0", "-m", "vtcompress.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, timeout=300)
+
+
+@pytest.mark.parametrize("case", ["write", "read"])
+def test_config_path_the_file_system_cannot_encode_is_a_file_error(case, fixtures, tmp_path):
+    """A ``--config`` path that the ASCII file-system encoding cannot encode is a
+    file the CLI cannot write or read: exit 3, whichever way it goes."""
+    if case == "write":
+        config, argv = {"out-params": "sel\u00e9.selw"}, ["train", "--task", "scale-indifferent",
+                                                         "--steps", "1"]
+    else:
+        config, argv = {"global": "\u00e9.fmap"}, ["compress", "--strategy", "vision",
+                                                  "--map", fixtures["x"]]
+    (tmp_path / "cfg.json").write_bytes(json.dumps(config, ensure_ascii=False).encode())
+    proc = _run_in_the_c_locale(["--config", "cfg.json", *argv], tmp_path)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    error = json.loads(proc.stderr)
+    assert error["error"] == "file-error" and "\u00e9" in error["message"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "fix"]

@@ -267,9 +267,11 @@ class TestHeatmap:
             for j in range(flat_v.size):
                 if flat_v[i] < flat_v[j]:
                     assert flat_p[i] <= flat_p[j]
-        # Thin, single-pixel and constant grids too, byte for byte as one join per row wrote.
+        # Thin, single-pixel and constant grids and every pixel value as a row, a
+        # column and a square too, byte for byte as one join per row wrote.
+        every = np.arange(256.0)
         for grid in [grid, *map(rng.standard_normal, [(1, 1), (1, 7), (7, 1), (5, 13)]),
-                     np.full((3, 4), -2.5)]:
+                     np.full((3, 4), -2.5), every[None], every[:, None], every.reshape(16, 16)]:
             export_heatmap(grid, "pgm", path)
             h, w = grid.shape
             lo, hi = grid.min(), grid.max()

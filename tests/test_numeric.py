@@ -19,7 +19,6 @@ from vtcompress.numeric import as_tensor, finite_diff_grad, matmul, softmax, sta
 from oracles import max_pool
 from test_report import _compressed_both_report, _nested
 from test_vision import assert_route_matches_numpy, route_cases
-from vtcompress.formats import _pgm_rows
 from vtcompress.report import _dumps
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -332,14 +331,10 @@ class TestStepKernel:
         # an empty list laid out as [\n]
         ("len = put_byte(out, len, capacity, in[++i]);",
          "len = put_byte(out, put_byte(out, len, capacity, '\\n'), capacity, in[++i]);"),
-        # pixels zero-padded to three digits
-        ("q = put(q, end, d, (size_t)(digits + 3 - d));",
-         "memset(digits, '0', (size_t)(d - digits));\n        q = put(q, end, digits, 3);"),
     ], ids=["sequential-sum", "fused-update", "reciprocal-attention", "repr-rounding", "fused-exp",
             "early-underflow", "tile-negative-zero-start", "tile-first-k-block-only",
             "history-separator", "swapped-digit-pair", "sequential-region-mean",
-            "earlier-max-tie", "string-ends-at-escaped-quote", "empty-list-on-two-lines",
-            "zero-padded-pixels"])
+            "earlier-max-tie", "string-ends-at-escaped-quote", "empty-list-on-two-lines"])
     def test_probe_rejects_a_build_with_other_bits(self, mutation, tmp_path, monkeypatch):
         source = _kernel.SOURCE.replace(*mutation)
         assert source != _kernel.SOURCE
@@ -356,8 +351,8 @@ class TestStepKernel:
 
 
 class TestLayoutKernel:
-    """What the compiled JSON and PGM layout passes refuse; tests/test_report.py
-    and tests/test_formats.py compare their bytes with json's and the template's."""
+    """What the compiled JSON layout pass refuses; tests/test_report.py compares
+    its bytes with json's."""
 
     @pytest.fixture
     def kernel(self):
@@ -370,11 +365,6 @@ class TestLayoutKernel:
     def test_unbalanced_text_refused(self, kernel, text):
         with pytest.raises(ValueError, match="unbalanced"):
             kernel.indent(text)
-
-    @pytest.mark.parametrize("pixels", [np.zeros((2, 2), dtype=int), np.zeros(4, dtype=np.uint8)])
-    def test_only_a_uint8_grid_laid_out(self, kernel, pixels):
-        with pytest.raises(ValueError, match="cannot lay out"):
-            kernel.pgm(b"", pixels)
 
 
 class TestReprKernel:
@@ -492,9 +482,9 @@ class TestKernelTargets:
     edges, a sweep of its range and random bit patterns, in lengths that end
     inside, at and just past a vector; every target's vision pass writes
     the numpy routing core's bytes and errors on ``test_vision.route_cases``;
-    and every target's layout passes write ``json.dumps(indent=2)``'s bytes
-    for the load-time probe's values, a compressed report and a deep nesting,
-    and the ``%d`` template's bytes for PGM rows of one to three digits."""
+    and every target's JSON layout pass writes ``json.dumps(indent=2)``'s
+    bytes for the load-time probe's values, a compressed report and a deep
+    nesting."""
 
     @needs_compiler
     @pytest.mark.parametrize("target", sorted(_TARGET_SOURCES))
@@ -525,10 +515,6 @@ class TestKernelTargets:
             assert_route_matches_numpy(kernel, args, kwargs)
         for value in _kernel.INDENT_PROBES + (_compressed_both_report(), _nested(40)):
             assert kernel.indent(json.dumps(value, separators=(",", ": "))) == _dumps(value)
-        for shape in ((1, 1), (1, 7), (7, 1), (5, 13), (24, 24)):
-            pixels = rng.integers(0, 256, shape).astype(np.uint8)
-            pixels.flat[:6] = [0, 9, 10, 99, 100, 255][: pixels.size]
-            assert kernel.pgm(b"P2\n", pixels) == b"P2\n" + _pgm_rows(pixels)
 
 
 def test_build_keeps_exactness_by_construction():
@@ -541,6 +527,34 @@ def test_build_keeps_exactness_by_construction():
     assert targets, "the source names no clone targets"
     for names in targets:
         assert set(re.findall(r'"([^"]*)"', names)) <= {"avx512f", "avx2", "default"}, names
+
+
+def test_every_compiled_export_has_a_caller():
+    """Every function that ``CDEF`` declares is called from ``_kernel``'s Python
+    or from another function of ``SOURCE``, and every public ``Kernel`` method
+    from another module of the package, so that deleting a pass cannot leave a
+    dead compiled export behind."""
+    package = Path(_kernel.__file__).parent
+
+    def attributes(path: Path) -> set[str]:
+        """The attributes that ``path``'s code reads from anything but an imported name."""
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and not (isinstance(node.value, ast.Name) and node.value.id in imported)}
+
+    python = attributes(package / "_kernel.py")
+    # the definitions, without comments; a call is indented, a definition is not
+    c_code = re.sub(r"/\*.*?\*/", "", _kernel.SOURCE.replace(_kernel.CDEF, ""), flags=re.S)
+    uncalled = [name for name in re.findall(r"\b(vtc_\w+)\(", _kernel.CDEF)
+                if name not in python and not re.search(rf"^[ \t]+.*\b{name}\(", c_code, re.M)]
+    assert not uncalled
+    used = set().union(*(attributes(path) for path in package.glob("*.py")
+                         if path.name != "_kernel.py"))
+    methods = [name for name, value in vars(_kernel.Kernel).items()
+               if callable(value) and not name.startswith("_")]
+    assert methods and not [name for name in methods if name not in used]
 
 
 # Magnitudes that cancel, signed zeros and subnormals; scaled by 1e150, some
