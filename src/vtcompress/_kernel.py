@@ -34,20 +34,23 @@ one C call. Its two products call ``vtc_matmul``; its sums over regions run
 sequentially, as numpy reduces along a non-contiguous axis; and its sums
 along a contiguous numpy row (each region's softmax denominator, the
 downstream mean) reproduce numpy's pairwise summation, which ``ndarray.sum``
-runs there. The step holds its logits region-major, ``(S, M)``, so its
-softmax runs across the regions: below 8 scales the pairwise sum is a
-sequential one, run lane by lane; from 8 on, each region's column is summed
-pairwise. The attention and the vision pass share one row pass instead,
-``softmax_rows``: each element times a scale, the finite check, each row
-minus its first maximum, ``vtc_exp`` in place and each row divided by its
-pairwise sum. :meth:`Kernel.attention` is the text stage's per-head scaled
-softmax, one C call for all heads. :meth:`Kernel.route` is the vision
-stage's whole routing pass in one C call, ``vtc_route``, with the bits of
-:mod:`vtcompress.vision`'s numpy core: it pools each region straight from
-the map, by the mean and max rules that module gives, forms the scores and
-the logits with ``vtc_matmul``, adds the bias, takes each region's first
-maximum (or the forced scale), runs the row pass with a scale of 1.0 and
-max-pools only the chosen scale's tokens. :meth:`Step.raise_for_softmax`
+runs there. The step and the vision pass share one selector head,
+``selector_head``, which holds the logits region-major, ``(S, M)``: the
+logits ``weight @ scores_t`` plus each scale's bias, the finite check, each
+region's first maximum (or the forced scale), ``vtc_exp`` and the softmax,
+all across the regions. Below 8 scales the pairwise sum is a sequential
+one, run lane by lane; from 8 on, each region's column is summed pairwise.
+The attention runs a row pass instead, ``softmax_rows``: each element times
+a scale, the finite check, each row minus its first maximum, ``vtc_exp`` in
+place and each row divided by its pairwise sum. :meth:`Kernel.attention` is
+the text stage's per-head scaled softmax, one C call for all heads.
+:meth:`Kernel.route` is the vision stage's whole routing pass in one C
+call, ``vtc_route``, with the bits of :mod:`vtcompress.vision`'s numpy
+core: it pools each region straight from the map, by the mean and max rules
+that module gives, forms the ``(Ng, M)`` scores with ``vtc_matmul`` from the
+pooled regions transposed (each score the same products in the same order
+as the numpy core's), runs the selector head, transposes its probabilities
+and max-pools only the chosen scale's tokens. :meth:`Step.raise_for_softmax`
 turns the statuses of these softmax passes into ``numeric.softmax``'s errors.
 
 :meth:`Kernel.history` writes the training log's whole ``history`` member
@@ -101,7 +104,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numeric import EXP_CONSTANTS, _exp_numpy, _k_loop, _softmax
+from .numeric import EXP_CONSTANTS, _exp_numpy, _k_loop, softmax
 from .formats import write_bytes
 from .report import _dumps
 from .vision import default_menu, emit_tokens, max_pool, partition, scale_variants
@@ -121,7 +124,7 @@ typedef struct {
     const double *target, *imbalance;        /* (c,), (s,); NULL: no downstream term, unit weights */
     double alpha, lr;
     double *weight, *bias;                   /* (s, ng), (s,); VTC_TRAIN updates them */
-    double *shifted;                         /* (s, m) logits minus each region's max, exp, P */
+    double *shifted;                         /* (s, m) the selector head's logits, then P */
     double *per_region;                      /* (m,) scratch: maxima, denominators, terms */
     int64_t *chosen;                         /* (m,) each region's first maximum */
     double *top1, *f, *p, *wf, *coeff, *diff, *work;
@@ -138,7 +141,7 @@ typedef struct {
     const double *map, *g, *weight, *bias;  /* (rows, cols, c), (ng, c), (s, ng), (s,) */
     const int64_t *kernels, *forced;        /* (s, 2) kh, kw, 0, 0 drops; NULL or (m,) */
     int pool_max;                           /* max, else mean */
-    double *work;                           /* m * c + c * ng + m * ng + ng * s + w * w */
+    double *work;                           /* (2 c + ng + s + 1) m + max(w * w, s) */
     double *probs;                          /* (m, s) */
     int64_t *chosen;                        /* (m,) */
     double *tokens;                         /* room for every region at its finest scale */
@@ -384,10 +387,8 @@ void vtc_exp(double *restrict x, size_t count)
 
 /* The scaled softmax of each of the rows of x in place, with the bits of
    numeric.softmax: each element times scale, the finite check, each row minus
-   its first maximum, vtc_exp, and each row divided by its ndarray.sum. Not
-   inlined: the attention and the vision pass share one copy. */
-static __attribute__((noinline)) int softmax_rows(double *restrict x, size_t rows, size_t n,
-                                                  double scale)
+   its first maximum, vtc_exp, and each row divided by its ndarray.sum. */
+static int softmax_rows(double *restrict x, size_t rows, size_t n, double scale)
 {
     double *restrict row = x;
     for (size_t i = 0; i < rows; i++, row += n) {
@@ -419,73 +420,75 @@ void vtc_descend(double *restrict x, const double *restrict g, double lr, size_t
         x[k] = x[k] - lr * g[k];
 }
 
-/* The logits weight @ scores.T (the products of scores @ weight.T, in the
-   same order) into shifted, region-major: (s, m), one row per scale, as the
-   product writes them, so every loop here and in vtc_step_post runs across
-   the m regions. Then each scale's bias, the finite check, and each region's
-   first maximum down the s rows (a strict > select), which is chosen and
-   subtracted. */
-static int vtc_step_pre(vtc_step *t)
+/* The selector head of m regions, region-major, with the bits of numpy's
+   logits and softmax: x = weight @ scores_t, (s, m), one row per scale, as
+   the product writes them (the products of scores @ weight.T, in the same
+   order), plus each scale's bias; the finite check; each region's first
+   maximum down the s rows (a strict > select) into chosen, unless forced
+   gives the region's scale; x minus each region's maximum, vtc_exp, and each
+   region's column divided by its ndarray.sum: 0.0 plus numpy's pairwise sum,
+   which below 8 elements is a sequential sum from -0.0, run here across the
+   regions; from 8 on, each column is copied into column (s doubles) and
+   summed pairwise. region: m doubles of scratch. */
+static int selector_head(const double *restrict weight, const double *restrict bias,
+                         const double *restrict scores_t, const int64_t *restrict forced,
+                         size_t s, size_t ng, size_t m, double *restrict x,
+                         int64_t *restrict chosen, double *restrict region,
+                         double *restrict column)
 {
-    const size_t m = t->m, s = t->s;
-    double *restrict x = t->shifted, *restrict top = t->per_region;
-    int64_t *restrict chosen = t->chosen;
     if (m * s == 0)
         return VTC_EMPTY;
-    vtc_matmul(t->weight, t->scores_t, x, s, t->ng, m);
+    vtc_matmul(weight, scores_t, x, s, ng, m);
     int finite = 1;
     for (size_t j = 0; j < s; j++)
         for (size_t i = 0; i < m; i++) {
-            x[j * m + i] += t->bias[j];
+            x[j * m + i] += bias[j];
             finite &= isfinite(x[j * m + i]) != 0;
         }
     if (!finite)
         return VTC_NONFINITE_LOGITS;
     for (size_t i = 0; i < m; i++) {
-        top[i] = x[i];
+        region[i] = x[i];
         chosen[i] = 0;
     }
     for (size_t j = 1; j < s; j++)
         for (size_t i = 0; i < m; i++) {
-            const int up = x[j * m + i] > top[i];
-            top[i] = up ? x[j * m + i] : top[i];
+            const int up = x[j * m + i] > region[i];
+            region[i] = up ? x[j * m + i] : region[i];
             chosen[i] = up ? (int64_t)j : chosen[i];
         }
+    if (forced)
+        memcpy(chosen, forced, m * sizeof *chosen);
     for (size_t j = 0; j < s; j++)
         for (size_t i = 0; i < m; i++)
-            x[j * m + i] -= top[i];
-    return VTC_OK;
-}
-
-/* Each region's ndarray.sum over the s values of its column of the (s, m) x:
-   0.0 plus numpy's pairwise sum, which below 8 elements is a sequential sum
-   from -0.0, run here across the regions; from 8 on, each column is copied
-   into column (s doubles) and summed pairwise. */
-static void column_sums(const double *restrict x, size_t m, size_t s, double *restrict total,
-                        double *restrict column)
-{
+            x[j * m + i] -= region[i];
+    vtc_exp(x, m * s);
     if (s < 8) {
         for (size_t i = 0; i < m; i++)
-            total[i] = -0.0;
+            region[i] = -0.0;
         for (size_t j = 0; j < s; j++)
             for (size_t i = 0; i < m; i++)
-                total[i] += x[j * m + i];
+                region[i] += x[j * m + i];
     } else {
         for (size_t i = 0; i < m; i++) {
             for (size_t j = 0; j < s; j++)
                 column[j] = x[j * m + i];
-            total[i] = pairwise(column, s);
+            region[i] = pairwise(column, s);
         }
     }
     for (size_t i = 0; i < m; i++)
-        total[i] = 0.0 + total[i];
+        region[i] = 0.0 + region[i];
+    for (size_t j = 0; j < s; j++)
+        for (size_t i = 0; i < m; i++)
+            x[j * m + i] /= region[i];
+    return VTC_OK;
 }
 
-/* The rest of the step from shifted's exp: probabilities, routing
-   statistics, the loss and, from VTC_GRAD on, the gradient; VTC_TRAIN also
-   writes history row `step` and descends. Every sum keeps the order in which
-   numpy forms it in the fallback step: products ascending from 0.0, sums over
-   regions sequential, sums along a region's scales pairwise. */
+/* The rest of the step from the head's probabilities: routing statistics,
+   the loss and, from VTC_GRAD on, the gradient; VTC_TRAIN also writes
+   history row `step` and descends. Every sum keeps the order in which numpy
+   forms it in the fallback step: products ascending from 0.0, sums over
+   regions sequential. */
 static int vtc_step_post(vtc_step *t, int mode, size_t step)
 {
     const size_t m = t->m, ng = t->ng, s = t->s, c = t->c;
@@ -493,10 +496,6 @@ static int vtc_step_post(vtc_step *t, int mode, size_t step)
     double *f = t->f, *p = t->p, *d = t->d_logits_t, *top1 = t->top1;
     const int64_t *chosen = t->chosen;
 
-    column_sums(probs, m, s, region, t->coeff);  /* coeff is free until the balance term */
-    for (size_t j = 0; j < s; j++)
-        for (size_t i = 0; i < m; i++)
-            probs[j * m + i] /= region[i];
     for (size_t j = 0; j < s; j++) {
         double pj = 0.0;
         for (size_t i = 0; i < m; i++)
@@ -603,18 +602,16 @@ static int vtc_step_post(vtc_step *t, int mode, size_t step)
 }
 
 /* `steps` steps in `mode` (VTC_TRAIN writes history row i at step i): the
-   logits and each region's maximum, the exp of shifted and the rest, up to
-   the first step that fails. Returns its status and leaves its index in
-   t->step, or steps. */
+   selector head into shifted and the rest, up to the first step that fails.
+   Returns its status and leaves its index in t->step, or steps. */
 int vtc_step_run(vtc_step *t, int mode, size_t steps)
 {
     int status = VTC_OK;
     for (t->step = 0; t->step < steps; t->step++) {
-        status = vtc_step_pre(t);
-        if (status == VTC_OK) {
-            vtc_exp(t->shifted, t->m * t->s);
+        status = selector_head(t->weight, t->bias, t->scores_t, NULL, t->s, t->ng, t->m,
+                               t->shifted, t->chosen, t->per_region, t->coeff);
+        if (status == VTC_OK)
             status = vtc_step_post(t, mode, t->step);
-        }
         if (status != VTC_OK)
             break;
     }
@@ -699,43 +696,33 @@ static __attribute__((noinline)) void mean_pool(const double *restrict x, size_t
 }
 
 /* The vision stage of t's map in its m regions, row-major, with the bits of
-   vision's numpy path: each region pooled into the (m, c) head of work, the
-   scores times the global rows transposed, the logits times weight
-   transposed plus bias into probs, each region's first maximum into chosen
-   unless forced gives its scale, and softmax_rows. Then each region's tokens
-   at its chosen scale, max-pooled by its kernel, into tokens, and their
-   number into written. */
+   vision's numpy path: each region pooled into the (m, c) start of work,
+   transposed, the global rows times it as the (ng, m) scores (the products
+   of the pooled regions times the global rows transposed, in the same
+   order), and selector_head, whose (s, m) probabilities are transposed into
+   probs. Then each region's tokens at its chosen scale, max-pooled by its
+   kernel, into tokens, and their number into written. */
 int vtc_route(vtc_route_pass *t)
 {
     const size_t c = t->c, w = t->w, ng = t->ng, s = t->s, across = t->cols / w;
     const size_t m = t->rows / w * across, ld = t->cols * c;
-    double *pooled = t->work, *gt = pooled + m * c, *scores = gt + c * ng, *wt = scores + m * ng;
-    double *strip = wt + ng * s, *probs = t->probs, *out = t->tokens;
-    if (m * s == 0)
-        return VTC_EMPTY;
+    double *pooled = t->work, *pooled_t = pooled + m * c, *scores_t = pooled_t + c * m;
+    double *head = scores_t + ng * m, *region = head + s * m, *scratch = region + m;
+    double *out = t->tokens;
     for (size_t r = 0; r < m; r++) {
         const double *x = t->map + (r / across * ld + r % across * c) * w;
         if (t->pool_max)
             max_pool(x, ld, w, w, c, pooled + r * c);
         else
-            mean_pool(x, ld, w, c, pooled + r * c, strip);
+            mean_pool(x, ld, w, c, pooled + r * c, scratch);
     }
-    transpose(t->g, ng, c, gt);
-    vtc_matmul(pooled, gt, scores, m, c, ng);
-    transpose(t->weight, s, ng, wt);
-    vtc_matmul(scores, wt, probs, m, ng, s);
-    for (size_t i = 0; i < m; i++) {
-        double *restrict row = probs + i * s;
-        size_t top = 0;
-        for (size_t j = 0; j < s; j++) {
-            row[j] += t->bias[j];
-            if (row[j] > row[top])
-                top = j;
-        }
-        t->chosen[i] = t->forced ? t->forced[i] : (int64_t)top;
-    }
-    if (softmax_rows(probs, m, s, 1.0))
-        return VTC_NONFINITE_LOGITS;
+    transpose(pooled, m, c, pooled_t);
+    vtc_matmul(t->g, pooled_t, scores_t, ng, c, m);
+    const int status = selector_head(t->weight, t->bias, scores_t, t->forced, s, ng, m, head,
+                                     t->chosen, region, scratch);
+    if (status != VTC_OK)
+        return status;
+    transpose(head, s, m, t->probs);
     for (size_t r = 0; r < m; r++) {
         const int64_t *kernel = t->kernels + 2 * t->chosen[r];
         const size_t kh = (size_t)kernel[0], kw = (size_t)kernel[1];
@@ -1168,15 +1155,6 @@ class Kernel:
         ))
         return out
 
-    def exp(self, values: np.ndarray) -> np.ndarray:
-        """e**x of a C-contiguous float64 array in place by ``vtc_exp``, with
-        :func:`vtcompress.numeric._exp_numpy`'s bits; returns ``values``."""
-        if values.dtype != np.float64 or not values.flags.c_contiguous:
-            raise ValueError(f"cannot exponentiate {values.dtype} values with strides "
-                             f"{values.strides} in place")
-        self.lib.vtc_exp(self._buffer("double[]", values, require_writable=True), values.size)
-        return values
-
     def history(self, prefix: bytes, losses: np.ndarray, f: np.ndarray,
                 p: np.ndarray) -> bytearray:
         """``prefix`` followed by the training log's ``history`` member and
@@ -1251,7 +1229,7 @@ class Kernel:
             forced = np.ascontiguousarray(forced, dtype=np.int64)
             if forced.shape != (m,) or (forced.size and not 0 <= forced.min() <= forced.max() < s):
                 raise ValueError(f"cannot force {forced.shape} scales out of {s} on {m} regions")
-        work = np.empty(m * c + c * ng + m * ng + ng * s + window * window)
+        work = np.empty((2 * c + ng + s + 1) * m + max(window * window, s))
         probs, chosen = np.empty((m, s)), np.empty(m, dtype=np.int64)
         tokens = np.empty((m * max([(window // kh) * (window // kw) for kh, kw in pairs if kh],
                                    default=0), c))
@@ -1277,11 +1255,12 @@ class Step:
     Write the parameters into :attr:`weight` and :attr:`bias`, choose the loss
     with :meth:`set_loss`, then call :meth:`evaluate` or :meth:`train`. Each
     is one C call, ``vtc_step_run``, over all of its steps. A step runs
-    region-major: the logits are laid out ``(S, M)``, one row per scale, as
-    the product ``weight @ scores.T`` writes them, and every softmax pass
-    (the bias, each region's first maximum, ``vtc_exp`` in place, each
-    region's pairwise sum and the division) and the gradient's terms run as
-    loops across the regions. Results are read from :attr:`f`, :attr:`p`,
+    region-major: the selector head that :meth:`Kernel.route` also runs lays
+    the logits out ``(S, M)``, one row per scale, as the product
+    ``weight @ scores.T`` writes them, and every softmax pass (the bias,
+    each region's first maximum, ``vtc_exp`` in place, each region's
+    pairwise sum and the division) and the gradient's terms run as loops
+    across the regions. Results are read from :attr:`f`, :attr:`p`,
     :attr:`grad_weight`, :attr:`grad_bias` and :meth:`terms`, which the next
     call overwrites. A step holds mutable buffers: do not use one from two
     threads at once.
@@ -1438,11 +1417,13 @@ def _exact(kernel: Kernel) -> bool:
     summation order, a fused multiply-add or a lost signed zero, shaped to run
     every tile of each wide build, a padded row tile, a padded column tail and
     a sum continued across blocks of k; the per-head numpy softmax of such a
-    product; :func:`numeric._exp_numpy` on
-    :data:`EXP_PROBES`; numpy's ``ndarray.sum`` on a sum
+    product; :func:`numeric._exp_numpy` on :data:`EXP_PROBES`, against
+    ``vtc_exp`` called directly; numpy's ``ndarray.sum`` on a sum
     long enough to recurse, where a sequential sum gives other bits;
     numpy's ``x - lr * g`` where an FMA gives other bits; the numpy routing
-    core's pooling, products, softmax and max ties on small maps;
+    core's pooling, products, softmax and max ties on small maps, one of
+    them routed among 9 scales, so that the selector head's pairwise column
+    sum runs;
     ``json.dumps(log, indent=2)``, and so ``repr``, on a 2-step training log
     of :data:`REPR_PROBES`, and ``json.dumps(value, indent=2)`` on
     :data:`INDENT_PROBES`. The JSON is written by
@@ -1457,7 +1438,7 @@ def _exact(kernel: Kernel) -> bool:
     if kernel(a, b, np.empty((4, 19))).tobytes() != want.tobytes():
         return False
     head = kernel.attention(a[np.newaxis], np.ascontiguousarray(b.T)[np.newaxis], 0.125)
-    if head.tobytes() != _softmax(want * 0.125, -1, _exp_numpy).tobytes():
+    if head.tobytes() != softmax(want * 0.125).tobytes():
         return False
     # 31 columns run the 16-, 8- and 4-column tiles and a tail of 3 padded to
     # 4 (the AVX2 build: three 8-column tiles first); 5 rows run a full and a
@@ -1470,14 +1451,16 @@ def _exact(kernel: Kernel) -> bool:
     b[:4] = 1.0
     if kernel(a, b, np.empty((5, 31))).tobytes() != _k_loop(a, b, np.empty((5, 31))).tobytes():
         return False
-    if kernel.exp(EXP_PROBES.copy()).tobytes() != _exp_numpy(EXP_PROBES.copy()).tobytes():
+    lib, buffer = kernel.lib, kernel.ffi.from_buffer
+    x = EXP_PROBES.copy()
+    lib.vtc_exp(buffer("double[]", x, require_writable=True), x.size)
+    if x.tobytes() != _exp_numpy(EXP_PROBES.copy()).tobytes():
         return False
     # differs from a sequential sum, from a sum without the split above 128
     # elements and from one with four accumulators
     scale = np.array([1.0, 1e4, 1e8])[np.arange(300) % 3]
     terms = ((np.arange(300) * 0.618034) % 2.0 - 1.0) * scale
     terms[::37] = 3e15
-    lib, buffer = kernel.lib, kernel.ffi.from_buffer
     if np.float64(lib.vtc_sum(buffer("double[]", terms), 300)).tobytes() != terms.sum().tobytes():
         return False
     x, g = np.ones(3), np.full(3, 1.0 + 2.0**-30)
@@ -1489,23 +1472,27 @@ def _exact(kernel: Kernel) -> bool:
         return False
     # the vision pass on 8x8 maps in four 4x4 regions against the numpy core's
     # parts: one channel with a first row that cancels, whose mean differs
-    # between a pairwise and a sequential sum; three channels pooled by max,
-    # with 2x2 cells whose zeros tie as +0.0, -0.0 and as -0.0, +0.0 (the
-    # later of them wins)
-    for c, pool, forced in ((1, "mean", None), (3, "max", [2, 0, 1, 0])):
+    # between a pairwise and a sequential sum, routed among 9 scales (each
+    # kernel of the default menu 3 times), whose softmax denominators differ
+    # the same way; three channels pooled by max, with 2x2 cells whose zeros
+    # tie as +0.0, -0.0 and as -0.0, +0.0 (the later of them wins)
+    for c, pool, forced, repeats in ((1, "mean", None, 3), (3, "max", [2, 0, 1, 0], 1)):
         fm = (np.arange(8 * 8 * c).reshape(8, 8, c) * 0.618034) % 2.0 - 1.0
         fm[0, :4, 0] = [1e16, 1.0, -1e16, 1.0]
         fm[4:, :4] = -np.abs(fm[4:, :4])
         fm[4, :4] = np.array([0.0, -0.0, -0.0, 0.0])[:, np.newaxis]
         g = (np.arange(5 * c).reshape(5, c) * 0.414214) % 2.0 - 1.0
-        weight, bias = (np.arange(15).reshape(3, 5) * 0.3) % 2.0 - 1.0, np.array([0.1, -0.2, 0.05])
+        s = 3 * repeats
+        weight = (np.arange(5 * s).reshape(s, 5) * 0.3) % 2.0 - 1.0
+        bias = np.resize([0.1, -0.2, 0.05], s)
         blocks = partition(fm, 4)
         pooled = blocks.mean(axis=(1, 2)) if pool == "mean" else max_pool(blocks, 4, 4)[:, 0, 0]
-        logits = _k_loop(_k_loop(pooled, g.T, np.empty((4, 5))), weight.T, np.empty((4, 3))) + bias
+        logits = _k_loop(_k_loop(pooled, g.T, np.empty((4, 5))), weight.T, np.empty((4, s))) + bias
         chosen = np.argmax(logits, axis=1) if forced is None else np.array(forced)
-        want = (emit_tokens(scale_variants(blocks, default_menu(4)), chosen),
-                _softmax(logits, -1, _exp_numpy), chosen)
-        got = kernel.route(fm, g, weight, bias, [(4, 4), (2, 2), (1, 1)], 4, pool, forced)
+        variants = [v for v in scale_variants(blocks, default_menu(4)) for _ in range(repeats)]
+        want = emit_tokens(variants, chosen), softmax(logits), chosen
+        kernels = [k for k in ((4, 4), (2, 2), (1, 1)) for _ in range(repeats)]
+        got = kernel.route(fm, g, weight, bias, kernels, 4, pool, forced)
         if any(x.tobytes() != y.tobytes() for x, y in zip(got, want)):
             return False
     # a 2-step history of the 17 probes per step (the loss, then 8 each of f

@@ -17,7 +17,7 @@ rejects (a missing required flag, a value of the wrong type, an unknown
 flag) exits 2 with error "usage"; only ``-h``/``--help`` prints argparse
 text, and exits 0. A file that cannot be read or written for any other
 reason (a directory, no permission, a path that the file-system encoding
-cannot encode) also exits 3.
+cannot encode or that holds a NUL byte) also exits 3.
 
 The parser is built on the first ``main`` call and reused by every later
 one, also from several threads at once: nothing changes it. A command line
@@ -629,6 +629,8 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         return _fail(EXIT_DIVERGED, "training-diverged", str(exc))
     except ValueError as exc:
+        if str(exc).startswith("embedded null"):  # os refuses a path holding a NUL byte
+            return _fail(EXIT_MISSING_FILE, "file-error", f"a path cannot hold a NUL byte: {exc}")
         return _fail(EXIT_INVALID, "invalid-input", str(exc))
     except MemoryError as exc:
         return _fail(EXIT_INVALID, "out-of-memory", str(exc) or "out of memory")

@@ -26,10 +26,10 @@ summation or BLAS, whose order varies with the build and thread count.
 Every softmax exponentiates through the library's own ``exp``, not numpy's,
 whose bits change with the SIMD code numpy dispatches on the CPU. It is
 Tang's table-driven exponential (ACM TOMS 15(2), 1989) in IEEE-exact
-``+ - *`` only, within 1 ulp of ``math.exp``. The compiled
-``vtc_exp`` runs it when the kernel loads, and :func:`_exp_numpy` otherwise;
-both apply the same operations in the same order, so they write the same
-bits, and those bits do not depend on the CPU.
+``+ - *`` only, within 1 ulp of ``math.exp``. The compiled passes run it
+as ``vtc_exp``; :func:`softmax` always runs :func:`_exp_numpy`, and so never
+asks for the kernel. Both apply the same operations in the same order, so
+they write the same bits, and those bits do not depend on the CPU.
 """
 
 from __future__ import annotations
@@ -98,21 +98,13 @@ def _k_loop(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def softmax(x, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along ``axis``: ``x`` minus its maximum, the
-    library's ``exp`` (the compiled ``vtc_exp`` when the kernel loads, else
-    :func:`_exp_numpy`) and the division by the sum."""
+    library's exponential :func:`_exp_numpy` and the division by the sum."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0 or x.size == 0:
         raise ValueError("softmax of an empty input")
     if not np.isfinite(x).all():
         raise ValueError("softmax input contains non-finite values")
-    kernel = _product_kernel()
-    return _softmax(x, axis, _exp_numpy if kernel is None else kernel.exp)
-
-
-def _softmax(x: np.ndarray, axis: int, exp: Callable[[np.ndarray], object]) -> np.ndarray:
-    """The softmax of checked ``x`` along ``axis``, exponentiated in place by ``exp``."""
-    e = x - x.max(axis=axis, keepdims=True)
-    exp(e)
+    e = _exp_numpy(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
 
 

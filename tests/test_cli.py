@@ -1557,6 +1557,26 @@ def test_json_inputs_are_utf8_whatever_the_locale(case, fixtures, tmp_path, caps
         assert out["note"] == "s\u00e9lection" and out["textSelection"]["layer"] == 16
 
 
+@pytest.mark.parametrize("case", ["write", "read"])
+def test_config_path_holding_a_nul_is_a_file_error(case, fixtures, tmp_path, capsys, monkeypatch):
+    """A ``--config`` path holding a NUL byte, which no file name can hold, is a
+    file the CLI cannot write or read: exit 3, whichever way it goes. A command
+    line cannot carry a NUL; a config value can."""
+    if case == "write":
+        config, argv = {"out-params": "a\u0000b.selw"}, ["train", "--task", "scale-indifferent",
+                                                          "--steps", "1"]
+    else:
+        config, argv = {"global": "a\u0000b.fmap"}, ["compress", "--strategy", "vision",
+                                                      "--map", fixtures["x"]]
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "--config", "cfg.json", *argv)
+    assert (code, out) == (3, "")
+    error = json.loads(err)
+    assert error["error"] == "file-error" and "NUL" in error["message"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "fix"]
+
+
 def _run_in_the_c_locale(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
     """``vtcompress *argv`` in a child under the C locale with Python's UTF-8
     mode off, whose file-system encoding is ASCII."""

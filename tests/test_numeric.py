@@ -327,6 +327,7 @@ class TestStepKernel:
          "out[0] = 0.0;\n        for (size_t k = 0; k < w * w; k++)\n"
          "            out[0] += strip[k];"),
         ("return v >= acc ? v : acc;", "return v > acc ? v : acc;"),  # the earlier of tied maxima
+        ("if (s < 8) {", "if (s < 1000) {"),  # a selector head's column sums sequential from 8 on
         ("j += in[j] == '\\\\' ? 2 : 1;", "j += 1;"),  # a string that ends at an escaped quote
         # an empty list laid out as [\n]
         ("len = put_byte(out, len, capacity, in[++i]);",
@@ -334,7 +335,8 @@ class TestStepKernel:
     ], ids=["sequential-sum", "fused-update", "reciprocal-attention", "repr-rounding", "fused-exp",
             "early-underflow", "tile-negative-zero-start", "tile-first-k-block-only",
             "history-separator", "swapped-digit-pair", "sequential-region-mean",
-            "earlier-max-tie", "string-ends-at-escaped-quote", "empty-list-on-two-lines"])
+            "earlier-max-tie", "sequential-column-sum", "string-ends-at-escaped-quote",
+            "empty-list-on-two-lines"])
     def test_probe_rejects_a_build_with_other_bits(self, mutation, tmp_path, monkeypatch):
         source = _kernel.SOURCE.replace(*mutation)
         assert source != _kernel.SOURCE
@@ -510,7 +512,8 @@ class TestKernelTargets:
         x = np.concatenate([_kernel.EXP_PROBES, np.linspace(-750.0, 712.0, 100_003),
                             rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)])
         for n in (1, 7, 8, 9, 17, x.size):
-            assert kernel.exp(x[:n].copy()).tobytes() == numeric._exp_numpy(x[:n].copy()).tobytes()
+            assert (_compiled_exp(kernel, x[:n].copy()).tobytes()
+                    == numeric._exp_numpy(x[:n].copy()).tobytes())
         for _, args, kwargs in route_cases():
             assert_route_matches_numpy(kernel, args, kwargs)
         for value in _kernel.INDENT_PROBES + (_compressed_both_report(), _nested(40)):
@@ -638,6 +641,14 @@ def _math_exp(values: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
+def _compiled_exp(kernel, values: np.ndarray) -> np.ndarray:
+    """C-contiguous float64 ``values`` exponentiated in place by the kernel's
+    ``vtc_exp``, called through cffi; returns ``values``."""
+    kernel.lib.vtc_exp(kernel.ffi.from_buffer("double[]", values, require_writable=True),
+                       values.size)
+    return values
+
+
 # The edges of the exponential, as the load-time probe has them
 _EXP_EDGES = st.sampled_from(_kernel.EXP_PROBES.tolist())
 
@@ -674,18 +685,21 @@ class TestExp:
         kernel = numeric._product_kernel()
         if kernel is None:
             pytest.skip("the product kernel is not available")
-        assert kernel.exp(x.copy()).tobytes() == numeric._exp_numpy(x.copy()).tobytes()
-
-    def test_compiled_takes_only_contiguous_float64(self):
-        kernel = numeric._product_kernel()
-        if kernel is None:
-            pytest.skip("the product kernel is not available")
-        for bad in (np.zeros(4, dtype=np.float32), np.zeros((4, 4))[:, 0]):
-            with pytest.raises(ValueError, match="cannot exponentiate"):
-                kernel.exp(bad)
+        assert _compiled_exp(kernel, x.copy()).tobytes() == numeric._exp_numpy(x.copy()).tobytes()
 
 
 class TestSoftmax:
+    def test_never_asks_for_the_kernel(self, monkeypatch):
+        # its exponential is _exp_numpy whether or not the kernel loads
+        x = np.array([[2.0, 1.0, 0.0], [-700.0, 3e-310, 709.0]])
+        want = softmax(x)
+
+        def no_kernel():
+            raise AssertionError("softmax asked for the kernel")
+
+        monkeypatch.setattr(numeric, "_product_kernel", no_kernel)
+        assert softmax(x).tobytes() == want.tobytes()
+
     def test_uniform_on_equal_logits(self):
         np.testing.assert_allclose(softmax([0.0, 0.0, 0.0]), [1 / 3] * 3, atol=1e-15)
 

@@ -456,8 +456,10 @@ class TestMaxPool:
 def route_cases():
     """``compress_inference`` arguments on which the compiled pass must give the
     numpy core's outcome, by name: the 3-branch, 7-branch, window-8 and
-    retain/discard menus, 1 and 5 channels, mean and max pools, each routed
-    by the selector, forced to scale 0 and forced to a scale per region.
+    retain/discard menus and a 12-scale menu of each 3-branch kernel 4 times
+    (from 8 scales on, each region's softmax denominator is a pairwise sum),
+    1 and 5 channels, mean and max pools, each routed by the selector, forced
+    to scale 0 and forced to a scale per region.
 
     Region 0 is all -0.0 (its mean is +0.0). Region 1 is negative but for
     zeros that tie in the 2x2, 4x2 and whole-region cells in both orders:
@@ -467,7 +469,9 @@ def route_cases():
     ``vtcompress gen`` at three seeds, routed by the selector of the same seed.
     """
     menus = {"3branch": default_menu(4), "7branch": seven_branch_menu(4),
-             "3branch-w8": default_menu(8), "retain-discard": retain_discard_menu()}
+             "3branch-w8": default_menu(8), "retain-discard": retain_discard_menu(),
+             "12branch": ScaleMenu(4, tuple(spec for spec in default_menu(4).scales
+                                            for _ in range(4)))}
     rng = np.random.default_rng(29)
     for (name, menu), channels, pool in itertools.product(menus.items(), (1, 5), ("mean", "max")):
         w = menu.window
