@@ -30,7 +30,8 @@ writes the numpy version's bits; its constants come from
 
 The same source holds the selector training step (:class:`Step`):
 ``PreparedBatch``'s numpy step under the same rules, a whole training run in
-one C call. Its two products call ``vtc_matmul``; its sums over regions run
+one C call. It only trains: a single loss or gradient runs the numpy step.
+Its two products call ``vtc_matmul``; its sums over regions run
 sequentially, as numpy reduces along a non-contiguous axis; and its sums
 along a contiguous numpy row (each region's softmax denominator, the
 downstream mean) reproduce numpy's pairwise summation, which ``ndarray.sum``
@@ -111,10 +112,8 @@ from .vision import default_menu, emit_tokens, max_pool, partition, scale_varian
 
 # Declarations shared by the C source and cffi's cdef. ``vtc_step`` holds one
 # batch of the selector training step. :class:`Step` points it at numpy
-# buffers that it allocates once and keeps alive; only the loss settings are
-# pointed again per call, and each ``train`` binds history buffers of its own.
+# buffers that it allocates and keeps alive, and ``train`` binds the history.
 CDEF = r"""
-enum { VTC_LOSS, VTC_GRAD, VTC_TRAIN };
 enum { VTC_OK, VTC_EMPTY, VTC_NONFINITE_LOGITS, VTC_NO_TOKENS, VTC_NONFINITE_DOWN, VTC_NONFINITE_LOSS };
 
 typedef struct {
@@ -123,7 +122,7 @@ typedef struct {
     const int64_t *counts;                   /* (s,) tokens per scale */
     const double *target, *imbalance;        /* (c,), (s,); NULL: no downstream term, unit weights */
     double alpha, lr;
-    double *weight, *bias;                   /* (s, ng), (s,); VTC_TRAIN updates them */
+    double *weight, *bias;                   /* (s, ng), (s,); each step updates them */
     double *shifted;                         /* (s, m) the selector head's logits, then P */
     double *per_region;                      /* (m,) scratch: maxima, denominators, terms */
     int64_t *chosen;                         /* (m,) each region's first maximum */
@@ -131,7 +130,7 @@ typedef struct {
     double *d_logits_t;                      /* (s, m) gradient of the loss by the logits */
     double *grad_weight, *grad_bias;
     double loss, down, bal;
-    double *losses, *f_hist, *p_hist;        /* VTC_TRAIN's history, (steps,), (steps, s) */
+    double *losses, *f_hist, *p_hist;        /* the history, (steps,), (steps, s) */
     size_t step;                             /* vtc_step_run: the step that failed, or steps */
 } vtc_step;
 
@@ -152,7 +151,7 @@ void vtc_matmul(const double *, const double *, double *, size_t, size_t, size_t
 double vtc_sum(const double *, size_t);
 void vtc_descend(double *, const double *, double, size_t);
 void vtc_exp(double *, size_t);
-int vtc_step_run(vtc_step *, int, size_t);
+int vtc_step_run(vtc_step *, size_t);
 int vtc_attention(const double *, const double *, double *, double *, size_t, size_t, size_t,
                   size_t, double);
 int vtc_route(vtc_route_pass *);
@@ -485,11 +484,10 @@ static int selector_head(const double *restrict weight, const double *restrict b
 }
 
 /* The rest of the step from the head's probabilities: routing statistics,
-   the loss and, from VTC_GRAD on, the gradient; VTC_TRAIN also writes
-   history row `step` and descends. Every sum keeps the order in which numpy
-   forms it in the fallback step: products ascending from 0.0, sums over
-   regions sequential. */
-static int vtc_step_post(vtc_step *t, int mode, size_t step)
+   the loss, the gradient, history row `step` and the descent. Every sum
+   keeps the order in which numpy forms it in the fallback step: products
+   ascending from 0.0, sums over regions sequential. */
+static int vtc_step_post(vtc_step *t, size_t step)
 {
     const size_t m = t->m, ng = t->ng, s = t->s, c = t->c;
     double *restrict probs = t->shifted, *restrict region = t->per_region;
@@ -542,8 +540,6 @@ static int vtc_step_post(vtc_step *t, int mode, size_t step)
         balance += t->wf[j] * p[j];
     t->bal = t->alpha * balance;
     t->loss = down + t->bal;
-    if (mode == VTC_LOSS)
-        return VTC_OK;
 
     for (size_t k = 0; k < m * s; k++)
         d[k] = 0.0;
@@ -586,9 +582,6 @@ static int vtc_step_post(vtc_step *t, int mode, size_t step)
         for (size_t i = 0; i < m; i++)
             gb[j] += d[j * m + i];
     }
-    if (mode != VTC_TRAIN)
-        return VTC_OK;
-
     if (!isfinite(t->loss))
         return VTC_NONFINITE_LOSS;
     t->losses[step] = t->loss;
@@ -601,17 +594,17 @@ static int vtc_step_post(vtc_step *t, int mode, size_t step)
     return VTC_OK;
 }
 
-/* `steps` steps in `mode` (VTC_TRAIN writes history row i at step i): the
-   selector head into shifted and the rest, up to the first step that fails.
-   Returns its status and leaves its index in t->step, or steps. */
-int vtc_step_run(vtc_step *t, int mode, size_t steps)
+/* `steps` steps of training, step i writing history row i: the selector
+   head into shifted and the rest, up to the first step that fails. Returns
+   its status and leaves its index in t->step, or steps. */
+int vtc_step_run(vtc_step *t, size_t steps)
 {
     int status = VTC_OK;
     for (t->step = 0; t->step < steps; t->step++) {
         status = selector_head(t->weight, t->bias, t->scores_t, NULL, t->s, t->ng, t->m,
                                t->shifted, t->chosen, t->per_region, t->coeff);
         if (status == VTC_OK)
-            status = vtc_step_post(t, mode, t->step);
+            status = vtc_step_post(t, t->step);
         if (status != VTC_OK)
             break;
     }
@@ -1253,22 +1246,21 @@ class Step:
     """The selector training step of one batch in C, on buffers allocated once.
 
     Write the parameters into :attr:`weight` and :attr:`bias`, choose the loss
-    with :meth:`set_loss`, then call :meth:`evaluate` or :meth:`train`. Each
-    is one C call, ``vtc_step_run``, over all of its steps. A step runs
-    region-major: the selector head that :meth:`Kernel.route` also runs lays
-    the logits out ``(S, M)``, one row per scale, as the product
-    ``weight @ scores.T`` writes them, and every softmax pass (the bias,
-    each region's first maximum, ``vtc_exp`` in place, each region's
-    pairwise sum and the division) and the gradient's terms run as loops
-    across the regions. Results are read from :attr:`f`, :attr:`p`,
-    :attr:`grad_weight`, :attr:`grad_bias` and :meth:`terms`, which the next
-    call overwrites. A step holds mutable buffers: do not use one from two
-    threads at once.
+    with :meth:`set_loss`, then call :meth:`train`: the whole run is one C
+    call, ``vtc_step_run``, over all of its steps. The step has this one
+    mode; a single loss or gradient runs ``PreparedBatch``'s numpy step,
+    which writes the same bits. A step runs region-major: the selector head
+    that :meth:`Kernel.route` also runs lays the logits out ``(S, M)``, one
+    row per scale, as the product ``weight @ scores.T`` writes them, and
+    every softmax pass (the bias, each region's first maximum, ``vtc_exp``
+    in place, each region's pairwise sum and the division) and the
+    gradient's terms run as loops across the regions. A step holds mutable
+    buffers: ``train_selector`` builds one per run, and no two threads may
+    use one at once.
     """
 
     # The statuses of a run, as CDEF's enum numbers them.
     OK, EMPTY, NONFINITE_LOGITS, NO_TOKENS, NONFINITE_DOWN, NONFINITE_LOSS = range(6)
-    _LOSS, _GRAD, _TRAIN = range(3)
 
     def __init__(self, kernel: Kernel, scores: np.ndarray, sums: np.ndarray, counts: np.ndarray):
         self._lib, self._ffi = kernel.lib, kernel.ffi
@@ -1285,15 +1277,12 @@ class Step:
         self._bind("counts", np.ascontiguousarray(counts, dtype=np.int64))
         self._bind("chosen", np.zeros(m, dtype=np.int64))
         for name, size in (("target", c), ("imbalance", s), ("shifted", s * m), ("per_region", m),
-                           ("top1", m), ("wf", s), ("coeff", s), ("diff", c), ("work", c),
-                           ("d_logits_t", s * m)):
+                           ("top1", m), ("f", s), ("p", s), ("wf", s), ("coeff", s), ("diff", c),
+                           ("work", c), ("d_logits_t", s * m), ("grad_weight", s * ng),
+                           ("grad_bias", s)):
             self._bind(name, np.zeros(size))
         self.weight = self._bind("weight", np.zeros((s, ng)))
         self.bias = self._bind("bias", np.zeros(s))
-        self.f = self._bind("f", np.zeros(s))
-        self.p = self._bind("p", np.zeros(s))
-        self.grad_weight = self._bind("grad_weight", np.zeros((s, ng)))
-        self.grad_bias = self._bind("grad_bias", np.zeros(s))
 
     @classmethod
     def raise_for_softmax(cls, status: int) -> None:
@@ -1323,15 +1312,10 @@ class Step:
                 array[...] = values
             setattr(self._t, field, self._ffi.NULL if values is None else pointer)
 
-    def terms(self) -> tuple[float, float, float]:
-        """The loss and its downstream and balance terms, as the last run left them."""
-        t = self._t
-        return t.loss, t.down, t.bal
-
-    def evaluate(self, grad: bool) -> int:
-        """One step at :attr:`weight` and :attr:`bias`, with its gradient if
-        ``grad``; returns the status."""
-        return self._lib.vtc_step_run(self._t, self._GRAD if grad else self._LOSS, 1)
+    @property
+    def loss(self) -> float:
+        """The loss of the step the last run ended on."""
+        return self._t.loss
 
     def train(self, learning_rate: float, steps: int) -> tuple[int, int, tuple[np.ndarray, ...]]:
         """``steps`` steps of gradient descent from :attr:`weight` and
@@ -1343,7 +1327,7 @@ class Step:
         s = self._t.s
         history = tuple(self._bind(field, np.zeros(shape)) for field, shape in
                         (("losses", steps), ("f_hist", (steps, s)), ("p_hist", (steps, s))))
-        status = self._lib.vtc_step_run(self._t, self._TRAIN, steps)
+        status = self._lib.vtc_step_run(self._t, steps)
         return status, self._t.step, history
 
 

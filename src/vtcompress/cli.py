@@ -420,6 +420,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
 
+    def _get_values(self, action, arg_strings):
+        """argparse's, except that a flag's value ``--`` (``--out=--``) stays its
+        value, as newer argparse keeps it; Python 3.11's drops it and stores an
+        empty list, which no command can use."""
+        if action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
 
 class _Subcommands(argparse._SubParsersAction):
     """Also keeps the chosen subcommand's own tokens, for ``main``'s ``--config`` re-parse."""

@@ -80,9 +80,9 @@ def matmul(a, b) -> np.ndarray:
 
 @functools.cache
 def _product_kernel():
-    """The compiled kernel, loaded on the first product or prepared training
-    batch; ``None`` when it cannot be built or loaded, and the numpy layout
-    and the numpy training step run instead."""
+    """The compiled kernel, loaded on the first product or training run;
+    ``None`` when it cannot be built or loaded, and the numpy layout and the
+    numpy training step run instead."""
     from . import _kernel
 
     return _kernel.load(Path(__file__).parent / "__pycache__")

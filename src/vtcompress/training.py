@@ -155,16 +155,15 @@ class PreparedBatch:
     max-pooled tokens and their sum. Forward passes and gradients over the
     selector parameters then avoid touching the feature maps again.
 
-    Every loss and gradient, :func:`train_selector`'s steps included, runs
-    one step that does only the arithmetic that changes with the parameters:
-    the compiled step (:class:`vtcompress._kernel.Step`, one C call per
-    training run) when the product kernel loads, otherwise the numpy step,
-    whose products go through :func:`~vtcompress.numeric.matmul` and whose
-    softmax through the library's numpy exponential. Both give the same
-    bits, on any CPU. The
-    parameters, ``alpha`` and the imbalance weights are checked once per
-    public call or training run. The compiled step's buffers are rewritten
-    by every step, so a batch must not be used by two threads at once.
+    Every loss and gradient runs the numpy step, which does only the
+    arithmetic that changes with the parameters: its products go through
+    :func:`~vtcompress.numeric.matmul` and its softmax through the library's
+    numpy exponential, so it gives the same bits on any CPU.
+    :func:`train_selector` runs the same step, or, when the product kernel
+    loads, the compiled step (:class:`vtcompress._kernel.Step`), one C call
+    per training run that writes the same bits. The parameters, ``alpha``
+    and the imbalance weights are checked once per public call or training
+    run. A batch is plain data that no call changes, so threads may share it.
     """
 
     menu: ScaleMenu
@@ -174,12 +173,6 @@ class PreparedBatch:
     def __post_init__(self):
         self.sums = np.stack([v.sum(axis=1) for v in self.variants])  # (S, M, C)
         self.counts = np.array(self.menu.token_counts)  # (S,)
-        self._compiled = None  # the numpy step, which keeps no state of its own
-        kernel = numeric._product_kernel()
-        if kernel is not None:
-            from . import _kernel  # already imported by the loader
-
-            self._compiled = _kernel.Step(kernel, self.scores, self.sums, self.counts)
 
     @property
     def num_global_tokens(self) -> int:
@@ -220,16 +213,7 @@ class PreparedBatch:
         imbalance_weights: np.ndarray | None,
         grad: bool,
     ) -> SelectorGradients:
-        """The loss at (weight, bias), and with ``grad`` its gradient, for checked
-        inputs: in the compiled step when the batch has one, else in numpy. The
-        compiled step's ``grad_weight`` is a view of a buffer the next step rewrites."""
-        if self._compiled is not None:
-            step = self._compiled_at(weight, bias, downstream, alpha, imbalance_weights)
-            self._raise_for(step.evaluate(grad))
-            terms, f, p = step.terms(), step.f.copy(), step.p.copy()
-            if not grad:
-                return SelectorGradients(*terms, f, p, None, None)
-            return SelectorGradients(*terms, f, p, step.grad_weight, step.grad_bias.copy())
+        """The loss at (weight, bias), and with ``grad`` its gradient, for checked inputs."""
         logits = matmul(self.scores, weight.T) + bias
         probs = softmax(logits, axis=-1)
         chosen = logits.argmax(axis=1)  # ties to the coarsest scale, as in route
@@ -270,23 +254,6 @@ class PreparedBatch:
         grad_weight = matmul(d_logits.T, self.scores)
         return SelectorGradients(down + bal, down, bal, f, p, grad_weight, d_logits.sum(axis=0))
 
-    def _compiled_at(self, weight, bias, downstream, alpha, imbalance_weights):
-        """The compiled step, holding these parameters and this loss."""
-        step = self._compiled
-        step.weight[...] = weight
-        step.bias[...] = bias
-        step.set_loss(None if downstream is None else downstream.target, alpha, imbalance_weights)
-        return step
-
-    def _raise_for(self, status: int) -> None:
-        """Raise what the numpy step raises where the compiled step returned ``status``."""
-        step = self._compiled
-        step.raise_for_softmax(status)
-        if status == step.NO_TOKENS:
-            raise ValueError(_NO_TOKENS)
-        if status == step.NONFINITE_DOWN:
-            raise NonFiniteLossError(f"downstream loss is {step.terms()[1]}")
-
     def objective(
         self,
         params: SelectorParams,
@@ -309,8 +276,7 @@ class PreparedBatch:
     ) -> SelectorGradients:
         """Analytic gradient of :meth:`objective` under the stop-gradient conventions."""
         weights = self._check(params, downstream, alpha, imbalance_weights)
-        t = self._step(params.weight, params.bias, downstream, alpha, weights, True)
-        return t._replace(grad_weight=t.grad_weight.copy())
+        return self._step(params.weight, params.bias, downstream, alpha, weights, True)
 
 
 def prepare_batch(dataset, menu: ScaleMenu, pool: str = "mean") -> PreparedBatch:
@@ -482,7 +448,7 @@ def train_selector(
     if init_params is None:
         init_params = init_selector_params(len(menu), prepared.num_global_tokens, seed=config.seed)
     weights = prepared._check(init_params, downstream, config.alpha, config.imbalance_weights)
-    train = _train_numpy if prepared._compiled is None else _train_compiled
+    train = _train_numpy if numeric._product_kernel() is None else _train_compiled
     weight, bias, history = train(prepared, init_params, config, downstream, weights)
     return TrainRun(*history, params=SelectorParams(weight, bias))  # checks the last update
 
@@ -517,21 +483,25 @@ def _train_numpy(prepared, params, config, downstream, weights):
 
 
 def _train_compiled(prepared, params, config, downstream, weights):
-    """:func:`train_selector`'s steps in the compiled step, which updates its own
-    copy of the parameters; raises as :func:`_train_numpy` does and returns
+    """:func:`train_selector`'s steps in a compiled step of their own, which updates
+    its copy of the parameters; raises as :func:`_train_numpy` does and returns
     what it returns, the history being the arrays :meth:`Step.train` allocates."""
-    step = prepared._compiled_at(params.weight, params.bias, downstream, config.alpha, weights)
+    from . import _kernel  # already imported by the loader
+
+    step = _kernel.Step(numeric._product_kernel(), prepared.scores, prepared.sums, prepared.counts)
+    step.weight[...] = params.weight
+    step.bias[...] = params.bias
+    step.set_loss(None if downstream is None else downstream.target, config.alpha, weights)
     status, index, history = step.train(config.learning_rate, config.steps)
     if status == step.NONFINITE_LOSS:
-        raise TrainingDiverged(index, step.terms()[0])
-    try:
-        prepared._raise_for(status)
-    except NonFiniteLossError as exc:
-        raise TrainingDiverged(index, float("nan")) from exc
-    except ValueError:
+        raise TrainingDiverged(index, step.loss)
+    if status == step.NONFINITE_DOWN:
+        raise TrainingDiverged(index, float("nan"))
+    if status != step.OK:
         SelectorParams(step.weight, step.bias)  # as in _train_numpy
-        raise
-    return step.weight.copy(), step.bias.copy(), history
+        step.raise_for_softmax(status)
+        raise ValueError(_NO_TOKENS)
+    return step.weight, step.bias, history
 
 
 # Learning rate tuned so 500 plain-GD steps settle the balance dynamics on

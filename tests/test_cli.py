@@ -7,8 +7,10 @@ import json
 import math
 import os
 import shlex
+import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 from pathlib import Path
@@ -23,6 +25,7 @@ from hypothesis.extra.numpy import arrays
 from vtcompress import cli, numeric, vision
 from vtcompress.cli import build_parser, main
 from vtcompress.formats import (
+    MAGIC_ATTENTION,
     MAGIC_FEATURE_MAP,
     MAGIC_SELECTOR,
     export_heatmap,
@@ -1192,6 +1195,7 @@ class TestErrorContract:
         ("report", "--in", "r.json", "--bogus"),
         ("compress", "--map", "x.fmap", "--strategy", "all"),
         ("--conf", "c.json", "gen", "--out", "g"),  # no abbreviated --config
+        ("gradcheck", "--margin=--"),  # the value "--", which is no number
     ])
     def test_usage_error(self, argv, capsys):
         code, out, err = run(capsys, *argv)
@@ -1484,6 +1488,156 @@ class TestParsePairs:
             assert cli._parse_pairs(COMMANDS[argv[0]], argv[1:], namespace) is not None, argv
 
 
+# The largest integer a fuzzed run may give a flag that sizes an allocation or
+# a loop, so that no drawn shape is really allocated; other integers are
+# drawn unbounded.
+SIZE_BOUNDS = {"steps": 20, "instances": 3, "window": 12, "height": 12, "width": 12,
+               "channels": 12, "global_height": 12, "global_width": 12, "heads": 12,
+               "text_tokens": 12, "head_dim": 12}
+# Malformed values, none of which an int flag reads as more than 30.
+MALFORMED = st.sampled_from(["", "-", "x", "1.5", "nan", "-inf", "1e999", " 3", "3_0", "\uff13",
+                             "0x10", "-h", "--", "--bogus", "a b", "a=b", "a\x00b"])
+# Single path components, so that a fuzzed output stays in the working directory.
+COMPONENTS = st.text(st.characters(blacklist_characters="/"), max_size=5).filter(
+    lambda text: text != "..")
+# What a string flag may name: the inputs :func:`fuzz_inputs` writes, a file
+# or directory that is not there, and number lists and grids of each length.
+STRINGS = st.sampled_from([
+    "x.fmap", "xg.fmap", "q.attn", "k.attn", "stack.attn", "sel.selw", "report.json", "dir",
+    "missing.fmap", "out", "-", "0.5,0.5,0.5", "1,1,1", "0.5,1.5", "1,nan,2", "4x4", "2x8", "0x16",
+])
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A directory of small inputs of every kind a command reads."""
+    path = tmp_path_factory.mktemp("inputs")
+    shape = dict(height=8, width=8, channels=3, global_height=2, global_width=2, heads=2,
+                 text_tokens=3, head_dim=4)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--out", str(path), *(f"--{key.replace('_', '-')}={value}"
+                                                   for key, value in shape.items())]) == 0
+    write_tensor(path / "sel.selw", params_to_array(init_selector_params(3, 4, seed=0)),
+                 MAGIC_SELECTOR)
+    stack = np.random.default_rng(0).random((2, 2, 3, 16))
+    write_tensor(path / "stack.attn", stack / stack.sum(axis=-1, keepdims=True), MAGIC_ATTENTION)
+    (path / "report.json").write_text(json.dumps(
+        {"reportVersion": 1, "inputTokens": 64, "afterVision": 20, "totalLayers": 32,
+         "effectiveTokens": 20, "textSelection": None}))
+    (path / "dir").mkdir()
+    return path
+
+
+def _fuzz_values(action):
+    """Value tokens of ``action``'s type or choices, in range or out of it."""
+    if action.type is int:
+        bound = SIZE_BOUNDS.get(action.dest)
+        return (st.integers(-3, bound) if bound else st.integers(-3, 40) | st.integers()).map(str)
+    if action.type is float:
+        return (st.floats(0, 2) | st.floats()).map(repr)
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    return STRINGS
+
+
+def _malformed(action):
+    """Value tokens that ``action``'s type or choices refuse, or text; none that
+    an int flag reads as a large number."""
+    return MALFORMED if action is None or action.type is int else MALFORMED | COMPONENTS
+
+
+def _resolve(command, flag):
+    """The action argparse gives ``flag``, an option of ``command`` or a prefix of
+    one, or None where it names none or several."""
+    actions = command._option_string_actions
+    if flag in actions:
+        return actions[flag]
+    matches = {action for option, action in actions.items() if option.startswith(flag)}
+    return matches.pop() if len(matches) == 1 else None
+
+
+@st.composite
+def runnable_command_lines(draw):
+    """(argv, config): a command line drawn from ``build_parser()``'s actions for
+    one subcommand, and the JSON value of its ``--config`` file or None.
+
+    The line starts as exact ``--flag value`` pairs of the subcommand's actions
+    (the required flags, usually, and a few others) with values of each
+    flag's type, then takes up to two edits: a flag abbreviated or written as
+    ``--flag=value``, a value made malformed, an unknown flag or ``-h`` put
+    in, or a token dropped. A value stays within :data:`SIZE_BOUNDS` for the
+    action that argparse gives it. The config's keys are flag names or dests,
+    or text, with values of the same kinds."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    command = COMMANDS[name]
+    valued = [a for a in command._actions if a.nargs != 0]
+    actions = [a for a in valued if a.required and draw(st.integers(0, 9))]
+    actions += draw(st.lists(st.sampled_from(valued), max_size=4))
+    pairs = [[draw(st.sampled_from(a.option_strings)), draw(_fuzz_values(a))]
+             for a in draw(st.permutations(actions))]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["abbreviate", "equals", "malformed", "unknown", "help",
+                                     "drop"]))
+        at = draw(st.integers(0, len(pairs)))
+        if edit == "unknown":
+            pairs.insert(at, [draw(st.sampled_from(["--bogus", "-x", "--"])), draw(MALFORMED)])
+        elif edit == "help":
+            pairs.insert(at, ["-h"])
+        elif at < len(pairs) and len(pairs[at]) == 2:
+            flag, value = pairs[at]
+            if edit == "abbreviate" and len(flag) > 3:
+                flag = flag[:draw(st.integers(3, len(flag) - 1))]
+                value = draw(_fuzz_values(_resolve(command, flag) or command._actions[0]))
+            elif edit in ("malformed", "equals"):
+                value = draw(_malformed(_resolve(command, flag)) | st.just(value))
+            pairs[at] = ([f"{flag}={value}"] if edit == "equals" else
+                         [flag, value][draw(st.integers(0, 1)):] if edit == "drop" else
+                         [flag, value])
+    tokens = [token for pair in pairs for token in pair]
+    if draw(st.integers(0, 2)):
+        return [name, *tokens], None
+    config = {}
+    for action in draw(st.lists(st.sampled_from(valued), max_size=3)):
+        key = draw(st.sampled_from([action.dest, *(o[2:] for o in action.option_strings)]))
+        config[key] = draw(_config_values(action))
+    if draw(st.booleans()):
+        config[draw(COMPONENTS)] = draw(STRINGS)
+    config = draw(st.just(config) | st.sampled_from([[], "x"]))
+    return ["--config", "config.json", name, *tokens], config
+
+
+def _config_values(action):
+    """JSON values for ``action``'s config key: its flag's value tokens, malformed
+    ones, numbers within the same bounds, lists, null and true."""
+    text = _fuzz_values(action) | _malformed(action)
+    numbers = st.integers(-3, SIZE_BOUNDS.get(action.dest, 40)) | st.floats(0, 2)
+    return text | numbers | st.lists(text, max_size=2) | st.sampled_from([None, True])
+
+
+class TestFuzzedCommandLines:
+    """Command lines drawn from every subcommand's actions, run on small inputs:
+    each call ends in the error contract, never a traceback or a warning."""
+
+    @given(line=runnable_command_lines())
+    @example(line=(["report", "--in=--"], None))  # the file "--", not an empty list
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_call_keeps_the_contract(self, line, fuzz_inputs, tmp_path, capsys):
+        argv, config = line
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        shutil.copytree(fuzz_inputs, work, dirs_exist_ok=True)
+        if config is not None:
+            (work / "config.json").write_text(json.dumps(config))
+        with contextlib.chdir(work), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would add a line to stderr
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # -h prints argparse's help and exits 0
+                code = exc.code
+        assert_contract(code, *capsys.readouterr())
+        shutil.rmtree(work)
+
+
 class TestWriter:
     """Every output file goes through ``formats.write_bytes``."""
 
@@ -1604,3 +1758,17 @@ def test_config_path_the_file_system_cannot_encode_is_a_file_error(case, fixture
     error = json.loads(proc.stderr)
     assert error["error"] == "file-error" and "\u00e9" in error["message"]
     assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "fix"]
+
+
+def test_importing_the_cli_loads_no_kernel():
+    """A process loads the compiled kernel (cffi's backend, the extension module
+    and its probe, ~4 ms warm) on the first call that asks for it, not when it
+    imports the CLI."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, vtcompress.cli\n"
+            "print(sorted({'vtcompress._kernel', '_cffi_backend'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    assert proc.stdout == "[]\n"

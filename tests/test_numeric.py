@@ -305,8 +305,6 @@ class TestStepKernel:
         for name in ("OK", "EMPTY", "NONFINITE_LOGITS", "NO_TOKENS", "NONFINITE_DOWN",
                      "NONFINITE_LOSS"):
             assert getattr(_kernel.Step, name) == getattr(kernel.lib, "VTC_" + name)
-        for name in ("LOSS", "GRAD", "TRAIN"):
-            assert getattr(_kernel.Step, "_" + name) == getattr(kernel.lib, "VTC_" + name)
 
     @needs_compiler
     @pytest.mark.parametrize("mutation", [

@@ -1,4 +1,5 @@
 import contextlib
+import threading
 
 import numpy as np
 import pytest
@@ -45,8 +46,8 @@ needs_kernel = pytest.mark.skipif(
 
 class NumpyStep:
     """Mixed into a copy of a test class to run its tests with the compiled
-    kernel forced off, so that every loss, gradient and training step runs the
-    numpy step."""
+    kernel forced off, so that every product runs matmul's numpy layout and
+    every training run the numpy step."""
 
     @pytest.fixture(autouse=True)
     def _numpy_step(self, monkeypatch):
@@ -482,24 +483,6 @@ def _kernel_off():
         yield
 
 
-def _batch(menu, scores, variants, compiled):
-    with contextlib.nullcontext() if compiled else _kernel_off():
-        batch = PreparedBatch(menu, scores, variants)
-    assert (batch._compiled is not None) == compiled
-    return batch
-
-
-def _step_outcome(batch, params, downstream, alpha, imbalance, grad):
-    """Every value the step returns as bytes, or the error it raised."""
-    try:
-        weights = batch._check(params, downstream, alpha, imbalance)
-        result = batch._step(params.weight, params.bias, downstream, alpha, weights, grad)
-    except ValueError as exc:
-        return type(exc), str(exc)
-    return tuple(np.float64(v).tobytes() if np.ndim(v) == 0 else v.tobytes()
-                 for v in result if v is not None)
-
-
 def _train_outcome(batch, train, params, config, downstream):
     """The history and final parameters of a run as bytes, or the error it raised."""
     try:
@@ -545,19 +528,13 @@ class TestCompiledStepMatchesNumpyStep:
             w = rng.uniform(0.5, 1.5, s)
             imbalance = tuple((w * s / w.sum()).tolist())
 
-        compiled = _batch(menu, scores, variants, True)
-        reference = _batch(menu, scores, variants, False)
-        for grad in (False, True):
-            got = _step_outcome(compiled, params, downstream, alpha, imbalance, grad)
-            with _kernel_off():  # the reference's products stay in numpy
-                assert got == _step_outcome(reference, params, downstream, alpha, imbalance, grad)
-
+        batch = PreparedBatch(menu, scores, variants)
         learning_rate = data.draw(st.sampled_from([0.0, 0.5, 1e300]), label="learning rate")
         config = TrainConfig(steps=3, learning_rate=learning_rate, alpha=alpha,
                              imbalance_weights=imbalance)
-        got = _train_outcome(compiled, training._train_compiled, params, config, downstream)
-        with _kernel_off():
-            want = _train_outcome(reference, training._train_numpy, params, config, downstream)
+        got = _train_outcome(batch, training._train_compiled, params, config, downstream)
+        with _kernel_off():  # the reference's products stay in numpy
+            want = _train_outcome(batch, training._train_numpy, params, config, downstream)
         assert got == want
 
     @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
@@ -575,15 +552,62 @@ class TestCompiledStepMatchesNumpyStep:
             weight[[-2, -1]], bias[[0, -2, -1]] = weight[0], bias.max() + 100.0
         params = SelectorParams(weight, bias)
         downstream = MeanTokenTarget(rng.standard_normal(3))
-        compiled = _batch(menu, scores, variants, True)
-        reference = _batch(menu, scores, variants, False)
-        for grad in (False, True):
-            got = _step_outcome(compiled, params, downstream, 0.1, None, grad)
-            with _kernel_off():
-                assert got == _step_outcome(reference, params, downstream, 0.1, None, grad)
+        batch = PreparedBatch(menu, scores, variants)
         config = TrainConfig(steps=3, learning_rate=0.5, alpha=0.1)
-        got = _train_outcome(compiled, training._train_compiled, params, config, downstream)
-        with _kernel_off():
-            want = _train_outcome(reference, training._train_numpy, params, config, downstream)
+        got = _train_outcome(batch, training._train_compiled, params, config, downstream)
+        with _kernel_off():  # the reference's products stay in numpy
+            want = _train_outcome(batch, training._train_numpy, params, config, downstream)
         assert got == want
         assert len(got) == 5  # the run trained; it raised nothing
+
+
+def _as_bytes(values) -> tuple[bytes, ...]:
+    return tuple(np.float64(v).tobytes() if np.ndim(v) == 0 else v.tobytes() for v in values)
+
+
+def _in_threads(work, count: int = 4) -> list:
+    """``work(i)`` for i < ``count``, each in its own thread, all released at once."""
+    barrier, results = threading.Barrier(count), [None] * count
+
+    def run(i):
+        barrier.wait()
+        results[i] = work(i)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return results
+
+
+class TestSharedAcrossThreads:
+    """A prepared batch is plain data, so threads that share one, or one
+    dataset, get the serial results byte for byte."""
+
+    def test_objective_and_gradient_on_one_batch(self):
+        dataset, downstream = make_scale_indifferent_task(0)
+        batch = prepare_batch(dataset, default_menu())
+        params = [init_selector_params(3, batch.num_global_tokens, seed=i) for i in range(4)]
+
+        def outcome(p):
+            return _as_bytes([batch.objective(p, downstream=downstream),
+                              *batch.gradient(p, downstream=downstream)])
+
+        want = [outcome(p) for p in params]
+        # rounds that gave another thread's value, per thread
+        wrong = _in_threads(lambda i: sum(outcome(params[i]) != want[i] for _ in range(750)))
+        assert wrong == [0, 0, 0, 0]
+
+    def test_train_selector_on_one_dataset(self):
+        dataset, downstream = make_scale_indifferent_task(1)
+        config = TrainConfig(steps=500, learning_rate=SCALE_INDIFFERENT_LEARNING_RATE)
+        inits = [init_selector_params(3, 36, seed=i) for i in range(4)]
+
+        def outcome(i):
+            run = train_selector(dataset, config, downstream=downstream, init_params=inits[i])
+            return _as_bytes([run.losses, run.f_history, run.p_history, run.params.weight,
+                              run.params.bias])
+
+        want = [outcome(i) for i in range(4)]
+        assert _in_threads(outcome) == want
