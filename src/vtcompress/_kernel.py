@@ -28,31 +28,32 @@ lookup and bit operations, whose results IEEE 754 fixes, so every clone
 writes the numpy version's bits; its constants come from
 :data:`vtcompress.numeric.EXP_CONSTANTS` as ``repr`` literals.
 
-The same source holds the selector training step (:class:`Step`):
+The same source holds the selector training step, :meth:`Kernel.train`:
 ``PreparedBatch``'s numpy step under the same rules, a whole training run in
-one C call. It only trains: a single loss or gradient runs the numpy step.
-Its two products call ``vtc_matmul``; its sums over regions run
-sequentially, as numpy reduces along a non-contiguous axis; and its sums
-along a contiguous numpy row (each region's softmax denominator, the
-downstream mean) reproduce numpy's pairwise summation, which ``ndarray.sum``
-runs there. The step and the vision pass share one selector head,
-``selector_head``, which holds the logits region-major, ``(S, M)``: the
-logits ``weight @ scores_t`` plus each scale's bias, the finite check, each
-region's first maximum (or the forced scale), ``vtc_exp`` and the softmax,
-all across the regions. Below 8 scales the pairwise sum is a sequential
-one, run lane by lane; from 8 on, each region's column is summed pairwise.
-The attention runs a row pass instead, ``softmax_rows``: each element times
-a scale, the finite check, each row minus its first maximum, ``vtc_exp`` in
-place and each row divided by its pairwise sum. :meth:`Kernel.attention` is
-the text stage's per-head scaled softmax, one C call for all heads.
-:meth:`Kernel.route` is the vision stage's whole routing pass in one C
-call, ``vtc_route``, with the bits of :mod:`vtcompress.vision`'s numpy
-core: it pools each region straight from the map, by the mean and max rules
-that module gives, forms the ``(Ng, M)`` scores with ``vtc_matmul`` from the
-pooled regions transposed (each score the same products in the same order
-as the numpy core's), runs the selector head, transposes its probabilities
-and max-pools only the chosen scale's tokens. :meth:`Step.raise_for_softmax`
-turns the statuses of these softmax passes into ``numeric.softmax``'s errors.
+one stateless C call. It only trains: one loss or gradient runs numpy. Its
+two products call ``vtc_matmul``; its sums over regions run sequentially, as
+numpy reduces along a non-contiguous axis; and its sums along a contiguous
+numpy row (each region's softmax denominator, the downstream mean) reproduce
+numpy's pairwise summation, which ``ndarray.sum`` runs there. The step and
+the vision pass share one selector head, ``selector_head``, which holds the
+logits region-major, ``(S, M)``: the logits ``weight @ scores_t`` plus each
+scale's bias, the finite check, each region's first maximum (or the forced
+scale), ``vtc_exp`` and the softmax, all across the regions. Below 8 scales
+the pairwise sum is a sequential one, run lane by lane; from 8 on, each
+region's column is summed pairwise. The attention runs a row pass instead,
+``softmax_rows``: each element times a scale, the finite check, each row
+minus its first maximum, ``vtc_exp`` in place and each row divided by its
+pairwise sum. :meth:`Kernel.attention` is the text stage's per-head scaled
+softmax, one C call for all heads. :meth:`Kernel.route` is the vision
+stage's whole routing pass in one C call, ``vtc_route``, with the bits of
+:mod:`vtcompress.vision`'s numpy core: it pools each region straight from
+the map, by the mean and max rules that module gives, forms the ``(Ng, M)``
+scores with ``vtc_matmul`` from the pooled regions transposed (each score
+the same products in the same order as the numpy core's), runs the selector
+head, transposes its probabilities and max-pools only the chosen scale's
+tokens. The passes return ``CDEF``'s ``VTC_*`` statuses, read as
+``kernel.lib.VTC_*``; :meth:`Kernel.raise_for_softmax` turns those of the
+softmax passes into ``numeric.softmax``'s errors.
 
 :meth:`Kernel.history` writes the training log's whole ``history`` member
 in one C call, ``vtc_history``: the framing, indentation and step numbers of
@@ -111,8 +112,8 @@ from .report import _dumps
 from .vision import default_menu, emit_tokens, max_pool, partition, scale_variants
 
 # Declarations shared by the C source and cffi's cdef. ``vtc_step`` holds one
-# batch of the selector training step. :class:`Step` points it at numpy
-# buffers that it allocates and keeps alive, and ``train`` binds the history.
+# training run of the selector on one batch; :meth:`Kernel.train` points it at
+# numpy buffers that live for that one call.
 CDEF = r"""
 enum { VTC_OK, VTC_EMPTY, VTC_NONFINITE_LOGITS, VTC_NO_TOKENS, VTC_NONFINITE_DOWN, VTC_NONFINITE_LOSS };
 
@@ -1141,7 +1142,7 @@ class Kernel:
             raise ValueError(f"cannot attend from {q.shape} to {k.shape}")
         out, kt = np.empty((heads, t, n)), np.empty((d, n))
         buffer = self._buffer
-        Step.raise_for_softmax(self.lib.vtc_attention(
+        self.raise_for_softmax(self.lib.vtc_attention(
             buffer("double[]", q), buffer("double[]", k),
             buffer("double[]", out, require_writable=True),
             buffer("double[]", kt, require_writable=True), heads, t, d, n, scale,
@@ -1238,97 +1239,59 @@ class Kernel:
             "chosen": buffer("int64_t[]", chosen, require_writable=True),
             "tokens": buffer("double[]", tokens, require_writable=True),
         })
-        Step.raise_for_softmax(self.lib.vtc_route(t))
+        self.raise_for_softmax(self.lib.vtc_route(t))
         return tokens[: t.written], probs, chosen
 
-
-class Step:
-    """The selector training step of one batch in C, on buffers allocated once.
-
-    Write the parameters into :attr:`weight` and :attr:`bias`, choose the loss
-    with :meth:`set_loss`, then call :meth:`train`: the whole run is one C
-    call, ``vtc_step_run``, over all of its steps. The step has this one
-    mode; a single loss or gradient runs ``PreparedBatch``'s numpy step,
-    which writes the same bits. A step runs region-major: the selector head
-    that :meth:`Kernel.route` also runs lays the logits out ``(S, M)``, one
-    row per scale, as the product ``weight @ scores.T`` writes them, and
-    every softmax pass (the bias, each region's first maximum, ``vtc_exp``
-    in place, each region's pairwise sum and the division) and the
-    gradient's terms run as loops across the regions. A step holds mutable
-    buffers: ``train_selector`` builds one per run, and no two threads may
-    use one at once.
-    """
-
-    # The statuses of a run, as CDEF's enum numbers them.
-    OK, EMPTY, NONFINITE_LOGITS, NO_TOKENS, NONFINITE_DOWN, NONFINITE_LOSS = range(6)
-
-    def __init__(self, kernel: Kernel, scores: np.ndarray, sums: np.ndarray, counts: np.ndarray):
-        self._lib, self._ffi = kernel.lib, kernel.ffi
-        (m, ng), (s, _, c) = scores.shape, sums.shape
-        if sums.shape[1] != m or counts.shape != (s,):
-            raise ValueError(f"scores {scores.shape}, sums {sums.shape} and counts "
-                             f"{counts.shape} do not describe one batch")
-        t = self._t = self._ffi.new("vtc_step *")
-        t.m, t.ng, t.s, t.c = m, ng, s, c
-        self._bound = {}  # field -> (numpy buffer, pointer into it), kept alive
-        self._bind("scores", np.ascontiguousarray(scores, dtype=np.float64))
-        self._bind("scores_t", np.ascontiguousarray(scores.T, dtype=np.float64))
-        self._bind("sums", np.ascontiguousarray(sums, dtype=np.float64))
-        self._bind("counts", np.ascontiguousarray(counts, dtype=np.int64))
-        self._bind("chosen", np.zeros(m, dtype=np.int64))
-        for name, size in (("target", c), ("imbalance", s), ("shifted", s * m), ("per_region", m),
-                           ("top1", m), ("f", s), ("p", s), ("wf", s), ("coeff", s), ("diff", c),
-                           ("work", c), ("d_logits_t", s * m), ("grad_weight", s * ng),
-                           ("grad_bias", s)):
-            self._bind(name, np.zeros(size))
-        self.weight = self._bind("weight", np.zeros((s, ng)))
-        self.bias = self._bind("bias", np.zeros(s))
-
-    @classmethod
-    def raise_for_softmax(cls, status: int) -> None:
+    def raise_for_softmax(self, status: int) -> None:
         """Raise what ``numeric.softmax`` raises on the logits for which a C pass
-        (a step's or the attention's) returned ``status``; return if it would not."""
-        if status == cls.EMPTY:
+        (the attention's, the route's or a training step's) returned ``status``;
+        return if it would not."""
+        if status == self.lib.VTC_EMPTY:
             raise ValueError("softmax of an empty input")
-        if status == cls.NONFINITE_LOGITS:
+        if status == self.lib.VTC_NONFINITE_LOGITS:
             raise ValueError("softmax input contains non-finite values")
 
-    def _bind(self, field: str, array: np.ndarray) -> np.ndarray:
-        """Point ``field`` at ``array``, which must be C-contiguous and writable
-        unless the C code only reads it."""
-        kind = "int64_t[]" if array.dtype == np.int64 else "double[]"
-        pointer = self._ffi.from_buffer(kind, array, require_writable=array.flags.writeable)
-        setattr(self._t, field, pointer)
-        self._bound[field] = array, pointer
-        return array
+    def train(self, scores, sums, counts, weight, bias, target, alpha: float, imbalance,
+              learning_rate: float, steps: int) -> tuple:
+        """``steps`` steps of the selector's gradient descent on one batch in one
+        ``vtc_step_run`` call, with the bits of ``PreparedBatch``'s numpy step.
 
-    def set_loss(self, target, alpha: float, imbalance) -> None:
-        """The downstream target (``None``: no downstream term), ``alpha`` and the
-        imbalance weights (``None``: unit weights) of the following runs."""
-        self._t.alpha = alpha
-        for field, values in (("target", target), ("imbalance", imbalance)):
-            array, pointer = self._bound[field]
-            if values is not None:
-                array[...] = values
-            setattr(self._t, field, self._ffi.NULL if values is None else pointer)
-
-    @property
-    def loss(self) -> float:
-        """The loss of the step the last run ended on."""
-        return self._t.loss
-
-    def train(self, learning_rate: float, steps: int) -> tuple[int, int, tuple[np.ndarray, ...]]:
-        """``steps`` steps of gradient descent from :attr:`weight` and
-        :attr:`bias`, updated in place. Returns the status, the step that set
-        it (``steps`` when every step succeeded) and the history: fresh
-        ``(steps,)`` losses and ``(steps, S)`` f and P, whose row i step i
-        writes before it updates (rows from a failed step on stay zero)."""
-        self._t.lr = learning_rate
-        s = self._t.s
-        history = tuple(self._bind(field, np.zeros(shape)) for field, shape in
-                        (("losses", steps), ("f_hist", (steps, s)), ("p_hist", (steps, s))))
-        status = self._lib.vtc_step_run(self._t, steps)
-        return status, self._t.step, history
+        The batch is ``(M, Ng)`` scores, ``(S, M, C)`` sums and ``(S,)`` counts;
+        the run starts from an ``(S, Ng)`` weight and ``(S,)`` bias; the
+        ``(C,)`` target and ``(S,)`` imbalance weights may be ``None``: no
+        downstream term, unit weights. Returns the status (a ``lib.VTC_*``), the step that set it
+        (``steps`` when all succeeded) and its loss, the final weight and bias
+        and the history: ``(steps,)`` losses and ``(steps, S)`` f and P, row i
+        written by step i before its update (zero from a failed step on). The
+        arrays returned are new; no input is written, nothing outlives the call.
+        """
+        scores, sums, target, imbalance = (a if a is None else np.ascontiguousarray(a, np.float64)
+                                           for a in (scores, sums, target, imbalance))
+        weight, bias = np.array(weight, np.float64), np.array(bias, np.float64)  # C updates them
+        (m, ng), (s, _, c) = scores.shape, sums.shape
+        arrays = {"scores": scores, "scores_t": np.ascontiguousarray(scores.T), "sums": sums,
+                  "counts": np.ascontiguousarray(counts, np.int64), "weight": weight,
+                  "bias": bias, "target": target, "imbalance": imbalance,
+                  "chosen": np.zeros(m, np.int64), "losses": np.zeros(steps),
+                  "f_hist": np.zeros((steps, s)), "p_hist": np.zeros((steps, s)),
+                  **{name: np.zeros(size) for name, size in (
+                      ("shifted", s * m), ("per_region", m), ("top1", m), ("f", s), ("p", s),
+                      ("wf", s), ("coeff", s), ("diff", c), ("work", c), ("d_logits_t", s * m),
+                      ("grad_weight", s * ng), ("grad_bias", s))}}
+        if any(arrays[name] is not None and arrays[name].shape != shape for name, shape in (
+                ("sums", (s, m, c)), ("counts", (s,)), ("weight", (s, ng)), ("bias", (s,)),
+                ("target", (c,)), ("imbalance", (s,)))):
+            raise ValueError("cannot train on the shapes " + ", ".join(
+                f"{name} {np.shape(arrays[name])}" for name in
+                ("scores", "sums", "counts", "weight", "bias", "target", "imbalance")))
+        t = self.ffi.new("vtc_step *", {
+            "m": m, "ng": ng, "s": s, "c": c, "alpha": alpha, "lr": learning_rate,
+            **{name: self._buffer("int64_t[]" if a.dtype == np.int64 else "double[]", a)
+               for name, a in arrays.items() if a is not None},
+        })
+        status = self.lib.vtc_step_run(t, steps)
+        return status, t.step, t.loss, weight, bias, (arrays["losses"], arrays["f_hist"],
+                                                      arrays["p_hist"])
 
 
 def load(cache_dir: Path, source: str = SOURCE) -> Kernel | None:

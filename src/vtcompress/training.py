@@ -160,8 +160,8 @@ class PreparedBatch:
     :func:`~vtcompress.numeric.matmul` and its softmax through the library's
     numpy exponential, so it gives the same bits on any CPU.
     :func:`train_selector` runs the same step, or, when the product kernel
-    loads, the compiled step (:class:`vtcompress._kernel.Step`), one C call
-    per training run that writes the same bits. The parameters, ``alpha``
+    loads, one stateless :meth:`vtcompress._kernel.Kernel.train` call per
+    training run, which writes the same bits. The parameters, ``alpha``
     and the imbalance weights are checked once per public call or training
     run. A batch is plain data that no call changes, so threads may share it.
     """
@@ -455,7 +455,7 @@ def train_selector(
 
 def _train_numpy(prepared, params, config, downstream, weights):
     """:func:`train_selector`'s steps through the numpy step; returns the final weight
-    and bias and the history it allocates, laid out as :meth:`Step.train`'s."""
+    and bias and the history it allocates, laid out as ``Kernel.train``'s."""
     s = len(prepared.menu)
     losses, f_hist, p_hist = history = (
         np.zeros(config.steps), np.zeros((config.steps, s)), np.zeros((config.steps, s))
@@ -483,25 +483,24 @@ def _train_numpy(prepared, params, config, downstream, weights):
 
 
 def _train_compiled(prepared, params, config, downstream, weights):
-    """:func:`train_selector`'s steps in a compiled step of their own, which updates
-    its copy of the parameters; raises as :func:`_train_numpy` does and returns
-    what it returns, the history being the arrays :meth:`Step.train` allocates."""
-    from . import _kernel  # already imported by the loader
-
-    step = _kernel.Step(numeric._product_kernel(), prepared.scores, prepared.sums, prepared.counts)
-    step.weight[...] = params.weight
-    step.bias[...] = params.bias
-    step.set_loss(None if downstream is None else downstream.target, config.alpha, weights)
-    status, index, history = step.train(config.learning_rate, config.steps)
-    if status == step.NONFINITE_LOSS:
-        raise TrainingDiverged(index, step.loss)
-    if status == step.NONFINITE_DOWN:
+    """:func:`train_selector`'s steps in one :meth:`vtcompress._kernel.Kernel.train`
+    call; raises as :func:`_train_numpy` does and returns what it returns."""
+    kernel = numeric._product_kernel()
+    status, index, loss, weight, bias, history = kernel.train(
+        prepared.scores, prepared.sums, prepared.counts, params.weight, params.bias,
+        None if downstream is None else downstream.target, config.alpha, weights,
+        config.learning_rate, config.steps)
+    if status == kernel.lib.VTC_NONFINITE_LOSS:
+        raise TrainingDiverged(index, loss)
+    if status == kernel.lib.VTC_NONFINITE_DOWN:
         raise TrainingDiverged(index, float("nan"))
-    if status != step.OK:
-        SelectorParams(step.weight, step.bias)  # as in _train_numpy
-        step.raise_for_softmax(status)
-        raise ValueError(_NO_TOKENS)
-    return step.weight, step.bias, history
+    if status != kernel.lib.VTC_OK:
+        SelectorParams(weight, bias)  # as in _train_numpy
+        if status == kernel.lib.VTC_NO_TOKENS:
+            raise ValueError(_NO_TOKENS)
+        kernel.raise_for_softmax(status)
+        raise RuntimeError(f"the compiled training step returned unknown status {status}")
+    return weight, bias, history
 
 
 # Learning rate tuned so 500 plain-GD steps settle the balance dynamics on

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, multiple, rule
 
 from vtcompress import cli, numeric, vision
 from vtcompress.cli import build_parser, main
@@ -28,12 +29,13 @@ from vtcompress.formats import (
     MAGIC_ATTENTION,
     MAGIC_FEATURE_MAP,
     MAGIC_SELECTOR,
+    STRUCTURES,
     export_heatmap,
     read_tensor,
     write_tensor,
 )
 from vtcompress.report import effective_token_count, report_to_json
-from vtcompress.textsampler import per_layer_importance
+from vtcompress.textsampler import attention_scores, per_layer_importance
 from vtcompress.training import TrainConfig, make_scale_indifferent_task, train_selector
 from vtcompress.vision import (
     default_menu,
@@ -1636,6 +1638,166 @@ class TestFuzzedCommandLines:
                 code = exc.code
         assert_contract(code, *capsys.readouterr())
         shutil.rmtree(work)
+
+
+class CliRoundTrips(RuleBasedStateMachine):
+    """The files that one command writes, read by the next: ``gen`` ->
+    ``compress`` -> ``report --in``; ``train --out-params`` -> ``compress
+    --params`` and ``train --resume``; and ``evolution --grid`` on a stack of
+    the attention of ``gen``'s queries and keys. A call on consistent inputs
+    exits 0 and the next command accepts what it wrote; any other call exits 5
+    (invalid input) and writes nothing. Every size stays within
+    :data:`SIZE_BOUNDS`."""
+
+    fixtures = Bundle("fixtures")
+    reports = Bundle("reports")
+    selectors = Bundle("selectors")
+
+    def __init__(self):
+        super().__init__()
+        self.dir = Path(tempfile.mkdtemp())
+        self.files = 0
+
+    def teardown(self):
+        shutil.rmtree(self.dir)
+
+    def _out(self, suffix: str) -> Path:
+        self.files += 1
+        return self.dir / f"{self.files}{suffix}"
+
+    @staticmethod
+    def _run(valid: bool, *argv) -> str:
+        """``main(argv)``'s stdout, once it kept the contract and exited 0 if
+        ``valid``, else 5."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would add a line to stderr
+            code = main([str(token) for token in argv])
+        assert_contract(code, out.getvalue(), err.getvalue())
+        assert code == (0 if valid else cli.EXIT_INVALID), (argv, err.getvalue())
+        return out.getvalue()
+
+    @staticmethod
+    def _scales(menu: str, window: int) -> int | None:
+        """The number of scales of ``menu`` for ``window``, or None where it has no menu."""
+        try:
+            return len(cli.MENUS[menu](window))
+        except ValueError:
+            return None
+
+    @rule(target=fixtures, height=st.sampled_from([0, 4, 6, 8, 12]),
+          width=st.sampled_from([4, 6, 8, 12]), channels=st.integers(1, 3),
+          global_side=st.integers(1, 2), heads=st.integers(1, 2), text_tokens=st.integers(1, 3),
+          head_dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+          structure=st.sampled_from(STRUCTURES))
+    def gen(self, height, width, channels, global_side, heads, text_tokens, head_dim, seed,
+            structure):
+        out = self._out("")
+        self._run(height > 0, "gen", "--out", out, "--height", height, "--width", width,
+                  "--channels", channels, "--global-height", global_side, "--global-width",
+                  global_side, "--heads", heads, "--text-tokens", text_tokens, "--head-dim",
+                  head_dim, "--seed", seed, "--structure", structure)
+        assert out.exists() == (height > 0)
+        if not height:
+            return multiple()
+        return SimpleNamespace(dir=out, height=height, width=width, global_tokens=global_side**2)
+
+    @rule(target=reports, fixture=fixtures,
+          strategy=st.sampled_from(["vision", "text", "both", "heuristic"]),
+          window=st.sampled_from([2, 3, 4]), menu=st.sampled_from(sorted(cli.MENUS)),
+          selector=st.none() | selectors)
+    def compress(self, fixture, strategy, window, menu, selector):
+        out, files = self._out(".json"), fixture.dir
+        argv = ["compress", "--strategy", strategy, "--map", files / "x.fmap", "--global",
+                files / "xg.fmap", "--q", files / "q.attn", "--window", window, "--menu", menu,
+                "--out", out]
+        argv += ["--k", files / "k.attn"] if strategy == "text" else []
+        argv += ["--params", selector.path] if selector is not None else []
+        scales = self._scales(menu, window)
+        valid = strategy not in ("vision", "both") or (
+            scales is not None and fixture.height % window == fixture.width % window == 0
+            and (selector is None or selector.shape == (scales, fixture.global_tokens)))
+        self._run(valid, *argv)
+        assert out.exists() == valid
+        return out if valid else multiple()
+
+    @rule(target=reports, report=reports, layer=st.none() | st.integers(0, 40),
+          total_layers=st.none() | st.integers(1, 40))
+    def report(self, report, layer, total_layers):
+        out = self._out(".json")
+        argv = ["report", "--in", report, "--out", out]
+        argv += ["--layer", layer] if layer is not None else []
+        argv += ["--total-layers", total_layers] if total_layers is not None else []
+        read = json.loads(report.read_bytes())
+        text, total = read["textSelection"], total_layers or read["totalLayers"]
+        at = layer if layer is not None else text["layer"] if text is not None else 0
+        valid = (layer is None or text is not None) and 0 <= at < total
+        self._run(valid, *argv)
+        if layer is None and total_layers is None:  # the report's own accounting, unchanged
+            written = json.loads(out.read_bytes())
+            assert {**written, "effectivePercent": None} == {**read, "effectivePercent": None}
+        return out if valid else multiple()
+
+    @rule(target=selectors, source=st.none() | fixtures, window=st.sampled_from([2, 3, 4]),
+          menu=st.sampled_from(sorted(cli.MENUS)), steps=st.integers(1, SIZE_BOUNDS["steps"]),
+          learning_rate=st.sampled_from([0.0, 0.02]), resume=st.none() | selectors)
+    def train(self, source, window, menu, steps, learning_rate, resume):
+        out = self._out(".selw")
+        if source is None:  # the task's map has 6x6 regions of the window and 36 global tokens
+            argv, height, width, global_tokens = ["train", "--task", "scale-indifferent"], 0, 0, 36
+        else:
+            argv = ["train", "--map", source.dir / "x.fmap", "--global", source.dir / "xg.fmap"]
+            height, width, global_tokens = source.height, source.width, source.global_tokens
+        argv += ["--window", window, "--menu", menu, "--steps", steps, "--lr", learning_rate,
+                 "--out-params", out]
+        argv += ["--resume", resume.path] if resume is not None else []
+        shape = self._scales(menu, window), global_tokens
+        valid = shape[0] is not None and height % window == width % window == 0 and (
+            resume is None or resume.shape == shape)
+        self._run(valid, *argv)
+        assert out.exists() == valid
+        if valid and resume is not None and learning_rate == 0.0:
+            assert out.read_bytes() == resume.path.read_bytes()
+        if not valid:
+            return multiple()
+        return SimpleNamespace(path=out, shape=shape, source=source, window=window, menu=menu)
+
+    @rule(target=selectors, selector=selectors, steps=st.integers(1, SIZE_BOUNDS["steps"]),
+          learning_rate=st.sampled_from([0.0, 0.02]))
+    def resume(self, selector, steps, learning_rate):
+        """``train --resume`` on the data, window and menu that wrote ``selector``."""
+        return self.train(selector.source, selector.window, selector.menu, steps, learning_rate,
+                          selector)
+
+    @rule(fixture=fixtures, layers=st.integers(1, 3), fmt=st.sampled_from(["pgm", "csv"]),
+          grid=st.sampled_from(["exact", "transposed", "row", "wrong"]))
+    def evolution(self, fixture, layers, fmt, grid):
+        (q, _), (k, _) = (read_tensor(fixture.dir / name) for name in ("q.attn", "k.attn"))
+        stack = self._out(".attn")
+        write_tensor(stack, np.stack([attention_scores(q, k)] * layers), MAGIC_ATTENTION)
+        h, w = fixture.height, fixture.width
+        rows, cols = {"exact": (h, w), "transposed": (w, h), "row": (1, h * w),
+                      "wrong": (h + 1, w)}[grid]
+        out = self._out("")
+        stdout = self._run(rows * cols == h * w, "evolution", "--attn", stack, "--out-dir", out,
+                           "--grid", f"{rows}x{cols}", "--format", fmt)
+        if grid == "wrong":
+            assert not out.exists()
+            return
+        files = json.loads(stdout)["files"]
+        assert len(files) == layers
+        for path in files:
+            lines = Path(path).read_bytes().decode("ascii").splitlines()
+            if fmt == "pgm":
+                assert lines[:3] == ["P2", f"{cols} {rows}", "255"]
+                lines = lines[3:]
+            assert [len(line.split(",") if fmt == "csv" else line.split()) for line in lines] \
+                == [cols] * rows
+
+
+TestCliRoundTrips = CliRoundTrips.TestCase
+TestCliRoundTrips.settings = settings(max_examples=60, stateful_step_count=10, deadline=None)
 
 
 class TestWriter:

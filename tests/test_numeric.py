@@ -301,10 +301,33 @@ class TestStepKernel:
                 got = kernel.lib.vtc_sum(kernel.ffi.from_buffer("double[]", a), n)
                 assert np.float64(got).tobytes() == a.sum().tobytes(), n
 
-    def test_statuses_match_the_c_enum(self, kernel):
-        for name in ("OK", "EMPTY", "NONFINITE_LOGITS", "NO_TOKENS", "NONFINITE_DOWN",
-                     "NONFINITE_LOSS"):
-            assert getattr(_kernel.Step, name) == getattr(kernel.lib, "VTC_" + name)
+    def test_train_writes_no_input_and_keeps_nothing(self, kernel):
+        rng = np.random.default_rng(3)
+        m, ng, s, c = 6, 4, 3, 2
+        arrays = [rng.standard_normal((m, ng)), rng.standard_normal((s, m, c)),
+                  np.array([1, 4, 16], dtype=np.int64), rng.standard_normal((s, ng)),
+                  rng.standard_normal(s), rng.standard_normal(c), np.array([0.9, 1.0, 1.1])]
+        for a in arrays[:3]:  # a batch's arrays may be read-only
+            a.flags.writeable = False
+        scores, sums, counts, weight, bias, target, imbalance = arrays
+        before = [a.tobytes() for a in arrays]
+
+        def train():
+            return kernel.train(scores, sums, counts, weight, bias, target, 0.1, imbalance, 0.5, 4)
+
+        first = train()
+        status, index, loss, new_weight, new_bias, history = first
+        assert (status, index) == (kernel.lib.VTC_OK, 4) and np.isfinite(loss)
+        assert [a.tobytes() for a in arrays] == before
+        assert new_weight.tobytes() != weight.tobytes()  # it trained
+        outputs = [new_weight, new_bias, *history]
+        assert not [(i, j) for i, out in enumerate(outputs) for j, a in enumerate(arrays)
+                    if np.shares_memory(out, a)]
+        kept = [out.tobytes() for out in outputs]
+        second = train()
+        assert [out.tobytes() for out in outputs] == kept  # the first call's results stay
+        assert second[:3] == first[:3]
+        assert [out.tobytes() for out in (*second[3:5], *second[5])] == kept
 
     @needs_compiler
     @pytest.mark.parametrize("mutation", [
@@ -534,7 +557,9 @@ def test_every_compiled_export_has_a_caller():
     """Every function that ``CDEF`` declares is called from ``_kernel``'s Python
     or from another function of ``SOURCE``, and every public ``Kernel`` method
     from another module of the package, so that deleting a pass cannot leave a
-    dead compiled export behind."""
+    dead compiled export behind; and every failure status of ``CDEF``'s enum
+    is read as ``lib.VTC_*`` somewhere in the package, so that a new status
+    cannot go unmapped."""
     package = Path(_kernel.__file__).parent
 
     def attributes(path: Path) -> set[str]:
@@ -556,6 +581,10 @@ def test_every_compiled_export_has_a_caller():
     methods = [name for name, value in vars(_kernel.Kernel).items()
                if callable(value) and not name.startswith("_")]
     assert methods and not [name for name in methods if name not in used]
+    (enum,) = re.findall(r"enum\s*\{([^}]*)\}", _kernel.CDEF)
+    statuses = re.findall(r"\bVTC_\w+", enum)
+    assert statuses[0] == "VTC_OK" and len(statuses) > 1
+    assert not [name for name in statuses[1:] if name not in used | python]
 
 
 # Magnitudes that cancel, signed zeros and subnormals; scaled by 1e150, some

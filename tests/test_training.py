@@ -189,10 +189,6 @@ class TestSelectorGrad:
                     call(params, downstream=downstream)
 
 
-class TestSelectorGradNumpyStep(NumpyStep, TestSelectorGrad):
-    pass
-
-
 class TestTrainer:
     def test_zero_learning_rate_is_a_no_op(self):
         dataset, downstream = make_scale_indifferent_task(0)
@@ -311,10 +307,6 @@ class TestGradientMatchesPerRegionLoop:
         scale = max(np.abs(want_w).max(), np.abs(want_b).max())
         np.testing.assert_allclose(got.grad_weight, want_w, rtol=1e-12, atol=1e-12 * scale)
         np.testing.assert_allclose(got.grad_bias, want_b, rtol=1e-12, atol=1e-12 * scale)
-
-
-class TestGradientMatchesPerRegionLoopNumpyStep(NumpyStep, TestGradientMatchesPerRegionLoop):
-    pass
 
 
 def reference_train(dataset, config, menu, downstream, init_params):
