@@ -22,15 +22,12 @@ cannot encode or that holds a NUL byte) also exits 3.
 The parser is built on the first ``main`` call and reused by every later
 one, also from several threads at once: nothing changes it. A command line
 that starts with a subcommand is parsed by that subcommand's parser alone
-(``vtcompress compress: unrecognized arguments: ...``), from its actions
-without argparse when its tokens are only exact ``--flag value`` pairs
-(``_parse_pairs``). Everything else (``-h``, an abbreviated flag,
-``--flag=value``, a value that starts with ``-``, a usage error, a command
-line that starts with ``--config`` or is no command) goes through argparse,
-with unchanged behaviour and text. ``--config`` goes before the subcommand.
-Its file is read only once the command line parses, so a usage error wins
-over a bad config. Its values seed a re-parse of the subcommand's own
-tokens, so flags win over them and they apply to their own call only.
+(``vtcompress compress: unrecognized arguments: ...``); one that starts
+with ``--config`` or is no command goes through the top-level parser.
+``--config`` goes before the subcommand. Its file is read only once the
+command line parses, so a usage error wins over a bad config. Its values
+seed a re-parse of the subcommand's own tokens, so flags win over them and
+they apply to their own call only.
 """
 
 from __future__ import annotations
@@ -525,46 +522,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
-@functools.cache
-def _pair_flags(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    """``parser``'s exact long options whose action stores or appends one value."""
-    return {option: action for action in parser._actions if action.nargs is None
-            and type(action) in (argparse._StoreAction, argparse._AppendAction)
-            for option in action.option_strings if option.startswith("--")}
-
-
-def _parse_pairs(parser, tokens: list[str], namespace) -> argparse.Namespace | None:
-    """``parser.parse_args(tokens, namespace)`` for ``tokens`` that are only
-    :func:`_pair_flags` pairs with every required flag, each value ``-`` or not
-    starting with ``-`` and of its flag's type and choices; else None. Fills a copy
-    of ``namespace`` in argparse's order; ``namespace`` itself is left as it was."""
-    flags, seen = _pair_flags(parser), set()
-    args = argparse.Namespace(**vars(namespace))
-    defaults = [(a.dest, a.default) for a in parser._actions if a.default is not argparse.SUPPRESS]
-    for dest, value in defaults + list(parser._defaults.items()):
-        if dest is not argparse.SUPPRESS and not hasattr(args, dest):
-            setattr(args, dest, value)
-    for flag, text in zip(tokens[::2], tokens[1::2]):
-        action = flags.get(flag)
-        if action is None or (text.startswith("-") and text != "-"):
-            return None
-        try:
-            value = (action.type or str)(text)
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
-            return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        action(parser, args, value, flag)
-        seen.add(action)
-    if len(tokens) % 2 or any(a.required and a not in seen for a in parser._actions):
-        return None
-    for action in parser._actions:
-        if (action not in seen and isinstance(action.default, str)
-                and getattr(args, action.dest, None) is action.default):
-            setattr(args, action.dest, (action.type or str)(action.default))
-    return args
-
-
 def _config_overrides(path: str, command: argparse.ArgumentParser) -> dict[str, object]:
     """The ``--config`` file at ``path``, checked against the subcommand parser
     ``command`` and keyed by argparse dest.
@@ -616,7 +573,7 @@ def main(argv=None) -> int:
         if argv and argv[0] in commands:  # the subcommand's parser alone: half the parse time
             command, tokens = commands[argv[0]], argv[1:]
             namespace = argparse.Namespace(command=argv[0], config=None)
-            args = _parse_pairs(command, tokens, namespace) or command.parse_args(tokens, namespace)
+            args = command.parse_args(tokens, namespace)
         else:
             args = parser.parse_args(argv)
         if args.config:  # flags overwrite config values; defaults fill only the rest
@@ -624,7 +581,7 @@ def main(argv=None) -> int:
             namespace = argparse.Namespace(command=args.command,
                                            **_config_overrides(args.config, command))
             tokens = args.own_tokens
-            args = _parse_pairs(command, tokens, namespace) or command.parse_args(tokens, namespace)
+            args = command.parse_args(tokens, namespace)
         return args.func(args)
     except _UsageError as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))

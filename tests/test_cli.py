@@ -1343,151 +1343,43 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = build_parser()[1]
 
 
-def _argparse(command, tokens, namespace):
-    """``command.parse_args(tokens, namespace)``, or None where argparse rejects
-    the command line or prints its help."""
+def _benchmark_command_lines() -> list[list[str]]:
+    """The benchmark's seed-1 command lines, from ``benchmarks/workloads.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "vtcompress_benchmark_workloads", ROOT / "benchmarks" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks the module up
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return command.parse_args(tokens, namespace)
-    except (cli._UsageError, SystemExit):
-        return None
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    lines = []
+    for workload in module.WORKLOADS.values():
+        if workload.gen is not None:
+            lines.append(["gen", "--out", "inp", "--seed", "1", *workload.gen])
+        lines += workload.argv(Path("inp"), Path("out"), 1)
+    return lines
 
 
-def _valid_values(action):
-    """Value tokens ``action`` accepts, if it takes one."""
-    if action is None or action.nargs == 0:
-        return st.nothing()
-    if action.choices is not None:
-        return st.sampled_from(sorted(action.choices))
-    if action.type is int:
-        return st.integers(0, 99).map(str)
-    if action.type is float:
-        return st.floats(0, 10).map(repr)
-    return st.sampled_from(["a", "x.fmap", "0.5,0.5"])
+def _readme_command_lines() -> list[list[str]]:
+    """The ``vtcompress`` lines of README's CLI block, without the program name."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()  # joins continued lines
+    return [argv[1:] for argv in map(shlex.split, lines) if argv[:1] == ["vtcompress"]]
 
 
-# Values of every kind a command line might give a flag, valid or not.
-VALUE_TOKENS = (
-    st.sampled_from(sorted({c for p in COMMANDS.values() for a in p._actions
-                            for c in a.choices or ()}))
-    | st.integers(-10**6, 10**6).map(str)
-    | st.floats().map(repr)
-    | st.sampled_from(["-", "", "-x", "--", "-1", "-1.5", "-inf", "nan", "1e999", " 3",
-                       "3_0", "\uff13", "-h", "--out", "a b", "a=b"])
-    | st.text(max_size=5)
-)
-
-
-@st.composite
-def command_lines(draw):
-    """(subcommand, its tokens, a starting namespace, whether argparse must
-    accept the tokens) drawn from ``build_parser()``'s actions.
-
-    A line starts as exact ``--flag value`` pairs that argparse accepts (the
-    required flags, usually, and a few others), then up to two edits: a flag
-    becomes another token (a prefix, ``--flag=value``, ``-h``, an unknown
-    flag), a value becomes a value of any kind, a pair of those is put in, or a
-    token is dropped. The namespace may hold ``--config`` values already."""
-    name = draw(st.sampled_from(sorted(COMMANDS)))
-    command = COMMANDS[name]
-    options = sorted(o for a in command._actions for o in a.option_strings)
-    longs = [o for o in options if o.startswith("--")]
-    flags = (st.sampled_from(options)
-             | st.sampled_from(sorted({o[:n] for o in longs for n in range(3, len(o))}))
-             | st.builds("{}={}".format, st.sampled_from(longs), VALUE_TOKENS)
-             | st.sampled_from(["-h", "--bogus", "--config", "-x", "--"]))
-    valued = [a for a in command._actions if a.nargs != 0]
-    actions = [a for a in valued if a.required and draw(st.integers(0, 9))]
-    actions += draw(st.lists(st.sampled_from(valued), max_size=4))
-    pairs = [(draw(st.sampled_from(a.option_strings)), draw(_valid_values(a)))
-             for a in draw(st.permutations(actions))]
-    tokens = [token for pair in pairs for token in pair]
-    edits = draw(st.integers(0, 2))
-    for _ in range(edits):
-        edit = draw(st.sampled_from(["flag", "value", "insert", "drop"]))
-        if edit == "insert" or not tokens:
-            at = 2 * draw(st.integers(0, len(tokens) // 2))
-            tokens[at:at] = [draw(flags), draw(VALUE_TOKENS)]
-        elif edit == "drop":
-            del tokens[draw(st.integers(0, len(tokens) - 1))]
-        else:
-            at = draw(st.integers(0, (len(tokens) - 1) // 2)) * 2 + (edit == "value")
-            if at < len(tokens):
-                tokens[at] = draw(flags if edit == "flag" else VALUE_TOKENS)
-    namespace = {"command": name, "config": None}
-    for action in draw(st.lists(st.sampled_from(valued), max_size=3)):
-        text = draw(_valid_values(action))
-        value = action.type(text) if action.type else text
-        namespace[action.dest] = [value] if isinstance(action, argparse._AppendAction) else value
-    return name, tokens, namespace, edits == 0 and all(a in actions for a in valued if a.required)
-
-
-class TestParsePairs:
-    """``_parse_pairs`` parses exact ``--flag value`` pairs as argparse does and
-    leaves every other command line to argparse. Parsing only: no command runs."""
-
-    @given(line=command_lines())
-    @settings(max_examples=600, deadline=None)
-    def test_agrees_with_argparse(self, line):
-        name, tokens, values, pairs = line
-        namespace = argparse.Namespace(**values)
-        fast = cli._parse_pairs(COMMANDS[name], tokens, namespace)
-        assert vars(namespace) == values  # left for argparse when fast is None
-        slow = _argparse(COMMANDS[name], tokens, argparse.Namespace(**values))
-        if pairs:
-            assert slow is not None and fast is not None
-        if slow is None:
-            assert fast is None
-        elif fast is not None:  # repr: a "nan" value is equal to itself there
-            assert repr(vars(fast)) == repr(vars(slow))
-
-    @staticmethod
-    def _pairs(argv):
-        """Whether ``argv`` is a subcommand and only exact ``--flag value`` pairs."""
-        command = COMMANDS.get(argv[0])
-        tokens = argv[1:]
-        return command is not None and len(tokens) % 2 == 0 and all(
-            flag.startswith("--") and flag in command._option_string_actions
-            and not (value.startswith("-") and value != "-")
-            for flag, value in zip(tokens[::2], tokens[1::2]))
-
-    @staticmethod
-    def _benchmark_command_lines() -> list[list[str]]:
-        spec = importlib.util.spec_from_file_location(
-            "vtcompress_benchmark_workloads", ROOT / "benchmarks" / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # dataclasses looks the module up
-        try:
-            spec.loader.exec_module(module)
-        finally:
-            del sys.modules[spec.name]
-        lines = []
-        for workload in module.WORKLOADS.values():
-            if workload.gen is not None:
-                lines.append(["gen", "--out", "inp", "--seed", "1", *workload.gen])
-            lines += workload.argv(Path("inp"), Path("out"), 1)
-        return lines
-
-    @staticmethod
-    def _readme_command_lines() -> list[list[str]]:
-        text = (ROOT / "README.md").read_text(encoding="utf-8")
-        block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-        lines = block.replace("\\\n", " ").splitlines()  # joins continued lines
-        return [argv[1:] for argv in map(shlex.split, lines) if argv[:1] == ["vtcompress"]]
-
-    def test_benchmark_command_lines_take_the_fast_path(self):
-        lines = self._benchmark_command_lines()
-        assert len(lines) == 7 and all(map(self._pairs, lines))
-        for argv in lines:
-            namespace = argparse.Namespace(command=argv[0], config=None)
-            assert cli._parse_pairs(COMMANDS[argv[0]], argv[1:], namespace) is not None, argv
-
-    def test_readme_command_lines_of_pairs_take_the_fast_path(self):
-        lines = [line for line in self._readme_command_lines() if self._pairs(line)]
-        assert len(lines) == 6
-        for argv in lines:
-            namespace = argparse.Namespace(command=argv[0], config=None)
-            assert cli._parse_pairs(COMMANDS[argv[0]], argv[1:], namespace) is not None, argv
+@pytest.mark.parametrize("read_lines, count", [(_benchmark_command_lines, 7),
+                                               (_readme_command_lines, 6)],
+                         ids=["benchmark", "readme"])
+def test_documented_command_lines_parse(read_lines, count):
+    """Each line parses through ``build_parser()`` and selects its subcommand's
+    command. Parsing only: no command runs and no file a line names is opened."""
+    parser = build_parser()[0]
+    lines = read_lines()
+    assert len(lines) == count
+    for argv in lines:
+        assert parser.parse_args(argv).func is getattr(cli, f"cmd_{argv[0]}"), argv
 
 
 # The largest integer a fuzzed run may give a flag that sizes an allocation or
