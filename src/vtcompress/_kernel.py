@@ -34,24 +34,19 @@ one stateless C call. It only trains: one loss or gradient runs numpy. Its
 two products call ``vtc_matmul``; its sums over regions run sequentially, as
 numpy reduces along a non-contiguous axis; and its sums along a contiguous
 numpy row (each region's softmax denominator, the downstream mean) reproduce
-numpy's pairwise summation, which ``ndarray.sum`` runs there. The step and
-the vision pass share one selector head, ``selector_head``, which holds the
-logits region-major, ``(S, M)``: the logits ``weight @ scores_t`` plus each
-scale's bias, the finite check, each region's first maximum (or the forced
-scale), ``vtc_exp`` and the softmax, all across the regions. Below 8 scales
-the pairwise sum is a sequential one, run lane by lane; from 8 on, each
-region's column is summed pairwise. The attention runs a row pass instead,
-``softmax_rows``: each element times a scale, the finite check, each row
-minus its first maximum, ``vtc_exp`` in place and each row divided by its
-pairwise sum. :meth:`Kernel.attention` is the text stage's per-head scaled
-softmax, one C call for all heads. :meth:`Kernel.route` is the vision
-stage's whole routing pass in one C call, ``vtc_route``, with the bits of
+numpy's pairwise summation, which ``ndarray.sum`` runs there. Every softmax
+is one row pass, ``softmax_rows``: each element times a scale, the finite
+check, each row minus its first maximum, ``vtc_exp`` and each row divided by
+its pairwise sum. It runs per head in :meth:`Kernel.attention`, and in the
+step's and the vision pass's ``selector_head`` on the logits ``weight @
+scores_t`` transposed into numpy's ``(M, S)`` rows plus the bias, where each
+row's first maximum picks the region's scale. :meth:`Kernel.route` is the
+vision stage in one C call, ``vtc_route``, with the bits of
 :mod:`vtcompress.vision`'s numpy core: it pools each region straight from
-the map, by the mean and max rules that module gives, forms the ``(Ng, M)``
-scores with ``vtc_matmul`` from the pooled regions transposed (each score
-the same products in the same order as the numpy core's), runs the selector
-head, transposes its probabilities and max-pools only the chosen scale's
-tokens. The passes return ``CDEF``'s ``VTC_*`` statuses, read as
+the map, by that module's mean and max rules, forms the ``(Ng, M)`` scores
+with ``vtc_matmul`` from the pooled regions transposed (the numpy core's
+products in its order), runs the selector head and max-pools only the chosen
+scale's tokens. The passes return ``CDEF``'s ``VTC_*`` statuses, read as
 ``kernel.lib.VTC_*``; :meth:`Kernel.raise_for_softmax` turns those of the
 softmax passes into ``numeric.softmax``'s errors.
 
@@ -124,11 +119,10 @@ typedef struct {
     const double *target, *imbalance;        /* (c,), (s,); NULL: no downstream term, unit weights */
     double alpha, lr;
     double *weight, *bias;                   /* (s, ng), (s,); each step updates them */
-    double *shifted;                         /* (s, m) the selector head's logits, then P */
-    double *per_region;                      /* (m,) scratch: maxima, denominators, terms */
+    double *shifted;                         /* (m, s) the selector head's logits, then P */
     int64_t *chosen;                         /* (m,) each region's first maximum */
     double *top1, *f, *p, *wf, *coeff, *diff, *work;
-    double *d_logits_t;                      /* (s, m) gradient of the loss by the logits */
+    double *d_logits_t;                      /* (s, m) the head's product, then dloss/dlogits */
     double *grad_weight, *grad_bias;
     double loss, down, bal;
     double *losses, *f_hist, *p_hist;        /* the history, (steps,), (steps, s) */
@@ -141,7 +135,7 @@ typedef struct {
     const double *map, *g, *weight, *bias;  /* (rows, cols, c), (ng, c), (s, ng), (s,) */
     const int64_t *kernels, *forced;        /* (s, 2) kh, kw, 0, 0 drops; NULL or (m,) */
     int pool_max;                           /* max, else mean */
-    double *work;                           /* (2 c + ng + s + 1) m + max(w * w, s) */
+    double *work;                           /* (2 c + ng + s) m + w * w */
     double *probs;                          /* (m, s) */
     int64_t *chosen;                        /* (m,) */
     double *tokens;                         /* room for every region at its finest scale */
@@ -313,10 +307,13 @@ void vtc_matmul(const double *restrict a, const double *restrict b, double *rest
     }
 }
 
+static double pairwise_split(const double *, size_t);
+
 /* numpy's pairwise_sum: below 8 elements a sequential sum from -0.0; up to
    128, eight interleaved accumulators combined pairwise, then the tail; above,
-   split at n/2 rounded down to a multiple of 8. */
-static double pairwise(const double *restrict a, size_t n)
+   split at n/2 rounded down to a multiple of 8 by pairwise_split, out of line
+   so that a short sum inlines into its caller. */
+static inline double pairwise(const double *restrict a, size_t n)
 {
     if (n < 8) {
         double res = -0.0;
@@ -337,6 +334,11 @@ static double pairwise(const double *restrict a, size_t n)
             res += a[i];
         return res;
     }
+    return pairwise_split(a, n);
+}
+
+static __attribute__((noinline)) double pairwise_split(const double *a, size_t n)
+{
     size_t half = n / 2;
     half -= half % 8;
     return pairwise(a, half) + pairwise(a + half, n - half);
@@ -387,19 +389,26 @@ void vtc_exp(double *restrict x, size_t count)
 
 /* The scaled softmax of each of the rows of x in place, with the bits of
    numeric.softmax: each element times scale, the finite check, each row minus
-   its first maximum, vtc_exp, and each row divided by its ndarray.sum. */
-static int softmax_rows(double *restrict x, size_t rows, size_t n, double scale)
+   its first maximum (a strict > select), whose index goes to first[i] unless
+   first is NULL, vtc_exp, and each row divided by its ndarray.sum. */
+static int softmax_rows(double *restrict x, size_t rows, size_t n, double scale,
+                        int64_t *restrict first)
 {
+    int finite = 1;
+    for (size_t k = 0; k < rows * n; k++) {
+        x[k] *= scale;
+        finite &= isfinite(x[k]) != 0;
+    }
+    if (!finite)
+        return VTC_NONFINITE_LOGITS;
     double *restrict row = x;
     for (size_t i = 0; i < rows; i++, row += n) {
         size_t top = 0;
-        for (size_t j = 0; j < n; j++) {
-            row[j] *= scale;
-            if (!isfinite(row[j]))
-                return VTC_NONFINITE_LOGITS;
+        for (size_t j = 1; j < n; j++)
             if (row[j] > row[top])
                 top = j;
-        }
+        if (first)
+            first[i] = (int64_t)top;
         const double max = row[top];
         for (size_t j = 0; j < n; j++)
             row[j] -= max;
@@ -420,90 +429,42 @@ void vtc_descend(double *restrict x, const double *restrict g, double lr, size_t
         x[k] = x[k] - lr * g[k];
 }
 
-/* The selector head of m regions, region-major, with the bits of numpy's
-   logits and softmax: x = weight @ scores_t, (s, m), one row per scale, as
-   the product writes them (the products of scores @ weight.T, in the same
-   order), plus each scale's bias; the finite check; each region's first
-   maximum down the s rows (a strict > select) into chosen, unless forced
-   gives the region's scale; x minus each region's maximum, vtc_exp, and each
-   region's column divided by its ndarray.sum: 0.0 plus numpy's pairwise sum,
-   which below 8 elements is a sequential sum from -0.0, run here across the
-   regions; from 8 on, each column is copied into column (s doubles) and
-   summed pairwise. region: m doubles of scratch. */
+/* The selector head of m regions with the bits of numpy's route: the logits
+   weight @ scores_t, (s, m), into product (the products of scores @ weight.T,
+   in the same order), transposed into numpy's (m, s) rows of probs plus each
+   scale's bias, then softmax_rows, whose first maxima go to chosen. */
 static int selector_head(const double *restrict weight, const double *restrict bias,
-                         const double *restrict scores_t, const int64_t *restrict forced,
-                         size_t s, size_t ng, size_t m, double *restrict x,
-                         int64_t *restrict chosen, double *restrict region,
-                         double *restrict column)
+                         const double *restrict scores_t, size_t s, size_t ng, size_t m,
+                         double *restrict product, double *restrict probs,
+                         int64_t *restrict chosen)
 {
     if (m * s == 0)
         return VTC_EMPTY;
-    vtc_matmul(weight, scores_t, x, s, ng, m);
-    int finite = 1;
-    for (size_t j = 0; j < s; j++)
-        for (size_t i = 0; i < m; i++) {
-            x[j * m + i] += bias[j];
-            finite &= isfinite(x[j * m + i]) != 0;
-        }
-    if (!finite)
-        return VTC_NONFINITE_LOGITS;
-    for (size_t i = 0; i < m; i++) {
-        region[i] = x[i];
-        chosen[i] = 0;
-    }
-    for (size_t j = 1; j < s; j++)
-        for (size_t i = 0; i < m; i++) {
-            const int up = x[j * m + i] > region[i];
-            region[i] = up ? x[j * m + i] : region[i];
-            chosen[i] = up ? (int64_t)j : chosen[i];
-        }
-    if (forced)
-        memcpy(chosen, forced, m * sizeof *chosen);
+    vtc_matmul(weight, scores_t, product, s, ng, m);
     for (size_t j = 0; j < s; j++)
         for (size_t i = 0; i < m; i++)
-            x[j * m + i] -= region[i];
-    vtc_exp(x, m * s);
-    if (s < 8) {
-        for (size_t i = 0; i < m; i++)
-            region[i] = -0.0;
-        for (size_t j = 0; j < s; j++)
-            for (size_t i = 0; i < m; i++)
-                region[i] += x[j * m + i];
-    } else {
-        for (size_t i = 0; i < m; i++) {
-            for (size_t j = 0; j < s; j++)
-                column[j] = x[j * m + i];
-            region[i] = pairwise(column, s);
-        }
-    }
-    for (size_t i = 0; i < m; i++)
-        region[i] = 0.0 + region[i];
-    for (size_t j = 0; j < s; j++)
-        for (size_t i = 0; i < m; i++)
-            x[j * m + i] /= region[i];
-    return VTC_OK;
+            probs[i * s + j] = product[j * m + i] + bias[j];
+    return softmax_rows(probs, m, s, 1.0, chosen);
 }
 
-/* The rest of the step from the head's probabilities: routing statistics,
-   the loss, the gradient, history row `step` and the descent. Every sum
-   keeps the order in which numpy forms it in the fallback step: products
-   ascending from 0.0, sums over regions sequential. */
+/* The rest of the step from the head's (m, s) probabilities: routing
+   statistics, the loss, the gradient, history row `step` and the descent.
+   Every sum keeps the order in which numpy forms it in the fallback step:
+   products ascending from 0.0, sums over regions sequential. */
 static int vtc_step_post(vtc_step *t, size_t step)
 {
     const size_t m = t->m, ng = t->ng, s = t->s, c = t->c;
-    double *restrict probs = t->shifted, *restrict region = t->per_region;
+    const double *restrict probs = t->shifted;
     double *f = t->f, *p = t->p, *d = t->d_logits_t, *top1 = t->top1;
     const int64_t *chosen = t->chosen;
 
     for (size_t j = 0; j < s; j++) {
-        double pj = 0.0;
+        p[j] = f[j] = 0.0;
         for (size_t i = 0; i < m; i++)
-            pj += probs[j * m + i];
-        p[j] = pj;
-        f[j] = 0.0;
+            p[j] += probs[i * s + j];
     }
     for (size_t i = 0; i < m; i++) {
-        top1[i] = probs[(size_t)chosen[i] * m + i];
+        top1[i] = probs[i * s + chosen[i]];
         f[chosen[i]] += 1.0;
     }
     for (size_t j = 0; j < s; j++) {
@@ -542,39 +503,36 @@ static int vtc_step_post(vtc_step *t, size_t step)
     t->bal = t->alpha * balance;
     t->loss = down + t->bal;
 
-    for (size_t k = 0; k < m * s; k++)
-        d[k] = 0.0;
+    memset(d, 0, m * s * sizeof *d);
     if (t->target) {
         double *restrict dl_du = t->work;
         for (size_t k = 0; k < c; k++)
             dl_du[k] = 2.0 * t->diff[k] / (double)c;
-        for (size_t i = 0; i < m; i++) {  /* region[i]: the winner's token sum times dl_du */
+        for (size_t i = 0; i < m; i++) {  /* the winner's token sum times dl_du */
             const double *restrict rs = t->sums + ((size_t)chosen[i] * m + i) * c;
             double gp = 0.0;
             for (size_t k = 0; k < c; k++)
                 gp += rs[k] * dl_du[k];
-            region[i] = gp / (double)tokens;
-        }
-        for (size_t j = 0; j < s; j++)
-            for (size_t i = 0; i < m; i++) {
-                double jacobian = -probs[j * m + i] * top1[i];
+            const double term = gp / (double)tokens;
+            for (size_t j = 0; j < s; j++) {
+                double jacobian = -probs[i * s + j] * top1[i];
                 if ((size_t)chosen[i] == j)
                     jacobian += top1[i];
-                d[j * m + i] += region[i] * jacobian;
+                d[j * m + i] += term * jacobian;
             }
+        }
     }
     if (t->alpha > 0) {
         const double scale = t->alpha / (double)m;
         for (size_t j = 0; j < s; j++)
             t->coeff[j] = scale * t->wf[j];
-        for (size_t i = 0; i < m; i++)  /* region[i]: probs times coeff, summed over scales */
-            region[i] = 0.0;
-        for (size_t j = 0; j < s; j++)
-            for (size_t i = 0; i < m; i++)
-                region[i] += probs[j * m + i] * t->coeff[j];
-        for (size_t j = 0; j < s; j++)
-            for (size_t i = 0; i < m; i++)
-                d[j * m + i] += probs[j * m + i] * (t->coeff[j] - region[i]);
+        for (size_t i = 0; i < m; i++) {
+            double term = 0.0;  /* probs times coeff, summed over scales */
+            for (size_t j = 0; j < s; j++)
+                term += probs[i * s + j] * t->coeff[j];
+            for (size_t j = 0; j < s; j++)
+                d[j * m + i] += probs[i * s + j] * (t->coeff[j] - term);
+        }
     }
     double *gw = t->grad_weight, *gb = t->grad_bias;
     vtc_matmul(d, t->scores, gw, s, m, ng);
@@ -596,14 +554,15 @@ static int vtc_step_post(vtc_step *t, size_t step)
 }
 
 /* `steps` steps of training, step i writing history row i: the selector
-   head into shifted and the rest, up to the first step that fails. Returns
-   its status and leaves its index in t->step, or steps. */
+   head into shifted, with d_logits_t as its product's scratch, and the rest,
+   up to the first step that fails. Returns its status and leaves its index
+   in t->step, or steps. */
 int vtc_step_run(vtc_step *t, size_t steps)
 {
     int status = VTC_OK;
     for (t->step = 0; t->step < steps; t->step++) {
-        status = selector_head(t->weight, t->bias, t->scores_t, NULL, t->s, t->ng, t->m,
-                               t->shifted, t->chosen, t->per_region, t->coeff);
+        status = selector_head(t->weight, t->bias, t->scores_t, t->s, t->ng, t->m, t->d_logits_t,
+                               t->shifted, t->chosen);
         if (status == VTC_OK)
             status = vtc_step_post(t, t->step);
         if (status != VTC_OK)
@@ -633,7 +592,7 @@ int vtc_attention(const double *restrict q, const double *restrict k, double *re
         transpose(k + g * n * d, n, d, kt);
         double *restrict og = o + g * t * n;
         vtc_matmul(q + g * t * d, kt, og, t, d, n);
-        if (softmax_rows(og, t, n, scale))
+        if (softmax_rows(og, t, n, scale, NULL))
             return VTC_NONFINITE_LOGITS;
     }
     return VTC_OK;
@@ -693,30 +652,31 @@ static __attribute__((noinline)) void mean_pool(const double *restrict x, size_t
    vision's numpy path: each region pooled into the (m, c) start of work,
    transposed, the global rows times it as the (ng, m) scores (the products
    of the pooled regions times the global rows transposed, in the same
-   order), and selector_head, whose (s, m) probabilities are transposed into
-   probs. Then each region's tokens at its chosen scale, max-pooled by its
-   kernel, into tokens, and their number into written. */
+   order), and selector_head into probs and chosen, which forced replaces
+   when given. Then each region's tokens at its chosen scale, max-pooled by
+   its kernel, into tokens, and their number into written. */
 int vtc_route(vtc_route_pass *t)
 {
     const size_t c = t->c, w = t->w, ng = t->ng, s = t->s, across = t->cols / w;
     const size_t m = t->rows / w * across, ld = t->cols * c;
     double *pooled = t->work, *pooled_t = pooled + m * c, *scores_t = pooled_t + c * m;
-    double *head = scores_t + ng * m, *region = head + s * m, *scratch = region + m;
+    double *product = scores_t + ng * m, *strip = product + s * m;
     double *out = t->tokens;
     for (size_t r = 0; r < m; r++) {
         const double *x = t->map + (r / across * ld + r % across * c) * w;
         if (t->pool_max)
             max_pool(x, ld, w, w, c, pooled + r * c);
         else
-            mean_pool(x, ld, w, c, pooled + r * c, scratch);
+            mean_pool(x, ld, w, c, pooled + r * c, strip);
     }
     transpose(pooled, m, c, pooled_t);
     vtc_matmul(t->g, pooled_t, scores_t, ng, c, m);
-    const int status = selector_head(t->weight, t->bias, scores_t, t->forced, s, ng, m, head,
-                                     t->chosen, region, scratch);
+    const int status = selector_head(t->weight, t->bias, scores_t, s, ng, m, product, t->probs,
+                                     t->chosen);
     if (status != VTC_OK)
         return status;
-    transpose(head, s, m, t->probs);
+    if (t->forced)
+        memcpy(t->chosen, t->forced, m * sizeof *t->chosen);
     for (size_t r = 0; r < m; r++) {
         const int64_t *kernel = t->kernels + 2 * t->chosen[r];
         const size_t kh = (size_t)kernel[0], kw = (size_t)kernel[1];
@@ -1223,7 +1183,7 @@ class Kernel:
             forced = np.ascontiguousarray(forced, dtype=np.int64)
             if forced.shape != (m,) or (forced.size and not 0 <= forced.min() <= forced.max() < s):
                 raise ValueError(f"cannot force {forced.shape} scales out of {s} on {m} regions")
-        work = np.empty((2 * c + ng + s + 1) * m + max(window * window, s))
+        work = np.empty((2 * c + ng + s) * m + window * window)
         probs, chosen = np.empty((m, s)), np.empty(m, dtype=np.int64)
         tokens = np.empty((m * max([(window // kh) * (window // kw) for kh, kw in pairs if kh],
                                    default=0), c))
@@ -1275,7 +1235,7 @@ class Kernel:
                   "chosen": np.zeros(m, np.int64), "losses": np.zeros(steps),
                   "f_hist": np.zeros((steps, s)), "p_hist": np.zeros((steps, s)),
                   **{name: np.zeros(size) for name, size in (
-                      ("shifted", s * m), ("per_region", m), ("top1", m), ("f", s), ("p", s),
+                      ("shifted", s * m), ("top1", m), ("f", s), ("p", s),
                       ("wf", s), ("coeff", s), ("diff", c), ("work", c), ("d_logits_t", s * m),
                       ("grad_weight", s * ng), ("grad_bias", s))}}
         if any(arrays[name] is not None and arrays[name].shape != shape for name, shape in (
@@ -1365,17 +1325,15 @@ def _exact(kernel: Kernel) -> bool:
     every tile of each wide build, a padded row tile, a padded column tail and
     a sum continued across blocks of k; the per-head numpy softmax of such a
     product; :func:`numeric._exp_numpy` on :data:`EXP_PROBES`, against
-    ``vtc_exp`` called directly; numpy's ``ndarray.sum`` on a sum
-    long enough to recurse, where a sequential sum gives other bits;
-    numpy's ``x - lr * g`` where an FMA gives other bits; the numpy routing
-    core's pooling, products, softmax and max ties on small maps, one of
-    them routed among 9 scales, so that the selector head's pairwise column
-    sum runs;
-    ``json.dumps(log, indent=2)``, and so ``repr``, on a 2-step training log
-    of :data:`REPR_PROBES`, and ``json.dumps(value, indent=2)`` on
-    :data:`INDENT_PROBES`. The JSON is written by
-    ``report._dumps``, not ``report_to_json``, which would ask for the
-    kernel that is being loaded."""
+    ``vtc_exp`` called directly; numpy's ``ndarray.sum`` on a sum long enough
+    to recurse, where a sequential sum gives other bits; numpy's
+    ``x - lr * g`` where an FMA gives other bits; the numpy routing core's
+    pooling, products, softmax and max ties on small maps, one of them routed
+    among 9 scales, whose rows sum pairwise and two of whose first maxima
+    tie; ``json.dumps(log, indent=2)``, and so ``repr``, on a 2-step training
+    log of :data:`REPR_PROBES`, and ``json.dumps(value, indent=2)`` on
+    :data:`INDENT_PROBES`. The JSON is written by ``report._dumps``, not
+    ``report_to_json``, which would ask for the kernel that is being loaded."""
     a = (np.arange(4 * 37).reshape(4, 37) * 0.618034) % 2.0 - 1.0
     a[1, :4] = [1e16, 1.0, -1e16, 1.0]
     a[2] = -0.0
@@ -1421,8 +1379,9 @@ def _exact(kernel: Kernel) -> bool:
     # parts: one channel with a first row that cancels, whose mean differs
     # between a pairwise and a sequential sum, routed among 9 scales (each
     # kernel of the default menu 3 times), whose softmax denominators differ
-    # the same way; three channels pooled by max, with 2x2 cells whose zeros
-    # tie as +0.0, -0.0 and as -0.0, +0.0 (the later of them wins)
+    # the same way, and with scale 2 a copy of scale 6, so that two regions'
+    # maxima tie (the first wins); three channels pooled by max, with 2x2
+    # cells whose zeros tie as +0.0, -0.0 and as -0.0, +0.0 (the later wins)
     for c, pool, forced, repeats in ((1, "mean", None, 3), (3, "max", [2, 0, 1, 0], 1)):
         fm = (np.arange(8 * 8 * c).reshape(8, 8, c) * 0.618034) % 2.0 - 1.0
         fm[0, :4, 0] = [1e16, 1.0, -1e16, 1.0]
@@ -1432,6 +1391,8 @@ def _exact(kernel: Kernel) -> bool:
         s = 3 * repeats
         weight = (np.arange(5 * s).reshape(s, 5) * 0.3) % 2.0 - 1.0
         bias = np.resize([0.1, -0.2, 0.05], s)
+        if repeats > 1:
+            weight[2], bias[2] = weight[6], bias[6]
         blocks = partition(fm, 4)
         pooled = blocks.mean(axis=(1, 2)) if pool == "mean" else max_pool(blocks, 4, 4)[:, 0, 0]
         logits = _k_loop(_k_loop(pooled, g.T, np.empty((4, 5))), weight.T, np.empty((4, s))) + bias

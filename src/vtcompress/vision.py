@@ -416,7 +416,7 @@ def compress_inference(
     are flattened row-major, regions concatenated in row-major region order.
     Returns the (total_tokens, C) token matrix and the :class:`RegionRouting`.
 
-    ``force_scales`` overrides the selector's argmax (one index for all
+    ``force_scales`` overrides the selector's argmax (one integer index for all
     regions, or one per region); probabilities are still reported. This is a
     diagnostic hook for lossless-path checks and fixed-split accounting.
 
@@ -429,11 +429,12 @@ def compress_inference(
     regions = (fm.shape[0] // menu.window) * (fm.shape[1] // menu.window)
     forced = None
     if force_scales is not None:
-        if isinstance(force_scales, (int, np.integer)):
-            force_scales = [force_scales] * regions
-        forced = np.array([int(j) for j in force_scales], dtype=np.intp)
-        if forced.size != regions:
-            raise ValueError(f"force_scales needs {regions} entries, got {forced.size}")
+        forced = np.asarray(force_scales)
+        if forced.size and not np.issubdtype(forced.dtype, np.integer):  # [] reads as float
+            raise ValueError(f"force_scales must be integers, got {forced.dtype}")
+        forced = np.full(regions, forced, np.intp) if forced.ndim == 0 else forced.astype(np.intp)
+        if forced.shape != (regions,):
+            raise ValueError(f"force_scales needs {regions} entries, got shape {forced.shape}")
         if np.any((forced < 0) | (forced >= len(menu))):
             raise ValueError("forced scale index out of range")
     kernel = numeric._product_kernel()

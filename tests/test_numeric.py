@@ -348,7 +348,7 @@ class TestStepKernel:
          "out[0] = 0.0;\n        for (size_t k = 0; k < w * w; k++)\n"
          "            out[0] += strip[k];"),
         ("return v >= acc ? v : acc;", "return v > acc ? v : acc;"),  # the earlier of tied maxima
-        ("if (s < 8) {", "if (s < 1000) {"),  # a selector head's column sums sequential from 8 on
+        ("if (row[j] > row[top])", "if (row[j] >= row[top])"),  # a row's last tied maximum
         ("j += in[j] == '\\\\' ? 2 : 1;", "j += 1;"),  # a string that ends at an escaped quote
         # an empty list laid out as [\n]
         ("len = put_byte(out, len, capacity, in[++i]);",
@@ -356,7 +356,7 @@ class TestStepKernel:
     ], ids=["sequential-sum", "fused-update", "reciprocal-attention", "repr-rounding", "fused-exp",
             "early-underflow", "tile-negative-zero-start", "tile-first-k-block-only",
             "history-separator", "swapped-digit-pair", "sequential-region-mean",
-            "earlier-max-tie", "sequential-column-sum", "string-ends-at-escaped-quote",
+            "earlier-max-tie", "last-tied-max", "string-ends-at-escaped-quote",
             "empty-list-on-two-lines"])
     def test_probe_rejects_a_build_with_other_bits(self, mutation, tmp_path, monkeypatch):
         source = _kernel.SOURCE.replace(*mutation)

@@ -319,6 +319,9 @@ class TestCompressInference:
         )
         assert [s.token_count for s in selections] == [0, 1, 16, 0]
         assert tokens.shape == (17, 2)
+        for force in ([0.9, 1.7, 2.2, 0.1], np.array([1.5] * 4), 1.0, [0, 1, "2", 0]):
+            with pytest.raises(ValueError, match="force_scales"):
+                compress_inference(fm, g, params, menu, force_scales=force)
 
 
 class TestCompressTraining:
@@ -463,10 +466,11 @@ def route_cases():
 
     Region 0 is all -0.0 (its mean is +0.0). Region 1 is negative but for
     zeros that tie in the 2x2, 4x2 and whole-region cells in both orders:
-    +0.0 then -0.0, and -0.0 then +0.0. Then logits that tie (the first
-    maximum wins), maps whose logits overflow, and one of them with a forced
-    scale out of range, which is checked first. Last, the seed fixture of
-    ``vtcompress gen`` at three seeds, routed by the selector of the same seed.
+    +0.0 then -0.0, and -0.0 then +0.0. Then logits that tie on the 3- and
+    12-scale menus (the first maximum wins), maps whose logits overflow, and
+    one of them with a forced scale out of range, which is checked first.
+    Last, the seed fixture of ``vtcompress gen`` at three seeds, routed by the
+    selector of the same seed.
     """
     menus = {"3branch": default_menu(4), "7branch": seven_branch_menu(4),
              "3branch-w8": default_menu(8), "retain-discard": retain_discard_menu(),
@@ -490,6 +494,8 @@ def route_cases():
     weight = rng.standard_normal((3, 7))
     weight[2] = weight[1]
     yield "logit-tie", (fm, g, SelectorParams(weight, [-50.0, 50.0, 50.0]), default_menu(4)), {}
+    yield "logit-tie-12branch", (fm, g, SelectorParams(np.repeat(weight, 4, axis=0), np.repeat(
+        [-50.0, 50.0, 50.0], 4)), menus["12branch"]), {}
     yield "all-tie", (fm, g, SelectorParams(np.zeros((3, 7)), np.zeros(3)), default_menu(4)), {}
     for pool in ("mean", "max"):  # finite scores times weights of 1e200
         yield f"overflow-{pool}", (fm * 1e200, g, SelectorParams(weight * 1e200, np.zeros(3)),
