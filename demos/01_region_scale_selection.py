@@ -47,8 +47,7 @@ print(f"\nuntrained selector: {tokens.shape[0]} of {fm.shape[0] * fm.shape[1]} t
 print(f"scale frequencies f = {np.round(f, 3)} (over kernels "
       f"{[s.kernel for s in menu.scales]})")
 
-region_grid = (fm.shape[0] // menu.window, fm.shape[1] // menu.window)
-heat = selection_heatmap(selections, menu, region_grid)
+heat = selection_heatmap(selections)
 heat_path = out_dir / "kept_fraction.pgm"
 export_heatmap(heat, "pgm", heat_path)
 print(f"kept-token-fraction heatmap written to {heat_path}")

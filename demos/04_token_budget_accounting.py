@@ -26,7 +26,7 @@ menu = default_menu(4)
 params = init_selector_params(3, 9, seed=0)
 forced = [0] * 12 + [1] * 12 + [2] * 12
 tokens, selections = compress_inference(fm, g, params, menu, force_scales=forced)
-report = build_report(strategy="vision", input_tokens=576, menu=menu, selections=selections)
+report = build_report(strategy="vision", input_tokens=576, selections=selections)
 print(f"even 12/12/12 split over 36 regions: {report['afterVision']} of 576 tokens "
       f"({100 * report['afterVision'] / 576:.2f}%)")
 print("(a trained selector is content-adaptive; reported behavior on real data keeps "

@@ -70,7 +70,6 @@ print(f"text stage: keeps {selection.k} of {tokens.shape[0]} at gamma 0.85")
 report = build_report(
     strategy="both",
     input_tokens=576,
-    menu=menu,
     selections=selections,
     text_selection=selection,
     text_layer=8,

@@ -138,17 +138,15 @@ def _project_keys(tokens: np.ndarray, heads: int, head_dim: int, seed: int) -> n
     return textsampler.project_keys(tokens, heads, head_dim, np.random.default_rng(seed))
 
 
-def _region_importance_grid(
-    selections: RegionRouting, scores: np.ndarray, menu, region_grid
-) -> np.ndarray:
+def _region_importance_grid(routing: RegionRouting, scores: np.ndarray) -> np.ndarray:
     """Mean emitted-token importance per region, upsampled to the map grid."""
-    counts = RegionRouting.of(selections, menu).counts
+    counts = routing.counts
     starts = np.cumsum(counts) - counts
     means = np.zeros(counts.size)
-    for n in set(menu.token_counts) - {0}:  # one gather per token count
+    for n in set(routing.menu.token_counts) - {0}:  # one gather per token count
         regions = np.flatnonzero(counts == n)
         means[regions] = scores[starts[regions, None] + np.arange(n)].mean(axis=1)
-    return upsample_regions(means.reshape(region_grid), menu.window)
+    return upsample_regions(means.reshape(routing.grid), routing.menu.window)
 
 
 def _train_log(summary: dict, run) -> bytes | bytearray:
@@ -182,8 +180,7 @@ def cmd_compress(args) -> int:
             raise ValueError(f"strategy {args.strategy!r} needs --global")
         global_map = _read_checked(args.global_map, MAGIC_FEATURE_MAP)
 
-    selections = None
-    menu = None
+    routing = None
     vision_tokens = None
     if args.strategy in ("vision", "both"):
         menu = MENUS[args.menu](args.window)
@@ -192,7 +189,7 @@ def cmd_compress(args) -> int:
         else:
             num_global = global_map.shape[0] * global_map.shape[1]  # FMAP files are 3-d
             params = init_selector_params(len(menu), num_global, seed=args.seed)
-        vision_tokens, selections = compress_inference(
+        vision_tokens, routing = compress_inference(
             feature_map, global_map, params, menu, pool=args.pool
         )
 
@@ -230,8 +227,7 @@ def cmd_compress(args) -> int:
     report = build_report(
         strategy=args.strategy,
         input_tokens=input_tokens,
-        menu=menu,
-        selections=selections,
+        selections=routing,
         text_selection=text_selection,
         text_layer=args.layer,
         total_layers=args.total_layers,
@@ -242,11 +238,10 @@ def cmd_compress(args) -> int:
 
     if args.heatmap_prefix:
         grids = {}
-        if selections is not None:
-            region_grid = (height // menu.window, width // menu.window)
-            grids["vision"] = selection_heatmap(selections, menu, region_grid)
+        if routing is not None:
+            grids["vision"] = selection_heatmap(routing)
             if text_scores is not None:
-                grids["text"] = _region_importance_grid(selections, text_scores, menu, region_grid)
+                grids["text"] = _region_importance_grid(routing, text_scores)
         elif text_scores is not None:
             grids["text"] = text_scores.reshape(height, width)
         if heuristic_scores is not None:

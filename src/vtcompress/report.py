@@ -5,11 +5,14 @@ effective token count: removing n of m tokens at layer i of L still pays for
 those n tokens across the first i layers, so the effective count is
 m - n + i*n/L. Vision and heuristic removals happen before the LLM. This
 policy and every check on a report's counts live in ``_effective``, through
-which both ``build_report`` and ``reprofile`` account. ``report_to_json`` is
-the one writer of indented JSON: json's C encoder writes a report compactly,
-which also raises every error json raises for it, and one compiled pass
-lays that text out as ``json.dumps(indent=2)`` does; without the compiled
-kernel, ``json.dumps(indent=2)`` writes it.
+which both ``build_report`` and ``reprofile`` account; a count or a layer
+that is not an integer is an error, never truncated (``_require_int``). A
+vision report reads one :class:`~vtcompress.vision.RegionRouting` and writes
+the menu it carries. ``report_to_json`` is the one writer of indented JSON:
+json's C encoder writes a report compactly, which also raises every error
+json raises for it, and one compiled pass lays that text out as
+``json.dumps(indent=2)`` does; without the compiled kernel,
+``json.dumps(indent=2)`` writes it.
 """
 
 from __future__ import annotations
@@ -17,13 +20,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Sequence
 
 import numpy as np
 
 from . import numeric
 from .textsampler import SelectionResult
-from .vision import RegionRouting, RegionSelection, ScaleMenu, routing_stats
+from .vision import RegionRouting, routing_stats
 
 __all__ = [
     "effective_token_count",
@@ -38,7 +40,8 @@ REPORT_VERSION = 1
 
 def effective_token_count(m: int, n: int, i: int, total_layers: int = 32) -> float:
     """Effective remaining tokens when n of m are removed at layer i of total_layers."""
-    m, n, i, total_layers = int(m), int(n), int(i), int(total_layers)
+    m, n, i, total_layers = map(_require_int, ("m", "n", "i", "total_layers"),
+                                (m, n, i, total_layers))
     if total_layers < 1:
         raise ValueError("total_layers must be >= 1")
     if not (0 <= n <= m):
@@ -63,9 +66,8 @@ def _effective(input_tokens: int, after_vision: int, total_layers: int, text=Non
     return effective_token_count(after_vision, after_vision - kept, layer, total_layers)
 
 
-def scale_histogram(selections: Sequence[RegionSelection]) -> np.ndarray:
+def scale_histogram(routing: RegionRouting) -> np.ndarray:
     """Empirical selection frequency per scale: f_i = count(scale == i) / M."""
-    routing = RegionRouting.of(selections)
     return routing_stats(routing.scales, routing.probs)[0]
 
 
@@ -73,8 +75,7 @@ def build_report(
     *,
     strategy: str,
     input_tokens: int,
-    menu: ScaleMenu | None = None,
-    selections: Sequence[RegionSelection] | None = None,
+    selections: RegionRouting | None = None,
     text_selection: SelectionResult | None = None,
     text_layer: int | None = None,
     total_layers: int = 32,
@@ -83,40 +84,44 @@ def build_report(
 ) -> dict:
     """Assemble a schema-stable compression report.
 
-    Vision fields come from ``selections`` (see :meth:`RegionRouting.of`)
-    and ``menu``; text fields from ``text_selection`` (selected at
-    ``text_layer``); heuristic runs report kept counts only. The counts are
-    checked and the effective token count computed by ``_effective``.
+    Vision fields come from the routing ``selections`` and the menu it was
+    routed with; text fields from ``text_selection`` (selected at
+    ``text_layer``); heuristic runs report kept counts only. Counts and
+    layers must be integers; they are checked and the effective token count
+    computed by ``_effective``.
     """
     if strategy not in ("vision", "text", "both", "heuristic"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    input_tokens = _require_int("input_tokens", input_tokens)
+    total_layers = _require_int("total_layers", total_layers)
 
     report: dict = {
         "reportVersion": REPORT_VERSION,
         "strategy": strategy,
-        "inputTokens": int(input_tokens),
-        "totalLayers": int(total_layers),
+        "inputTokens": input_tokens,
+        "totalLayers": total_layers,
     }
 
-    after_vision = int(input_tokens)
+    after_vision = input_tokens
     if strategy in ("vision", "both"):
-        if selections is None or menu is None:
-            raise ValueError(f"strategy {strategy!r} needs selections and a menu")
-        routing = RegionRouting.of(selections, menu)
-        after_vision = int(routing.counts.sum())
+        if selections is None:
+            raise ValueError(f"strategy {strategy!r} needs selections")
+        menu = selections.menu
+        after_vision = int(selections.counts.sum())
         report["window"] = menu.window
         report["menu"] = [
             {"kernel": None if s.discard else list(s.kernel), "tokens": int(c)}
             for s, c in zip(menu.scales, menu.token_counts)
         ]
         report["afterVision"] = after_vision
-        f, p = routing_stats(routing.scales, routing.probs)
+        f, p = routing_stats(selections.scales, selections.probs)
         report["scaleFrequencies"] = f.tolist()
         report["meanProbs"] = p.tolist()
         report["selections"] = [
             {"region": r, "scale": j, "tokens": n, "top1Prob": top1}
-            for r, (j, n, top1) in enumerate(zip(routing.scales.tolist(), routing.counts.tolist(),
-                                                 routing.top1_probs.tolist()))
+            for r, (j, n, top1) in enumerate(zip(selections.scales.tolist(),
+                                                 selections.counts.tolist(),
+                                                 selections.top1_probs.tolist()))
         ]
     else:
         report.update(window=None, menu=None, afterVision=after_vision,
@@ -126,7 +131,7 @@ def build_report(
     if strategy in ("text", "both"):
         if text_selection is None or text_layer is None:
             raise ValueError(f"strategy {strategy!r} needs a text selection and a layer")
-        text = (int(text_selection.k), int(text_layer))
+        text = (int(text_selection.k), _require_int("text_layer", text_layer))
         report["textSelection"] = {
             "k": text[0],
             "gamma": float(text_selection.gamma),
@@ -139,27 +144,33 @@ def build_report(
     if strategy == "heuristic":
         if heuristic_kept is None:
             raise ValueError("heuristic strategy needs the kept token count")
+        heuristic_kept = _require_int("heuristic_kept", heuristic_kept)
         report["heuristicSelection"] = {
-            "kept": int(heuristic_kept),
+            "kept": heuristic_kept,
             "keepFraction": None
             if heuristic_keep_fraction is None
             else float(heuristic_keep_fraction),
         }
-        report["afterVision"] = after_vision = int(heuristic_kept)
+        report["afterVision"] = after_vision = heuristic_kept
     else:
         report["heuristicSelection"] = None
 
-    report["effectiveTokens"] = _effective(
-        int(input_tokens), after_vision, int(total_layers), text
-    )
+    report["effectiveTokens"] = _effective(input_tokens, after_vision, total_layers, text)
     return report
 
 
-def _require_int(name: str, value) -> None:
-    """Raise unless ``value`` is an integer that a float can hold: the accounting divides."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"report {name} must be an integer, got {value!r}")
-    if abs(value) > sys.float_info.max:
+def _require_int(name: str, value) -> int:
+    """``value`` as an int, or a ``ValueError`` unless it is an integer: a bool,
+    float or string is not, a numpy integer is. The accounting never truncates."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _require_report_int(name: str, value) -> None:
+    """Raise unless a report's ``value`` is an integer that a float can hold:
+    the accounting divides."""
+    if abs(_require_int(f"report {name}", value)) > sys.float_info.max:
         raise ValueError(f"report {name} is too large for a float")
 
 
@@ -177,7 +188,7 @@ def reprofile(report, *, layer: int | None = None, total_layers: int | None = No
     if missing:
         raise ValueError(f"report lacks {', '.join(missing)}")
     for key in ("inputTokens", "afterVision", "totalLayers"):
-        _require_int(key, report[key])
+        _require_report_int(key, report[key])
     effective = report["effectiveTokens"]
     if isinstance(effective, bool) or not isinstance(effective, (int, float)) \
             or not abs(effective) <= sys.float_info.max:  # also rejects nan and over-large ints
@@ -191,8 +202,8 @@ def reprofile(report, *, layer: int | None = None, total_layers: int | None = No
     if text is not None:
         if not isinstance(text, dict) or not {"k", "layer"} <= text.keys():
             raise ValueError("report textSelection lacks k or layer")
-        _require_int("textSelection.k", text["k"])
-        _require_int("textSelection.layer", text["layer"])
+        _require_report_int("textSelection.k", text["k"])
+        _require_report_int("textSelection.layer", text["layer"])
         layer = text["layer"] if layer is None else layer
         report["textSelection"] = {**text, "layer": layer}
         expected = report["effectiveTokens"] = _effective(*counts, (text["k"], layer))

@@ -286,10 +286,10 @@ def prepare_batch(dataset, menu: ScaleMenu, pool: str = "mean") -> PreparedBatch
     scores = []
     variants = []
     for feature_map, global_tokens in dataset:
+        blocks = partition(feature_map, menu.window)
         g = flatten_grid(global_tokens)
         if scores and g.shape[0] != scores[0].shape[1]:
             raise ValueError("all dataset entries must share the global token count")
-        blocks = partition(feature_map, menu.window)
         if variants and blocks.shape[3] != variants[0][0].shape[2]:
             raise ValueError("all dataset entries must share the channel count")
         scores.append(region_scores(blocks, g, pool))

@@ -7,9 +7,11 @@ the region against the global tokens and picks one scale. Global tokens, an
 :func:`flatten_grid`, in every sampler that reads them; callers hand over
 the grid they read, not rows of their own.
 Inference emits the max-pooled tokens of the winning scale in one routing
-pass, and every region's scale as arrays (:class:`RegionRouting`); training
-runs that pass and multiplies each emitted token by the winning softmax
-probability so the selector parameters stay on the gradient path.
+pass, and every region's scale as arrays (:class:`RegionRouting`), which
+also carries the menu and the region grid it was routed with, so its readers
+(the report, the heatmaps) take nothing else; training runs that pass and
+multiplies each emitted token by the winning softmax probability so the
+selector parameters stay on the gradient path.
 
 The routing pass has two backends that write the same bits. When the
 compiled kernel loads (``numeric._product_kernel``),
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -210,31 +212,33 @@ class RegionSelection:
 
 @dataclass(frozen=True, eq=False)
 class RegionRouting(Sequence):
-    """Every region's chosen scale ``scales`` (M,), ``probs`` (M, S) and token
-    ``counts`` (M,), region r in row r; its items are :class:`RegionSelection` views."""
+    """Every region's chosen scale ``scales`` (M,) and probabilities ``probs``
+    (M, len(menu)), region r in row r of the ``grid = (rows, cols)`` of regions
+    that ``menu`` routed; ``counts`` (M,) holds the menu's token count of each
+    chosen scale. It is checked once, when it is built; its items are
+    :class:`RegionSelection` views."""
 
     scales: np.ndarray
     probs: np.ndarray
-    counts: np.ndarray
+    menu: ScaleMenu
+    grid: tuple[int, int]
+    counts: np.ndarray = field(init=False, repr=False)
 
-    @classmethod
-    def of(cls, selections, menu: ScaleMenu | None = None) -> RegionRouting:
-        """``selections``, a routing or a list of :class:`RegionSelection` of regions
-        0..M-1 in order, as one routing whose counts match ``menu``'s, if given."""
-        if not len(selections):
+    def __post_init__(self):
+        scales, probs, grid = np.asarray(self.scales), np.asarray(self.probs), tuple(self.grid)
+        m, s = scales.size, len(self.menu)
+        if not m:
             raise ValueError("no selections")
-        if not isinstance(selections, cls):
-            regions = [sel.region for sel in selections]
-            if regions != list(range(len(regions))):
-                raise ValueError(f"selection regions {regions} do not run 0..{len(regions) - 1}")
-            selections = cls(*(np.array([getattr(sel, f) for sel in selections])
-                               for f in ("scale", "probs", "token_count")))
-        if menu is not None:
-            expected = np.asarray(menu.token_counts)[selections.scales]
-            if not np.array_equal(selections.counts, expected):
-                raise ValueError(f"selection token counts ({int(selections.counts.sum())}) "
-                                 f"disagree with the menu ({int(expected.sum())})")
-        return selections
+        if scales.shape != (m,) or scales.dtype.kind not in "iu" \
+                or scales.min() < 0 or scales.max() >= s:
+            raise ValueError(f"scales must be {m} integers in 0..{s - 1}, got {scales!r}")
+        if probs.shape != (m, s):
+            raise ValueError(f"probs must be {(m, s)}, got {probs.shape}")
+        if len(grid) != 2 or not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                                     and n > 0 for n in grid) or grid[0] * grid[1] != m:
+            raise ValueError(f"region grid {self.grid} does not hold {m} regions")
+        self.__dict__.update(scales=scales, probs=probs, grid=grid,  # frozen: not through setattr
+                             counts=np.asarray(self.menu.token_counts)[scales])
 
     @property
     def top1_probs(self) -> np.ndarray:
@@ -251,10 +255,15 @@ class RegionRouting(Sequence):
 
 
 def flatten_grid(grid) -> np.ndarray:
-    """Global tokens as (Ng, C) rows: an (H, W, C) grid flattened row-major, rows as given."""
+    """Global tokens as (Ng, C) rows: an (H, W, C) grid flattened row-major, rows as given.
+
+    No global token or no channel is an error: a score against nothing is no score.
+    """
     g = as_tensor(grid)
     if g.ndim not in (2, 3):
         raise ValueError(f"global tokens must be (Ng, C) or (H, W, C), got shape {g.shape}")
+    if 0 in g.shape:
+        raise ValueError(f"global tokens must be non-empty, got shape {g.shape}")
     return g.reshape(-1, g.shape[2]) if g.ndim == 3 else g
 
 
@@ -422,11 +431,12 @@ def compress_inference(
 
     Every input is checked before the routing pass runs, ``force_scales`` last.
     """
-    g = flatten_grid(global_tokens)
     fm = _checked_map(feature_map, menu.window)
+    g = flatten_grid(global_tokens)
     _check_pooling(g, fm.shape[2], pool)
     check_selector(params, menu, g.shape[0])
-    regions = (fm.shape[0] // menu.window) * (fm.shape[1] // menu.window)
+    grid = (fm.shape[0] // menu.window, fm.shape[1] // menu.window)
+    regions = grid[0] * grid[1]
     forced = None
     if force_scales is not None:
         forced = np.asarray(force_scales)
@@ -448,7 +458,7 @@ def compress_inference(
         _, probs, chosen = route(region_scores(blocks, g, pool), params, menu)
         chosen = chosen if forced is None else forced
         tokens = emit_tokens(scale_variants(blocks, menu), chosen)
-    return tokens, RegionRouting(chosen, probs, np.asarray(menu.token_counts)[chosen])
+    return tokens, RegionRouting(chosen, probs, menu, grid)
 
 
 def compress_training(
@@ -469,13 +479,9 @@ def upsample_regions(values, window: int) -> np.ndarray:
     return np.repeat(np.repeat(values, window, axis=0), window, axis=1)
 
 
-def selection_heatmap(
-    selections: Sequence[RegionSelection], menu: ScaleMenu, region_grid: tuple[int, int]
-) -> np.ndarray:
-    """Per-pixel kept-token fraction: each region's w x w patch is filled with
-    token_count / w^2 of the scale chosen there (:meth:`RegionRouting.of`)."""
-    rows, cols = region_grid
-    if rows * cols != len(selections):
-        raise ValueError(f"region grid {region_grid} does not hold {len(selections)} selections")
-    kept = RegionRouting.of(selections, menu).counts / float(menu.window * menu.window)
-    return upsample_regions(kept.reshape(rows, cols), menu.window)
+def selection_heatmap(routing: RegionRouting) -> np.ndarray:
+    """Per-pixel kept-token fraction: each region's w x w patch of the routed map
+    is filled with the token count / w^2 of the scale chosen there."""
+    window = routing.menu.window
+    kept = routing.counts / float(window * window)
+    return upsample_regions(kept.reshape(routing.grid), window)

@@ -302,8 +302,7 @@ def test_criterion_8_uniform_selection_token_arithmetic():
     params = init_selector_params(3, 9, seed=0)
     forced = [0] * 12 + [1] * 12 + [2] * 12
     tokens, selections = compress_inference(fm, g, params, menu, force_scales=forced)
-    report = build_report(strategy="vision", input_tokens=24 * 24, menu=menu,
-                          selections=selections)
+    report = build_report(strategy="vision", input_tokens=24 * 24, selections=selections)
     ok = (
         tokens.shape[0] == 252
         and report["afterVision"] == 12 * (1 + 4 + 16) == 252

@@ -1,7 +1,8 @@
 """The top level exports exactly what the demos and the README import from it.
 
 A name joins ``vtcompress.__all__`` only together with a demo or README line
-that imports it; everything else is imported from its submodule.
+that imports it; everything else is imported from its submodule. README's
+quick start runs as written.
 """
 
 import ast
@@ -50,3 +51,14 @@ def test_top_level_names_resolve():
 def test_submodule_names_resolve(module):
     mod = importlib.import_module(f"vtcompress.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_readme_quick_start_runs():
+    """README's "Library quick start" block runs as written, so a changed
+    signature cannot leave it stale."""
+    quick_start = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", quick_start, flags=re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["heat"].shape == (24, 24)
+    assert namespace["report"]["afterVision"] == namespace["tokens"].shape[0]

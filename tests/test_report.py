@@ -22,18 +22,18 @@ from vtcompress.report import (
     scale_histogram,
 )
 from vtcompress.textsampler import SelectionResult
-from vtcompress.vision import RegionSelection, default_menu, selection_heatmap
+from vtcompress.vision import RegionRouting, default_menu
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
 def make_selections(scale_per_region, menu):
-    probs = softmax(np.zeros(len(menu)))
-    counts = menu.token_counts
-    return [
-        RegionSelection(r, s, probs, counts[s]) for r, s in enumerate(scale_per_region)
-    ]
+    """The routing of one row of regions that chose ``scale_per_region``,
+    each with uniform probabilities."""
+    probs = np.tile(softmax(np.zeros(len(menu))), (len(scale_per_region), 1))
+    return RegionRouting(np.array(scale_per_region, dtype=int), probs, menu,
+                         (1, len(scale_per_region)))
 
 
 class TestEffectiveTokenCount:
@@ -60,6 +60,19 @@ class TestEffectiveTokenCount:
                 assert effective_token_count(m, n, i + 1, 32) >= v
             if n > 0:
                 assert effective_token_count(m, n - 1, i, 32) >= v
+
+    @pytest.mark.parametrize("args", [
+        (10, 5, 2.7), (10, 5.0, 2), (10.5, 5, 2), (10, 5, 2, 32.0), (10, 5, "2"), (10, 5, True),
+        (True, 0, 0), (10, 5, np.float64(2)),
+    ], ids=repr)
+    def test_non_integers_rejected_not_truncated(self, args):
+        """Layer 2.7 used to be read as layer 2, and "2" and True as 2 and 1."""
+        with pytest.raises(ValueError, match="must be an integer"):
+            effective_token_count(*args)
+
+    def test_numpy_integers_accepted(self):
+        args = (np.int64(100), np.int32(50), np.intp(8), np.uint8(32))
+        assert effective_token_count(*args) == 62.5
 
     def test_range_violations(self):
         with pytest.raises(ValueError):
@@ -93,7 +106,7 @@ class TestScaleHistogram:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no selections"):
-            scale_histogram([])
+            scale_histogram(make_selections([], default_menu(4)))
 
 
 class TestBuildReport:
@@ -101,7 +114,7 @@ class TestBuildReport:
         menu = default_menu(4)
         selections = make_selections([0] * 12 + [1] * 12 + [2] * 12, menu)
         report = build_report(
-            strategy="vision", input_tokens=576, menu=menu, selections=selections
+            strategy="vision", input_tokens=576, selections=selections
         )
         assert report["afterVision"] == 12 * (1 + 4 + 16) == 252
         assert report["afterVision"] / report["inputTokens"] == 0.4375
@@ -117,7 +130,6 @@ class TestBuildReport:
         report = build_report(
             strategy="both",
             input_tokens=64,
-            menu=menu,
             selections=selections,
             text_selection=text,
             text_layer=8,
@@ -151,7 +163,7 @@ class TestBuildReport:
         menu = default_menu(4)
         selections = make_selections([0, 1, 2, 2], menu)
         report = build_report(
-            strategy="vision", input_tokens=64, menu=menu, selections=selections
+            strategy="vision", input_tokens=64, selections=selections
         )
         assert json.loads(report_to_json(report)) == report
 
@@ -159,41 +171,69 @@ class TestBuildReport:
         menu = default_menu(4)
         selections = make_selections([0, 1], menu)
         a = report_to_json(
-            build_report(strategy="vision", input_tokens=32, menu=menu, selections=selections)
+            build_report(strategy="vision", input_tokens=32, selections=selections)
         )
         b = report_to_json(
-            build_report(strategy="vision", input_tokens=32, menu=menu, selections=selections)
+            build_report(strategy="vision", input_tokens=32, selections=selections)
         )
         assert a == b
 
-    def test_inconsistent_counts_rejected(self):
-        menu = default_menu(4)
-        probs = softmax(np.zeros(3))
-        bad = [RegionSelection(0, 0, probs, 5)]  # scale 0 emits 1 token, not 5
-        with pytest.raises(ValueError, match="disagree"):
-            build_report(strategy="vision", input_tokens=16, menu=menu, selections=bad)
+    @pytest.mark.parametrize("change, match", [
+        (dict(scales=np.zeros(0, int), probs=np.zeros((0, 3)), grid=(1, 0)), "no selections"),
+        (dict(scales=[0, 3]), r"scales must be 2 integers in 0\.\.2, got array\(\[0, 3\]\)"),
+        (dict(scales=[-1, 2]), r"scales must be 2 integers in 0\.\.2"),
+        (dict(scales=[0.0, 2.0]), r"scales must be 2 integers in 0\.\.2"),
+        (dict(scales=[False, True]), r"scales must be 2 integers in 0\.\.2"),
+        (dict(scales=[[0, 2]]), r"scales must be 2 integers in 0\.\.2"),
+        (dict(probs=np.full((2, 2), 0.5)), r"probs must be \(2, 3\), got \(2, 2\)"),
+        (dict(probs=np.full((1, 3), 1 / 3)), r"probs must be \(2, 3\), got \(1, 3\)"),
+        (dict(grid=(2, 2)), r"region grid \(2, 2\) does not hold 2 regions"),
+        (dict(grid=(2,)), "does not hold 2 regions"),
+        (dict(grid=(-1, -2)), "does not hold 2 regions"),
+        (dict(grid=(1.0, 2.0)), "does not hold 2 regions"),
+        (dict(grid=(True, 2)), "does not hold 2 regions"),
+        (dict(grid=("1", "2")), "does not hold 2 regions"),
+    ], ids=["no-regions", "scale-above-menu", "negative-scale", "float-scales", "bool-scales",
+            "scales-not-a-vector", "probs-not-per-scale", "probs-not-per-region",
+            "grid-too-large", "grid-not-2d", "grid-negative", "grid-float", "grid-bool",
+            "grid-strings"])
+    def test_malformed_routing_rejected_at_construction(self, change, match):
+        """A routing is checked once, when it is built, so no reader can be
+        handed counts that disagree with its menu or a grid of other regions."""
+        fields = dict(scales=[0, 2], probs=np.full((2, 3), 1 / 3), menu=default_menu(4),
+                      grid=(1, 2))
+        fields.update(change)
+        fields["scales"] = np.array(fields["scales"])
+        with pytest.raises(ValueError, match=match):
+            RegionRouting(**fields)
 
-    def test_regions_out_of_order_rejected(self):
-        """A selection list is region 0, 1, ..., M-1 in order: two selections of
-        region 0 would be counted twice in the report and leave region 1 blank
-        in the heatmap."""
-        menu = default_menu(4)
-        probs = softmax(np.zeros(3))
-        bad = [RegionSelection(0, 0, probs, 1), RegionSelection(0, 2, probs, 16)]
-        match = r"selection regions \[0, 0\] do not run 0\.\.1"
-        with pytest.raises(ValueError, match=match):
-            build_report(strategy="vision", input_tokens=32, menu=menu, selections=bad)
-        with pytest.raises(ValueError, match=match):
-            selection_heatmap(bad, menu, (1, 2))
-        with pytest.raises(ValueError, match=match):
-            scale_histogram(bad)
+    @pytest.mark.parametrize("field", ["input_tokens", "total_layers", "text_layer",
+                                       "heuristic_kept"])
+    @pytest.mark.parametrize("value", [2.7, 8.0, "8", True])
+    def test_non_integer_counts_rejected_not_truncated(self, field, value):
+        """``text_layer=2.7`` used to be written as ``"layer": 2``."""
+        kwargs = dict(input_tokens=64, total_layers=32, text_layer=8, heuristic_kept=40)
+        kwargs[field] = value
+        strategy = "heuristic" if field == "heuristic_kept" else "text"
+        text = SelectionResult(np.arange(40), 40, 0.85)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            build_report(strategy=strategy, text_selection=text, **kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        text = SelectionResult(np.arange(40), 40, 0.85)
+        report = build_report(strategy="text", input_tokens=np.int64(64), text_selection=text,
+                              text_layer=np.int32(8), total_layers=np.intp(32))
+        assert report == build_report(strategy="text", input_tokens=64, text_selection=text,
+                                      text_layer=8)
+        assert report_to_json(report) == report_to_json(build_report(
+            strategy="text", input_tokens=64, text_selection=text, text_layer=8))
 
     @pytest.mark.parametrize("strategy", ["vision", "text", "both", "heuristic"])
     @pytest.mark.parametrize("total_layers", [0, -3])
     def test_total_layers_below_one_rejected(self, strategy, total_layers):
         menu = default_menu(4)
         inputs = {
-            "vision": dict(menu=menu, selections=make_selections([2] * 4, menu)),
+            "vision": dict(selections=make_selections([2] * 4, menu)),
             "text": dict(text_selection=SelectionResult(np.arange(40), 40, 0.85), text_layer=8),
             "heuristic": dict(heuristic_kept=40),
         }
@@ -216,7 +256,6 @@ class TestBuildReport:
             build_report(
                 strategy="both",
                 input_tokens=100,
-                menu=menu,
                 selections=selections,
                 text_selection=SelectionResult(np.arange(10), 10, 0.85),
                 text_layer=0,
