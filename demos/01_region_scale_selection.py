@@ -45,7 +45,7 @@ f = scale_histogram(selections)
 print(f"\nuntrained selector: {tokens.shape[0]} of {fm.shape[0] * fm.shape[1]} tokens kept "
       f"({100 * tokens.shape[0] / (fm.shape[0] * fm.shape[1]):.1f}%)")
 print(f"scale frequencies f = {np.round(f, 3)} (over kernels "
-      f"{[s.kernel for s in menu.scales]})")
+      f"{list(menu.kernels)})")
 
 heat = selection_heatmap(selections)
 heat_path = out_dir / "kept_fraction.pgm"
@@ -56,7 +56,7 @@ print(f"kept-token-fraction heatmap written to {heat_path}")
 wide = seven_branch_menu(window=4)
 tokens7, selections7 = compress_inference(fm, global_tokens, params=init_selector_params(
     len(wide), global_tokens.shape[0], seed=0), menu=wide)
-print(f"\n7-branch menu: kernels {[s.kernel for s in wide.scales]}")
+print(f"\n7-branch menu: kernels {list(wide.kernels)}")
 print(f"7-branch token counts per region: {wide.token_counts}; "
       f"kept {tokens7.shape[0]} tokens total")
 

@@ -104,7 +104,7 @@ import numpy as np
 from .numeric import EXP_CONSTANTS, _exp_numpy, _k_loop, softmax
 from .formats import write_bytes
 from .report import _dumps
-from .vision import default_menu, emit_tokens, max_pool, partition, scale_variants
+from .vision import ScaleMenu, emit_tokens, max_pool, partition, scale_variants
 
 # Declarations shared by the C source and cffi's cdef. ``vtc_step`` holds one
 # training run of the selector on one batch; :meth:`Kernel.train` points it at
@@ -1153,7 +1153,7 @@ class Kernel:
         return out.decode("ascii")
 
     def route(self, feature_map: np.ndarray, global_rows: np.ndarray, weight: np.ndarray,
-              bias: np.ndarray, kernels, window: int, pool: str,
+              bias: np.ndarray, menu: ScaleMenu, pool: str,
               forced: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The vision stage of a checked ``(H, W, C)`` map in one ``vtc_route``
         call: its ``(tokens, C)`` tokens, the ``(M, S)`` probabilities and the
@@ -1161,32 +1161,28 @@ class Kernel:
         numpy path.
 
         ``global_rows`` are the ``(Ng, C)`` global tokens, ``weight`` and
-        ``bias`` the ``(S, Ng)`` and ``(S,)`` selector, ``kernels`` one
-        ``(kh, kw)`` per scale (``(0, 0)`` drops the region), ``pool``
-        ``"mean"`` or ``"max"`` and ``forced`` ``None`` or each region's
-        scale. The tokens are the head of one buffer sized for every region
-        at its finest scale.
+        ``bias`` the ``(S, Ng)`` and ``(S,)`` selector of the S scales of
+        ``menu``, ``pool`` ``"mean"`` or ``"max"`` and ``forced`` ``None`` or
+        each region's scale. The tokens are the head of one buffer sized for
+        every region at the menu's finest scale, its last.
         """
         fm, g, weight, bias = (np.ascontiguousarray(a, dtype=np.float64)
                                for a in (feature_map, global_rows, weight, bias))
-        kernels = np.ascontiguousarray(kernels, dtype=np.int64)
-        (h, w, c), (s, ng) = fm.shape, weight.shape
-        pairs = kernels.tolist() if kernels.shape == (s, 2) else [(-1, -1)]
-        if (window < 1 or not fm.size or h % window or w % window or g.shape != (ng, c)
-                or bias.shape != (s,) or not all(kh == kw == 0 or kh > 0 < kw and window % kh
-                                                 == window % kw == 0 for kh, kw in pairs)):
+        (h, w, c), (s, ng), window = fm.shape, weight.shape, menu.window
+        if (not fm.size or h % window or w % window or g.shape != (ng, c)
+                or bias.shape != (s,) or len(menu) != s):
             raise ValueError(f"cannot route a {fm.shape} map in windows of {window} with "
                              f"global rows {g.shape}, weight {weight.shape}, bias {bias.shape} "
-                             f"and kernels {kernels.tolist()}")
+                             f"and {len(menu)} scales")
         m = (h // window) * (w // window)
         if forced is not None:
             forced = np.ascontiguousarray(forced, dtype=np.int64)
             if forced.shape != (m,) or (forced.size and not 0 <= forced.min() <= forced.max() < s):
                 raise ValueError(f"cannot force {forced.shape} scales out of {s} on {m} regions")
+        kernels = np.array([k or (0, 0) for k in menu.kernels], dtype=np.int64)  # (0, 0) drops
         work = np.empty((2 * c + ng + s) * m + window * window)
         probs, chosen = np.empty((m, s)), np.empty(m, dtype=np.int64)
-        tokens = np.empty((m * max([(window // kh) * (window // kw) for kh, kw in pairs if kh],
-                                   default=0), c))
+        tokens = np.empty((m * menu.token_counts[-1], c))
         buffer = self._buffer
         t = self.ffi.new("vtc_route_pass *", {
             "rows": h, "cols": w, "c": c, "w": window, "ng": ng, "s": s,
@@ -1397,10 +1393,9 @@ def _exact(kernel: Kernel) -> bool:
         pooled = blocks.mean(axis=(1, 2)) if pool == "mean" else max_pool(blocks, 4, 4)[:, 0, 0]
         logits = _k_loop(_k_loop(pooled, g.T, np.empty((4, 5))), weight.T, np.empty((4, s))) + bias
         chosen = np.argmax(logits, axis=1) if forced is None else np.array(forced)
-        variants = [v for v in scale_variants(blocks, default_menu(4)) for _ in range(repeats)]
-        want = emit_tokens(variants, chosen), softmax(logits), chosen
-        kernels = [k for k in ((4, 4), (2, 2), (1, 1)) for _ in range(repeats)]
-        got = kernel.route(fm, g, weight, bias, kernels, 4, pool, forced)
+        menu = ScaleMenu(4, [k for k in ((4, 4), (2, 2), (1, 1)) for _ in range(repeats)])
+        want = emit_tokens(scale_variants(blocks, menu), chosen), softmax(logits), chosen
+        got = kernel.route(fm, g, weight, bias, menu, pool, forced)
         if any(x.tobytes() != y.tobytes() for x, y in zip(got, want)):
             return False
     # a 2-step history of the 17 probes per step (the loss, then 8 each of f

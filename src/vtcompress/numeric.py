@@ -58,6 +58,14 @@ def as_tensor(values) -> np.ndarray:
     return arr
 
 
+def _require_int(name: str, value) -> int:
+    """``value`` as an int, or a ``ValueError`` unless it is an integer: a bool,
+    float or string is not, a numpy integer is. Counts are never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def matmul(a, b) -> np.ndarray:
     """Matrix product with sequential k-order accumulation.
 

@@ -24,6 +24,7 @@ import sys
 import numpy as np
 
 from . import numeric
+from .numeric import _require_int
 from .textsampler import SelectionResult
 from .vision import RegionRouting, routing_stats
 
@@ -109,10 +110,8 @@ def build_report(
         menu = selections.menu
         after_vision = int(selections.counts.sum())
         report["window"] = menu.window
-        report["menu"] = [
-            {"kernel": None if s.discard else list(s.kernel), "tokens": int(c)}
-            for s, c in zip(menu.scales, menu.token_counts)
-        ]
+        report["menu"] = [{"kernel": None if k is None else list(k), "tokens": n}
+                          for k, n in zip(menu.kernels, menu.token_counts)]
         report["afterVision"] = after_vision
         f, p = routing_stats(selections.scales, selections.probs)
         report["scaleFrequencies"] = f.tolist()
@@ -131,7 +130,7 @@ def build_report(
     if strategy in ("text", "both"):
         if text_selection is None or text_layer is None:
             raise ValueError(f"strategy {strategy!r} needs a text selection and a layer")
-        text = (int(text_selection.k), _require_int("text_layer", text_layer))
+        text = (text_selection.k, _require_int("text_layer", text_layer))
         report["textSelection"] = {
             "k": text[0],
             "gamma": float(text_selection.gamma),
@@ -157,14 +156,6 @@ def build_report(
 
     report["effectiveTokens"] = _effective(input_tokens, after_vision, total_layers, text)
     return report
-
-
-def _require_int(name: str, value) -> int:
-    """``value`` as an int, or a ``ValueError`` unless it is an integer: a bool,
-    float or string is not, a numpy integer is. The accounting never truncates."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _require_report_int(name: str, value) -> None:

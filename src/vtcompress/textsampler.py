@@ -109,9 +109,13 @@ class SelectionResult:
     """
 
     kept_indices: np.ndarray
-    k: int
     gamma: float
     degenerate: bool = False
+
+    @property
+    def k(self) -> int:
+        """The number of tokens kept."""
+        return len(self.kept_indices)
 
 
 def cumulative_topk(scores, gamma: float) -> SelectionResult:
@@ -132,10 +136,10 @@ def cumulative_topk(scores, gamma: float) -> SelectionResult:
     prefix = np.cumsum(s[order])
     total = float(prefix[-1])
     if total == 0.0:
-        return SelectionResult(order, int(s.size), float(gamma), degenerate=True)
+        return SelectionResult(order, float(gamma), degenerate=True)
     hits = np.nonzero(prefix / total > gamma)[0]
     k = int(hits[0]) + 1 if hits.size else int(s.size)
-    return SelectionResult(order[:k], k, float(gamma))
+    return SelectionResult(order[:k], float(gamma))
 
 
 @dataclass(frozen=True)

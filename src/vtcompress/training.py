@@ -62,7 +62,6 @@ class BatchDiagnostics:
 
     f: np.ndarray
     p: np.ndarray
-    n_blocks: int
 
 
 def balance_loss(diagnostics: BatchDiagnostics, alpha: float) -> float:
@@ -172,7 +171,6 @@ class PreparedBatch:
 
     def __post_init__(self):
         self.sums = np.stack([v.sum(axis=1) for v in self.variants])  # (S, M, C)
-        self.counts = np.array(self.menu.token_counts)  # (S,)
 
     @property
     def num_global_tokens(self) -> int:
@@ -224,7 +222,7 @@ class PreparedBatch:
         down = 0.0
         if downstream is not None:
             region_sums = self.sums[chosen, rows]  # (M, C)
-            total_tokens = int(self.counts[chosen].sum())
+            total_tokens = int(np.take(self.menu.token_counts, chosen).sum())
             if total_tokens == 0:
                 raise ValueError(_NO_TOKENS)
             weighted_sum = matmul(top1[None, :], region_sums)[0]
@@ -487,7 +485,7 @@ def _train_compiled(prepared, params, config, downstream, weights):
     call; raises as :func:`_train_numpy` does and returns what it returns."""
     kernel = numeric._product_kernel()
     status, index, loss, weight, bias, history = kernel.train(
-        prepared.scores, prepared.sums, prepared.counts, params.weight, params.bias,
+        prepared.scores, prepared.sums, prepared.menu.token_counts, params.weight, params.bias,
         None if downstream is None else downstream.target, config.alpha, weights,
         config.learning_rate, config.steps)
     if status == kernel.lib.VTC_NONFINITE_LOSS:

@@ -1,8 +1,11 @@
 """Vision-guided region compression.
 
 The feature map is partitioned into w x w regions. Each region can be
-down-sampled by any kernel in a :class:`ScaleMenu`; a linear selector scores
-the region against the global tokens and picks one scale. Global tokens, an
+down-sampled by any kernel in a :class:`ScaleMenu`, or dropped by its discard
+scale; a linear selector scores the region against the global tokens and
+picks one scale. A menu is its window and one kernel (or ``None``) per
+scale, checked and read as Python ints once, when it is built, so no reader
+converts or re-checks it. Global tokens, an
 (H, W, C) grid or (Ng, C) rows, are converted and checked once, by
 :func:`flatten_grid`, in every sampler that reads them; callers hand over
 the grid they read, not rows of their own.
@@ -34,10 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numeric
-from .numeric import as_tensor, matmul, softmax
+from .numeric import _require_int, as_tensor, matmul, softmax
 
 __all__ = [
-    "ScaleSpec",
     "ScaleMenu",
     "default_menu",
     "seven_branch_menu",
@@ -66,71 +68,60 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ScaleSpec:
-    """One down-sampling path: a max-pool kernel, or a drop-the-region pseudo-scale."""
-
-    kernel: tuple[int, int] | None
-    discard: bool = False
-
-    def __post_init__(self):
-        if self.discard:
-            if self.kernel is not None:
-                raise ValueError("a discard scale carries no kernel")
-        else:
-            if self.kernel is None:
-                raise ValueError("a pooling scale needs a kernel")
-            kh, kw = self.kernel
-            if kh < 1 or kw < 1:
-                raise ValueError(f"kernel must be positive, got {self.kernel}")
-
-    def token_count(self, window: int) -> int:
-        if self.discard:
-            return 0
-        kh, kw = self.kernel
-        return (window // kh) * (window // kw)
-
-
-@dataclass(frozen=True)
 class ScaleMenu:
-    """Ordered set of scales for one window size; index 0 is the coarsest."""
+    """Ordered scales for one window size, index 0 the coarsest: per scale, a
+    ``(kh, kw)`` max-pool kernel, or ``None`` to drop the region.
+
+    Checked once, when it is built: the window and every kernel entry are
+    integers (a bool or float is not; a numpy integer is read as an int),
+    kernels are positive and divide the window, there are at least two
+    scales (or one plus a discard), and the scales' ``token_counts`` do not
+    decrease.
+    """
 
     window: int
-    scales: tuple[ScaleSpec, ...]
+    kernels: tuple[tuple[int, int] | None, ...]
+    token_counts: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.window < 1:
+        window = _require_int("window", self.window)
+        if window < 1:
             raise ValueError("window must be >= 1")
-        if not isinstance(self.scales, tuple):
-            object.__setattr__(self, "scales", tuple(self.scales))
-        has_discard = any(s.discard for s in self.scales)
-        if len(self.scales) < (1 if has_discard else 2):
+        kernels = tuple(None if k is None else _checked_kernel(k) for k in self.kernels)
+        if len(kernels) < (1 if None in kernels else 2):
             raise ValueError("a menu needs at least two scales (or one plus discard)")
-        for s in self.scales:
-            if s.discard:
-                continue
-            kh, kw = s.kernel
-            if self.window % kh != 0 or self.window % kw != 0:
-                raise ValueError(f"kernel {s.kernel} does not divide window {self.window}")
-        counts = self.token_counts
-        if any(counts[i] > counts[i + 1] for i in range(len(counts) - 1)):
+        for k in kernels:
+            if k is not None and (window % k[0] or window % k[1]):
+                raise ValueError(f"kernel {k} does not divide window {window}")
+        counts = tuple(0 if k is None else (window // k[0]) * (window // k[1]) for k in kernels)
+        if any(a > b for a, b in zip(counts, counts[1:])):
             raise ValueError("scales must be ordered coarsest first (non-decreasing token count)")
-
-    @property
-    def token_counts(self) -> tuple[int, ...]:
-        return tuple(s.token_count(self.window) for s in self.scales)
+        self.__dict__.update(window=window, kernels=kernels, token_counts=counts)  # frozen
 
     def __len__(self) -> int:
-        return len(self.scales)
+        return len(self.kernels)
+
+
+def _checked_kernel(kernel) -> tuple[int, int]:
+    """A pooling scale's kernel as ``(kh, kw)`` positive ints."""
+    try:
+        kh, kw = kernel
+    except (TypeError, ValueError):
+        raise ValueError(f"a kernel is (kh, kw) or None, got {kernel!r}") from None
+    kh, kw = _require_int("kernel height", kh), _require_int("kernel width", kw)
+    if kh < 1 or kw < 1:
+        raise ValueError(f"kernel must be positive, got {(kh, kw)}")
+    return kh, kw
 
 
 def _kernel_menu(window: int, kernels) -> ScaleMenu:
-    specs = tuple(ScaleSpec(k) for k in kernels if window % k[0] == 0 and window % k[1] == 0)
-    if len(specs) < 2:
+    kernels = tuple(k for k in kernels if window % k[0] == 0 and window % k[1] == 0)
+    if len(kernels) < 2:
         raise ValueError(
             f"window {window} is odd: only the 1x1 kernel divides it, "
             "and a menu needs at least two scales"
         )
-    return ScaleMenu(window, specs)
+    return ScaleMenu(window, kernels)
 
 
 def default_menu(window: int = 4) -> ScaleMenu:
@@ -145,7 +136,7 @@ def seven_branch_menu(window: int = 4) -> ScaleMenu:
 
 def retain_discard_menu() -> ScaleMenu:
     """Single-token window variant: either drop the token or keep it."""
-    return ScaleMenu(1, (ScaleSpec(None, discard=True), ScaleSpec((1, 1))))
+    return ScaleMenu(1, (None, (1, 1)))
 
 
 @dataclass
@@ -238,7 +229,7 @@ class RegionRouting(Sequence):
                                      and n > 0 for n in grid) or grid[0] * grid[1] != m:
             raise ValueError(f"region grid {self.grid} does not hold {m} regions")
         self.__dict__.update(scales=scales, probs=probs, grid=grid,  # frozen: not through setattr
-                             counts=np.asarray(self.menu.token_counts)[scales])
+                             counts=np.take(self.menu.token_counts, scales))
 
     @property
     def top1_probs(self) -> np.ndarray:
@@ -348,15 +339,9 @@ def route(
 
 def scale_variants(blocks: np.ndarray, menu: ScaleMenu) -> tuple[np.ndarray, ...]:
     """Per scale, every region's max-pooled tokens: (M, tokens, C), row-major in the region."""
-    m, w, _, c = blocks.shape
-    variants = []
-    for spec in menu.scales:
-        if spec.discard:
-            variants.append(np.zeros((m, 0, c)))
-        else:
-            kh, kw = spec.kernel
-            variants.append(max_pool(blocks, kh, kw).reshape(m, -1, c))
-    return tuple(variants)
+    m, _, _, c = blocks.shape
+    return tuple(np.zeros((m, 0, c)) if k is None else max_pool(blocks, *k).reshape(m, -1, c)
+                 for k in menu.kernels)
 
 
 def max_pool(blocks: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -449,10 +434,7 @@ def compress_inference(
             raise ValueError("forced scale index out of range")
     kernel = numeric._product_kernel()
     if kernel is not None:
-        tokens, probs, chosen = kernel.route(
-            fm, g, params.weight, params.bias, [spec.kernel or (0, 0) for spec in menu.scales],
-            menu.window, pool, forced,
-        )
+        tokens, probs, chosen = kernel.route(fm, g, params.weight, params.bias, menu, pool, forced)
     else:
         blocks = partition(fm, menu.window)
         _, probs, chosen = route(region_scores(blocks, g, pool), params, menu)

@@ -20,6 +20,7 @@ from oracles import max_pool
 from test_report import _compressed_both_report, _nested
 from test_vision import assert_route_matches_numpy, route_cases
 from vtcompress.report import _dumps
+from vtcompress.vision import default_menu, seven_branch_menu
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -253,6 +254,55 @@ class TestProductKernel:
             kernel(np.ones((2, 3)), np.ones((4, 2)), np.empty((2, 2)))
         with pytest.raises(ValueError, match="cannot write"):
             kernel(np.ones((2, 3)), np.ones((3, 2)), np.empty((2, 3)))
+
+
+# Arguments that each of the kernel's C passes runs on; the guard test below
+# changes one of them at a time.
+_GOOD_CALLS = {
+    "route": dict(feature_map=np.ones((8, 8, 2)), global_rows=np.ones((5, 2)),
+                  weight=np.ones((3, 5)), bias=np.zeros(3), menu=default_menu(4), pool="mean",
+                  forced=None),
+    "attention": dict(q=np.ones((2, 3, 4)), k=np.ones((2, 5, 4)), scale=0.5),
+    "train": dict(scores=np.ones((4, 5)), sums=np.ones((3, 4, 2)), counts=(1, 4, 16),
+                  weight=np.ones((3, 5)), bias=np.zeros(3), target=np.zeros(2), alpha=0.1,
+                  imbalance=np.ones(3), learning_rate=0.5, steps=2),
+    "history": dict(prefix=b"", losses=np.ones(2), f=np.ones((2, 3)), p=np.ones((2, 3))),
+}
+
+
+@pytest.mark.parametrize("method, change, match", [
+    ("route", dict(feature_map=np.ones((6, 8, 2))), "cannot route"),
+    ("route", dict(feature_map=np.ones((0, 8, 2))), "cannot route"),
+    ("route", dict(global_rows=np.ones((5, 3))), "cannot route"),
+    ("route", dict(global_rows=np.ones((4, 2))), "cannot route"),
+    ("route", dict(bias=np.zeros(2)), "cannot route"),
+    ("route", dict(menu=seven_branch_menu(4)), "cannot route .* and 7 scales"),
+    ("route", dict(forced=np.zeros(3, np.int64)), "cannot force"),
+    ("route", dict(forced=np.array([0, 1, 2, 3])), "cannot force"),
+    ("attention", dict(k=np.ones((2, 5, 3))), "cannot attend"),
+    ("attention", dict(k=np.ones((1, 5, 4))), "cannot attend"),
+    ("attention", dict(q=np.ones((2, 4, 3)).transpose(0, 2, 1)), "cannot attend"),
+    ("train", dict(sums=np.ones((3, 5, 2))), "cannot train on the shapes"),
+    ("train", dict(counts=(1, 4)), "cannot train on the shapes"),
+    ("train", dict(weight=np.ones((3, 4))), "cannot train on the shapes"),
+    ("train", dict(bias=np.zeros(2)), "cannot train on the shapes"),
+    ("train", dict(target=np.zeros(3)), "cannot train on the shapes"),
+    ("train", dict(imbalance=np.ones(2)), "cannot train on the shapes"),
+    ("history", dict(f=np.ones((3, 3))), "cannot lay out losses"),
+    ("history", dict(p=np.ones((2, 4))), "cannot lay out losses"),
+], ids=["route-window", "route-empty-map", "route-global-channels", "route-global-rows",
+        "route-bias", "route-menu-length", "force-count", "force-range", "attend-dim",
+        "attend-heads", "attend-not-contiguous", "train-sums", "train-counts", "train-weight",
+        "train-bias", "train-target", "train-imbalance", "history-f", "history-p"])
+def test_kernel_shape_guards_raise_before_c(method, change, match):
+    """Each of ``_kernel.Kernel``'s passes raises a ``ValueError`` for a shape
+    that does not fit its other arguments, before its C code reads them."""
+    kernel = numeric._product_kernel()
+    if kernel is None:
+        pytest.skip("the product kernel is not available")
+    getattr(kernel, method)(**_GOOD_CALLS[method])
+    with pytest.raises(ValueError, match=match):
+        getattr(kernel, method)(**{**_GOOD_CALLS[method], **change})
 
 
 # _MATMUL_ELEMENTS with subnormals, whose products underflow to signed zeros.

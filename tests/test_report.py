@@ -126,7 +126,7 @@ class TestBuildReport:
     def test_both_uses_effective_count(self):
         menu = default_menu(4)
         selections = make_selections([2] * 4, menu)  # 64 tokens enter the LLM
-        text = SelectionResult(np.arange(40), 40, 0.85)
+        text = SelectionResult(np.arange(40), 0.85)
         report = build_report(
             strategy="both",
             input_tokens=64,
@@ -141,7 +141,7 @@ class TestBuildReport:
         assert report["effectiveTokens"] < report["afterVision"]
 
     def test_text_only(self):
-        text = SelectionResult(np.arange(30), 30, 0.7)
+        text = SelectionResult(np.arange(30), 0.7)
         report = build_report(
             strategy="text", input_tokens=100, text_selection=text, text_layer=10
         )
@@ -215,12 +215,12 @@ class TestBuildReport:
         kwargs = dict(input_tokens=64, total_layers=32, text_layer=8, heuristic_kept=40)
         kwargs[field] = value
         strategy = "heuristic" if field == "heuristic_kept" else "text"
-        text = SelectionResult(np.arange(40), 40, 0.85)
+        text = SelectionResult(np.arange(40), 0.85)
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             build_report(strategy=strategy, text_selection=text, **kwargs)
 
     def test_numpy_integer_counts_accepted(self):
-        text = SelectionResult(np.arange(40), 40, 0.85)
+        text = SelectionResult(np.arange(40), 0.85)
         report = build_report(strategy="text", input_tokens=np.int64(64), text_selection=text,
                               text_layer=np.int32(8), total_layers=np.intp(32))
         assert report == build_report(strategy="text", input_tokens=64, text_selection=text,
@@ -234,7 +234,7 @@ class TestBuildReport:
         menu = default_menu(4)
         inputs = {
             "vision": dict(selections=make_selections([2] * 4, menu)),
-            "text": dict(text_selection=SelectionResult(np.arange(40), 40, 0.85), text_layer=8),
+            "text": dict(text_selection=SelectionResult(np.arange(40), 0.85), text_layer=8),
             "heuristic": dict(heuristic_kept=40),
         }
         inputs["both"] = {**inputs["vision"], **inputs["text"]}
@@ -243,7 +243,7 @@ class TestBuildReport:
                          **inputs[strategy])
 
     def test_text_kept_more_than_entering_rejected(self):
-        text = SelectionResult(np.arange(200), 200, 0.9)
+        text = SelectionResult(np.arange(200), 0.9)
         with pytest.raises(ValueError, match="kept 200"):
             build_report(
                 strategy="text", input_tokens=100, text_selection=text, text_layer=8
@@ -257,7 +257,7 @@ class TestBuildReport:
                 strategy="both",
                 input_tokens=100,
                 selections=selections,
-                text_selection=SelectionResult(np.arange(10), 10, 0.85),
+                text_selection=SelectionResult(np.arange(10), 0.85),
                 text_layer=0,
             )
 

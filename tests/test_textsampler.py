@@ -149,6 +149,14 @@ class TestCumulativeTopk:
         assert res.k == 3
         np.testing.assert_array_equal(res.kept_indices, [0, 1, 2])
 
+    def test_k_is_the_kept_count(self):
+        """``k`` is read from ``kept_indices``: a stored ``k`` of 10 used to be
+        reported for a selection that kept 40 tokens."""
+        for res in (cumulative_topk([0.1, 0.4, 0.2, 0.3], 0.6), cumulative_topk([0.0] * 5, 0.85),
+                    SelectionResult(np.arange(40), 0.85)):
+            assert res.k == len(res.kept_indices)
+        assert cumulative_topk([0.0] * 5, 0.85).k == 5
+
     def test_gamma_out_of_range(self):
         with pytest.raises(ValueError, match="gamma"):
             cumulative_topk([0.1], 0.0)

@@ -25,7 +25,6 @@ from vtcompress.training import (
 )
 from vtcompress.vision import (
     ScaleMenu,
-    ScaleSpec,
     SelectorParams,
     compress_training,
     default_menu,
@@ -57,7 +56,7 @@ class NumpyStep:
 def diag(f, p):
     f = np.asarray(f, dtype=float)
     p = np.asarray(p, dtype=float)
-    return BatchDiagnostics(f, p, n_blocks=len(f))
+    return BatchDiagnostics(f, p)
 
 
 class TestBalanceLoss:
@@ -165,12 +164,12 @@ class TestSelectorGrad:
         assert internal == pytest.approx(public, abs=1e-12)
 
     def test_all_discarded_downstream_rejected(self):
-        from vtcompress.vision import ScaleMenu, ScaleSpec, SelectorParams
+        from vtcompress.vision import ScaleMenu, SelectorParams
 
         rng = np.random.default_rng(6)
         fm = rng.random((4, 4, 2))
         g = rng.random((2, 2))
-        menu = ScaleMenu(4, (ScaleSpec(None, discard=True), ScaleSpec((4, 4))))
+        menu = ScaleMenu(4, (None, (4, 4)))
         prepared = prepare_batch([(fm, g)], menu)
         # dominant bias on the discard scale: every region emits nothing
         forced = SelectorParams(np.zeros((2, 2)), np.array([100.0, 0.0]))
@@ -279,7 +278,7 @@ def per_region_gradient(fm, g, params, menu, target, alpha, weights):
     chosen = logits.argmax(axis=1)
     m, s = probs.shape
     f = np.bincount(chosen, minlength=s) / m
-    sums = [max_pool(b, menu.scales[j].kernel).reshape(-1, b.shape[2]) for b, j in zip(blocks, chosen)]
+    sums = [max_pool(b, menu.kernels[j]).reshape(-1, b.shape[2]) for b, j in zip(blocks, chosen)]
     total = sum(group.shape[0] for group in sums)
     u = sum(probs[r, j] * sums[r].sum(axis=0) for r, j in enumerate(chosen)) / total
     dl_du = 2.0 * (u - target) / fm.shape[2]
@@ -497,9 +496,9 @@ class TestCompiledStepMatchesNumpyStep:
         s = data.draw(st.sampled_from([2, 3, 7, 9]), label="S")
         c = data.draw(st.sampled_from([1, 4, 8, 9, 130]), label="C")
         ng = data.draw(st.sampled_from([1, 5, 36]), label="Ng")
-        scales = [ScaleSpec(None, discard=True)] if data.draw(st.booleans(), label="discard") else []
-        scales += [ScaleSpec(kernel) for kernel in _KERNELS[: s - len(scales)]]
-        menu = ScaleMenu(4, tuple(scales))
+        kernels = [None] if data.draw(st.booleans(), label="discard") else []
+        kernels += _KERNELS[: s - len(kernels)]
+        menu = ScaleMenu(4, kernels)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         # a weight scale of 1e308 overflows the logits, token values of 1e200 the loss
         weight_scale = data.draw(st.sampled_from([0.1, 1.0, 30.0, 1e308]), label="weight scale")
@@ -535,7 +534,7 @@ class TestCompiledStepMatchesNumpyStep:
     def test_many_scales_bit_identical(self, s, m, tied):
         # From 8 scales on, each region's softmax denominator is numpy's
         # pairwise sum, which splits recursively above 128 elements.
-        menu = ScaleMenu(4, tuple(ScaleSpec(_KERNELS[j * len(_KERNELS) // s]) for j in range(s)))
+        menu = ScaleMenu(4, [_KERNELS[j * len(_KERNELS) // s] for j in range(s)])
         rng = np.random.default_rng(s * 100 + m)
         scores = rng.standard_normal((m, 5)) * 4.0
         variants = tuple(rng.standard_normal((m, n, 3)) for n in menu.token_counts)

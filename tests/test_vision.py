@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 import tempfile
 
@@ -14,7 +15,6 @@ from vtcompress.training import prepare_batch
 from vtcompress.vision import (
     RegionRouting,
     ScaleMenu,
-    ScaleSpec,
     SelectorParams,
     choose_scale,
     compress_inference,
@@ -67,7 +67,7 @@ class TestMenus:
     def test_seven_branch_counts(self):
         menu = seven_branch_menu(4)
         assert menu.token_counts == (1, 2, 2, 4, 8, 8, 16)
-        assert [s.kernel for s in menu.scales] == [
+        assert list(menu.kernels) == [
             (4, 4), (4, 2), (2, 4), (2, 2), (2, 1), (1, 2), (1, 1)
         ]
 
@@ -76,17 +76,46 @@ class TestMenus:
         assert menu.window == 1
         assert menu.token_counts == (0, 1)
 
-    def test_single_scale_menu_rejected(self):
-        with pytest.raises(ValueError, match="at least two"):
-            ScaleMenu(4, (ScaleSpec((1, 1)),))
+    @pytest.mark.parametrize("build, match", [
+        (lambda: ScaleMenu(4, ((4.0, 4), (2, 2), (1, 1))),
+         r"kernel height must be an integer, got 4\.0"),
+        (lambda: ScaleMenu(4, ((2, 2), (True, True))), "kernel height must be an integer, got True"),
+        (lambda: default_menu(4.0), r"window must be an integer, got 4\.0"),
+        (lambda: ScaleMenu(0, ((1, 1), (1, 1))), "window must be >= 1"),
+        (lambda: ScaleMenu(4, ((0, 4), (1, 1))), r"kernel must be positive, got \(0, 4\)"),
+        (lambda: ScaleMenu(4, ((4, 4), (1, -1))), r"kernel must be positive, got \(1, -1\)"),
+        (lambda: ScaleMenu(4, ((4, 4, 1), (1, 1))),
+         r"a kernel is \(kh, kw\) or None, got \(4, 4, 1\)"),
+        (lambda: ScaleMenu(4, ((1, 1),)), "at least two"),
+        (lambda: ScaleMenu(4, ((3, 3), (1, 1))), "does not divide"),
+        (lambda: ScaleMenu(4, ((1, 1), (4, 4))), "coarsest first"),
+    ], ids=["float-kernel", "bool-kernel", "float-window", "zero-window", "zero-kernel",
+            "negative-kernel", "three-entry-kernel", "one-scale", "non-dividing-kernel",
+            "wrong-order"])
+    def test_malformed_menu_rejected(self, build, match):
+        """A menu is checked once, when it is built: ``(4.0, 4)`` used to route
+        on the compiled path and raise a ``TypeError`` on the numpy path, and
+        ``(True, True)`` passed as a 1x1 kernel."""
+        with pytest.raises(ValueError, match=match):
+            build()
 
-    def test_non_dividing_kernel_rejected(self):
-        with pytest.raises(ValueError, match="does not divide"):
-            ScaleMenu(4, (ScaleSpec((3, 3)), ScaleSpec((1, 1))))
-
-    def test_wrong_order_rejected(self):
-        with pytest.raises(ValueError, match="coarsest first"):
-            ScaleMenu(4, (ScaleSpec((1, 1)), ScaleSpec((4, 4))))
+    def test_numpy_integer_menu_routes_and_reports(self):
+        """A menu of numpy integers is read as Python ints, so its routing
+        reads the same on both backends and its report is written (it used
+        to fail: ``Object of type int64 is not JSON serializable``)."""
+        i = np.int64
+        menu = ScaleMenu(i(4), [None, (i(4), i(4)), (i(2), i(2)), (i(1), i(1))])
+        assert menu == ScaleMenu(4, (None, (4, 4), (2, 2), (1, 1)))
+        assert all(type(n) is int for n in (menu.window, *menu.kernels[1], *menu.token_counts))
+        rng = np.random.default_rng(31)
+        args = (rng.standard_normal((8, 8, 3)), rng.standard_normal((5, 3)),
+                init_selector_params(4, 5, seed=0), menu)
+        assert_route_matches_numpy(numeric._product_kernel(), args, {})
+        _, routing = compress_inference(*args)
+        report = build_report(strategy="vision", input_tokens=64, selections=routing)
+        assert json.loads(report_to_json(report))["menu"] == [
+            {"kernel": None, "tokens": 0}, {"kernel": [4, 4], "tokens": 1},
+            {"kernel": [2, 2], "tokens": 4}, {"kernel": [1, 1], "tokens": 16}]
 
 
 class TestSelectorParams:
@@ -324,7 +353,7 @@ class TestCompressInference:
         rng = np.random.default_rng(13)
         fm = rng.random((8, 8, 2))
         g = rng.random((4, 2))
-        menu = ScaleMenu(4, (ScaleSpec(None, discard=True), ScaleSpec((4, 4)), ScaleSpec((1, 1))))
+        menu = ScaleMenu(4, (None, (4, 4), (1, 1)))
         params = init_selector_params(3, 4, seed=4)
         tokens, selections = compress_inference(
             fm, g, params, menu, force_scales=[0, 1, 2, 0]
@@ -398,8 +427,8 @@ def per_region_reference(fm, g, params, menu, pool):
             score = matmul(g, pooled[:, None])[:, 0]
             logits = matmul(params.weight, score[:, None])[:, 0] + params.bias
             j = int(np.argmax(logits))
-            spec = menu.scales[j]
-            kept = np.zeros((0, c)) if spec.discard else max_pool(block, spec.kernel)
+            kernel = menu.kernels[j]
+            kept = np.zeros((0, c)) if kernel is None else max_pool(block, kernel)
             tokens.append(kept.reshape(-1, c))
             scales.append(j)
             probs.append(softmax(logits))
@@ -415,7 +444,7 @@ class TestBatchedCoreMatchesPerRegionLoop:
             "3branch": default_menu(4),
             "7branch": seven_branch_menu(4),
             "3branch-w8": default_menu(8),
-            "discard": ScaleMenu(4, (ScaleSpec(None, discard=True), ScaleSpec((2, 2)))),
+            "discard": ScaleMenu(4, (None, (2, 2))),
         }[menu_name]
         rng = np.random.default_rng(len(menu) * 10 + channels)
         w = menu.window
@@ -481,8 +510,7 @@ def route_cases():
     """
     menus = {"3branch": default_menu(4), "7branch": seven_branch_menu(4),
              "3branch-w8": default_menu(8), "retain-discard": retain_discard_menu(),
-             "12branch": ScaleMenu(4, tuple(spec for spec in default_menu(4).scales
-                                            for _ in range(4)))}
+             "12branch": ScaleMenu(4, [k for k in default_menu(4).kernels for _ in range(4)])}
     rng = np.random.default_rng(29)
     for (name, menu), channels, pool in itertools.product(menus.items(), (1, 5), ("mean", "max")):
         w = menu.window
